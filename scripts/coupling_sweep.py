@@ -5,14 +5,20 @@ Sweeps c for the pinned symmetric scenario and prints, per point, the global
 condition margin and the simulated final pin ratio. The closed-form c* from
 the margin formula should separate the converging points from the rest;
 below it the condition is silent and the run may wander or blow up.
+
+All points go through one ``run_sweep`` call, which integrates them as one
+batch; the table is read back from the sweep CSV it writes under --out.
 """
 
 import argparse
+import contextlib
+import csv
 import dataclasses
-
-import numpy as np
+import io
+from pathlib import Path
 
 import pinnet as pn
+from pinnet.cli import run_sweep
 
 
 def main() -> int:
@@ -29,24 +35,19 @@ def main() -> int:
     c_star = pn.min_coupling_strength(cfg.certificate, spectral.lambda1)
     print(f"closed-form minimal strength c* = {c_star:.4f}\n")
 
+    with contextlib.redirect_stdout(io.StringIO()):
+        run_sweep(cfg, f"c={args.lo!r}:{args.hi!r}:{args.points}", args.out)
+    with open(Path(args.out) / f"{cfg.name}_sweep.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
+
     print(f"{'c':>8} {'margin':>12} {'condition':<10} {'pin(T)':>12} {'diverged':<8}")
-    for c in np.linspace(args.lo, args.hi, args.points):
-        point = dataclasses.replace(
-            cfg,
-            pin=dataclasses.replace(cfg.pin, c=float(c)),
-            outputs={
-                "trajectory": f"sweep_c{c:g}_trajectory.csv",
-                "metrics": f"sweep_c{c:g}_metrics.csv",
-                "summary": f"sweep_c{c:g}_summary.txt",
-            },
-        )
-        result = pn.run_scenario(point, out_dir=args.out)
-        gate = result.report.gate_verdict
-        pin_s = f"{result.final_pin:.3e}" if result.final_pin is not None else "n/a"
+    for row in rows:
+        pin = float(row["final_pin_ratio"])
+        pin_s = f"{pin:.3e}" if pin == pin else "n/a"
         print(
-            f"{c:>8.3f} {gate.margin:>+12.4f} "
-            f"{'holds' if gate.holds else 'fails':<10} {pin_s:>12} "
-            f"{'yes' if result.diverged else 'no':<8}"
+            f"{float(row['c']):>8.3f} {float(row['margin']):>+12.4f} "
+            f"{'holds' if row['holds'] == '1' else 'fails':<10} {pin_s:>12} "
+            f"{'yes' if row['diverged'] == '1' else 'no':<8}"
         )
     return 0
 

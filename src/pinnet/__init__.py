@@ -58,6 +58,7 @@ from .model import (
     chua_region_jacobian,
     make_coupling_function,
     make_dynamics,
+    network_operator,
     pinned_matrix,
     register_coupling_function,
     register_dynamics,
@@ -72,6 +73,7 @@ from .simulate import (
     Trajectory,
     decay_rate_fit,
     integrate,
+    integrate_batch,
     lyapunov_monitor,
     metrics,
 )

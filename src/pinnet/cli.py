@@ -26,6 +26,7 @@ from .conditions import (
     QuadCertificate,
     SpectralReport,
     Verdict,
+    _strict,
     min_coupling_strength,
     proposition1_holds,
     quad_check_sampled,
@@ -59,7 +60,9 @@ from .simulate import (
     MonitorReport,
     Trajectory,
     decay_rate_fit,
+    grid_steps,
     integrate,
+    integrate_batch,
     lyapunov_monitor,
     metrics,
 )
@@ -113,6 +116,13 @@ def _number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioError(f"{where} must be a number, got {value!r}")
     return float(value)
+
+
+def _check_grid(dt: float, t_max: float, where: str) -> None:
+    try:
+        grid_steps(dt, t_max)
+    except ValueError as err:
+        raise ScenarioError(f"{where}: {err}") from err
 
 
 def parse_scenario(source) -> ScenarioConfig:
@@ -241,10 +251,7 @@ def parse_scenario(source) -> ScenarioConfig:
         raise ScenarioError("integration must be an object with dt and t_max")
     dt = _number(_require(integration, "dt"), "integration.dt")
     t_max = _number(_require(integration, "t_max"), "integration.t_max")
-    if dt <= 0:
-        raise ScenarioError(f"integration.dt must be > 0, got {dt}")
-    if t_max < dt:
-        raise ScenarioError(f"integration.t_max must be >= dt, got {t_max}")
+    _check_grid(dt, t_max, "integration")
 
     outputs = data.get("outputs")
     if outputs is None:
@@ -392,7 +399,11 @@ def check_scenario(cfg: ScenarioConfig, quad_samples: int = 0, seed: int = 0) ->
             if cfg.certificate is not None:
                 theorem_name = "theorem4"
                 theorem, spectral = theorem4_check(cfg.coupling, pin, cfg.certificate)
-                prop = _strict_negativity(spectral)
+                prop = _strict(
+                    spectral.lambda1,
+                    float(np.max(np.abs(spectral.eigenvalues))),
+                    {"eigenvalues": spectral.eigenvalues},
+                )
                 try:
                     min_c = min_coupling_strength(
                         cfg.certificate, spectral.lambda1, xi_max=spectral.xi_max
@@ -435,16 +446,6 @@ def check_scenario(cfg: ScenarioConfig, quad_samples: int = 0, seed: int = 0) ->
         reducibility=reducibility,
         condensation=condensation,
         quad_sampled=quad_sampled,
-    )
-
-
-def _strict_negativity(spectral: SpectralReport) -> Verdict:
-    scale = float(np.max(np.abs(spectral.eigenvalues)))
-    holds = spectral.lambda1 < -1e-9 * max(1.0, scale)
-    return Verdict(
-        holds=bool(holds),
-        margin=float(spectral.lambda1),
-        detail={"eigenvalues": spectral.eigenvalues},
     )
 
 
@@ -593,11 +594,8 @@ def run_scenario(
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-
-    diverged = False
-    blowup = None
     try:
-        traj = integrate(
+        outcome = integrate(
             build_system(cfg),
             cfg.initial_states,
             cfg.reference_initial,
@@ -605,9 +603,19 @@ def run_scenario(
             cfg.t_max,
         )
     except DivergenceError as err:
-        traj = err.trajectory
-        diverged = True
-        blowup = err.blowup_time
+        outcome = err
+    return _finish_run(cfg, report, outcome, out)
+
+
+def _finish_run(cfg: ScenarioConfig, report: ConditionReport, outcome, out: Path) -> RunResult:
+    """Metrics, fit, monitor, CSVs and summary of one integrated scenario.
+
+    ``outcome`` is the :class:`Trajectory` or the :class:`DivergenceError`
+    (carrying the partial trajectory) that integration produced.
+    """
+    diverged = isinstance(outcome, DivergenceError)
+    traj = outcome.trajectory if diverged else outcome
+    blowup = outcome.blowup_time if diverged else None
 
     weights = None
     if report.route == "asymmetric" and report.spectral is not None:
@@ -700,27 +708,39 @@ def parse_sweep(spec: str) -> np.ndarray:
 
 
 def run_sweep(cfg: ScenarioConfig, spec: str, out_dir) -> int:
-    """Run the scenario at each sweep value of c, one metrics CSV per point,
-    plus a ``<name>_sweep.csv`` table of margins and final pin ratios."""
+    """Run the scenario at each sweep value of c: the same outputs per point
+    as :func:`run_scenario`, plus a ``<name>_sweep.csv`` table of margins and
+    final pin ratios. Every point is checked, then all are integrated as one
+    batch (:func:`pinnet.simulate.integrate_batch`)."""
     if cfg.pin is None:
         raise ScenarioError("--sweep needs a scenario with a pin plan")
     values = parse_sweep(spec)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    rows = []
-    for c in values:
-        pin = dataclasses.replace(cfg.pin, c=float(c))
-        point = dataclasses.replace(
+    points = [
+        dataclasses.replace(
             cfg,
-            pin=pin,
+            pin=dataclasses.replace(cfg.pin, c=float(c)),
             outputs={
                 "trajectory": f"{cfg.name}_sweep_c{c:g}_trajectory.csv",
                 "metrics": f"{cfg.name}_sweep_c{c:g}_metrics.csv",
                 "summary": f"{cfg.name}_sweep_c{c:g}_summary.txt",
             },
         )
-        result = run_scenario(point, out_dir=out)
-        gate = result.report.gate_verdict
+        for c in values
+    ]
+    reports = [check_scenario(point) for point in points]
+    outcomes = integrate_batch(
+        [build_system(point) for point in points],
+        [point.initial_states for point in points],
+        [point.reference_initial for point in points],
+        cfg.dt,
+        cfg.t_max,
+    )
+    rows = []
+    for c, point, report, outcome in zip(values, points, reports, outcomes):
+        result = _finish_run(point, report, outcome, out)
+        gate = report.gate_verdict
         rows.append(
             (
                 float(c),
@@ -764,7 +784,6 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="abort with exit code 2 unless the applicable condition holds",
     )
-    run_p.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
     run_p.add_argument(
         "--sweep", metavar="c=<a>:<b>:<n>", help="sweep the coupling strength"
     )
@@ -796,14 +815,13 @@ def main(argv=None) -> int:
     try:
         cfg = parse_scenario(args.scenario)
         if args.command == "run":
-            if args.dt is not None:
-                if args.dt <= 0:
-                    raise ScenarioError(f"--dt must be > 0, got {args.dt}")
-                cfg = dataclasses.replace(cfg, dt=args.dt)
-            if args.tmax is not None:
-                if args.tmax < cfg.dt:
-                    raise ScenarioError(f"--tmax must be >= dt, got {args.tmax}")
-                cfg = dataclasses.replace(cfg, t_max=args.tmax)
+            if args.dt is not None or args.tmax is not None:
+                cfg = dataclasses.replace(
+                    cfg,
+                    dt=cfg.dt if args.dt is None else args.dt,
+                    t_max=cfg.t_max if args.tmax is None else args.tmax,
+                )
+                _check_grid(cfg.dt, cfg.t_max, "--dt/--tmax")
 
         if args.command == "check":
             report = check_scenario(

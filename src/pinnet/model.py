@@ -11,6 +11,13 @@ Node dynamics are looked up in a small registry (built-ins: Chua's circuit and
 a linear decay field); coupling may pass through a componentwise monotone map.
 State layout is an ``(m, n)`` array, one row per node. Node indices are
 1-based in all public interfaces.
+
+The simulated state stacks the m node rows over the reference row,
+``y = [x; s]`` of shape ``(m + 1, n)``. Coupling and controller are both
+linear in ``g(y)``, so the whole field is ``f(y) + M g(y)`` with one
+``(m + 1, m + 1)`` operator ``M`` per system (:func:`network_operator`).
+Stacking the operators of several systems on a leading axis integrates them
+as one batch.
 """
 
 from __future__ import annotations
@@ -58,7 +65,8 @@ def validate_coupling(entries) -> CouplingMatrix:
 
     Raises :class:`CouplingError` naming the offending row or entry (1-based)
     on the first violation found. Row sums must vanish within ``ROW_SUM_TOL``
-    absolute.
+    times the row's magnitude (the sum of its absolute entries, at least 1),
+    the roundoff a floating-point row sum can carry.
     """
     a = np.array(entries, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -77,11 +85,12 @@ def validate_coupling(entries) -> CouplingMatrix:
             f"off-diagonal entry ({i + 1},{j + 1}) is negative: {a[i, j]!r}"
         )
     sums = a.sum(axis=1)
-    bad = np.where(np.abs(sums) > ROW_SUM_TOL)[0]
+    tol = ROW_SUM_TOL * np.maximum(1.0, np.abs(a).sum(axis=1))
+    bad = np.where(np.abs(sums) > tol)[0]
     if bad.size:
         i = int(bad[0])
         raise CouplingError(
-            f"row {i + 1} sums to {sums[i]:.6g}, expected 0 within {ROW_SUM_TOL:g}"
+            f"row {i + 1} sums to {sums[i]:.6g}, expected 0 within {tol[i]:.3g}"
         )
     sym = _absmax(a - a.T) <= SYMMETRY_TOL * max(1.0, _absmax(a))
     a.setflags(write=False)
@@ -320,31 +329,62 @@ class NetworkSystem:
             )
 
 
-def make_network_rhs(sys: NetworkSystem) -> Callable[[np.ndarray, float], np.ndarray]:
-    """Right-hand side over the stacked array: m node rows plus the reference row.
+def network_operator(sys: NetworkSystem) -> np.ndarray:
+    """The ``(m + 1, m + 1)`` operator ``M`` of the stacked field ``f(y) + M g(y)``.
 
-    The reference evolves under the bare node dynamics; node i additionally
-    receives ``c * sum_j a_ij g(x_j)`` and, at the pinned node,
-    ``-c epsilon (g(x_pin) - g(s))``. With the identity coupling map both
-    reduce to the raw-state forms.
+    ``M[:m, :m] = c A`` couples the nodes; the controller adds ``-c epsilon``
+    at ``(p, p)`` and ``+c epsilon`` at ``(p, m)``, so node p receives
+    ``-c epsilon (g(x_p) - g(s))``. The reference row is zero: the reference
+    evolves under the bare dynamics.
     """
-    a = sys.coupling.entries
-    dyn = sys.dynamics
-    g = sys.gfun
-    identity_g = g.kind == "identity"
-    if sys.pin is not None:
-        c = sys.pin.c
-        p = sys.pin.pin_node - 1
-        gain = c * sys.pin.epsilon
+    m = sys.coupling.m
+    op = np.zeros((m + 1, m + 1))
+    if sys.pin is None:
+        op[:m, :m] = sys.coupling.entries
+        return op
+    c = sys.pin.c
+    p = sys.pin.pin_node - 1
+    gain = c * sys.pin.epsilon
+    op[:m, :m] = c * sys.coupling.entries
+    op[p, p] -= gain
+    op[p, m] += gain
+    return op
+
+
+def make_network_rhs(systems) -> Callable[[np.ndarray, float], np.ndarray]:
+    """Right-hand side ``f(y) + M g(y)`` over the stacked node-plus-reference array.
+
+    Given one :class:`NetworkSystem` the closure maps ``(m + 1, n)`` to
+    ``(m + 1, n)``. Given a sequence of B systems that share node count,
+    dynamics and coupling map, it maps ``(B, m + 1, n)`` to ``(B, m + 1, n)``
+    with each system's operator on its own slice; a :class:`CouplingError`
+    names the first field that differs.
+    """
+    if isinstance(systems, NetworkSystem):
+        first = systems
+        op = network_operator(systems)
     else:
-        c, p, gain = 1.0, 0, 0.0
+        systems = list(systems)
+        if not systems:
+            raise ValueError("need at least one system")
+        first = systems[0]
+        for k, other in enumerate(systems[1:], start=2):
+            for name, a, b in (
+                ("node count m", first.coupling.m, other.coupling.m),
+                ("dynamics", first.dynamics, other.dynamics),
+                ("coupling function", first.gfun.kind, other.gfun.kind),
+            ):
+                if a != b:
+                    raise CouplingError(
+                        f"system {k} differs from system 1 in {name}: {b!r} vs {a!r}"
+                    )
+        op = np.stack([network_operator(s) for s in systems])
+    dyn = first.dynamics
+    g = first.gfun
 
     def rhs(y: np.ndarray, t: float) -> np.ndarray:
         out = dyn(y, t)
-        coupled = y if identity_g else g(y)
-        out[:-1] += c * (a @ coupled[:-1])
-        if gain != 0.0:
-            out[p] -= gain * (coupled[p] - coupled[-1])
+        out += op @ g(y)
         return out
 
     return rhs

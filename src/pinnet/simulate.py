@@ -6,6 +6,18 @@ start stays put only because the field maps it there. A norm guard converts
 silent blowup into a :class:`DivergenceError` carrying the partial trajectory
 and the time of the breach.
 
+The state is the stacked array ``y = [x; s]`` and the field is
+``f(y) + M g(y)`` (:func:`pinnet.model.make_network_rhs`). One RK4 loop
+serves both entry points: :func:`integrate` runs one system on ``(m + 1, n)``
+operands, and :func:`integrate_batch` runs B systems that share node count,
+dynamics and coupling map on ``(B, m + 1, n)`` operands, one operator per
+member. Members are independent: each one's trajectory is bit-identical to
+its solo run, and a member that breaches the guard leaves the batch with its
+own :class:`DivergenceError` while the others run on.
+
+The step must divide the horizon: the grid ends exactly at ``t_max`` or the
+call is rejected (:func:`grid_steps`).
+
 The circuit's diode term is nonsmooth at |x1| = 1; no event detection is
 used (the field is globally Lipschitz, so RK4 merely drops to lower order
 locally at crossings, acceptable at the tolerances here).
@@ -14,7 +26,7 @@ locally at crossings, acceptable at the tolerances here).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -22,6 +34,7 @@ from .conditions import QuadCertificate
 from .model import NetworkSystem, make_network_rhs
 
 DIVERGENCE_NORM = 1e9
+GRID_RTOL = 1e-9
 _MONITOR_FLOOR = 1e-300
 
 
@@ -54,34 +67,60 @@ class Trajectory:
         return self.states.shape[1]
 
 
-def integrate(sys: NetworkSystem, x0, s0, dt: float, t_max: float) -> Trajectory:
-    """Integrate nodes and reference together with classical RK4.
+def grid_steps(dt: float, t_max: float) -> int:
+    """Number of steps of size ``dt`` that end exactly at ``t_max``.
 
-    ``x0`` is (m, n) initial node states, ``s0`` the (n,) reference start.
-    Raises :class:`DivergenceError` once any per-node Euclidean norm exceeds
-    ``DIVERGENCE_NORM``, and ``ValueError`` if the right-hand side produces
-    non-finite values from finite state.
+    Raises ``ValueError`` unless ``dt`` is positive, ``t_max >= dt``, and
+    ``dt`` divides ``t_max`` within a relative ``GRID_RTOL``; the horizon is
+    never silently shortened or stretched.
     """
     if not (dt > 0.0 and np.isfinite(dt)):
         raise ValueError(f"dt must be positive, got {dt}")
-    if t_max < dt:
+    if not (np.isfinite(t_max) and t_max >= dt):
         raise ValueError(f"t_max={t_max} must be at least dt={dt}")
+    steps = int(round(t_max / dt))
+    if abs(steps * dt - t_max) > GRID_RTOL * t_max:
+        raise ValueError(
+            f"dt={dt:g} does not divide t_max={t_max:g}: {steps} steps end at "
+            f"t={steps * dt:g}"
+        )
+    return steps
+
+
+def _stacked_state(sys: NetworkSystem, x0, s0, label: str = "") -> np.ndarray:
+    """Validate one member's initial data and stack it as ``[x0; s0]``."""
     m, n = sys.coupling.m, sys.dynamics.dim
     x0 = np.asarray(x0, dtype=float)
     s0 = np.asarray(s0, dtype=float)
     if x0.shape != (m, n):
-        raise ValueError(f"x0 must have shape ({m}, {n}), got {x0.shape}")
+        raise ValueError(f"{label}x0 must have shape ({m}, {n}), got {x0.shape}")
     if s0.shape != (n,):
-        raise ValueError(f"s0 must have shape ({n},), got {s0.shape}")
+        raise ValueError(f"{label}s0 must have shape ({n},), got {s0.shape}")
     if not (np.all(np.isfinite(x0)) and np.all(np.isfinite(s0))):
-        raise ValueError("initial data must be finite")
+        raise ValueError(f"{label}initial data must be finite")
+    return np.vstack([x0, s0[None, :]])
 
-    rhs = make_network_rhs(sys)
-    steps = int(round(t_max / dt))
+
+def _rk4(systems, rhs, y: np.ndarray, dt: float, steps: int) -> list:
+    """The RK4 loop behind both entry points.
+
+    ``y`` is ``(m + 1, n)`` for one system or ``(B, m + 1, n)`` for a list
+    of B systems, and ``rhs`` is ``make_network_rhs(systems)``. Returns one
+    :class:`Trajectory` or :class:`DivergenceError` per member. A member
+    whose node norm breaches the guard is dropped from the active set, with
+    its partial trajectory; the others run on. Non-finite state raises
+    ``ValueError``.
+    """
+    batched = y.ndim == 3
+    count = len(y) if batched else 1
+    m, n = y.shape[-2] - 1, y.shape[-1]
     times = np.arange(steps + 1) * dt
-    y = np.vstack([x0, s0[None, :]])
-    buf = np.empty((steps + 1, m + 1, n))
-    buf[0] = y
+    # member-major, so each member's samples are one contiguous slab
+    buf = np.empty((count, steps + 1, m + 1, n))
+    live = np.arange(count)
+    rows = slice(None)
+    buf[rows, 0] = y
+    results: list = [None] * count
     half = 0.5 * dt
     sixth = dt / 6.0
     guard2 = DIVERGENCE_NORM * DIVERGENCE_NORM
@@ -93,23 +132,93 @@ def integrate(sys: NetworkSystem, x0, s0, dt: float, t_max: float) -> Trajectory
         k3 = rhs(y + half * k2, t + half)
         k4 = rhs(y + dt * k3, t + dt)
         y = y + sixth * (k1 + 2.0 * (k2 + k3) + k4)
-        buf[i + 1] = y
+        buf[rows, i + 1] = y
+        members = y.reshape(live.size, m + 1, n)
         if not np.all(np.isfinite(y)):
+            k = live[np.argmin(np.isfinite(members).all(axis=(1, 2)))]
+            where = f" in batch member {k + 1}" if batched else ""
             raise ValueError(
-                f"right-hand side produced non-finite values at t={times[i + 1]:g}"
+                f"right-hand side produced non-finite values{where} at t={times[i + 1]:g}"
             )
-        if float(np.max(np.einsum("ij,ij->i", y, y))) > guard2:
-            partial = Trajectory(
-                times=times[: i + 2],
-                states=buf[: i + 2, :m, :].copy(),
-                reference=buf[: i + 2, m, :].copy(),
-            )
-            raise DivergenceError(
-                f"state norm exceeded {DIVERGENCE_NORM:g} at t={times[i + 1]:g}",
-                partial,
-                float(times[i + 1]),
-            )
-    return Trajectory(times=times, states=buf[:, :m, :], reference=buf[:, m, :])
+        norm2 = np.einsum("bij,bij->bi", members, members).max(axis=1)
+        if norm2.max() > guard2:
+            keep = norm2 <= guard2
+            for k in live[~keep]:
+                partial = Trajectory(
+                    times=times[: i + 2],
+                    states=buf[k, : i + 2, :m, :].copy(),
+                    reference=buf[k, : i + 2, m, :].copy(),
+                )
+                results[k] = DivergenceError(
+                    f"state norm exceeded {DIVERGENCE_NORM:g} at t={times[i + 1]:g}",
+                    partial,
+                    float(times[i + 1]),
+                )
+            live = live[keep]
+            if not live.size:
+                break
+            y = y[keep]
+            rows = live
+            rhs = make_network_rhs([systems[k] for k in live])
+
+    for k in live:
+        results[k] = Trajectory(
+            times=times, states=buf[k, :, :m, :], reference=buf[k, :, m, :]
+        )
+    return results
+
+
+def integrate(sys: NetworkSystem, x0, s0, dt: float, t_max: float) -> Trajectory:
+    """Integrate nodes and reference together with classical RK4.
+
+    ``x0`` is (m, n) initial node states, ``s0`` the (n,) reference start.
+    Raises :class:`DivergenceError` once any per-node Euclidean norm exceeds
+    ``DIVERGENCE_NORM``, and ``ValueError`` if ``dt`` does not divide
+    ``t_max`` (:func:`grid_steps`) or the right-hand side produces non-finite
+    values from finite state.
+    """
+    steps = grid_steps(dt, t_max)
+    y = _stacked_state(sys, x0, s0)
+    (result,) = _rk4(sys, make_network_rhs(sys), y, dt, steps)
+    if isinstance(result, DivergenceError):
+        raise result
+    return result
+
+
+def integrate_batch(
+    systems: Sequence[NetworkSystem],
+    x0s,
+    s0s,
+    dt: float,
+    t_max: float,
+) -> list[Union[Trajectory, DivergenceError]]:
+    """Integrate B systems on one grid, as one array program.
+
+    The systems must share node count, dynamics and coupling map; they may
+    differ in coupling matrix, pin plan and initial data (``x0s[k]`` is
+    (m, n), ``s0s[k]`` is (n,)). Returns, in order, each member's
+    :class:`Trajectory`, bit-identical to its solo :func:`integrate` run, or
+    the :class:`DivergenceError` that run would raise. The trajectories are
+    views into one shared buffer, so keeping any of them keeps all of it.
+    Raises ``ValueError``
+    (naming the member or field) on mismatched systems or initial data, a
+    ``dt`` that does not divide ``t_max``, or non-finite values.
+    """
+    systems = list(systems)
+    if len(x0s) != len(systems) or len(s0s) != len(systems):
+        raise ValueError(
+            f"need one x0 and one s0 per system: {len(systems)} systems, "
+            f"{len(x0s)} x0s, {len(s0s)} s0s"
+        )
+    rhs = make_network_rhs(systems)
+    steps = grid_steps(dt, t_max)
+    y = np.stack(
+        [
+            _stacked_state(sys, x0, s0, f"member {k + 1}: ")
+            for k, (sys, x0, s0) in enumerate(zip(systems, x0s, s0s))
+        ]
+    )
+    return _rk4(systems, rhs, y, dt, steps)
 
 
 # ---------------------------------------------------------------------------

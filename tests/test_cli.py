@@ -1,5 +1,7 @@
+import contextlib
 import copy
 import dataclasses
+import io
 import json
 
 import numpy as np
@@ -13,7 +15,7 @@ from pinnet import (
     run_scenario,
     serialize_scenario,
 )
-from pinnet.cli import main, parse_sweep
+from pinnet.cli import main, parse_sweep, run_sweep
 
 
 class TestParseScenario:
@@ -88,6 +90,12 @@ class TestParseScenario:
         data = copy.deepcopy(BUILTIN_SCENARIOS["fig4-sym-pinned"])
         data["integration"] = {"dt": 0.0, "t_max": 1.0}
         with pytest.raises(ScenarioError, match="dt"):
+            parse_scenario(data)
+
+    def test_non_dividing_step_rejected(self):
+        data = copy.deepcopy(BUILTIN_SCENARIOS["fig4-sym-pinned"])
+        data["integration"] = {"dt": 0.3, "t_max": 1.0}
+        with pytest.raises(ScenarioError, match=r"integration: dt=0\.3 .*t_max=1\b"):
             parse_scenario(data)
 
     def test_unknown_name_lists_builtins(self):
@@ -290,6 +298,45 @@ class TestSweep:
         holds = [row.split(",")[2] for row in table[1:]]
         assert holds == ["0", "1", "1"]
 
+    def test_points_match_run_scenario_byte_for_byte(self, tmp_path):
+        # the batched sweep writes what a solo run of each point writes
+        cfg = _short("fig4-sym-pinned", t_max=0.5)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run_sweep(cfg, "c=8:12:3", tmp_path / "sweep") == 0
+        for c in (8.0, 10.0, 12.0):
+            stem = f"fig4-sym-pinned_sweep_c{c:g}"
+            point = dataclasses.replace(
+                cfg,
+                pin=dataclasses.replace(cfg.pin, c=c),
+                outputs={
+                    "trajectory": f"{stem}_trajectory.csv",
+                    "metrics": f"{stem}_metrics.csv",
+                    "summary": f"{stem}_summary.txt",
+                },
+            )
+            run_scenario(point, out_dir=tmp_path / "solo")
+            for name in point.outputs.values():
+                solo = (tmp_path / "solo" / name).read_bytes()
+                assert (tmp_path / "sweep" / name).read_bytes() == solo
+
+    def test_diverging_point_is_flagged_and_the_rest_run_on(self, tmp_path):
+        # x' = 5x - c (x - s): c = 1 grows past the guard, c = 5 holds, c = 9 decays
+        data = {
+            "name": "growth",
+            "coupling": [[0.0]],
+            "dynamics": {"kind": "linear_decay", "params": {"rate": -5.0}},
+            "pin": {"node": 1, "epsilon": 1.0, "c": 1.0},
+            "initial_states": [[1.0]],
+            "reference_initial": [0.0],
+            "integration": {"dt": 0.01, "t_max": 6.0},
+        }
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run_sweep(parse_scenario(data), "c=1:9:3", tmp_path) == 0
+        rows = (tmp_path / "growth_sweep.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[-1] for row in rows] == ["1", "0", "0"]
+        assert "DIVERGED" in (tmp_path / "growth_sweep_c1_summary.txt").read_text()
+        assert "steps=600" in (tmp_path / "growth_sweep_c9_summary.txt").read_text()
+
 
 class TestMainExitCodes:
     def test_check_ok(self, capsys):
@@ -334,6 +381,15 @@ class TestMainExitCodes:
 
     def test_bad_dt_override(self, capsys):
         assert main(["run", "fig4-sym-pinned", "--dt", "-1"]) == 1
+
+    def test_non_dividing_override(self, capsys):
+        assert main(["run", "fig4-sym-pinned", "--dt", "0.3", "--tmax", "1"]) == 1
+        err = capsys.readouterr().err
+        assert "--dt/--tmax" in err and "dt=0.3" in err and "t_max=1" in err
+
+    def test_run_has_no_seed_flag(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["run", "fig4-sym-pinned", "--seed", "1", "--dry-run"])
 
     def test_run_divergence_exit_code(self, tmp_path):
         data = {

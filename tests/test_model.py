@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pinnet import (
     CouplingError,
@@ -15,6 +17,7 @@ from pinnet import (
     system_rhs,
     validate_coupling,
 )
+from pinnet.model import make_network_rhs, network_operator
 
 SYM_3NODE = [[-5.1, 5.0, 0.1], [5.0, -11.0, 6.0], [0.1, 6.0, -6.1]]
 ASYM_3NODE = [[-2.0, 1.0, 1.0], [1.0, -2.0, 1.0], [0.0, 1.0, -1.0]]
@@ -49,6 +52,26 @@ class TestValidateCoupling:
     def test_nonfinite_rejected(self):
         with pytest.raises(CouplingError, match="finite"):
             validate_coupling([[np.inf, 0.0], [0.0, 0.0]])
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(2, 40),
+        st.floats(-3.0, 6.0),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_row_sum_tolerance_scales_with_weights(self, seed, m, log_scale):
+        # valid matrices at any weight scale pass; a row off by a relative 1e-9
+        # of its magnitude fails
+        rng = np.random.default_rng(seed)
+        a = rng.random((m, m)) * (rng.random((m, m)) < 0.5) * 10.0**log_scale
+        np.fill_diagonal(a, 0.0)
+        np.fill_diagonal(a, -a.sum(axis=1))
+        assert validate_coupling(a).m == m
+        i = int(rng.integers(m))
+        magnitude = np.abs(a[i]).sum()
+        a[i, i] += 1e-9 * max(1.0, magnitude)
+        with pytest.raises(CouplingError, match=f"row {i + 1} "):
+            validate_coupling(a)
 
 
 class TestPinPlan:
@@ -260,6 +283,46 @@ class TestSystemRhs:
             system_rhs(sys_, np.zeros((2, 3)), np.zeros(3))
         with pytest.raises(CouplingError, match="shape"):
             system_rhs(sys_, np.zeros((3, 3)), np.zeros(2))
+
+    def test_operator_entries(self):
+        sys_ = _system(SYM_3NODE, pin=PinPlan(2, 4.9, 10.0))
+        op = network_operator(sys_)
+        expected = np.zeros((4, 4))
+        expected[:3, :3] = 10.0 * np.array(SYM_3NODE)
+        expected[1, 1] -= 49.0
+        expected[1, 3] += 49.0
+        np.testing.assert_array_equal(op, expected)
+        unpinned = network_operator(_system(SYM_3NODE))
+        np.testing.assert_array_equal(unpinned[:3, :3], SYM_3NODE)
+        assert not unpinned[3].any() and not unpinned[:, 3].any()
+
+    @pytest.mark.parametrize("gkind", ["identity", "sine_blend"])
+    def test_operator_form_matches_explicit_terms(self, gkind):
+        # f(y) + M g(y) equals f(x) + c A g(x) - c eps (g(x_p) - g(s)) per node
+        sys_ = _system(SYM_3NODE, pin=PinPlan(3, 2.5, 7.0), gkind=gkind)
+        g = make_coupling_function(gkind)
+        rng = np.random.default_rng(4)
+        x, s = rng.uniform(-3.0, 3.0, (3, 3)), rng.uniform(-3.0, 3.0, 3)
+        expected = chua_field(x) + 7.0 * (np.array(SYM_3NODE) @ g(x))
+        expected[2] -= 7.0 * 2.5 * (g(x[2]) - g(s))
+        np.testing.assert_allclose(system_rhs(sys_, x, s), expected, rtol=1e-13, atol=1e-12)
+
+    def test_batched_rhs_applies_each_operator(self):
+        systems = [_system(SYM_3NODE, pin=PinPlan(1, 4.9, c)) for c in (6.0, 10.0, 14.0)]
+        y = np.random.default_rng(5).uniform(-2.0, 2.0, (3, 4, 3))
+        out = make_network_rhs(systems)(y, 0.0)
+        for k, sys_ in enumerate(systems):
+            np.testing.assert_array_equal(out[k], make_network_rhs(sys_)(y[k], 0.0))
+
+    def test_batched_rhs_names_the_differing_field(self):
+        base = _system(SYM_3NODE)
+        with pytest.raises(CouplingError, match="node count"):
+            make_network_rhs([base, _system(np.zeros((2, 2)))])
+        decay = make_dynamics("linear_decay", dim=3)
+        with pytest.raises(CouplingError, match="dynamics"):
+            make_network_rhs([base, _system(SYM_3NODE, dynamics=decay)])
+        with pytest.raises(CouplingError, match="coupling function"):
+            make_network_rhs([base, _system(SYM_3NODE, gkind="sine_blend")])
 
     def test_pin_node_out_of_range_at_construction(self):
         with pytest.raises(CouplingError):
