@@ -29,10 +29,12 @@ from .conditions import (
     quad_margin_affine,
     random_coupling_matrix,
     reducible_pinnability,
+    spectral_negativity,
     theorem1_margin,
     theorem2_check,
     theorem3_check,
     theorem4_check,
+    weighted_spectrum,
 )
 from .linalg import (
     Condensation,

@@ -26,21 +26,18 @@ from .conditions import (
     QuadCertificate,
     SpectralReport,
     Verdict,
-    _strict,
     min_coupling_strength,
     proposition1_holds,
     quad_check_sampled,
     reducible_pinnability,
-    theorem2_check,
+    spectral_negativity,
     theorem3_check,
     theorem4_check,
+    weighted_spectrum,
 )
-from .linalg import (
-    Condensation,
-    left_null_vector,
-    scc_condensation,
-    symmetrize_weighted,
-)
+# left_null_vector is not called here; perfbench/tracing.py patches it on
+# this module along with the other pipeline names.
+from .linalg import Condensation, left_null_vector, scc_condensation  # noqa: F401
 from .model import (
     CouplingError,
     CouplingFunction,
@@ -67,7 +64,6 @@ from .simulate import (
     metrics,
 )
 
-QUAD_SAMPLE_BOX = (-30.0, 30.0)
 _SUMMARY_FIT_HORIZON = 10.0
 
 _SCENARIO_FIELDS = {
@@ -201,10 +197,11 @@ def parse_scenario(source) -> ScenarioConfig:
     gfun_spec = data.get("coupling_function", {"kind": "identity"})
     if not isinstance(gfun_spec, dict) or "kind" not in gfun_spec:
         raise ScenarioError("coupling_function must be an object with a 'kind' field")
+    alpha_lower = gfun_spec.get("alpha_lower")
+    if alpha_lower is not None:
+        alpha_lower = _number(alpha_lower, "coupling_function.alpha_lower")
     try:
-        gfun = make_coupling_function(
-            gfun_spec["kind"], alpha_lower=gfun_spec.get("alpha_lower")
-        )
+        gfun = make_coupling_function(gfun_spec["kind"], alpha_lower=alpha_lower)
     except ValueError as err:
         raise ScenarioError(f"coupling_function: {err}") from err
 
@@ -353,45 +350,37 @@ class ConditionReport:
         return self.proposition1
 
 
+def _quad_sample_box(cfg: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Per-dimension hull of [-30, 30] and every initial coordinate (nodes
+    and reference): the box the sampled QUAD check draws its pairs from."""
+    points = np.vstack([cfg.initial_states, cfg.reference_initial])
+    return np.minimum(points.min(axis=0), -30.0), np.maximum(points.max(axis=0), 30.0)
+
+
 def check_scenario(cfg: ScenarioConfig, quad_samples: int = 0, seed: int = 0) -> ConditionReport:
     """Run the applicable checker chain for a scenario.
 
     Symmetric coupling: pinned-spectrum negativity plus the global margin
-    (theorem2, or theorem3 under a nonlinear coupling map). Asymmetric
-    irreducible coupling: the weighted-symmetrization condition (theorem4).
-    Reducible coupling: the structural pinnability criterion. Pass
-    ``quad_samples > 0`` to also falsification-test the certificate by
-    sampling on the default box.
+    (theorem2 for the identity map, theorem3 under a nonlinear one; both
+    are :func:`theorem3_check` at the map's slope bound). Asymmetric
+    irreducible coupling: negativity of the weighted symmetrization, plus
+    its margin (theorem4) when there is a certificate. Reducible coupling:
+    the structural pinnability criterion. Pass ``quad_samples > 0`` to also
+    falsification-test the certificate by sampling on the hull of [-30, 30]
+    and the scenario's initial data.
     """
     pin = cfg.pin if cfg.pin is not None else PinPlan(1, 0.0, 1.0)
-    spectral = None
-    prop = None
-    theorem_name = None
-    theorem = None
-    min_c = None
-    reducibility = None
-    condensation = None
+    spectral = prop = theorem_name = theorem = min_c = None
+    reducibility = condensation = None
+    alpha, xi_max = 1.0, 1.0
 
     if cfg.coupling.symmetric:
         route = "symmetric"
         prop, spectral = proposition1_holds(pinned_matrix(cfg.coupling, pin))
         if cfg.certificate is not None:
-            if cfg.gfun.kind == "identity":
-                theorem_name = "theorem2"
-                theorem = theorem2_check(cfg.certificate, pin.c, spectral.lambda1)
-                alpha = 1.0
-            else:
-                theorem_name = "theorem3"
-                alpha = cfg.gfun.alpha_lower
-                theorem = theorem3_check(
-                    cfg.certificate, pin.c, spectral.lambda1, alpha
-                )
-            try:
-                min_c = min_coupling_strength(
-                    cfg.certificate, spectral.lambda1, alpha=alpha
-                )
-            except ValueError:
-                min_c = None
+            theorem_name = "theorem2" if cfg.gfun.kind == "identity" else "theorem3"
+            alpha = cfg.gfun.alpha_lower
+            theorem = theorem3_check(cfg.certificate, pin.c, spectral.lambda1, alpha)
     else:
         condensation = scc_condensation(cfg.coupling)
         if condensation.irreducible:
@@ -399,39 +388,30 @@ def check_scenario(cfg: ScenarioConfig, quad_samples: int = 0, seed: int = 0) ->
             if cfg.certificate is not None:
                 theorem_name = "theorem4"
                 theorem, spectral = theorem4_check(cfg.coupling, pin, cfg.certificate)
-                prop = _strict(
-                    spectral.lambda1,
-                    float(np.max(np.abs(spectral.eigenvalues))),
-                    {"eigenvalues": spectral.eigenvalues},
-                )
-                try:
-                    min_c = min_coupling_strength(
-                        cfg.certificate, spectral.lambda1, xi_max=spectral.xi_max
-                    )
-                except ValueError:
-                    min_c = None
             else:
-                xi = left_null_vector(cfg.coupling)
-                weighted = symmetrize_weighted(pinned_matrix(cfg.coupling, pin), xi)
-                prop, base = proposition1_holds(weighted)
-                spectral = SpectralReport(
-                    eigenvalues=base.eigenvalues,
-                    lambda1=base.lambda1,
-                    xi=xi,
-                    xi_max=float(xi.max()),
-                )
+                spectral = weighted_spectrum(cfg.coupling, pin)
+            prop = spectral_negativity(spectral)
+            xi_max = spectral.xi_max
         else:
             route = "reducible"
             reducibility, condensation = reducible_pinnability(
                 cfg.coupling, pin.pin_node
             )
 
+    if theorem is not None:
+        try:
+            min_c = min_coupling_strength(
+                cfg.certificate, spectral.lambda1, alpha=alpha, xi_max=xi_max
+            )
+        except ValueError:
+            min_c = None
+
     quad_sampled = None
     if quad_samples > 0:
         if cfg.certificate is None:
             raise ScenarioError("QUAD sampling needs a certificate in the scenario")
         quad_sampled = quad_check_sampled(
-            cfg.dynamics, cfg.certificate, QUAD_SAMPLE_BOX, quad_samples, seed=seed
+            cfg.dynamics, cfg.certificate, _quad_sample_box(cfg), quad_samples, seed=seed
         )
 
     return ConditionReport(
@@ -493,10 +473,11 @@ def render_report(report: ConditionReport) -> str:
             lines.append(f"    problem: {problem}")
     if report.quad_sampled is not None:
         v = report.quad_sampled
+        box = " x ".join(f"[{a:g}, {b:g}]" for a, b in zip(*v.detail["box"]))
         lines.append(
             f"  QUAD sampling: {'no violation' if v.holds else 'VIOLATED'} "
             f"(min quotient {v.detail['min_quotient']:.6f} vs eta, "
-            f"{v.detail['samples']} samples, seed {v.detail['seed']})"
+            f"{v.detail['samples']} samples, seed {v.detail['seed']}, box {box})"
         )
     return "\n".join(lines)
 

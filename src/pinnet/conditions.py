@@ -5,8 +5,10 @@ coupling spectrum (:func:`proposition1_holds`), the QUAD one-sided-Lipschitz
 certificate for the node dynamics (:func:`quad_certificate_chua`,
 :func:`quad_check_sampled`), local and global margins for symmetric coupling
 (:func:`theorem1_margin`, :func:`theorem2_check`), nonlinear coupling
-(:func:`theorem3_check`), asymmetric coupling through the weighted
-symmetrization (:func:`theorem4_check`), the minimal coupling strength
+(:func:`theorem3_check`, of which theorem 2 is the alpha = 1 case),
+asymmetric coupling through the weighted symmetrization
+(:func:`weighted_spectrum`, :func:`spectral_negativity`,
+:func:`theorem4_check`), the minimal coupling strength
 (:func:`min_coupling_strength`), and the structural criterion for reducible
 topologies (:func:`reducible_pinnability`).
 
@@ -217,7 +219,8 @@ def quad_check_sampled(
     verdict holds when the minimum observed quotient is >= cert.eta.
     Sampling can only refute a certificate, never prove one. Coincident
     pairs are redrawn, so the quotient is well defined for every sample.
-    ``box`` is (lo, hi) scalars or per-dimension arrays.
+    ``box`` is (lo, hi) scalars or per-dimension arrays; the detail records
+    it per dimension.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -260,6 +263,7 @@ def quad_check_sampled(
         "minimizing_pair": best_pair,
         "samples": int(samples),
         "seed": int(seed),
+        "box": (lo, hi),
     }
     return Verdict(holds=bool(best >= cert.eta), margin=float(margin), detail=detail)
 
@@ -300,16 +304,14 @@ def theorem1_margin(sys, lambda1: float) -> Verdict:
 
 def theorem2_check(cert: QuadCertificate, c: float, lambda1: float) -> Verdict:
     """Global pinning margin for symmetric coupling:
-    max_k Delta_k + c lambda1 < 0."""
-    terms = cert.delta + c * lambda1
-    scales = np.abs(cert.delta) + abs(c * lambda1)
-    return _margin_verdict(terms, scales, {"c": c, "lambda1": lambda1})
+    max_k Delta_k + c lambda1 < 0, i.e. :func:`theorem3_check` at alpha = 1."""
+    return theorem3_check(cert, c, lambda1, 1.0)
 
 
 def theorem3_check(cert: QuadCertificate, c: float, lambda1: float, alpha: float) -> Verdict:
     """Global pinning margin under a monotone coupling map with difference
     quotients >= alpha > 0: max_k Delta_k + alpha c lambda1 < 0. At alpha = 1
-    this coincides with :func:`theorem2_check` bit for bit."""
+    this is :func:`theorem2_check` (the identity map)."""
     if alpha <= 0:
         raise ValueError(f"alpha must be > 0, got {alpha}")
     terms = cert.delta + alpha * (c * lambda1)
@@ -317,13 +319,34 @@ def theorem3_check(cert: QuadCertificate, c: float, lambda1: float, alpha: float
     return _margin_verdict(terms, scales, {"c": c, "lambda1": lambda1, "alpha": alpha})
 
 
+def weighted_spectrum(a, pin: PinPlan) -> SpectralReport:
+    """Spectrum behind the asymmetric conditions: xi, the left Perron vector
+    of the unpinned matrix, and the eigenvalues of
+    (diag(xi) A~ + A~^T diag(xi)) / 2 for the pinned matrix A~, whose top
+    value is mu1."""
+    xi = left_null_vector(a)
+    dec = sym_eigen(symmetrize_weighted(pinned_matrix(a, pin), xi))
+    return SpectralReport(
+        eigenvalues=dec.eigenvalues,
+        lambda1=float(dec.eigenvalues[0]),
+        xi=xi,
+        xi_max=float(xi.max()),
+    )
+
+
+def spectral_negativity(report: SpectralReport) -> Verdict:
+    """Every eigenvalue of the report is negative: the top one lies below the
+    negativity tolerance relative to the largest eigenvalue magnitude."""
+    scale = float(np.max(np.abs(report.eigenvalues)))
+    return _strict(report.lambda1, scale, {"eigenvalues": report.eigenvalues})
+
+
 def theorem4_check(a, pin: PinPlan, cert: QuadCertificate) -> tuple[Verdict, SpectralReport]:
     """Global pinning margin for irreducible asymmetric coupling.
 
-    With xi the left Perron vector of the unpinned matrix and mu1 the largest
-    eigenvalue of (diag(xi) A~ + A~^T diag(xi)) / 2 for the pinned matrix A~,
-    the condition is max_k Delta_k max_i xi_i + c mu1 < 0. Reducible input
-    raises :class:`ReducibilityError`; use :func:`reducible_pinnability`.
+    With xi and mu1 from :func:`weighted_spectrum`, the condition is
+    max_k Delta_k max_i xi_i + c mu1 < 0. Reducible input raises
+    :class:`ReducibilityError`; use :func:`reducible_pinnability`.
     """
     coupling = a if isinstance(a, CouplingMatrix) else validate_coupling(a)
     cond = scc_condensation(coupling)
@@ -333,17 +356,11 @@ def theorem4_check(a, pin: PinPlan, cert: QuadCertificate) -> tuple[Verdict, Spe
             "use reducible_pinnability",
             cond,
         )
-    xi = left_null_vector(coupling)
-    weighted = symmetrize_weighted(pinned_matrix(coupling, pin), xi)
-    dec = sym_eigen(weighted)
-    mu1 = float(dec.eigenvalues[0])
-    xi_max = float(xi.max())
+    report = weighted_spectrum(coupling, pin)
+    mu1, xi_max = report.lambda1, report.xi_max
     terms = cert.delta * xi_max + pin.c * mu1
     scales = np.abs(cert.delta * xi_max) + abs(pin.c * mu1)
     verdict = _margin_verdict(terms, scales, {"c": pin.c, "mu1": mu1, "xi_max": xi_max})
-    report = SpectralReport(
-        eigenvalues=dec.eigenvalues, lambda1=mu1, xi=xi, xi_max=xi_max
-    )
     return verdict, report
 
 

@@ -295,13 +295,19 @@ def register_coupling_function(kind: str, fn: Callable, alpha_lower: float) -> N
 
 
 def make_coupling_function(kind: str = "identity", alpha_lower: Optional[float] = None) -> CouplingFunction:
+    """Registered map ``kind`` with slope bound ``alpha_lower``, which defaults
+    to the registered certified bound and may lower it but never exceed it."""
     if kind not in _COUPLING_FUNCTIONS:
         known = ", ".join(sorted(_COUPLING_FUNCTIONS))
         raise ValueError(f"unknown coupling function kind {kind!r} (known: {known})")
-    fn, default_alpha = _COUPLING_FUNCTIONS[kind]
-    alpha = default_alpha if alpha_lower is None else float(alpha_lower)
-    if alpha <= 0:
+    fn, bound = _COUPLING_FUNCTIONS[kind]
+    alpha = bound if alpha_lower is None else float(alpha_lower)
+    if not alpha > 0:
         raise ValueError(f"alpha_lower must be > 0, got {alpha}")
+    if alpha > bound:
+        raise ValueError(
+            f"alpha_lower {alpha:g} exceeds the certified slope bound {bound:g} of {kind!r}"
+        )
     return CouplingFunction(kind=kind, alpha_lower=alpha, map_fn=fn)
 
 

@@ -11,9 +11,12 @@ from pinnet import (
     BUILTIN_SCENARIOS,
     ScenarioError,
     check_scenario,
+    min_coupling_strength,
     parse_scenario,
+    render_report,
     run_scenario,
     serialize_scenario,
+    theorem3_check,
 )
 from pinnet.cli import main, parse_sweep, run_sweep
 
@@ -199,9 +202,71 @@ class TestCheckScenario:
         assert list(tmp_path.iterdir()) == []
 
     def test_quad_sampling_hook(self):
-        report = check_scenario(parse_scenario("fig4-sym-pinned"), quad_samples=2000, seed=3)
+        cfg = parse_scenario("fig4-sym-pinned")
+        report = check_scenario(cfg, quad_samples=2000, seed=3)
         assert report.quad_sampled is not None
         assert report.quad_sampled.holds
+        # the box is the hull of [-30, 30] and every initial coordinate
+        lo, hi = report.quad_sampled.detail["box"]
+        np.testing.assert_array_equal(lo, [-30.0, -30.0, -30.0])
+        np.testing.assert_array_equal(hi, [60.7, 40.8, 50.9])
+        for start in (*cfg.initial_states, cfg.reference_initial):
+            assert np.all((lo <= start) & (start <= hi))
+        assert "box [-30, 60.7] x [-30, 40.8] x [-30, 50.9]" in render_report(report)
+
+    def test_overstated_alpha_lower_rejected(self):
+        # sine_blend's slopes bottom out at 0.5; a claimed 5.0 would certify
+        # c = 5 with a margin of about -15 where the true margin is +7.5
+        data = copy.deepcopy(BUILTIN_SCENARIOS["nonlinear-pinned"])
+        data["coupling_function"]["alpha_lower"] = 5.0
+        data["pin"]["c"] = 5.0
+        with pytest.raises(ScenarioError, match="coupling_function: alpha_lower 5 exceeds"):
+            parse_scenario(data)
+        data["coupling_function"]["alpha_lower"] = "5"
+        with pytest.raises(ScenarioError, match="coupling_function.alpha_lower"):
+            parse_scenario(data)
+
+    def test_identity_alpha_lower_enters_the_margin(self):
+        data = copy.deepcopy(BUILTIN_SCENARIOS["fig4-sym-pinned"])
+        data["coupling_function"]["alpha_lower"] = 0.5
+        cfg = parse_scenario(data)
+        report = check_scenario(cfg)
+        lam = report.spectral.lambda1
+        assert report.theorem_name == "theorem2"
+        expected = theorem3_check(cfg.certificate, cfg.pin.c, lam, alpha=0.5)
+        assert report.theorem.margin == expected.margin
+        assert not report.theorem.holds  # 10 + 0.5 * 10 * (-1.011) > 0
+        assert report.min_c == min_coupling_strength(cfg.certificate, lam, alpha=0.5)
+        assert report.min_c == pytest.approx(2 * 9.891, abs=0.02)
+
+    def test_asymmetric_branches_share_one_spectrum(self, monkeypatch):
+        import pinnet.conditions
+
+        calls = []
+        solve = pinnet.conditions.sym_eigen
+
+        def counted(a):
+            calls.append(a)
+            return solve(a)
+
+        monkeypatch.setattr(pinnet.conditions, "sym_eigen", counted)
+        with_cert = parse_scenario("fig5-asym-pinned")
+        reports = []
+        for cfg in (with_cert, dataclasses.replace(with_cert, certificate=None)):
+            calls.clear()
+            reports.append(check_scenario(cfg))
+            assert len(calls) == 1
+        certified, bare = reports
+        assert (certified.theorem_name, bare.theorem_name) == ("theorem4", None)
+        assert bare.theorem is None and bare.min_c is None
+        assert certified.proposition1.holds and bare.proposition1.holds
+        assert certified.proposition1.margin == bare.proposition1.margin
+        np.testing.assert_array_equal(certified.spectral.xi, bare.spectral.xi)
+        np.testing.assert_array_equal(
+            certified.spectral.eigenvalues, bare.spectral.eigenvalues
+        )
+        assert certified.spectral.lambda1 == bare.spectral.lambda1
+        assert certified.spectral.xi_max == bare.spectral.xi_max
 
 
 def _short(name, t_max=2.0):

@@ -57,7 +57,7 @@ class TestSymEigen:
     @settings(max_examples=60, deadline=None)
     def test_invariants_random_symmetric(self, seed):
         rng = np.random.default_rng(seed)
-        n = int(rng.integers(1, 13))
+        n = int(rng.integers(1, 101))
         b = rng.normal(size=(n, n))
         a = (b + b.T) / 2.0
         dec = sym_eigen(a)
@@ -71,6 +71,22 @@ class TestSymEigen:
         # round trip
         rebuilt = dec.eigenvectors @ np.diag(dec.eigenvalues) @ dec.eigenvectors.T
         assert np.max(np.abs(rebuilt - a)) <= 1e-8 * scale
+
+    @pytest.mark.parametrize("m", [3, 10, 30, 100])
+    def test_degenerate_star_laplacian(self, m):
+        # the star's coupling matrix has eigenvalues 0, -1 (multiplicity
+        # m - 2) and -m
+        a = np.zeros((m, m))
+        a[0, 1:] = a[1:, 0] = 1.0
+        np.fill_diagonal(a, -a.sum(axis=1))
+        dec = sym_eigen(a)
+        expected = np.array([0.0] + [-1.0] * (m - 2) + [-float(m)])
+        np.testing.assert_allclose(dec.eigenvalues, expected, atol=1e-12 * m)
+        assert np.all(np.diff(dec.eigenvalues) <= 0)
+        gram = dec.eigenvectors.T @ dec.eigenvectors
+        assert np.max(np.abs(gram - np.eye(m))) <= 1e-12 * m
+        resid = a @ dec.eigenvectors - dec.eigenvectors * dec.eigenvalues
+        assert np.max(np.abs(resid)) <= 1e-12 * m
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)

@@ -210,6 +210,17 @@ class TestCouplingFunction:
     def test_bad_alpha(self):
         with pytest.raises(ValueError):
             make_coupling_function("identity", alpha_lower=0.0)
+        with pytest.raises(ValueError):
+            make_coupling_function("identity", alpha_lower=float("nan"))
+
+    @pytest.mark.parametrize("kind, alpha", [("identity", 3.0), ("sine_blend", 5.0)])
+    def test_alpha_above_certified_bound_rejected(self, kind, alpha):
+        with pytest.raises(ValueError, match="exceeds the certified slope bound"):
+            make_coupling_function(kind, alpha_lower=alpha)
+
+    def test_alpha_may_lower_the_bound(self):
+        assert make_coupling_function("identity", alpha_lower=0.5).alpha_lower == 0.5
+        assert make_coupling_function("sine_blend", alpha_lower=0.5).alpha_lower == 0.5
 
 
 class TestDynamicsRegistry:
