@@ -64,7 +64,6 @@ from .model import (
     pinned_matrix,
     register_coupling_function,
     register_dynamics,
-    system_rhs,
     validate_coupling,
 )
 from .scenarios import BUILTIN_SCENARIOS, COUPLING_MATRICES

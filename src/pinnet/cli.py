@@ -364,22 +364,21 @@ def check_scenario(cfg: ScenarioConfig, quad_samples: int = 0, seed: int = 0) ->
     (theorem2 for the identity map, theorem3 under a nonlinear one; both
     are :func:`theorem3_check` at the map's slope bound). Asymmetric
     irreducible coupling: negativity of the weighted symmetrization, plus
-    its margin (theorem4) when there is a certificate. Reducible coupling:
-    the structural pinnability criterion. Pass ``quad_samples > 0`` to also
-    falsification-test the certificate by sampling on the hull of [-30, 30]
-    and the scenario's initial data.
+    its margin (theorem4, at the same slope bound) when there is a
+    certificate. Reducible coupling: the structural pinnability criterion.
+    Pass ``quad_samples > 0`` to also falsification-test the certificate by
+    sampling on the hull of [-30, 30] and the scenario's initial data.
     """
     pin = cfg.pin if cfg.pin is not None else PinPlan(1, 0.0, 1.0)
     spectral = prop = theorem_name = theorem = min_c = None
     reducibility = condensation = None
-    alpha, xi_max = 1.0, 1.0
+    alpha, xi_max = cfg.gfun.alpha_lower, 1.0
 
     if cfg.coupling.symmetric:
         route = "symmetric"
         prop, spectral = proposition1_holds(pinned_matrix(cfg.coupling, pin))
         if cfg.certificate is not None:
             theorem_name = "theorem2" if cfg.gfun.kind == "identity" else "theorem3"
-            alpha = cfg.gfun.alpha_lower
             theorem = theorem3_check(cfg.certificate, pin.c, spectral.lambda1, alpha)
     else:
         condensation = scc_condensation(cfg.coupling)
@@ -387,7 +386,7 @@ def check_scenario(cfg: ScenarioConfig, quad_samples: int = 0, seed: int = 0) ->
             route = "asymmetric"
             if cfg.certificate is not None:
                 theorem_name = "theorem4"
-                theorem, spectral = theorem4_check(cfg.coupling, pin, cfg.certificate)
+                theorem, spectral = theorem4_check(cfg.coupling, pin, cfg.certificate, alpha)
             else:
                 spectral = weighted_spectrum(cfg.coupling, pin)
             prop = spectral_negativity(spectral)
@@ -504,38 +503,61 @@ class RunResult:
     summary_text: str = ""
 
 
-def _fmt(value: float) -> str:
-    return format(float(value), ".17g")
+_TABLE_BLOCK = 2048
+
+
+def _row_blocks(table: np.ndarray):
+    """Consecutive row slices of ``table``, at most ``_TABLE_BLOCK`` rows each."""
+    return (table[i : i + _TABLE_BLOCK] for i in range(0, len(table), _TABLE_BLOCK))
+
+
+def _write_table(path, header: str, blocks, fmts) -> None:
+    """Write ``header`` and one comma-separated line per row of each 2-D
+    array in ``blocks``, column j formatted by the ``%`` spec ``fmts[j]``.
+    Each block is formatted by one ``%``, so the text held in memory is one
+    block's worth."""
+    line = ",".join(fmts) + "\n"
+    with open(path, "w") as f:
+        f.write(header + "\n")
+        for block in blocks:
+            f.write((line * len(block)) % tuple(block.ravel().tolist()))
 
 
 def write_metrics_csv(path, series: MetricSeries) -> None:
     """``t,sync_ratio,pin_ratio,lyapunov`` rows at full double precision;
     undefined ratios are written as nan."""
-    nan = float("nan")
-    sync = series.sync_ratio
-    pin = series.pin_ratio
-    with open(path, "w") as f:
-        f.write("t,sync_ratio,pin_ratio,lyapunov\n")
-        for i, t in enumerate(series.times):
-            s = sync[i] if sync is not None else nan
-            q = pin[i] if pin is not None else nan
-            f.write(f"{_fmt(t)},{_fmt(s)},{_fmt(q)},{_fmt(series.lyapunov[i])}\n")
+    nan = np.full(len(series.times), np.nan)
+    table = np.column_stack(
+        [
+            series.times,
+            nan if series.sync_ratio is None else series.sync_ratio,
+            nan if series.pin_ratio is None else series.pin_ratio,
+            series.lyapunov,
+        ]
+    )
+    header = "t,sync_ratio,pin_ratio,lyapunov"
+    _write_table(path, header, _row_blocks(table), ["%.17g"] * 4)
 
 
 def write_trajectory_csv(path, traj: Trajectory) -> None:
     """Long-form ``t,node,x1..xn`` rows; the reference is node 0."""
-    m, n = traj.states.shape[1], traj.states.shape[2]
-    with open(path, "w") as f:
-        f.write("t,node," + ",".join(f"x{k + 1}" for k in range(n)) + "\n")
-        for i, t in enumerate(traj.times):
-            ts = _fmt(t)
-            f.write(f"{ts},0," + ",".join(_fmt(v) for v in traj.reference[i]) + "\n")
-            for j in range(m):
-                f.write(
-                    f"{ts},{j + 1},"
-                    + ",".join(_fmt(v) for v in traj.states[i, j])
-                    + "\n"
-                )
+    samples, m, n = traj.states.shape
+    per_block = max(1, _TABLE_BLOCK // (m + 1))
+
+    def blocks():
+        # built per block of samples: a whole-run table would outgrow the run
+        for start in range(0, samples, per_block):
+            rows = slice(start, start + per_block)
+            times = traj.times[rows]
+            table = np.empty((len(times), m + 1, n + 2))
+            table[:, :, 0] = times[:, None]
+            table[:, :, 1] = np.arange(m + 1)
+            table[:, 0, 2:] = traj.reference[rows]
+            table[:, 1:, 2:] = traj.states[rows]
+            yield table.reshape(-1, n + 2)
+
+    header = "t,node," + ",".join(f"x{k + 1}" for k in range(n))
+    _write_table(path, header, blocks(), ["%.17g", "%d"] + ["%.17g"] * n)
 
 
 def _summary_fit(series: MetricSeries, t_max: float):
@@ -736,10 +758,12 @@ def run_sweep(cfg: ScenarioConfig, spec: str, out_dir) -> int:
             f"final_pin={rows[-1][3]:.6g} diverged={result.diverged}"
         )
     table = out / f"{cfg.name}_sweep.csv"
-    with open(table, "w") as f:
-        f.write("c,margin,holds,final_pin_ratio,diverged\n")
-        for c, margin, holds, final_pin, div in rows:
-            f.write(f"{_fmt(c)},{_fmt(margin)},{int(holds)},{_fmt(final_pin)},{int(div)}\n")
+    _write_table(
+        table,
+        "c,margin,holds,final_pin_ratio,diverged",
+        _row_blocks(np.array(rows, dtype=float)),
+        ["%.17g", "%.17g", "%d", "%.17g", "%d"],
+    )
     print(f"sweep table written to {table}")
     return 0
 

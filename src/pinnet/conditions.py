@@ -14,7 +14,8 @@ topologies (:func:`reducible_pinnability`).
 
 All conditions are strict inequalities: a margin of exactly zero fails. The
 negativity tolerance is relative, ``margin < -1e-9 * max(1, scale)`` with
-``scale`` the magnitude of the binding combination.
+``scale`` the magnitude of the binding combination; for spectral negativity,
+on either route, that is the largest eigenvalue magnitude.
 """
 
 from __future__ import annotations
@@ -110,10 +111,18 @@ def _strict(margin: float, scale: float, detail: dict) -> Verdict:
 # spectral negativity
 
 
+def spectral_negativity(report: SpectralReport) -> Verdict:
+    """Every eigenvalue of the report is negative: the top one lies below the
+    negativity tolerance relative to the largest eigenvalue magnitude."""
+    scale = float(np.max(np.abs(report.eigenvalues)))
+    return _strict(report.lambda1, scale, {"eigenvalues": report.eigenvalues})
+
+
 def proposition1_holds(a_tilde) -> tuple[Verdict, SpectralReport]:
     """All eigenvalues of a pinned symmetric coupling matrix are negative.
 
-    Holds when the largest eigenvalue is below the negativity tolerance; an
+    Holds when the largest eigenvalue is below the negativity tolerance
+    (:func:`spectral_negativity`, the rule the asymmetric route uses); an
     unpinned zero-row-sum matrix always fails (eigenvalue 0 on the all-ones
     vector). Asymmetric input raises :class:`SymmetryError`; route those
     through :func:`theorem4_check`.
@@ -126,11 +135,8 @@ def proposition1_holds(a_tilde) -> tuple[Verdict, SpectralReport]:
             "proposition1_holds needs symmetric coupling; "
             "use theorem4_check for asymmetric matrices"
         ) from None
-    lam1 = float(dec.eigenvalues[0])
-    scale = float(np.max(np.abs(arr)))
-    verdict = _strict(lam1, scale, {"eigenvalues": dec.eigenvalues})
-    report = SpectralReport(eigenvalues=dec.eigenvalues, lambda1=lam1)
-    return verdict, report
+    report = SpectralReport(eigenvalues=dec.eigenvalues, lambda1=float(dec.eigenvalues[0]))
+    return spectral_negativity(report), report
 
 
 # ---------------------------------------------------------------------------
@@ -308,15 +314,20 @@ def theorem2_check(cert: QuadCertificate, c: float, lambda1: float) -> Verdict:
     return theorem3_check(cert, c, lambda1, 1.0)
 
 
-def theorem3_check(cert: QuadCertificate, c: float, lambda1: float, alpha: float) -> Verdict:
+def theorem3_check(
+    cert: QuadCertificate, c: float, lambda1: float, alpha: float, xi_max: float = 1.0
+) -> Verdict:
     """Global pinning margin under a monotone coupling map with difference
-    quotients >= alpha > 0: max_k Delta_k + alpha c lambda1 < 0. At alpha = 1
-    this is :func:`theorem2_check` (the identity map)."""
-    if alpha <= 0:
-        raise ValueError(f"alpha must be > 0, got {alpha}")
-    terms = cert.delta + alpha * (c * lambda1)
-    scales = np.abs(cert.delta) + abs(alpha * (c * lambda1))
-    return _margin_verdict(terms, scales, {"c": c, "lambda1": lambda1, "alpha": alpha})
+    quotients >= alpha > 0: max_k Delta_k xi_max + alpha c lambda1 < 0, the
+    family :func:`min_coupling_strength` solves. At alpha = 1 and
+    xi_max = 1 this is :func:`theorem2_check` (the identity map); with the
+    weighted spectrum it is :func:`theorem4_check`."""
+    if alpha <= 0 or xi_max <= 0:
+        raise ValueError(f"alpha and xi_max must be > 0, got {alpha} and {xi_max}")
+    terms = cert.delta * xi_max + alpha * (c * lambda1)
+    scales = np.abs(cert.delta * xi_max) + abs(alpha * (c * lambda1))
+    detail = {"c": c, "lambda1": lambda1, "alpha": alpha, "xi_max": xi_max}
+    return _margin_verdict(terms, scales, detail)
 
 
 def weighted_spectrum(a, pin: PinPlan) -> SpectralReport:
@@ -334,19 +345,16 @@ def weighted_spectrum(a, pin: PinPlan) -> SpectralReport:
     )
 
 
-def spectral_negativity(report: SpectralReport) -> Verdict:
-    """Every eigenvalue of the report is negative: the top one lies below the
-    negativity tolerance relative to the largest eigenvalue magnitude."""
-    scale = float(np.max(np.abs(report.eigenvalues)))
-    return _strict(report.lambda1, scale, {"eigenvalues": report.eigenvalues})
-
-
-def theorem4_check(a, pin: PinPlan, cert: QuadCertificate) -> tuple[Verdict, SpectralReport]:
+def theorem4_check(
+    a, pin: PinPlan, cert: QuadCertificate, alpha: float = 1.0
+) -> tuple[Verdict, SpectralReport]:
     """Global pinning margin for irreducible asymmetric coupling.
 
     With xi and mu1 from :func:`weighted_spectrum`, the condition is
-    max_k Delta_k max_i xi_i + c mu1 < 0. Reducible input raises
-    :class:`ReducibilityError`; use :func:`reducible_pinnability`.
+    max_k Delta_k max_i xi_i + alpha c mu1 < 0, i.e. :func:`theorem3_check`
+    on the weighted spectrum; ``alpha`` is the coupling map's slope bound.
+    Reducible input raises :class:`ReducibilityError`; use
+    :func:`reducible_pinnability`.
     """
     coupling = a if isinstance(a, CouplingMatrix) else validate_coupling(a)
     cond = scc_condensation(coupling)
@@ -357,11 +365,7 @@ def theorem4_check(a, pin: PinPlan, cert: QuadCertificate) -> tuple[Verdict, Spe
             cond,
         )
     report = weighted_spectrum(coupling, pin)
-    mu1, xi_max = report.lambda1, report.xi_max
-    terms = cert.delta * xi_max + pin.c * mu1
-    scales = np.abs(cert.delta * xi_max) + abs(pin.c * mu1)
-    verdict = _margin_verdict(terms, scales, {"c": pin.c, "mu1": mu1, "xi_max": xi_max})
-    return verdict, report
+    return theorem3_check(cert, pin.c, report.lambda1, alpha, report.xi_max), report
 
 
 def min_coupling_strength(

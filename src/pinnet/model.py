@@ -16,8 +16,9 @@ The simulated state stacks the m node rows over the reference row,
 ``y = [x; s]`` of shape ``(m + 1, n)``. Coupling and controller are both
 linear in ``g(y)``, so the whole field is ``f(y) + M g(y)`` with one
 ``(m + 1, m + 1)`` operator ``M`` per system (:func:`network_operator`).
-Stacking the operators of several systems on a leading axis integrates them
-as one batch.
+:func:`make_network_rhs` is the one right-hand side: it stacks the
+operators of B systems on a leading axis and maps ``(B, m + 1, n)`` states,
+one system being a batch of one.
 """
 
 from __future__ import annotations
@@ -358,57 +359,37 @@ def network_operator(sys: NetworkSystem) -> np.ndarray:
 
 
 def make_network_rhs(systems) -> Callable[[np.ndarray, float], np.ndarray]:
-    """Right-hand side ``f(y) + M g(y)`` over the stacked node-plus-reference array.
+    """Right-hand side ``f(y) + M g(y)`` over a batch of stacked states.
 
-    Given one :class:`NetworkSystem` the closure maps ``(m + 1, n)`` to
-    ``(m + 1, n)``. Given a sequence of B systems that share node count,
-    dynamics and coupling map, it maps ``(B, m + 1, n)`` to ``(B, m + 1, n)``
-    with each system's operator on its own slice; a :class:`CouplingError`
-    names the first field that differs.
+    The B systems must share node count, dynamics and coupling map; a
+    :class:`CouplingError` names the first field that differs. The closure
+    maps ``(B, m + 1, n)`` to ``(B, m + 1, n)`` with each system's operator
+    on its own slice. Node fields act row by row, so the dynamics are
+    evaluated once on the flattened ``(B (m + 1), n)`` view.
     """
-    if isinstance(systems, NetworkSystem):
-        first = systems
-        op = network_operator(systems)
-    else:
-        systems = list(systems)
-        if not systems:
-            raise ValueError("need at least one system")
-        first = systems[0]
-        for k, other in enumerate(systems[1:], start=2):
-            for name, a, b in (
-                ("node count m", first.coupling.m, other.coupling.m),
-                ("dynamics", first.dynamics, other.dynamics),
-                ("coupling function", first.gfun.kind, other.gfun.kind),
-            ):
-                if a != b:
-                    raise CouplingError(
-                        f"system {k} differs from system 1 in {name}: {b!r} vs {a!r}"
-                    )
-        op = np.stack([network_operator(s) for s in systems])
-    dyn = first.dynamics
-    g = first.gfun
+    systems = list(systems)
+    if not systems:
+        raise ValueError("need at least one system")
+    first = systems[0]
+    for k, other in enumerate(systems[1:], start=2):
+        for name, a, b in (
+            ("node count m", first.coupling.m, other.coupling.m),
+            ("dynamics", first.dynamics, other.dynamics),
+            ("coupling function", first.gfun.kind, other.gfun.kind),
+        ):
+            if a != b:
+                raise CouplingError(
+                    f"system {k} differs from system 1 in {name}: {b!r} vs {a!r}"
+                )
+    op = np.stack([network_operator(s) for s in systems])
+    # the integrator passes float arrays, so the raw maps skip the asarray
+    # their callable wrappers apply
+    field = first.dynamics.field_fn
+    g = first.gfun.map_fn
 
     def rhs(y: np.ndarray, t: float) -> np.ndarray:
-        out = dyn(y, t)
+        out = field(y.reshape(-1, y.shape[-1]), t).reshape(y.shape)
         out += op @ g(y)
         return out
 
     return rhs
-
-
-def system_rhs(sys: NetworkSystem, state, s, t: float = 0.0) -> np.ndarray:
-    """Time derivative of all node states given the reference state ``s``.
-
-    ``state`` is (m, n), ``s`` is (n,); returns (m, n). On the synchronized
-    manifold (every node at ``s``) the coupling and controller terms vanish up
-    to the row-sum tolerance, so the derivative is the bare field at ``s``.
-    """
-    state = np.asarray(state, dtype=float)
-    s = np.asarray(s, dtype=float)
-    m, n = sys.coupling.m, sys.dynamics.dim
-    if state.shape != (m, n):
-        raise CouplingError(f"state must have shape ({m}, {n}), got {state.shape}")
-    if s.shape != (n,):
-        raise CouplingError(f"reference must have shape ({n},), got {s.shape}")
-    y = np.vstack([state, s[None, :]])
-    return make_network_rhs(sys)(y, t)[:-1]

@@ -7,13 +7,14 @@ silent blowup into a :class:`DivergenceError` carrying the partial trajectory
 and the time of the breach.
 
 The state is the stacked array ``y = [x; s]`` and the field is
-``f(y) + M g(y)`` (:func:`pinnet.model.make_network_rhs`). One RK4 loop
-serves both entry points: :func:`integrate` runs one system on ``(m + 1, n)``
-operands, and :func:`integrate_batch` runs B systems that share node count,
-dynamics and coupling map on ``(B, m + 1, n)`` operands, one operator per
-member. Members are independent: each one's trajectory is bit-identical to
-its solo run, and a member that breaches the guard leaves the batch with its
-own :class:`DivergenceError` while the others run on.
+``f(y) + M g(y)`` (:func:`pinnet.model.make_network_rhs`). There is one
+entry point and one RK4 loop: :func:`integrate_batch` runs B systems that
+share node count, dynamics and coupling map on ``(B, m + 1, n)`` operands,
+one operator per member, and :func:`integrate` is a batch of one that
+raises its member's :class:`DivergenceError`. Members are independent: each
+one's trajectory is bit-identical to its run in a batch of one, and a member
+that breaches the guard leaves the batch with its own
+:class:`DivergenceError` while the others run on.
 
 The step must divide the horizon: the grid ends exactly at ``t_max`` or the
 call is rejected (:func:`grid_steps`).
@@ -87,7 +88,7 @@ def grid_steps(dt: float, t_max: float) -> int:
     return steps
 
 
-def _stacked_state(sys: NetworkSystem, x0, s0, label: str = "") -> np.ndarray:
+def _stacked_state(sys: NetworkSystem, x0, s0, label: str) -> np.ndarray:
     """Validate one member's initial data and stack it as ``[x0; s0]``."""
     m, n = sys.coupling.m, sys.dynamics.dim
     x0 = np.asarray(x0, dtype=float)
@@ -101,19 +102,57 @@ def _stacked_state(sys: NetworkSystem, x0, s0, label: str = "") -> np.ndarray:
     return np.vstack([x0, s0[None, :]])
 
 
-def _rk4(systems, rhs, y: np.ndarray, dt: float, steps: int) -> list:
-    """The RK4 loop behind both entry points.
+def integrate(sys: NetworkSystem, x0, s0, dt: float, t_max: float) -> Trajectory:
+    """Integrate nodes and reference together with classical RK4.
 
-    ``y`` is ``(m + 1, n)`` for one system or ``(B, m + 1, n)`` for a list
-    of B systems, and ``rhs`` is ``make_network_rhs(systems)``. Returns one
-    :class:`Trajectory` or :class:`DivergenceError` per member. A member
-    whose node norm breaches the guard is dropped from the active set, with
-    its partial trajectory; the others run on. Non-finite state raises
-    ``ValueError``.
+    ``x0`` is (m, n) initial node states, ``s0`` the (n,) reference start;
+    this is :func:`integrate_batch` on a batch of one. Raises
+    :class:`DivergenceError` once any per-node Euclidean norm exceeds
+    ``DIVERGENCE_NORM``, and ``ValueError`` on malformed initial data, a
+    ``dt`` that does not divide ``t_max`` (:func:`grid_steps`), or non-finite
+    values from finite state.
     """
-    batched = y.ndim == 3
-    count = len(y) if batched else 1
-    m, n = y.shape[-2] - 1, y.shape[-1]
+    (result,) = integrate_batch([sys], [x0], [s0], dt, t_max)
+    if isinstance(result, DivergenceError):
+        raise result
+    return result
+
+
+def integrate_batch(
+    systems: Sequence[NetworkSystem],
+    x0s,
+    s0s,
+    dt: float,
+    t_max: float,
+) -> list[Union[Trajectory, DivergenceError]]:
+    """Integrate B systems on one grid with classical RK4, as one array program.
+
+    The systems must share node count, dynamics and coupling map; they may
+    differ in coupling matrix, pin plan and initial data (``x0s[k]`` is
+    (m, n), ``s0s[k]`` is (n,)). Returns, in order, each member's
+    :class:`Trajectory`, bit-identical to its run in a batch of one, or the
+    :class:`DivergenceError` that run would raise: a member whose node norm
+    breaches the guard leaves the active set with its partial trajectory,
+    and the others run on. The trajectories are views into one shared
+    buffer, so keeping any of them keeps all of it. Raises ``ValueError``
+    (naming the member or field) on mismatched systems or initial data, a
+    ``dt`` that does not divide ``t_max``, or non-finite values.
+    """
+    systems = list(systems)
+    if len(x0s) != len(systems) or len(s0s) != len(systems):
+        raise ValueError(
+            f"need one x0 and one s0 per system: {len(systems)} systems, "
+            f"{len(x0s)} x0s, {len(s0s)} s0s"
+        )
+    rhs = make_network_rhs(systems)
+    steps = grid_steps(dt, t_max)
+    y = np.stack(
+        [
+            _stacked_state(sys, x0, s0, f"member {k + 1}: ")
+            for k, (sys, x0, s0) in enumerate(zip(systems, x0s, s0s))
+        ]
+    )
+    count, m, n = y.shape[0], y.shape[1] - 1, y.shape[2]
     times = np.arange(steps + 1) * dt
     # member-major, so each member's samples are one contiguous slab
     buf = np.empty((count, steps + 1, m + 1, n))
@@ -133,14 +172,13 @@ def _rk4(systems, rhs, y: np.ndarray, dt: float, steps: int) -> list:
         k4 = rhs(y + dt * k3, t + dt)
         y = y + sixth * (k1 + 2.0 * (k2 + k3) + k4)
         buf[rows, i + 1] = y
-        members = y.reshape(live.size, m + 1, n)
         if not np.all(np.isfinite(y)):
-            k = live[np.argmin(np.isfinite(members).all(axis=(1, 2)))]
-            where = f" in batch member {k + 1}" if batched else ""
+            k = live[np.argmin(np.isfinite(y).all(axis=(1, 2)))]
             raise ValueError(
-                f"right-hand side produced non-finite values{where} at t={times[i + 1]:g}"
+                f"right-hand side produced non-finite values in batch member "
+                f"{k + 1} at t={times[i + 1]:g}"
             )
-        norm2 = np.einsum("bij,bij->bi", members, members).max(axis=1)
+        norm2 = np.einsum("bij,bij->bi", y, y).max(axis=1)
         if norm2.max() > guard2:
             keep = norm2 <= guard2
             for k in live[~keep]:
@@ -166,59 +204,6 @@ def _rk4(systems, rhs, y: np.ndarray, dt: float, steps: int) -> list:
             times=times, states=buf[k, :, :m, :], reference=buf[k, :, m, :]
         )
     return results
-
-
-def integrate(sys: NetworkSystem, x0, s0, dt: float, t_max: float) -> Trajectory:
-    """Integrate nodes and reference together with classical RK4.
-
-    ``x0`` is (m, n) initial node states, ``s0`` the (n,) reference start.
-    Raises :class:`DivergenceError` once any per-node Euclidean norm exceeds
-    ``DIVERGENCE_NORM``, and ``ValueError`` if ``dt`` does not divide
-    ``t_max`` (:func:`grid_steps`) or the right-hand side produces non-finite
-    values from finite state.
-    """
-    steps = grid_steps(dt, t_max)
-    y = _stacked_state(sys, x0, s0)
-    (result,) = _rk4(sys, make_network_rhs(sys), y, dt, steps)
-    if isinstance(result, DivergenceError):
-        raise result
-    return result
-
-
-def integrate_batch(
-    systems: Sequence[NetworkSystem],
-    x0s,
-    s0s,
-    dt: float,
-    t_max: float,
-) -> list[Union[Trajectory, DivergenceError]]:
-    """Integrate B systems on one grid, as one array program.
-
-    The systems must share node count, dynamics and coupling map; they may
-    differ in coupling matrix, pin plan and initial data (``x0s[k]`` is
-    (m, n), ``s0s[k]`` is (n,)). Returns, in order, each member's
-    :class:`Trajectory`, bit-identical to its solo :func:`integrate` run, or
-    the :class:`DivergenceError` that run would raise. The trajectories are
-    views into one shared buffer, so keeping any of them keeps all of it.
-    Raises ``ValueError``
-    (naming the member or field) on mismatched systems or initial data, a
-    ``dt`` that does not divide ``t_max``, or non-finite values.
-    """
-    systems = list(systems)
-    if len(x0s) != len(systems) or len(s0s) != len(systems):
-        raise ValueError(
-            f"need one x0 and one s0 per system: {len(systems)} systems, "
-            f"{len(x0s)} x0s, {len(s0s)} s0s"
-        )
-    rhs = make_network_rhs(systems)
-    steps = grid_steps(dt, t_max)
-    y = np.stack(
-        [
-            _stacked_state(sys, x0, s0, f"member {k + 1}: ")
-            for k, (sys, x0, s0) in enumerate(zip(systems, x0s, s0s))
-        ]
-    )
-    return _rk4(systems, rhs, y, dt, steps)
 
 
 # ---------------------------------------------------------------------------

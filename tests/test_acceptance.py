@@ -189,8 +189,9 @@ def test_09_property_suites():
     assert np.all(errors[0] / errors[1] >= 15.0)
     assert np.all(errors[1] / errors[2] >= 15.0)
 
-    # pinned-manifold invariance
+    # pinned-manifold invariance, one batch per node count
     chua = pn.make_dynamics("chua")
+    groups = {}
     for _ in range(1000):
         m = int(rng.integers(2, 7))
         a = pn.random_coupling_matrix(
@@ -202,10 +203,16 @@ def test_09_property_suites():
             float(rng.uniform(0.1, 10.0)),
         )
         s0 = rng.uniform(-2.0, 2.0, size=3)
-        sys_ = pn.NetworkSystem(coupling=a, dynamics=chua, pin=pin)
-        traj = pn.integrate(sys_, np.tile(s0, (m, 1)), s0, 0.01, 0.2)
-        dev = np.linalg.norm(traj.states - traj.reference[:, None, :], axis=2).sum(axis=1)
-        assert float(dev.max()) <= 1e-10
+        groups.setdefault(m, []).append(
+            (pn.NetworkSystem(coupling=a, dynamics=chua, pin=pin), np.tile(s0, (m, 1)), s0)
+        )
+    assert sum(map(len, groups.values())) == 1000
+    for cases in groups.values():
+        systems, x0s, s0s = zip(*cases)
+        for traj in pn.integrate_batch(systems, x0s, s0s, 0.01, 0.2):
+            assert isinstance(traj, Trajectory)
+            dev = np.linalg.norm(traj.states - traj.reference[:, None, :], axis=2).sum(axis=1)
+            assert float(dev.max()) <= 1e-10
 
     # metric ratios are exactly 1 at t = 0
     for _ in range(1000):

@@ -18,7 +18,8 @@ from pinnet import (
     serialize_scenario,
     theorem3_check,
 )
-from pinnet.cli import main, parse_sweep, run_sweep
+from pinnet.cli import main, parse_sweep, run_sweep, write_metrics_csv, write_trajectory_csv
+from pinnet.simulate import MetricSeries, Trajectory
 
 
 class TestParseScenario:
@@ -178,6 +179,19 @@ class TestCheckScenario:
         assert report.theorem.holds
         assert report.min_c == pytest.approx(69.64, abs=0.01)
 
+    def test_asymmetric_route_uses_the_slope_bound(self):
+        # sine_blend halves the certified slope: the theorem4 margin and c*
+        # must see it as theorem3 does on the symmetric route
+        data = copy.deepcopy(BUILTIN_SCENARIOS["fig5-asym-pinned"])
+        data["coupling_function"] = {"kind": "sine_blend", "alpha_lower": 0.5}
+        report = check_scenario(parse_scenario(data))
+        identity = check_scenario(parse_scenario("fig5-asym-pinned"))
+        assert report.theorem_name == "theorem4"
+        assert not report.theorem.holds
+        assert report.theorem.margin == pytest.approx(2.42, abs=5e-3)
+        assert report.min_c == pytest.approx(139.3, abs=0.05)
+        assert report.min_c == pytest.approx(2.0 * identity.min_c, rel=1e-12)
+
     def test_fig2_uncontrolled_fails(self):
         report = check_scenario(parse_scenario("fig2-sym-uncontrolled"))
         assert not report.proposition1.holds
@@ -310,6 +324,39 @@ class TestRunScenario:
         r2 = run_scenario(_short("fig4-sym-pinned"), out_dir=tmp_path / "b")
         assert r1.metrics_path.read_bytes() == r2.metrics_path.read_bytes()
         assert r1.trajectory_path.read_bytes() == r2.trajectory_path.read_bytes()
+
+    def test_csv_writers_match_per_value_formatting(self, tmp_path):
+        # several formatting blocks, special values and a None ratio, against
+        # one format(v, ".17g") per value
+        rng = np.random.default_rng(3)
+        samples, m, n = 2500, 2, 2
+        states = rng.normal(size=(samples, m, n)) * 10.0 ** rng.integers(-300, 300, (samples, m, n))
+        states[0, 0] = [np.nan, -0.0]
+        states[1, 1] = [np.inf, -np.inf]
+        traj = Trajectory(
+            times=np.arange(samples) * 1e-3, states=states, reference=rng.normal(size=(samples, n))
+        )
+        series = MetricSeries(
+            times=traj.times, sync_ratio=None, pin_ratio=rng.random(samples),
+            lyapunov=rng.random(samples) * 1e-200,
+        )
+
+        def fmt(v):
+            return format(float(v), ".17g")
+
+        write_trajectory_csv(tmp_path / "t.csv", traj)
+        expected = ["t,node,x1,x2"]
+        for i, t in enumerate(traj.times):
+            for node, row in enumerate([traj.reference[i], *traj.states[i]]):
+                expected.append(f"{fmt(t)},{node}," + ",".join(fmt(v) for v in row))
+        assert (tmp_path / "t.csv").read_text() == "\n".join(expected) + "\n"
+
+        write_metrics_csv(tmp_path / "m.csv", series)
+        expected = ["t,sync_ratio,pin_ratio,lyapunov"] + [
+            f"{fmt(t)},nan,{fmt(q)},{fmt(v)}"
+            for t, q, v in zip(series.times, series.pin_ratio, series.lyapunov)
+        ]
+        assert (tmp_path / "m.csv").read_text() == "\n".join(expected) + "\n"
 
     def test_require_conditions_blocks_uncontrolled(self, tmp_path):
         out = tmp_path / "blocked"

@@ -20,6 +20,7 @@ from pinnet import (
     quad_margin_affine,
     random_coupling_matrix,
     reducible_pinnability,
+    spectral_negativity,
     sym_eigen,
     theorem1_margin,
     theorem2_check,
@@ -86,6 +87,17 @@ class TestProposition1:
     def test_asymmetric_routed_away(self):
         with pytest.raises(SymmetryError, match="theorem4"):
             proposition1_holds(ASYM_3NODE.entries)
+
+    def test_borderline_spectrum_judged_like_the_asymmetric_route(self):
+        # -k J + lam I: entries ~k, eigenvalues lam and lam - k m; lam sits
+        # between the entry-scaled and the eigenvalue-scaled thresholds
+        k, m, lam = 100.0, 10, -5e-7
+        a = -k * np.ones((m, m)) + lam * np.eye(m)
+        verdict, report = proposition1_holds(a)
+        assert report.lambda1 == pytest.approx(lam, rel=1e-6)
+        assert -1e-9 * k * m < report.lambda1 < -1e-9 * k
+        assert verdict.holds == spectral_negativity(report).holds
+        assert not verdict.holds
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=100, deadline=None)
@@ -315,6 +327,18 @@ class TestTheorem3:
     def test_rejects_bad_alpha(self):
         with pytest.raises(ValueError):
             theorem3_check(CERT_10, 1.0, -1.0, alpha=0.0)
+        with pytest.raises(ValueError, match="xi_max"):
+            theorem3_check(CERT_10, 1.0, -1.0, alpha=1.0, xi_max=0.0)
+
+    def test_xi_max_scales_the_certificate_term(self):
+        # max_k Delta_k xi_max + alpha c lambda1: 10 * 0.5 + 0.5 * 4 * (-2) = 1
+        verdict = theorem3_check(CERT_10, 4.0, -2.0, alpha=0.5, xi_max=0.5)
+        assert verdict.margin == 1.0 and not verdict.holds
+        assert verdict.detail["xi_max"] == 0.5
+        c_star = min_coupling_strength(CERT_10, -2.0, alpha=0.5, xi_max=0.5)
+        assert theorem3_check(CERT_10, c_star, -2.0, 0.5, 0.5).margin == pytest.approx(
+            0.0, abs=1e-12
+        )
 
 
 class TestTheorem4:
@@ -345,6 +369,17 @@ class TestTheorem4:
         assert report.lambda1 == pytest.approx(LAMBDA1_SYM / m, rel=1e-9)
         assert verdict4.margin * m == pytest.approx(verdict2.margin, rel=1e-9)
         assert verdict4.holds == verdict2.holds
+
+    def test_is_theorem3_on_the_weighted_spectrum(self):
+        pin = PinPlan(1, 2.0, 72.0)
+        for alpha in (1.0, 0.5):
+            verdict, report = theorem4_check(ASYM_3NODE, pin, CERT_10, alpha)
+            same = theorem3_check(CERT_10, pin.c, report.lambda1, alpha, report.xi_max)
+            assert verdict.margin == same.margin and verdict.holds == same.holds
+        # halving the slope bound halves the coupling term: 10 * 0.5 + 36 mu1
+        assert not verdict.holds
+        assert verdict.margin == pytest.approx(5.0 + 36.0 * MU1_ASYM, abs=1e-9)
+        assert verdict.margin == pytest.approx(2.42, abs=5e-3)
 
     def test_reducible_rejected(self):
         with pytest.raises(ReducibilityError) as err:

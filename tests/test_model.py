@@ -14,7 +14,6 @@ from pinnet import (
     make_dynamics,
     pinned_matrix,
     register_dynamics,
-    system_rhs,
     validate_coupling,
 )
 from pinnet.model import make_network_rhs, network_operator
@@ -251,12 +250,18 @@ def _system(a, pin=None, gkind="identity", dynamics=None):
     )
 
 
+def _rhs(sys_, x, s, t=0.0):
+    # node rows of the network field, evaluated as a batch of one on [x; s]
+    y = np.vstack([x, np.asarray(s)[None, :]])[None]
+    return make_network_rhs([sys_])(y, t)[0, :-1]
+
+
 class TestSystemRhs:
     def test_decoupled_limit(self):
         # A = 0 and no pin: every node evolves under the bare dynamics
         sys_ = _system(np.zeros((2, 2)))
         state = np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
-        out = system_rhs(sys_, state, np.zeros(3))
+        out = _rhs(sys_, state, np.zeros(3))
         np.testing.assert_array_equal(out, chua_field(state))
 
     @pytest.mark.parametrize("gkind", ["identity", "sine_blend"])
@@ -265,7 +270,7 @@ class TestSystemRhs:
         sys_ = _system(SYM_3NODE, pin=pin, gkind=gkind)
         s = np.array([1.5, -0.5, 2.0])
         state = np.tile(s, (3, 1))
-        out = system_rhs(sys_, state, s)
+        out = _rhs(sys_, state, s)
         expected = np.tile(chua_field(s), (3, 1))
         # coupling cancels up to row-sum roundoff; controller cancels exactly
         np.testing.assert_allclose(out, expected, atol=1e-12)
@@ -274,7 +279,7 @@ class TestSystemRhs:
         dyn = make_dynamics("linear_decay", dim=3, params={"rate": 0.0})
         sys_ = _system([[0.0]], pin=PinPlan(1, 2.0, 3.0), dynamics=dyn)
         state = np.array([[1.0, -1.0, 0.5]])
-        out = system_rhs(sys_, state, np.zeros(3))
+        out = _rhs(sys_, state, np.zeros(3))
         np.testing.assert_allclose(out, -6.0 * state, atol=1e-15)
 
     def test_nonlinear_controller_uses_g(self):
@@ -284,16 +289,9 @@ class TestSystemRhs:
         x = np.array([[2.0]])
         s = np.array([0.5])
         g = make_coupling_function("sine_blend")
-        out = system_rhs(sys_, x, s)
+        out = _rhs(sys_, x, s)
         expected = -2.0 * (g(np.array(2.0)) - g(np.array(0.5)))
         assert out[0, 0] == pytest.approx(float(expected), abs=1e-15)
-
-    def test_dimension_mismatch(self):
-        sys_ = _system(SYM_3NODE)
-        with pytest.raises(CouplingError, match="shape"):
-            system_rhs(sys_, np.zeros((2, 3)), np.zeros(3))
-        with pytest.raises(CouplingError, match="shape"):
-            system_rhs(sys_, np.zeros((3, 3)), np.zeros(2))
 
     def test_operator_entries(self):
         sys_ = _system(SYM_3NODE, pin=PinPlan(2, 4.9, 10.0))
@@ -316,14 +314,14 @@ class TestSystemRhs:
         x, s = rng.uniform(-3.0, 3.0, (3, 3)), rng.uniform(-3.0, 3.0, 3)
         expected = chua_field(x) + 7.0 * (np.array(SYM_3NODE) @ g(x))
         expected[2] -= 7.0 * 2.5 * (g(x[2]) - g(s))
-        np.testing.assert_allclose(system_rhs(sys_, x, s), expected, rtol=1e-13, atol=1e-12)
+        np.testing.assert_allclose(_rhs(sys_, x, s), expected, rtol=1e-13, atol=1e-12)
 
     def test_batched_rhs_applies_each_operator(self):
         systems = [_system(SYM_3NODE, pin=PinPlan(1, 4.9, c)) for c in (6.0, 10.0, 14.0)]
         y = np.random.default_rng(5).uniform(-2.0, 2.0, (3, 4, 3))
         out = make_network_rhs(systems)(y, 0.0)
         for k, sys_ in enumerate(systems):
-            np.testing.assert_array_equal(out[k], make_network_rhs(sys_)(y[k], 0.0))
+            np.testing.assert_array_equal(out[k], make_network_rhs([sys_])(y[k : k + 1], 0.0)[0])
 
     def test_batched_rhs_names_the_differing_field(self):
         base = _system(SYM_3NODE)

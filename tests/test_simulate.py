@@ -96,8 +96,10 @@ class TestIntegrate:
             integrate(sys_, [[1.0]], [0.0], dt=0.0, t_max=1.0)
         with pytest.raises(ValueError, match="t_max"):
             integrate(sys_, [[1.0]], [0.0], dt=0.1, t_max=0.01)
-        with pytest.raises(ValueError, match="shape"):
+        with pytest.raises(ValueError, match="x0 must have shape"):
             integrate(sys_, [[1.0, 2.0]], [0.0], dt=0.1, t_max=1.0)
+        with pytest.raises(ValueError, match="s0 must have shape"):
+            integrate(sys_, [[1.0]], [0.0, 1.0], dt=0.1, t_max=1.0)
         with pytest.raises(ValueError, match="finite"):
             integrate(sys_, [[np.nan]], [0.0], dt=0.1, t_max=1.0)
 
@@ -214,8 +216,8 @@ class TestIntegratorOracle:
     @staticmethod
     def _dop853(sys_, x0, s0, t_max):
         integrate_ivp = pytest.importorskip("scipy.integrate").solve_ivp
-        rhs = make_network_rhs(sys_)
-        y0 = np.vstack([x0, np.asarray(s0)[None, :]])
+        rhs = make_network_rhs([sys_])
+        y0 = np.vstack([x0, np.asarray(s0)[None, :]])[None]
         sol = integrate_ivp(
             lambda t, y: rhs(y.reshape(y0.shape), t).ravel(),
             (0.0, t_max),
@@ -225,7 +227,7 @@ class TestIntegratorOracle:
             atol=1e-12,
         )
         assert sol.success
-        return sol.y[:, -1].reshape(y0.shape)
+        return sol.y[:, -1].reshape(y0.shape)[0]
 
     @staticmethod
     def _check_decay(traj, x0, c, dt=0.01):
