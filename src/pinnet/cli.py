@@ -646,14 +646,14 @@ def _finish_run(cfg: ScenarioConfig, report: ConditionReport, outcome, out: Path
         )
     final_sync = float(series.sync_ratio[-1]) if series.sync_ratio is not None else None
     final_pin = float(series.pin_ratio[-1]) if series.pin_ratio is not None else None
-    lines.append(
-        "final sync_ratio: "
-        + (f"{final_sync:.6g}" if final_sync is not None else "undefined")
-    )
-    lines.append(
-        "final pin_ratio: "
-        + (f"{final_pin:.6g}" if final_pin is not None else "undefined")
-    )
+    for label, final, floor in (
+        ("sync_ratio", final_sync, series.sync_floor),
+        ("pin_ratio", final_pin, series.pin_floor),
+    ):
+        line = f"final {label}: " + (f"{final:.6g}" if final is not None else "undefined")
+        if final is not None and final < floor:
+            line += f" (below roundoff floor {floor:.2g})"
+        lines.append(line)
     if rate is not None:
         lines.append(
             f"fitted pin decay rate over [{window[0]:g}, {window[1]:g}]: {rate:.6g}"

@@ -145,10 +145,27 @@ def chua_diode(x1):
     """Piecewise-linear diode characteristic h(x) = (2/7)x - (3/14)(|x+1| - |x-1|).
 
     Slope is -1/7 on |x| <= 1 and 2/7 outside; continuous at the kinks, with
-    h(0) = 0.
+    h(0) = 0. Evaluated through the exact identity
+    ``|x+1| - |x-1| = 2 clip(x, -1, 1)`` as ``(2/7)x - (3/7) clip(x, -1, 1)``:
+    the absolute-value form rounds to 0 for |x| below about 1e-16 and so
+    takes the outer slope 2/7 there, while the clip keeps the middle slope
+    down to the smallest subnormal.
     """
     x1 = np.asarray(x1, dtype=float)
-    return (2.0 / 7.0) * x1 - (3.0 / 14.0) * (np.abs(x1 + 1.0) - np.abs(x1 - 1.0))
+    return (2.0 / 7.0) * x1 - (3.0 / 7.0) * np.minimum(np.maximum(x1, -1.0), 1.0)
+
+
+def _chua_affine(k: float, l: float) -> tuple[np.ndarray, float]:
+    """``J_outer^T`` and the diode gain ``3k/7`` of the circuit field."""
+    return chua_region_jacobian("right", k, l).T.copy(), 3.0 * k / 7.0
+
+
+def _chua_eval(x: np.ndarray, jt: np.ndarray, gain: float) -> np.ndarray:
+    """``x @ J_outer^T + gain clip(x1, -1, 1) e1`` on float ``(..., 3)`` states."""
+    out = x @ jt
+    # np.clip goes through a Python wrapper; the two ufuncs are cheaper
+    out[..., 0] += gain * np.minimum(np.maximum(x[..., 0], -1.0), 1.0)
+    return out
 
 
 def chua_field(x, k: float = CHUA_K, l: float = CHUA_L) -> np.ndarray:
@@ -160,12 +177,18 @@ def chua_field(x, k: float = CHUA_K, l: float = CHUA_L) -> np.ndarray:
 
     At k = 9, l = 100/7 the circuit carries the double-scroll chaotic
     attractor; the origin is an equilibrium since h(0) = 0.
+
+    With the diode written as ``(2/7)x1 - (3/7) clip(x1, -1, 1)`` the field
+    is one matrix product plus a clipped correction,
+    ``x @ J_outer^T + (3k/7) clip(x1, -1, 1) e1``, where ``J_outer`` is the
+    outer-region Jacobian (:func:`chua_region_jacobian`). The registered
+    ``chua`` dynamics evaluate the same arithmetic with ``J_outer^T`` built
+    once.
     """
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != 3:
         raise ValueError(f"chua state must have last dimension 3, got {x.shape}")
-    x1, x2, x3 = x[..., 0], x[..., 1], x[..., 2]
-    return np.stack([k * (x2 - chua_diode(x1)), x1 - x2 + x3, -l * x2], axis=-1)
+    return _chua_eval(x, *_chua_affine(k, l))
 
 
 CHUA_REGIONS = ("left", "middle", "right")
@@ -210,11 +233,10 @@ class Dynamics:
 def _build_chua(dim: int, params: Mapping) -> FieldFn:
     if dim != 3:
         raise CouplingError(f"chua dynamics is 3-dimensional, got dim={dim}")
-    k = float(params.get("k", CHUA_K))
-    l = float(params.get("l", CHUA_L))
+    jt, gain = _chua_affine(float(params.get("k", CHUA_K)), float(params.get("l", CHUA_L)))
 
     def fn(x, t):
-        return chua_field(x, k=k, l=l)
+        return _chua_eval(x, jt, gain)
 
     return fn
 

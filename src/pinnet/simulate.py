@@ -4,7 +4,12 @@ Classical RK4 advances all node states and the reference trajectory on one
 uniform grid. The reference is integrated, never assumed: an equilibrium
 start stays put only because the field maps it there. A norm guard converts
 silent blowup into a :class:`DivergenceError` carrying the partial trajectory
-and the time of the breach.
+and the time of the breach. Each step first takes one reduction, ``max|y|``:
+a node norm is at most ``sqrt(n) max|y|``, so while that stays under
+``DIVERGENCE_NORM / sqrt(n)`` (shaved for roundoff) no node can breach and
+the per-node check is skipped. NaN and inf fail the comparison and take the
+full check, so errors, blow-up times and partial trajectories are exactly
+those of checking every node norm on every step.
 
 The state is the stacked array ``y = [x; s]`` and the field is
 ``f(y) + M g(y)`` (:func:`pinnet.model.make_network_rhs`). There is one
@@ -163,6 +168,10 @@ def integrate_batch(
     half = 0.5 * dt
     sixth = dt / 6.0
     guard2 = DIVERGENCE_NORM * DIVERGENCE_NORM
+    # a node norm is at most sqrt(n) max|y|; the shave covers the roundoff of
+    # this bound and of the n-term sum of squares, so passing it proves that
+    # no node breaches the guard (NaN and inf fail it)
+    safe = DIVERGENCE_NORM / np.sqrt(n) * (1.0 - 4.0 * (n + 2) * np.finfo(float).eps)
 
     for i in range(steps):
         t = times[i]
@@ -172,6 +181,8 @@ def integrate_batch(
         k4 = rhs(y + dt * k3, t + dt)
         y = y + sixth * (k1 + 2.0 * (k2 + k3) + k4)
         buf[rows, i + 1] = y
+        if np.abs(y).max() <= safe:
+            continue
         if not np.all(np.isfinite(y)):
             k = live[np.argmin(np.isfinite(y).all(axis=(1, 2)))]
             raise ValueError(
@@ -219,16 +230,26 @@ class MetricSeries:
     either is None when its initial denominator vanishes (the ratio is
     undefined, not 0/0). ``lyapunov`` is V(t) = 0.5 sum_i w_i dx_i^T P dx_i
     with dx_i = x_i - s.
+
+    ``sync_floor`` and ``pin_floor`` are the roundoff floors of the final
+    ratios: at the last sample, sum_i |x_i - xbar| cannot be resolved below
+    about m eps max_i |x_i|, nor sum_i |x_i - s| below about
+    m eps (max_i |x_i| + |s|), each divided by its ratio's t = 0
+    denominator. A final ratio under its floor is roundoff, not a measured
+    level. Each is None where its ratio is.
     """
 
     times: np.ndarray
     sync_ratio: Optional[np.ndarray]
     pin_ratio: Optional[np.ndarray]
     lyapunov: np.ndarray
+    sync_floor: Optional[float] = None
+    pin_floor: Optional[float] = None
 
 
 def metrics(traj: Trajectory, weights=None, p=None) -> MetricSeries:
-    """Sync ratio, pin ratio, and the weighted quadratic error V(t).
+    """Sync ratio, pin ratio, the weighted quadratic error V(t), and the
+    roundoff floors of the final ratios (see :class:`MetricSeries`).
 
     ``weights`` default to 1 per node (pass the left Perron vector for
     asymmetric coupling); ``p`` is the diagonal of P, default identity.
@@ -247,13 +268,26 @@ def metrics(traj: Trajectory, weights=None, p=None) -> MetricSeries:
     xbar = x.mean(axis=1)
     sync_dev = np.linalg.norm(x - xbar[:, None, :], axis=2).sum(axis=1)
     pin_dev = np.linalg.norm(x - s[:, None, :], axis=2).sum(axis=1)
-    sync_ratio = sync_dev / sync_dev[0] if sync_dev[0] > 0.0 else None
-    pin_ratio = pin_dev / pin_dev[0] if pin_dev[0] > 0.0 else None
+    sync_ratio = pin_ratio = sync_floor = pin_floor = None
+    roundoff = m * np.finfo(float).eps
+    x_top = float(np.linalg.norm(x[-1], axis=1).max())
+    s_top = float(np.linalg.norm(s[-1]))
+    if sync_dev[0] > 0.0:
+        sync_ratio = sync_dev / sync_dev[0]
+        sync_floor = roundoff * x_top / float(sync_dev[0])
+    if pin_dev[0] > 0.0:
+        pin_ratio = pin_dev / pin_dev[0]
+        pin_floor = roundoff * (x_top + s_top) / float(pin_dev[0])
 
     dx = x - s[:, None, :]
     lyap = 0.5 * np.einsum("tik,k,i->t", dx * dx, pd, w)
     return MetricSeries(
-        times=traj.times, sync_ratio=sync_ratio, pin_ratio=pin_ratio, lyapunov=lyap
+        times=traj.times,
+        sync_ratio=sync_ratio,
+        pin_ratio=pin_ratio,
+        lyapunov=lyap,
+        sync_floor=sync_floor,
+        pin_floor=pin_floor,
     )
 
 

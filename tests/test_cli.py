@@ -3,6 +3,7 @@ import copy
 import dataclasses
 import io
 import json
+import re
 
 import numpy as np
 import pytest
@@ -318,6 +319,23 @@ class TestRunScenario:
         assert "theorem2: holds" in text
         assert "final pin_ratio" in text
         assert result.monitor.violations == 0
+
+    def test_roundoff_level_ratios_are_marked(self, tmp_path):
+        # fig2's late sync ratio is roundoff of node states near 1.7e6; fig4's
+        # 1e-70 ratios are differences of states of that same tiny scale, so
+        # they are resolved
+        fig2 = run_scenario(parse_scenario("fig2-sym-uncontrolled"), out_dir=tmp_path)
+        fig4 = run_scenario(parse_scenario("fig4-sym-pinned"), out_dir=tmp_path)
+        lines2 = fig2.summary_text.splitlines()
+        sync_line = next(line for line in lines2 if line.startswith("final sync_ratio"))
+        assert re.fullmatch(r"final sync_ratio: \S+ \(below roundoff floor \S+\)", sync_line)
+        assert "final pin_ratio: 28678.4" in lines2
+        assert fig4.final_sync < 1e-60 and fig4.final_pin < 1e-60
+        assert "roundoff" not in fig4.summary_text
+        for result in (fig2, fig4):
+            lines = result.metrics_path.read_text().splitlines()
+            assert lines[0] == "t,sync_ratio,pin_ratio,lyapunov"
+            assert lines[-1].split(",")[1] == format(result.final_sync, ".17g")
 
     def test_deterministic_outputs(self, tmp_path):
         r1 = run_scenario(_short("fig4-sym-pinned"), out_dir=tmp_path / "a")

@@ -149,6 +149,45 @@ class TestChuaField:
         assert chua_diode(-1.0) == 1.0 / 7.0
         assert chua_diode(-1.0) == (2.0 / 7.0) * -1.0 + 3.0 / 7.0
 
+    def test_diode_keeps_the_middle_slope_near_zero(self):
+        # |x+1| - |x-1| rounds to 0 here; the diode must still read -x/7
+        for x in (1e-20, -1e-200, 5e-324):
+            assert chua_diode(x) == pytest.approx(-x / 7.0, rel=1e-15, abs=0.0), x
+
+    def test_field_matches_the_regional_affine_form(self):
+        # f(x) = J_region x + offset on each linear region: seeded states in
+        # the outer regions, the middle, at x1 = +-1 exactly, and far below
+        # |x1| = 1e-8 (scaled as a whole, so x1 is not swamped by x2, x3)
+        k, l = 9.0, 100.0 / 7.0
+        rng = np.random.default_rng(7)
+        groups = []
+        for x1 in (
+            rng.uniform(-60.0, -1.0, 200),
+            rng.uniform(-1.0, 1.0, 200),
+            np.where(rng.random(200) < 0.5, -1.0, 1.0),
+            rng.uniform(1.0, 60.0, 200),
+        ):
+            g = rng.uniform(-50.0, 50.0, (200, 3))
+            g[:, 0] = x1
+            groups.append(g)
+        tiny = 10.0 ** rng.uniform(-300.0, -8.0, (200, 1))
+        groups.append(rng.uniform(-1.0, 1.0, (200, 3)) * tiny)
+        x = np.concatenate(groups)
+        outer = np.sign(x[:, 0]) * (np.abs(x[:, 0]) > 1.0)
+        jac = np.where(
+            (outer == 0.0)[:, None, None],
+            chua_region_jacobian("middle", k, l),
+            chua_region_jacobian("right", k, l),
+        )
+        offset = np.zeros_like(x)
+        offset[:, 0] = outer * 3.0 * k / 7.0
+        expected = np.einsum("bij,bj->bi", jac, x) + offset
+        scale = np.einsum("bij,bj->bi", np.abs(jac), np.abs(x)) + np.abs(offset)
+        got = chua_field(x, k=k, l=l)
+        bad = np.argwhere(np.abs(got - expected) > 1e-14 * scale)
+        assert not bad.size, f"{len(bad)} mismatches, first at x = {x[bad[0, 0]]}"
+        np.testing.assert_array_equal(make_dynamics("chua")(x), got)
+
     def test_vectorized_over_nodes(self):
         x = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
         out = chua_field(x)

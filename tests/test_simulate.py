@@ -17,12 +17,16 @@ from pinnet import (
     make_coupling_function,
     make_dynamics,
     metrics,
+    chua_region_jacobian,
     parse_scenario,
+    pinned_matrix,
+    register_dynamics,
+    run_scenario,
     validate_coupling,
 )
 from pinnet.model import make_network_rhs
 from pinnet.scenarios import BUILTIN_SCENARIOS
-from pinnet.simulate import grid_steps, integrate_batch
+from pinnet.simulate import Trajectory, grid_steps, integrate_batch
 
 SYM_3NODE = validate_coupling([[-5.1, 5.0, 0.1], [5.0, -11.0, 6.0], [0.1, 6.0, -6.1]])
 SPREAD_X0 = np.array([[40.1, 20.2, 30.3], [20.4, 30.5, 10.6], [60.7, 40.8, 50.9]])
@@ -191,6 +195,45 @@ class TestIntegrateBatch:
         assert all(isinstance(r, DivergenceError) for r in batch)
         assert batch[1].blowup_time < batch[0].blowup_time
 
+    def test_guard_fires_on_the_norm_not_the_largest_component(self):
+        # three equal components growing at rate 1 from 0.5e9 and from 0.7e9:
+        # the node norm sqrt(3) x crosses 1e9 while every component is still
+        # under 1e9 (the 0.7e9 member at the first step, with norm 1.21e9)
+        grow = _single_node(rate=-1.0, dim=3)
+        calm = _single_node(rate=-1.0, dim=3, pin=PinPlan(1, 3.0, 1.0))
+        s0 = np.zeros(3)
+        x0s = [np.full((1, 3), v) for v in (0.5e9, 0.5e9, 0.25e9, 0.7e9)]
+        systems = [calm, grow, calm, grow]
+        batch = integrate_batch(systems, x0s, [s0] * 4, dt=0.01, t_max=1.0)
+        for k in (1, 3):
+            # hand-computed norm check after each step, on the same run
+            # scaled by 2**-10 (exact for a linear field, and far below the
+            # guard)
+            small = integrate(grow, x0s[k] / 1024.0, s0, dt=0.01, t_max=1.0)
+            states = small.states[:, 0, :] * 1024.0
+            first = 1 + int(np.argmax(np.linalg.norm(states[1:], axis=1) > 1e9))
+            assert np.linalg.norm(states[first]) > 1e9 > np.abs(states[first]).max()
+            err = batch[k]
+            assert isinstance(err, DivergenceError)
+            assert err.blowup_time == small.times[first]
+            np.testing.assert_array_equal(err.trajectory.states[:, 0, :], states[: first + 1])
+        assert batch[1].blowup_time > 0.1 and batch[3].blowup_time == 0.01
+        for k in (0, 2):
+            solo = integrate(calm, x0s[k], s0, dt=0.01, t_max=1.0)
+            np.testing.assert_array_equal(batch[k].states, solo.states)
+            np.testing.assert_array_equal(batch[k].reference, solo.reference)
+
+    def test_non_finite_member_is_named(self):
+        register_dynamics(
+            "test_nan_above_2", lambda dim, params: lambda x, t: np.where(x > 2.0, np.nan, -x)
+        )
+        sys_ = NetworkSystem(
+            coupling=validate_coupling(np.zeros((1, 1))),
+            dynamics=make_dynamics("test_nan_above_2", dim=1),
+        )
+        with pytest.raises(ValueError, match="non-finite values in batch member 2 at t=0.1"):
+            integrate_batch([sys_, sys_], [[[1.0]], [[3.0]]], [[0.0]] * 2, dt=0.1, t_max=1.0)
+
     def test_validation_names_member_and_field(self):
         systems = [_single_node(), _single_node()]
         with pytest.raises(ValueError, match="one x0 and one s0 per system"):
@@ -276,6 +319,38 @@ class TestIntegratorOracle:
         np.testing.assert_array_equal(batch[1].states, solo.states)
 
 
+class TestDecayRateOracle:
+    # Near the reference s = 0 every pinned built-in runs in the middle region
+    # of Chua's diode, so the pin error decays at the spectral abscissa of the
+    # linearization kron(I, J_middle) + g'(0) kron(c A_pinned, I). The summary
+    # fits on [0, 10]; a run cut at t = 10 fits the same samples, and fig4
+    # runs at its shipped grid.
+    @pytest.mark.parametrize(
+        "name, horizon",
+        [
+            ("fig4-sym-pinned", None),
+            ("fig5-asym-pinned", 10.0),
+            ("nonlinear-pinned", 10.0),
+            ("reducible-pinned", 10.0),
+        ],
+    )
+    def test_fitted_rate_matches_the_middle_region_linearization(self, tmp_path, name, horizon):
+        cfg = parse_scenario(name)
+        if horizon is not None:
+            cfg = dataclasses.replace(cfg, t_max=horizon)
+        result = run_scenario(cfg, out_dir=tmp_path)
+        sys_ = build_system(cfg)
+        g = sys_.gfun
+        slope = float((g(1e-6) - g(-1e-6)) / 2e-6)
+        coupling = cfg.pin.c * pinned_matrix(sys_.coupling, sys_.pin)
+        lin = np.kron(np.eye(sys_.coupling.m), chua_region_jacobian("middle")) + slope * np.kron(
+            coupling, np.eye(3)
+        )
+        abscissa = float(np.max(np.linalg.eigvals(lin).real))
+        assert result.fit_window == (0.0, 10.0)
+        assert result.fitted_rate == pytest.approx(abscissa, rel=0.02)
+
+
 class TestRK4Order:
     def test_convergence_ratio_on_exponential(self):
         errors = []
@@ -317,6 +392,19 @@ class TestMetrics:
         series = metrics(traj)
         assert series.sync_ratio[0] == 1.0
         assert series.pin_ratio[0] == 1.0
+
+    def test_roundoff_floors_of_the_final_ratios(self):
+        # t = 0: spread 2 about the mean, distance 4 to s; last sample:
+        # max |x_i| = 8, |s| = 2, so the floors are 2 eps 8 / 2 and 2 eps 10 / 4
+        traj = Trajectory(
+            times=np.array([0.0, 1.0]),
+            states=np.array([[[1.0], [3.0]], [[8.0], [-8.0]]]),
+            reference=np.array([[0.0], [2.0]]),
+        )
+        series = metrics(traj)
+        eps = np.finfo(float).eps
+        assert series.sync_floor == 8.0 * eps
+        assert series.pin_floor == 5.0 * eps
 
     def test_uniform_offset_leaves_sync_undefined(self):
         s0 = np.array([1.0, 2.0])
