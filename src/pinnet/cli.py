@@ -628,7 +628,7 @@ def _finish_run(cfg: ScenarioConfig, report: ConditionReport, outcome, out: Path
     rate, window = _summary_fit(series, cfg.t_max)
     monitor = None
     if cfg.certificate is not None:
-        monitor = lyapunov_monitor(traj, cfg.certificate, weights=weights)
+        monitor = lyapunov_monitor(series, cfg.certificate)
 
     traj_path = out / cfg.outputs["trajectory"]
     metrics_path = out / cfg.outputs["metrics"]

@@ -211,6 +211,40 @@ def certified_quad_margin(dynamics: Dynamics, p, delta) -> float:
     )
 
 
+# pairs drawn per pair of RNG calls (this fixes the draw stream) and rows
+# evaluated at once (a block's temporaries stay in cache)
+_QUAD_CHUNK = 200_000
+_QUAD_BLOCK = 8192
+
+
+def _quad_box(box, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-dimension ``(lo, hi)`` of a sampling box, rejected unless every
+    width squares to a normal float and the squares sum to a finite one."""
+    lo, hi = box
+    lo = np.broadcast_to(np.asarray(lo, dtype=float), (n,)).copy()
+    hi = np.broadcast_to(np.asarray(hi, dtype=float), (n,)).copy()
+    if not np.all(hi > lo) or not np.all(np.isfinite(lo) & np.isfinite(hi)):
+        raise ValueError(f"degenerate sampling box: lo={lo}, hi={hi}")
+    with np.errstate(over="ignore", under="ignore"):
+        width2 = (hi - lo) ** 2
+    if not (np.all(width2 >= np.finfo(float).tiny) and np.isfinite(width2.sum())):
+        raise ValueError(
+            f"sampling box lo={lo}, hi={hi}: its squared widths {width2} "
+            "underflow or overflow, so |x-y|^2 cannot be resolved"
+        )
+    return lo, hi
+
+
+def _to_box(u: np.ndarray, lo_rows: np.ndarray, width_rows: np.ndarray) -> None:
+    """Map uniform draws ``u`` (C-contiguous rows of states) in place to
+    ``lo + width * u``, which is ``rng.uniform(lo, hi)`` bit for bit.
+    ``lo_rows`` and ``width_rows`` are lo and width tiled over at least as
+    many rows, so both products run on contiguous memory."""
+    flat = u.reshape(-1)
+    np.multiply(flat, width_rows[:flat.size], out=flat)
+    np.add(flat, lo_rows[:flat.size], out=flat)
+
+
 def quad_check_sampled(
     dynamics: Dynamics,
     cert: QuadCertificate,
@@ -222,52 +256,103 @@ def quad_check_sampled(
 
     Samples state pairs uniformly in the box and evaluates the decrease
     quotient -(x-y)^T P (f(x) - Delta x - f(y) + Delta y) / ||x-y||^2; the
-    verdict holds when the minimum observed quotient is >= cert.eta.
-    Sampling can only refute a certificate, never prove one. Coincident
-    pairs are redrawn, so the quotient is well defined for every sample.
-    ``box`` is (lo, hi) scalars or per-dimension arrays; the detail records
-    it per dimension.
+    verdict holds when the minimum observed quotient is >= cert.eta, and
+    the detail names the first pair that attains it. Sampling can only
+    refute a certificate, never prove one. ``box`` is (lo, hi) scalars or
+    per-dimension arrays; the detail records it per dimension.
+
+    Draws: ``default_rng(seed)`` yields the pairs in chunks of 200,000 (the
+    last one partial), all x of a chunk and then all y, each state as
+    ``lo + (hi - lo) u`` with u uniform on [0, 1). Coincident pairs
+    (``||x-y||^2 == 0``) get a fresh y, drawn the same way, block by block
+    in index order until none is left.
+
+    Evaluation runs in blocks of 8192 pairs with one column of states at a
+    time. ``||x-y||^2`` is numpy's ``einsum``, and the n products
+    ``(x-y)_k (p_k (f(x) - f(y))_k - p_k Delta_k (x-y)_k)`` are summed left
+    to right from +0.0. That is ``.sum(axis=1)`` of the same products bit
+    for bit while n <= 7; for n >= 8 numpy sums pairwise, and the two
+    orders differ by at most 2 (n - 1) eps sum_k |product_k| per pair.
+
+    Raises ``ValueError`` for a box whose widths square below the smallest
+    normal float or sum beyond the largest (``||x-y||^2`` would underflow
+    to 0 for every pair, or overflow), and for the first pair whose
+    quotient is not finite: the field must be finite on the box.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     n = dynamics.dim
-    lo, hi = box
-    lo = np.broadcast_to(np.asarray(lo, dtype=float), (n,)).copy()
-    hi = np.broadcast_to(np.asarray(hi, dtype=float), (n,)).copy()
-    if not np.all(hi > lo) or not np.all(np.isfinite(lo) & np.isfinite(hi)):
-        raise ValueError(f"degenerate sampling box: lo={lo}, hi={hi}")
+    lo, hi = _quad_box(box, n)
     p, delta = cert.p, cert.delta
     if p.shape != (n,):
         raise ValueError(f"certificate dimension {p.shape[0]} != dynamics dim {n}")
+    pd = p * delta
 
+    samples = int(samples)
     rng = np.random.default_rng(seed)
+    chunk = min(_QUAD_CHUNK, samples)
+    x_buf, y_buf = np.empty((chunk, n)), np.empty((chunk, n))
+    block = min(_QUAD_BLOCK, chunk)
+    lo_rows, width_rows = np.tile(lo, block), np.tile(hi - lo, block)
+    d_buf, nrm2_buf = np.empty((block, n)), np.empty(block)
+    ratio_buf, term_buf, tmp_buf = np.empty(block), np.empty(block), np.empty(block)
     best = np.inf
     best_pair = (None, None)
-    chunk = 200_000
-    remaining = int(samples)
-    while remaining > 0:
-        size = min(chunk, remaining)
-        remaining -= size
-        x = rng.uniform(lo, hi, size=(size, n))
-        y = rng.uniform(lo, hi, size=(size, n))
-        d = x - y
-        nrm2 = np.einsum("ij,ij->i", d, d)
-        while np.any(nrm2 == 0.0):
-            idx = np.nonzero(nrm2 == 0.0)[0]
-            y[idx] = rng.uniform(lo, hi, size=(idx.size, n))
-            d[idx] = x[idx] - y[idx]
-            nrm2[idx] = np.einsum("ij,ij->i", d[idx], d[idx])
-        decrease = -(d * (p * (dynamics(x) - dynamics(y)) - (p * delta) * d)).sum(axis=1)
-        quotients = decrease / nrm2
-        k = int(np.argmin(quotients))
-        if quotients[k] < best:
-            best = float(quotients[k])
-            best_pair = (x[k].copy(), y[k].copy())
+    for chunk_start in range(0, samples, _QUAD_CHUNK):
+        size = min(_QUAD_CHUNK, samples - chunk_start)
+        x_chunk, y_chunk = x_buf[:size], y_buf[:size]
+        rng.random(out=x_chunk)
+        rng.random(out=y_chunk)
+        for start in range(0, size, _QUAD_BLOCK):
+            x, y = x_chunk[start:start + _QUAD_BLOCK], y_chunk[start:start + _QUAD_BLOCK]
+            _to_box(x, lo_rows, width_rows)
+            _to_box(y, lo_rows, width_rows)
+            rows = x.shape[0]
+            d, nrm2 = d_buf[:rows], nrm2_buf[:rows]
+            ratio, term, tmp = ratio_buf[:rows], term_buf[:rows], tmp_buf[:rows]
+            np.subtract(x, y, out=d)
+            np.einsum("ij,ij->i", d, d, out=nrm2)
+            while True:
+                idx = np.flatnonzero(nrm2 == 0.0)
+                if idx.size == 0:
+                    break
+                fresh = rng.random((idx.size, n))
+                _to_box(fresh, lo_rows, width_rows)
+                y[idx] = fresh
+                d[idx] = x[idx] - fresh
+                nrm2[idx] = np.einsum("ij,ij->i", d[idx], d[idx])
+            df = dynamics(x) - dynamics(y)
+            # ratio = sum_k d_k (p_k df_k - pd_k d_k) / |d|^2 is minus the
+            # quotient, so its first argmax is the quotient's first argmin
+            for k in range(n):
+                acc = ratio if k == 0 else term
+                np.multiply(df[:, k], p[k], out=acc)
+                np.multiply(d[:, k], pd[k], out=tmp)
+                acc -= tmp
+                acc *= d[:, k]
+                if k:
+                    ratio += term
+            ratio /= nrm2
+            finite = np.isfinite(ratio)
+            if not finite.all():
+                i = int(np.argmin(finite))
+                raise ValueError(
+                    f"non-finite QUAD quotient at sample {chunk_start + start + i}: "
+                    f"x={x[i]}, y={y[i]} (the field is not finite there, "
+                    "or the quotient overflows)"
+                )
+            i = int(np.argmax(ratio))
+            # numpy's sum starts from +0.0, so a zero sum is +0.0 and its
+            # quotient -0.0; adding 0.0 keeps that sign
+            quotient = float(-(ratio[i] + 0.0))
+            if quotient < best:
+                best = quotient
+                best_pair = (x[i].copy(), y[i].copy())
     margin = cert.eta - best
     detail = {
         "min_quotient": best,
         "minimizing_pair": best_pair,
-        "samples": int(samples),
+        "samples": samples,
         "seed": int(seed),
         "box": (lo, hi),
     }

@@ -237,6 +237,8 @@ class MetricSeries:
     m eps (max_i |x_i| + |s|), each divided by its ratio's t = 0
     denominator. A final ratio under its floor is roundoff, not a measured
     level. Each is None where its ratio is.
+
+    ``p`` is the diagonal of P that V was taken with.
     """
 
     times: np.ndarray
@@ -245,6 +247,7 @@ class MetricSeries:
     lyapunov: np.ndarray
     sync_floor: Optional[float] = None
     pin_floor: Optional[float] = None
+    p: Optional[np.ndarray] = None
 
 
 def metrics(traj: Trajectory, weights=None, p=None) -> MetricSeries:
@@ -288,6 +291,7 @@ def metrics(traj: Trajectory, weights=None, p=None) -> MetricSeries:
         lyapunov=lyap,
         sync_floor=sync_floor,
         pin_floor=pin_floor,
+        p=pd,
     )
 
 
@@ -322,27 +326,33 @@ class MonitorReport:
 
 
 def lyapunov_monitor(
-    traj: Trajectory,
+    series: MetricSeries,
     cert: QuadCertificate,
-    weights=None,
     tol_rate: float = 1e-3,
 ) -> MonitorReport:
     """Check V(t+dt) <= V(t) exp(-(eta / min_k p_k - tol_rate) dt) stepwise.
 
-    Report-only: violations are counted, never raised, since the bound is
-    meaningful only when the matching global condition holds. ``tol_rate``
-    absorbs the O(dt^4) integration error. Steps whose V has underflowed
-    below 1e-300 are skipped; the quadratic form is meaningless there.
+    ``series`` is the run's :func:`metrics` taken with ``p=cert.p`` (and the
+    run's node weights), so its V is the certificate's quadratic form; a
+    series taken with another P is rejected. Report-only: violations are
+    counted, never raised, since the bound is meaningful only when the
+    matching global condition holds. ``tol_rate`` absorbs the O(dt^4)
+    integration error. Steps whose V has underflowed below 1e-300 are
+    skipped; the quadratic form is meaningless there.
     """
-    series = metrics(traj, weights=weights, p=cert.p)
+    if series.p is None or not np.array_equal(series.p, cert.p):
+        raise ValueError(
+            f"series V was taken with p={series.p}, the certificate has p={cert.p}"
+        )
     v = series.lyapunov
+    times = series.times
     rate = cert.eta / float(cert.p.min()) - tol_rate
-    factor = float(np.exp(-rate * traj.dt))
+    factor = float(np.exp(-rate * float(times[1] - times[0])))
     prev, nxt = v[:-1], v[1:]
     considered = prev >= _MONITOR_FLOOR
     bad = considered & (nxt > prev * factor)
     count = int(bad.sum())
-    first = float(traj.times[1:][bad][0]) if count else None
+    first = float(times[1:][bad][0]) if count else None
     if np.any(considered):
         excess = float(np.max(nxt[considered] / (prev[considered] * factor) - 1.0))
     else:

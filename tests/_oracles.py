@@ -3,7 +3,9 @@
 These deliberately avoid the code paths they check: eigenvalues come from
 the characteristic polynomial (quadratic formula, or companion-matrix roots
 via numpy.roots for cubics) rather than the package's LAPACK eigensolver, and
-the minimal coupling strength is re-derived by bisection on the checker.
+the minimal coupling strength is re-derived by bisection on the checker,
+and the sampled QUAD falsifier is checked against its earlier whole-chunk
+form.
 """
 
 import numpy as np
@@ -56,3 +58,45 @@ def pairwise_quadratic_form(a, u, v) -> float:
         for j in range(i + 1, m):
             total -= a[i, j] * (u[i] - u[j]) * (v[i] - v[j])
     return total
+
+
+def quad_check_sampled_reference(dynamics, cert, box, samples, seed=0):
+    """The sampled QUAD falsifier in its whole-chunk form, returning
+    ``(min_quotient, minimizing_pair, holds, margin)``.
+
+    Each 200,000-pair chunk is drawn with ``rng.uniform``, x then y, and its
+    quotients are evaluated at once with ``(N, n)`` broadcasts; coincident
+    pairs are redrawn per chunk. It has no box limits and no non-finite
+    check.
+    """
+    n = dynamics.dim
+    lo, hi = box
+    lo = np.broadcast_to(np.asarray(lo, dtype=float), (n,)).copy()
+    hi = np.broadcast_to(np.asarray(hi, dtype=float), (n,)).copy()
+    p, delta = cert.p, cert.delta
+
+    rng = np.random.default_rng(seed)
+    best = np.inf
+    best_pair = (None, None)
+    chunk = 200_000
+    remaining = int(samples)
+    while remaining > 0:
+        size = min(chunk, remaining)
+        remaining -= size
+        x = rng.uniform(lo, hi, size=(size, n))
+        y = rng.uniform(lo, hi, size=(size, n))
+        d = x - y
+        nrm2 = np.einsum("ij,ij->i", d, d)
+        while np.any(nrm2 == 0.0):
+            idx = np.nonzero(nrm2 == 0.0)[0]
+            y[idx] = rng.uniform(lo, hi, size=(idx.size, n))
+            d[idx] = x[idx] - y[idx]
+            nrm2[idx] = np.einsum("ij,ij->i", d[idx], d[idx])
+        decrease = -(d * (p * (dynamics(x) - dynamics(y)) - (p * delta) * d)).sum(axis=1)
+        quotients = decrease / nrm2
+        k = int(np.argmin(quotients))
+        if quotients[k] < best:
+            best = float(quotients[k])
+            best_pair = (x[k].copy(), y[k].copy())
+    margin = cert.eta - best
+    return best, best_pair, bool(best >= cert.eta), float(margin)

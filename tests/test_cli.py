@@ -313,6 +313,24 @@ class TestRunScenario:
         # reference row (node 0) plus one row per node per sample
         assert len(traj_lines) == 1 + 501 * 4
 
+    def test_metrics_taken_once_per_run(self, tmp_path, monkeypatch):
+        # the Lyapunov monitor reads V(t) from the run's own metrics
+        import pinnet.cli
+        import pinnet.simulate
+
+        calls = []
+        real = pinnet.simulate.metrics
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(pinnet.simulate, "metrics", counted)
+        monkeypatch.setattr(pinnet.cli, "metrics", counted)
+        result = run_scenario(_short("fig5-asym-pinned", 0.5), out_dir=tmp_path)
+        assert result.monitor is not None
+        assert len(calls) == 1
+
     def test_summary_mentions_verdicts(self, tmp_path):
         result = run_scenario(_short("fig4-sym-pinned"), out_dir=tmp_path)
         text = result.summary_path.read_text()

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pinnet import (
+    Dynamics,
     NetworkSystem,
     PinPlan,
     QuadCertificate,
@@ -29,13 +32,32 @@ from pinnet import (
     validate_coupling,
 )
 
-from _oracles import bisect_min_c, charpoly_eigenvalues
+from _oracles import bisect_min_c, charpoly_eigenvalues, quad_check_sampled_reference
 
 SYM_3NODE = validate_coupling([[-5.1, 5.0, 0.1], [5.0, -11.0, 6.0], [0.1, 6.0, -6.1]])
 ASYM_3NODE = validate_coupling([[-2.0, 1.0, 1.0], [1.0, -2.0, 1.0], [0.0, 1.0, -1.0]])
 TWO_BLOCK = validate_coupling([[-1.0, 1.0, 0.0], [1.0, -1.0, 0.0], [1.0, 1.0, -2.0]])
 
 CERT_10 = QuadCertificate(p=np.ones(3), delta=10.0 * np.ones(3), eta=0.6218)
+CERT_SKEWED = QuadCertificate(
+    p=np.array([1.0, 0.37, 2.5]), delta=np.array([3.0, 11.0, 0.5]), eta=1.2
+)
+QUAD_BOXES = {
+    "cube": (-30.0, 30.0),
+    "hull": (np.array([-1.5, -20.0, 0.3]), np.array([2.5, 7.0, 0.9])),
+    # 17 doubles per coordinate: about 45 coincident pairs per chunk are redrawn
+    "coarse": (1.0, 1.0 + 2.0**-48),
+}
+
+
+def _assert_same_falsifier(verdict, reference):
+    best, pair, holds, margin = reference
+    bits = lambda v: np.float64(v).tobytes()  # noqa: E731 - also tells -0.0 from 0.0
+    assert bits(verdict.detail["min_quotient"]) == bits(best)
+    assert bits(verdict.margin) == bits(margin)
+    assert verdict.holds == holds
+    for got, want in zip(verdict.detail["minimizing_pair"], pair):
+        np.testing.assert_array_equal(got, want)
 
 
 def _cert_10(n):
@@ -200,6 +222,78 @@ class TestQuadCheckSampled:
     def test_needs_positive_samples(self):
         with pytest.raises(ValueError):
             quad_check_sampled(make_dynamics("chua"), CERT_10, (-1.0, 1.0), 0)
+
+    @pytest.mark.parametrize("samples", [1, 7, 8191, 8192, 8193, 200_001, 450_000])
+    @pytest.mark.parametrize("box", ["cube", "hull", "coarse"])
+    def test_matches_the_whole_chunk_reference(self, samples, box):
+        # same draws, same redraws, same quotient arithmetic: every result
+        # bit for bit, across block and chunk edges, with non-uniform P and
+        # Delta
+        box = QUAD_BOXES[box]
+        for seed in (0, 7):
+            for cert in (CERT_10, CERT_SKEWED):
+                got = quad_check_sampled(make_dynamics("chua"), cert, box, samples, seed=seed)
+                _assert_same_falsifier(got, quad_check_sampled_reference(
+                    make_dynamics("chua"), cert, box, samples, seed=seed
+                ))
+
+    @pytest.mark.parametrize("dim", [1, 2, 5, 7])
+    @pytest.mark.parametrize("rate", [1.0, 0.0])
+    def test_matches_the_reference_in_other_dimensions(self, dim, rate):
+        # rate 0 with Delta = 0 makes every product a signed zero: the
+        # quotient's zero sign must follow numpy's sum too
+        dyn = make_dynamics("linear_decay", dim=dim, params={"rate": rate})
+        rng = np.random.default_rng(dim)
+        delta = rng.uniform(-1.0, 3.0, dim) if rate else np.zeros(dim)
+        cert = QuadCertificate(p=rng.uniform(0.5, 2.0, dim), delta=delta, eta=0.3)
+        got = quad_check_sampled(dyn, cert, (-2.0, 3.0), 20_000, seed=3)
+        _assert_same_falsifier(
+            got, quad_check_sampled_reference(dyn, cert, (-2.0, 3.0), 20_000, seed=3)
+        )
+
+    def test_memory_stays_bounded(self):
+        # the whole-chunk form peaks at about 31 MiB on this check
+        tracemalloc.start()
+        try:
+            quad_check_sampled(make_dynamics("chua"), CERT_10, (-30.0, 30.0), 1_000_000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+    def test_narrow_box_rejected_before_drawing(self):
+        # every |x-y|^2 would underflow to 0 and the redraw loop never end
+        cert = QuadCertificate(p=np.ones(1), delta=np.ones(1), eta=0.5)
+        with pytest.raises(ValueError, match="sampling box"):
+            quad_check_sampled(make_dynamics("linear_decay", dim=1), cert, (0.0, 1e-200), 10)
+
+    def test_huge_box_rejected_before_drawing(self):
+        # |x-y|^2 overflows: every quotient would be NaN
+        cert = QuadCertificate(p=np.ones(3), delta=10.0 * np.ones(3), eta=100.0)
+        with pytest.raises(ValueError, match="sampling box"):
+            quad_check_sampled(make_dynamics("chua"), cert, (-1e160, 1e160), 10)
+
+    def test_non_finite_quotient_fails_loudly(self):
+        # the squared widths are finite here but the decrease overflows;
+        # the whole-chunk form skipped NaN and passed eta = 100, which a
+        # (-30, 30) box refutes
+        cert = QuadCertificate(p=np.ones(3), delta=10.0 * np.ones(3), eta=100.0)
+        assert not quad_check_sampled(make_dynamics("chua"), cert, (-30.0, 30.0), 1000).holds
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="non-finite"):
+            quad_check_sampled(make_dynamics("chua"), cert, (-2.5e153, 2.5e153), 1000)
+
+    def test_single_nan_names_its_pair(self):
+        # a field that breaks the contract on part of the box: the first NaN
+        # is reported instead of hiding the block's real minimum
+        dyn = Dynamics(
+            kind="nan_probe", dim=1, params={},
+            field_fn=lambda x, t: np.where(x > 0.5, np.nan, -x),
+        )
+        cert = QuadCertificate(p=np.ones(1), delta=np.zeros(1), eta=0.5)
+        x = np.random.default_rng(4).uniform(-1.0, 1.0, size=(2, 100, 1))
+        first = int(np.flatnonzero((x[0] > 0.5) | (x[1] > 0.5))[0])
+        with pytest.raises(ValueError, match=f"non-finite QUAD quotient at sample {first}:"):
+            quad_check_sampled(dyn, cert, (-1.0, 1.0), 100, seed=4)
 
 
 def _chua_system(pin):

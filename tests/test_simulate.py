@@ -478,22 +478,29 @@ class TestDecayRateFit:
 class TestLyapunovMonitor:
     def test_pinned_run_is_clean(self):
         traj = integrate(_chua_net(PinPlan(1, 4.9, 10.0)), SPREAD_X0, np.zeros(3), 1e-3, 5.0)
-        report = lyapunov_monitor(traj, CERT, tol_rate=1e-3)
+        report = lyapunov_monitor(metrics(traj, p=CERT.p), CERT, tol_rate=1e-3)
         assert report.violations == 0
         assert report.first_violation_time is None
         assert report.required_rate == pytest.approx(0.6218 - 1e-3)
 
     def test_uncontrolled_run_reports_without_raising(self):
         traj = integrate(_chua_net(PinPlan(1, 0.0, 10.0)), SPREAD_X0, np.zeros(3), 1e-3, 10.0)
-        report = lyapunov_monitor(traj, CERT, tol_rate=1e-3)
+        report = lyapunov_monitor(metrics(traj, p=CERT.p), CERT, tol_rate=1e-3)
         assert report.violations > 0
         assert report.first_violation_time is not None
         assert report.worst_excess > 0
 
+    def test_series_must_carry_the_certificate_p(self):
+        traj = integrate(_chua_net(PinPlan(1, 4.9, 10.0)), SPREAD_X0, np.zeros(3), 1e-2, 1.0)
+        skewed = QuadCertificate(p=np.array([1.0, 2.0, 1.0]), delta=CERT.delta, eta=CERT.eta)
+        lyapunov_monitor(metrics(traj, p=skewed.p), skewed)
+        with pytest.raises(ValueError, match="p="):
+            lyapunov_monitor(metrics(traj), skewed)
+
     def test_zero_error_is_clean(self):
         x0 = np.zeros((3, 3))
         traj = integrate(_chua_net(PinPlan(1, 4.9, 10.0)), x0, np.zeros(3), 1e-2, 1.0)
-        report = lyapunov_monitor(traj, CERT)
+        report = lyapunov_monitor(metrics(traj, p=CERT.p), CERT)
         assert report.violations == 0
 
     def test_asymmetric_pinned_run_is_clean(self):
@@ -504,7 +511,7 @@ class TestLyapunovMonitor:
             build_system(cfg), cfg.initial_states, cfg.reference_initial, cfg.dt, 2.0
         )
         xi = left_null_vector(cfg.coupling)
-        report = lyapunov_monitor(traj, CERT, weights=xi, tol_rate=1e-3)
+        report = lyapunov_monitor(metrics(traj, weights=xi, p=CERT.p), CERT, tol_rate=1e-3)
         assert report.violations == 0
 
     def test_nonlinear_pinned_run_is_clean(self):
@@ -512,5 +519,5 @@ class TestLyapunovMonitor:
         traj = integrate(
             build_system(cfg), cfg.initial_states, cfg.reference_initial, cfg.dt, 2.0
         )
-        report = lyapunov_monitor(traj, CERT, tol_rate=1e-3)
+        report = lyapunov_monitor(metrics(traj, p=CERT.p), CERT, tol_rate=1e-3)
         assert report.violations == 0
