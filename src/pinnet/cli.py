@@ -15,9 +15,10 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from dataclasses import dataclass
-from pathlib import Path
+from pathlib import Path, PurePath
 from typing import Optional
 
 import numpy as np
@@ -114,6 +115,37 @@ def _number(value, where: str) -> float:
     return float(value)
 
 
+def _finite_array(value, where: str) -> np.ndarray:
+    """``value`` as a float array; a ``ScenarioError`` names ``where`` when it
+    holds anything but numbers (strings and booleans included), is ragged, or
+    has a non-finite entry (named 1-based, like node indices)."""
+    try:
+        arr = np.asarray(value)
+    except ValueError as err:
+        raise ScenarioError(f"{where} must be a regular array of numbers: {err}") from err
+    if arr.dtype.kind not in "iuf":
+        raise ScenarioError(f"{where} must hold numbers only, got {value!r}")
+    arr = arr.astype(float)
+    bad = np.argwhere(~np.isfinite(arr))
+    if bad.size:
+        index = tuple(bad[0])
+        entry = ",".join(str(i + 1) for i in index)
+        raise ScenarioError(f"{where} entry ({entry}) is not finite: {float(arr[index])}")
+    return arr
+
+
+def _check_file_name(value, where: str) -> None:
+    """Reject anything but a plain file name, which stays inside the output
+    directory: nonempty, not absolute, no separator, not . or .."""
+    if (
+        not isinstance(value, str)
+        or value in ("", ".", "..")
+        or PurePath(value).name != value
+        or (os.altsep is not None and os.altsep in value)
+    ):
+        raise ScenarioError(f"{where} must be a plain file name, got {value!r}")
+
+
 def _check_grid(dt: float, t_max: float, where: str) -> None:
     try:
         grid_steps(dt, t_max)
@@ -155,8 +187,10 @@ def parse_scenario(source) -> ScenarioConfig:
     name = _require(data, "name")
     if not isinstance(name, str) or not name:
         raise ScenarioError("scenario field 'name' must be a nonempty string")
+    # the default and sweep output names derive from it
+    _check_file_name(name, "name")
 
-    reference_initial = np.asarray(_require(data, "reference_initial"), dtype=float)
+    reference_initial = _finite_array(_require(data, "reference_initial"), "reference_initial")
     if reference_initial.ndim != 1 or reference_initial.size == 0:
         raise ScenarioError("reference_initial must be a nonempty flat list of numbers")
     n = reference_initial.size
@@ -164,11 +198,15 @@ def parse_scenario(source) -> ScenarioConfig:
     dyn_spec = _require(data, "dynamics")
     if not isinstance(dyn_spec, dict) or "kind" not in dyn_spec:
         raise ScenarioError("dynamics must be an object with a 'kind' field")
+    params = dyn_spec.get("params", {})
+    if not isinstance(params, dict):
+        raise ScenarioError(f"dynamics.params must be an object, got {params!r}")
+    for key, value in params.items():
+        if isinstance(value, float) and not np.isfinite(value):
+            raise ScenarioError(f"dynamics.params.{key} must be finite, got {value!r}")
     try:
-        dynamics = make_dynamics(
-            dyn_spec["kind"], dim=n, params=dyn_spec.get("params", {})
-        )
-    except (ValueError, CouplingError) as err:
+        dynamics = make_dynamics(dyn_spec["kind"], dim=n, params=params)
+    except (TypeError, ValueError, CouplingError) as err:
         raise ScenarioError(f"dynamics: {err}") from err
 
     coupling_spec = _require(data, "coupling")
@@ -187,7 +225,7 @@ def parse_scenario(source) -> ScenarioConfig:
         raise ScenarioError(f"coupling: {err}") from err
     m = coupling.m
 
-    initial_states = np.asarray(_require(data, "initial_states"), dtype=float)
+    initial_states = _finite_array(_require(data, "initial_states"), "initial_states")
     if initial_states.shape != (m, n):
         raise ScenarioError(
             f"initial_states must have shape ({m}, {n}) to match the coupling "
@@ -230,8 +268,8 @@ def parse_scenario(source) -> ScenarioConfig:
         cert_spec = data["certificate"]
         if not isinstance(cert_spec, dict):
             raise ScenarioError("certificate must be an object with P, Delta, eta")
-        p = np.asarray(_require(cert_spec, "P"), dtype=float)
-        delta = np.asarray(_require(cert_spec, "Delta"), dtype=float)
+        p = _finite_array(_require(cert_spec, "P"), "certificate.P")
+        delta = _finite_array(_require(cert_spec, "Delta"), "certificate.Delta")
         if p.shape != (n,) or delta.shape != (n,):
             raise ScenarioError(
                 f"certificate.P and certificate.Delta must be length-{n} lists"
@@ -257,14 +295,12 @@ def parse_scenario(source) -> ScenarioConfig:
             "metrics": f"{name}_metrics.csv",
             "summary": f"{name}_summary.txt",
         }
-    if (
-        not isinstance(outputs, dict)
-        or set(outputs) != {"trajectory", "metrics", "summary"}
-        or not all(isinstance(v, str) and v for v in outputs.values())
-    ):
+    if not isinstance(outputs, dict) or set(outputs) != {"trajectory", "metrics", "summary"}:
         raise ScenarioError(
             "outputs must map exactly 'trajectory', 'metrics', 'summary' to filenames"
         )
+    for key, value in outputs.items():
+        _check_file_name(value, f"outputs.{key}")
 
     return ScenarioConfig(
         name=name,
@@ -543,21 +579,22 @@ def write_trajectory_csv(path, traj: Trajectory) -> None:
     """Long-form ``t,node,x1..xn`` rows; the reference is node 0."""
     samples, m, n = traj.states.shape
     per_block = max(1, _TABLE_BLOCK // (m + 1))
-
-    def blocks():
+    # ",node,%.17g,...,%.17g\n" per node: each sample's time is formatted once
+    # and joined in as text, so one % per block formats only the states
+    values = ",".join(["%.17g"] * n) + "\n"
+    node_rows = [f",{node}," + values for node in range(m + 1)]
+    header = "t,node," + ",".join(f"x{k + 1}" for k in range(n))
+    with open(path, "w") as f:
+        f.write(header + "\n")
         # built per block of samples: a whole-run table would outgrow the run
         for start in range(0, samples, per_block):
             rows = slice(start, start + per_block)
-            times = traj.times[rows]
-            table = np.empty((len(times), m + 1, n + 2))
-            table[:, :, 0] = times[:, None]
-            table[:, :, 1] = np.arange(m + 1)
-            table[:, 0, 2:] = traj.reference[rows]
-            table[:, 1:, 2:] = traj.states[rows]
-            yield table.reshape(-1, n + 2)
-
-    header = "t,node," + ",".join(f"x{k + 1}" for k in range(n))
-    _write_table(path, header, blocks(), ["%.17g", "%d"] + ["%.17g"] * n)
+            stamps = ["%.17g" % t for t in traj.times[rows].tolist()]
+            table = np.empty((len(stamps), m + 1, n))
+            table[:, 0] = traj.reference[rows]
+            table[:, 1:] = traj.states[rows]
+            template = "".join([t + row for t in stamps for row in node_rows])
+            f.write(template % tuple(table.ravel().tolist()))
 
 
 def _summary_fit(series: MetricSeries, t_max: float):

@@ -321,18 +321,21 @@ def quad_check_sampled(
                 y[idx] = fresh
                 d[idx] = x[idx] - fresh
                 nrm2[idx] = np.einsum("ij,ij->i", d[idx], d[idx])
-            df = dynamics(x) - dynamics(y)
-            # ratio = sum_k d_k (p_k df_k - pd_k d_k) / |d|^2 is minus the
-            # quotient, so its first argmax is the quotient's first argmin
-            for k in range(n):
-                acc = ratio if k == 0 else term
-                np.multiply(df[:, k], p[k], out=acc)
-                np.multiply(d[:, k], pd[k], out=tmp)
-                acc -= tmp
-                acc *= d[:, k]
-                if k:
-                    ratio += term
-            ratio /= nrm2
+            # an overflow or inf - inf here is caught by the finiteness check
+            # below, which names the pair instead of warning about it
+            with np.errstate(over="ignore", invalid="ignore"):
+                df = dynamics(x) - dynamics(y)
+                # ratio = sum_k d_k (p_k df_k - pd_k d_k) / |d|^2 is minus the
+                # quotient, so its first argmax is the quotient's first argmin
+                for k in range(n):
+                    acc = ratio if k == 0 else term
+                    np.multiply(df[:, k], p[k], out=acc)
+                    np.multiply(d[:, k], pd[k], out=tmp)
+                    acc -= tmp
+                    acc *= d[:, k]
+                    if k:
+                        ratio += term
+                ratio /= nrm2
             finite = np.isfinite(ratio)
             if not finite.all():
                 i = int(np.argmin(finite))

@@ -155,16 +155,24 @@ def chua_diode(x1):
     return (2.0 / 7.0) * x1 - (3.0 / 7.0) * np.minimum(np.maximum(x1, -1.0), 1.0)
 
 
-def _chua_affine(k: float, l: float) -> tuple[np.ndarray, float]:
-    """``J_outer^T`` and the diode gain ``3k/7`` of the circuit field."""
-    return chua_region_jacobian("right", k, l).T.copy(), 3.0 * k / 7.0
+# 0-d operands: a ufunc converts a Python float on every call, which costs
+# more than the arithmetic on a network's few dozen doubles
+_MINUS_ONE = np.array(-1.0)
+_ONE = np.array(1.0)
+_HALF = np.array(0.5)
 
 
-def _chua_eval(x: np.ndarray, jt: np.ndarray, gain: float) -> np.ndarray:
+def _chua_affine(k: float, l: float) -> tuple[np.ndarray, np.ndarray]:
+    """``J_outer^T`` and the diode gain ``3k/7`` (0-d) of the circuit field."""
+    return chua_region_jacobian("right", k, l).T.copy(), np.array(3.0 * k / 7.0)
+
+
+def _chua_eval(x: np.ndarray, jt: np.ndarray, gain: np.ndarray) -> np.ndarray:
     """``x @ J_outer^T + gain clip(x1, -1, 1) e1`` on float ``(..., 3)`` states."""
     out = x @ jt
+    col = out[..., 0]
     # np.clip goes through a Python wrapper; the two ufuncs are cheaper
-    out[..., 0] += gain * np.minimum(np.maximum(x[..., 0], -1.0), 1.0)
+    np.add(col, np.multiply(np.minimum(np.maximum(x[..., 0], _MINUS_ONE), _ONE), gain), out=col)
     return out
 
 
@@ -301,7 +309,7 @@ def _g_identity(u):
 
 def _g_sine_blend(u):
     # slope 1 + 0.5 cos(u) stays in [0.5, 1.5]
-    return u + 0.5 * np.sin(u)
+    return np.add(u, np.multiply(np.sin(u), _HALF))
 
 
 _COUPLING_FUNCTIONS: dict[str, tuple[Callable, float]] = {
@@ -411,7 +419,6 @@ def make_network_rhs(systems) -> Callable[[np.ndarray, float], np.ndarray]:
 
     def rhs(y: np.ndarray, t: float) -> np.ndarray:
         out = field(y.reshape(-1, y.shape[-1]), t).reshape(y.shape)
-        out += op @ g(y)
-        return out
+        return np.add(out, op @ g(y), out=out)
 
     return rhs

@@ -4,12 +4,24 @@ Classical RK4 advances all node states and the reference trajectory on one
 uniform grid. The reference is integrated, never assumed: an equilibrium
 start stays put only because the field maps it there. A norm guard converts
 silent blowup into a :class:`DivergenceError` carrying the partial trajectory
-and the time of the breach. Each step first takes one reduction, ``max|y|``:
-a node norm is at most ``sqrt(n) max|y|``, so while that stays under
-``DIVERGENCE_NORM / sqrt(n)`` (shaved for roundoff) no node can breach and
-the per-node check is skipped. NaN and inf fail the comparison and take the
-full check, so errors, blow-up times and partial trajectories are exactly
-those of checking every node norm on every step.
+and the time of the breach. Each step first takes one dot product, the
+total ``y . y`` over all N entries of the batch: every node's norm^2 is at
+most that total, so while it stays under ``DIVERGENCE_NORM^2`` shaved by
+``4 (N + n + 2) eps`` (which covers the roundoff of both sums) no node can
+breach and the per-node check is skipped. NaN and inf fail the comparison
+and take the full check, so errors, blow-up times and partial trajectories
+are exactly those of checking every node norm on every step. The filter is
+looser than a per-node test: it falls back to the full check whenever the
+total crosses the guard, which happens sooner for many nodes at large
+amplitude, and then costs one extra reduction.
+
+The step's arrays hold a few dozen doubles at the paper's sizes, so numpy's
+per-call overhead, not arithmetic, sets its cost. The loop therefore forms
+the stages in two buffers allocated once (again only when a member drops
+out), updates ``y`` in place, and passes the step factors as 0-d float64
+arrays: a Python-float operand is converted on every ufunc call. Each
+operation rounds as in the plain expression
+``y + dt/6 (k1 + 2 (k2 + k3) + k4)``, so the states are the same bit for bit.
 
 The state is the stacked array ``y = [x; s]`` and the field is
 ``f(y) + M g(y)`` (:func:`pinnet.model.make_network_rhs`). There is one
@@ -40,6 +52,7 @@ from .conditions import QuadCertificate
 from .model import NetworkSystem, make_network_rhs
 
 DIVERGENCE_NORM = 1e9
+_GUARD2 = DIVERGENCE_NORM * DIVERGENCE_NORM
 GRID_RTOL = 1e-9
 _MONITOR_FLOOR = 1e-300
 
@@ -107,6 +120,17 @@ def _stacked_state(sys: NetworkSystem, x0, s0, label: str) -> np.ndarray:
     return np.vstack([x0, s0[None, :]])
 
 
+def _total_norm2_bound(size: int, n: int) -> float:
+    """Largest computed ``dot(y, y)`` over ``size`` doubles that proves no
+    computed node norm^2 (a sum of ``n`` squares) exceeds ``DIVERGENCE_NORM^2``.
+
+    A node's exact norm^2 is at most the exact total; the shave covers the
+    relative error of both computed sums (under ``(size + n) eps / 2``) and
+    the rounding of this product.
+    """
+    return _GUARD2 * (1.0 - 4.0 * (size + n + 2) * np.finfo(float).eps)
+
+
 def integrate(sys: NetworkSystem, x0, s0, dt: float, t_max: float) -> Trajectory:
     """Integrate nodes and reference together with classical RK4.
 
@@ -165,23 +189,27 @@ def integrate_batch(
     rows = slice(None)
     buf[rows, 0] = y
     results: list = [None] * count
-    half = 0.5 * dt
-    sixth = dt / 6.0
-    guard2 = DIVERGENCE_NORM * DIVERGENCE_NORM
-    # a node norm is at most sqrt(n) max|y|; the shave covers the roundoff of
-    # this bound and of the n-term sum of squares, so passing it proves that
-    # no node breaches the guard (NaN and inf fail it)
-    safe = DIVERGENCE_NORM / np.sqrt(n) * (1.0 - 4.0 * (n + 2) * np.finfo(float).eps)
+    # 0-d operands and out= buffers: at a few dozen doubles per array the
+    # per-call overhead of a ufunc, not its arithmetic, sets the step's cost
+    half, full, sixth, two = (np.array(v) for v in (0.5 * dt, dt, dt / 6.0, 2.0))
+    t_half = 0.5 * dt
+    stage, acc = np.empty_like(y), np.empty_like(y)
+    flat, safe2 = y.reshape(-1), _total_norm2_bound(y.size, n)
 
     for i in range(steps):
         t = times[i]
         k1 = rhs(y, t)
-        k2 = rhs(y + half * k1, t + half)
-        k3 = rhs(y + half * k2, t + half)
-        k4 = rhs(y + dt * k3, t + dt)
-        y = y + sixth * (k1 + 2.0 * (k2 + k3) + k4)
+        np.add(y, np.multiply(k1, half, out=stage), out=stage)
+        k2 = rhs(stage, t + t_half)
+        np.add(y, np.multiply(k2, half, out=stage), out=stage)
+        k3 = rhs(stage, t + t_half)
+        np.add(y, np.multiply(k3, full, out=stage), out=stage)
+        k4 = rhs(stage, t + dt)
+        # y + sixth (k1 + 2 (k2 + k3) + k4), rounded op for op as written
+        np.add(k1, np.multiply(np.add(k2, k3, out=acc), two, out=acc), out=acc)
+        np.add(y, np.multiply(np.add(acc, k4, out=acc), sixth, out=acc), out=y)
         buf[rows, i + 1] = y
-        if np.abs(y).max() <= safe:
+        if np.dot(flat, flat) <= safe2:
             continue
         if not np.all(np.isfinite(y)):
             k = live[np.argmin(np.isfinite(y).all(axis=(1, 2)))]
@@ -190,8 +218,8 @@ def integrate_batch(
                 f"{k + 1} at t={times[i + 1]:g}"
             )
         norm2 = np.einsum("bij,bij->bi", y, y).max(axis=1)
-        if norm2.max() > guard2:
-            keep = norm2 <= guard2
+        if norm2.max() > _GUARD2:
+            keep = norm2 <= _GUARD2
             for k in live[~keep]:
                 partial = Trajectory(
                     times=times[: i + 2],
@@ -209,6 +237,8 @@ def integrate_batch(
             y = y[keep]
             rows = live
             rhs = make_network_rhs([systems[k] for k in live])
+            stage, acc = np.empty_like(y), np.empty_like(y)
+            flat, safe2 = y.reshape(-1), _total_norm2_bound(y.size, n)
 
     for k in live:
         results[k] = Trajectory(

@@ -5,10 +5,22 @@ the characteristic polynomial (quadratic formula, or companion-matrix roots
 via numpy.roots for cubics) rather than the package's LAPACK eigensolver, and
 the minimal coupling strength is re-derived by bisection on the checker,
 and the sampled QUAD falsifier is checked against its earlier whole-chunk
-form.
+form. The RK4 loop, Chua's field and the network right-hand side are kept
+in their earlier plain-expression form (Python-float operands, fresh
+arrays each stage, a ``max|y|`` divergence prefilter), against which the
+allocation-free loop must agree bit for bit.
 """
 
 import numpy as np
+
+from pinnet.model import CHUA_K, CHUA_L, chua_region_jacobian, network_operator
+from pinnet.simulate import (
+    DIVERGENCE_NORM,
+    DivergenceError,
+    Trajectory,
+    _stacked_state,
+    grid_steps,
+)
 
 
 def charpoly_eigenvalues(a) -> np.ndarray:
@@ -100,3 +112,119 @@ def quad_check_sampled_reference(dynamics, cert, box, samples, seed=0):
             best_pair = (x[k].copy(), y[k].copy())
     margin = cert.eta - best
     return best, best_pair, bool(best >= cert.eta), float(margin)
+
+
+def chua_eval_reference(x, jt, gain):
+    """``x @ J_outer^T + gain clip(x1, -1, 1) e1`` on float ``(..., 3)`` states."""
+    out = x @ jt
+    # np.clip goes through a Python wrapper; the two ufuncs are cheaper
+    out[..., 0] += gain * np.minimum(np.maximum(x[..., 0], -1.0), 1.0)
+    return out
+
+
+def chua_field_reference(x, k=CHUA_K, l=CHUA_L):
+    """Chua's field through :func:`chua_eval_reference`, Python-float gain."""
+    jt = chua_region_jacobian("right", k, l).T.copy()
+    return chua_eval_reference(np.asarray(x, dtype=float), jt, 3.0 * k / 7.0)
+
+
+def _sine_blend_reference(u):
+    return u + 0.5 * np.sin(u)
+
+
+def network_rhs_reference(systems):
+    """``f(y) + M g(y)`` over a batch, in its earlier form. Chua's field and
+    the sine blend are the reference forms above; other fields and maps are
+    the registered ones."""
+    first = systems[0]
+    op = np.stack([network_operator(s) for s in systems])
+    if first.dynamics.kind == "chua":
+        jt = chua_region_jacobian(
+            "right",
+            float(first.dynamics.params.get("k", CHUA_K)),
+            float(first.dynamics.params.get("l", CHUA_L)),
+        ).T.copy()
+        gain = 3.0 * float(first.dynamics.params.get("k", CHUA_K)) / 7.0
+
+        def field(x, t):
+            return chua_eval_reference(x, jt, gain)
+    else:
+        field = first.dynamics.field_fn
+    g = _sine_blend_reference if first.gfun.kind == "sine_blend" else first.gfun.map_fn
+
+    def rhs(y, t):
+        out = field(y.reshape(-1, y.shape[-1]), t).reshape(y.shape)
+        out += op @ g(y)
+        return out
+
+    return rhs
+
+
+def integrate_batch_reference(systems, x0s, s0s, dt, t_max):
+    """Batched classical RK4 in its earlier form: every stage a fresh array,
+    Python-float step factors, and the ``max|y|`` prefilter before the
+    per-node guard. Returns the same list of trajectories and
+    :class:`DivergenceError` as :func:`pinnet.simulate.integrate_batch`."""
+    systems = list(systems)
+    rhs = network_rhs_reference(systems)
+    steps = grid_steps(dt, t_max)
+    y = np.stack(
+        [
+            _stacked_state(sys, x0, s0, f"member {k + 1}: ")
+            for k, (sys, x0, s0) in enumerate(zip(systems, x0s, s0s))
+        ]
+    )
+    count, m, n = y.shape[0], y.shape[1] - 1, y.shape[2]
+    times = np.arange(steps + 1) * dt
+    buf = np.empty((count, steps + 1, m + 1, n))
+    live = np.arange(count)
+    rows = slice(None)
+    buf[rows, 0] = y
+    results = [None] * count
+    half = 0.5 * dt
+    sixth = dt / 6.0
+    guard2 = DIVERGENCE_NORM * DIVERGENCE_NORM
+    safe = DIVERGENCE_NORM / np.sqrt(n) * (1.0 - 4.0 * (n + 2) * np.finfo(float).eps)
+
+    for i in range(steps):
+        t = times[i]
+        k1 = rhs(y, t)
+        k2 = rhs(y + half * k1, t + half)
+        k3 = rhs(y + half * k2, t + half)
+        k4 = rhs(y + dt * k3, t + dt)
+        y = y + sixth * (k1 + 2.0 * (k2 + k3) + k4)
+        buf[rows, i + 1] = y
+        if np.abs(y).max() <= safe:
+            continue
+        if not np.all(np.isfinite(y)):
+            k = live[np.argmin(np.isfinite(y).all(axis=(1, 2)))]
+            raise ValueError(
+                f"right-hand side produced non-finite values in batch member "
+                f"{k + 1} at t={times[i + 1]:g}"
+            )
+        norm2 = np.einsum("bij,bij->bi", y, y).max(axis=1)
+        if norm2.max() > guard2:
+            keep = norm2 <= guard2
+            for k in live[~keep]:
+                partial = Trajectory(
+                    times=times[: i + 2],
+                    states=buf[k, : i + 2, :m, :].copy(),
+                    reference=buf[k, : i + 2, m, :].copy(),
+                )
+                results[k] = DivergenceError(
+                    f"state norm exceeded {DIVERGENCE_NORM:g} at t={times[i + 1]:g}",
+                    partial,
+                    float(times[i + 1]),
+                )
+            live = live[keep]
+            if not live.size:
+                break
+            y = y[keep]
+            rows = live
+            rhs = network_rhs_reference([systems[k] for k in live])
+
+    for k in live:
+        results[k] = Trajectory(
+            times=times, states=buf[k, :, :m, :], reference=buf[k, :, m, :]
+        )
+    return results

@@ -103,6 +103,75 @@ class TestParseScenario:
         with pytest.raises(ScenarioError, match=r"integration: dt=0\.3 .*t_max=1\b"):
             parse_scenario(data)
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("initial_states", [[1.0, 2.0, 3.0], [0.0, float("nan"), 0.0], [1.0, 1.0, 1.0]],
+             r"initial_states entry \(2,2\) is not finite: nan"),
+            ("initial_states", [[1.0, 2.0, 3.0], [0.0, 0.0, 0.0], [1.0, 1.0, float("-inf")]],
+             r"initial_states entry \(3,3\) is not finite: -inf"),
+            ("reference_initial", [0.0, float("inf"), 0.0],
+             r"reference_initial entry \(2\) is not finite: inf"),
+            ("initial_states", "abc", "initial_states must hold numbers only"),
+            ("reference_initial", ["0", 0.0, 0.0], "reference_initial must hold numbers only"),
+            ("reference_initial", [True, False, True], "reference_initial must hold numbers"),
+            ("reference_initial", {"a": 1}, "reference_initial must hold numbers only"),
+            ("initial_states", [[1.0, 2.0], [3.0]], "initial_states must be a regular array"),
+        ],
+    )
+    def test_invalid_initial_data_names_its_field(self, field, value, message):
+        data = copy.deepcopy(BUILTIN_SCENARIOS["fig4-sym-pinned"])
+        data[field] = value
+        with pytest.raises(ScenarioError, match=message):
+            parse_scenario(data)
+
+    def test_non_finite_certificate_names_its_field(self):
+        data = copy.deepcopy(BUILTIN_SCENARIOS["fig4-sym-pinned"])
+        data["certificate"]["Delta"] = [10.0, float("nan"), 10.0]
+        with pytest.raises(ScenarioError, match=r"certificate.Delta entry \(2\)"):
+            parse_scenario(data)
+
+    @pytest.mark.parametrize(
+        "params, message",
+        [
+            ([1, 2], r"dynamics.params must be an object, got \[1, 2\]"),
+            ({"k": float("nan")}, "dynamics.params.k must be finite"),
+            ({"k": [9.0]}, "dynamics: "),
+        ],
+    )
+    def test_bad_dynamics_params(self, params, message):
+        data = copy.deepcopy(BUILTIN_SCENARIOS["fig4-sym-pinned"])
+        data["dynamics"]["params"] = params
+        with pytest.raises(ScenarioError, match=message):
+            parse_scenario(data)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("trajectory", "/abs/x.csv"),
+            ("metrics", "../m.csv"),
+            ("summary", "sub/s.txt"),
+            ("summary", ".."),
+            ("metrics", "."),
+            ("trajectory", ""),
+            ("trajectory", 5),
+        ],
+    )
+    def test_outputs_must_be_plain_file_names(self, key, value):
+        data = copy.deepcopy(BUILTIN_SCENARIOS["fig4-sym-pinned"])
+        data["outputs"] = {"trajectory": "t.csv", "metrics": "m.csv", "summary": "s.txt"}
+        data["outputs"][key] = value
+        with pytest.raises(ScenarioError, match=f"outputs.{key} must be a plain file name"):
+            parse_scenario(data)
+
+    @pytest.mark.parametrize("name", ["../up", "a/b", "/abs", ".", ".."])
+    def test_name_must_be_a_plain_file_name(self, name):
+        # the default and sweep file names derive from it
+        data = copy.deepcopy(BUILTIN_SCENARIOS["fig4-sym-pinned"])
+        data["name"] = name
+        with pytest.raises(ScenarioError, match="name must be a plain file name"):
+            parse_scenario(data)
+
     def test_unknown_name_lists_builtins(self):
         with pytest.raises(ScenarioError, match="fig4-sym-pinned"):
             parse_scenario("no-such-scenario")
@@ -362,31 +431,36 @@ class TestRunScenario:
         assert r1.trajectory_path.read_bytes() == r2.trajectory_path.read_bytes()
 
     def test_csv_writers_match_per_value_formatting(self, tmp_path):
-        # several formatting blocks, special values and a None ratio, against
-        # one format(v, ".17g") per value
+        # several formatting blocks (the last one partial), special values and
+        # a None ratio, against one format(v, ".17g") per value; m = 3 is the
+        # built-ins' node count
         rng = np.random.default_rng(3)
-        samples, m, n = 2500, 2, 2
-        states = rng.normal(size=(samples, m, n)) * 10.0 ** rng.integers(-300, 300, (samples, m, n))
-        states[0, 0] = [np.nan, -0.0]
-        states[1, 1] = [np.inf, -np.inf]
-        traj = Trajectory(
-            times=np.arange(samples) * 1e-3, states=states, reference=rng.normal(size=(samples, n))
-        )
-        series = MetricSeries(
-            times=traj.times, sync_ratio=None, pin_ratio=rng.random(samples),
-            lyapunov=rng.random(samples) * 1e-200,
-        )
+        samples = 2500
 
         def fmt(v):
             return format(float(v), ".17g")
 
-        write_trajectory_csv(tmp_path / "t.csv", traj)
-        expected = ["t,node,x1,x2"]
-        for i, t in enumerate(traj.times):
-            for node, row in enumerate([traj.reference[i], *traj.states[i]]):
-                expected.append(f"{fmt(t)},{node}," + ",".join(fmt(v) for v in row))
-        assert (tmp_path / "t.csv").read_text() == "\n".join(expected) + "\n"
+        for m, n in ((2, 2), (3, 3)):
+            states = rng.normal(size=(samples, m, n)) * 10.0 ** rng.integers(
+                -300, 300, (samples, m, n)
+            )
+            states[0, 0, :2] = [np.nan, -0.0]
+            states[1, 1, :2] = [np.inf, -np.inf]
+            traj = Trajectory(
+                times=np.arange(samples) * 1e-3, states=states,
+                reference=rng.normal(size=(samples, n)),
+            )
+            write_trajectory_csv(tmp_path / "t.csv", traj)
+            expected = ["t,node," + ",".join(f"x{k + 1}" for k in range(n))]
+            for i, t in enumerate(traj.times):
+                for node, row in enumerate([traj.reference[i], *traj.states[i]]):
+                    expected.append(f"{fmt(t)},{node}," + ",".join(fmt(v) for v in row))
+            assert (tmp_path / "t.csv").read_text() == "\n".join(expected) + "\n"
 
+        series = MetricSeries(
+            times=traj.times, sync_ratio=None, pin_ratio=rng.random(samples),
+            lyapunov=rng.random(samples) * 1e-200,
+        )
         write_metrics_csv(tmp_path / "m.csv", series)
         expected = ["t,sync_ratio,pin_ratio,lyapunov"] + [
             f"{fmt(t)},nan,{fmt(q)},{fmt(v)}"
@@ -538,6 +612,14 @@ class TestMainExitCodes:
     def test_run_has_no_seed_flag(self, capsys):
         with pytest.raises(SystemExit):
             main(["run", "fig4-sym-pinned", "--seed", "1", "--dry-run"])
+
+    def test_bad_params_exit_with_a_named_field(self, tmp_path, capsys):
+        data = copy.deepcopy(BUILTIN_SCENARIOS["fig4-sym-pinned"])
+        data["dynamics"]["params"] = [1, 2]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert "error: dynamics.params must be an object" in capsys.readouterr().err
 
     def test_run_divergence_exit_code(self, tmp_path):
         data = {

@@ -16,7 +16,9 @@ from pinnet import (
     register_dynamics,
     validate_coupling,
 )
-from pinnet.model import make_network_rhs, network_operator
+from pinnet.model import CHUA_K, CHUA_L, make_network_rhs, network_operator
+
+from _oracles import chua_field_reference
 
 SYM_3NODE = [[-5.1, 5.0, 0.1], [5.0, -11.0, 6.0], [0.1, 6.0, -6.1]]
 ASYM_3NODE = [[-2.0, 1.0, 1.0], [1.0, -2.0, 1.0], [0.0, 1.0, -1.0]]
@@ -187,6 +189,27 @@ class TestChuaField:
         bad = np.argwhere(np.abs(got - expected) > 1e-14 * scale)
         assert not bad.size, f"{len(bad)} mismatches, first at x = {x[bad[0, 0]]}"
         np.testing.assert_array_equal(make_dynamics("chua")(x), got)
+
+    def test_bit_identical_to_the_plain_expression_form(self):
+        # 0-d operands and the in-place diode column round as the earlier
+        # Python-float expression did: signed zeros, subnormals and the kinks
+        tiny = np.nextafter(0.0, 1.0)
+        special = [0.0, -0.0, tiny, -tiny, 2.2e-308, -2.2e-308, 1.0, -1.0,
+                   np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0),
+                   np.nextafter(-1.0, -2.0), np.nextafter(-1.0, 0.0), 3.7, -1e300]
+        grid = np.array(np.meshgrid(special, [0.0, -0.0, tiny, -1.0], [-0.0, tiny, 2.5]))
+        x = grid.reshape(3, -1).T.copy()
+        for k, l in ((CHUA_K, CHUA_L), (15.6, 28.0)):
+            cases = [x, x[5], x.reshape(2, -1, 3)]
+            for case in cases:
+                want = chua_field_reference(case, k=k, l=l)
+                got = chua_field(case, k=k, l=l)
+                assert got.shape == case.shape
+                np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+            dyn = make_dynamics("chua", params={"k": k, "l": l})
+            np.testing.assert_array_equal(
+                dyn(x).view(np.int64), chua_field_reference(x, k=k, l=l).view(np.int64)
+            )
 
     def test_vectorized_over_nodes(self):
         x = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])

@@ -28,6 +28,8 @@ from pinnet.model import make_network_rhs
 from pinnet.scenarios import BUILTIN_SCENARIOS
 from pinnet.simulate import Trajectory, grid_steps, integrate_batch
 
+from _oracles import integrate_batch_reference
+
 SYM_3NODE = validate_coupling([[-5.1, 5.0, 0.1], [5.0, -11.0, 6.0], [0.1, 6.0, -6.1]])
 SPREAD_X0 = np.array([[40.1, 20.2, 30.3], [20.4, 30.5, 10.6], [60.7, 40.8, 50.9]])
 CERT = QuadCertificate(p=np.ones(3), delta=10.0 * np.ones(3), eta=0.6218)
@@ -251,6 +253,104 @@ class TestIntegrateBatch:
             )
         with pytest.raises(ValueError, match="dt=0.3"):
             integrate_batch(systems, [[[1.0]]] * 2, [[0.0]] * 2, 0.3, 1.0)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
+
+
+def _assert_same_runs(got, want):
+    """Batch results equal bit for bit (-0.0 and NaN payloads included)."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert type(g) is type(w)
+        if isinstance(w, DivergenceError):
+            assert str(g) == str(w) and g.blowup_time == w.blowup_time
+            g, w = g.trajectory, w.trajectory
+        for field in ("times", "states", "reference"):
+            np.testing.assert_array_equal(_bits(getattr(g, field)), _bits(getattr(w, field)))
+
+
+class TestFrozenLoopParity:
+    """The integrator against its earlier plain-expression loop
+    (``_oracles.integrate_batch_reference``): same states, bit for bit."""
+
+    @staticmethod
+    def _both(systems, x0s, s0s, dt, t_max):
+        return (
+            integrate_batch(systems, x0s, s0s, dt, t_max),
+            integrate_batch_reference(systems, x0s, s0s, dt, t_max),
+        )
+
+    @pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
+    def test_builtins_at_shipped_dt(self, name):
+        cfg = parse_scenario(name)
+        _assert_same_runs(
+            *self._both(
+                [build_system(cfg)], [cfg.initial_states], [cfg.reference_initial], cfg.dt, 2.0
+            )
+        )
+
+    def test_fig4_sweep_batch(self):
+        cfg = parse_scenario("fig4-sym-pinned")
+        systems = [
+            build_system(dataclasses.replace(cfg, pin=dataclasses.replace(cfg.pin, c=float(c))))
+            for c in np.linspace(6.0, 14.0, 9)
+        ]
+        _assert_same_runs(
+            *self._both(
+                systems, [cfg.initial_states] * 9, [cfg.reference_initial] * 9, cfg.dt, 2.0
+            )
+        )
+
+    def test_diverging_member(self):
+        systems = [
+            _single_node(rate=-5.0, pin=PinPlan(1, 6.0, 1.0)),
+            _single_node(rate=-5.0),
+            _single_node(rate=-5.0, pin=PinPlan(1, 5.5, 1.0)),
+        ]
+        got, want = self._both(systems, [[[1.0]], [[1.0]], [[2.0]]], [[0.0]] * 3, 0.01, 6.0)
+        assert isinstance(want[1], DivergenceError) and 0.0 < want[1].blowup_time < 6.0
+        _assert_same_runs(got, want)
+
+    def test_non_finite_member(self):
+        register_dynamics(
+            "test_nan_above_2_frozen",
+            lambda dim, params: lambda x, t: np.where(x > 2.0, np.nan, -x),
+        )
+        sys_ = NetworkSystem(
+            coupling=validate_coupling(np.zeros((1, 1))),
+            dynamics=make_dynamics("test_nan_above_2_frozen", dim=1),
+        )
+        args = ([sys_, sys_], [[[1.0]], [[3.0]]], [[0.0]] * 2, 0.1, 1.0)
+        with pytest.raises(ValueError) as want:
+            integrate_batch_reference(*args)
+        with pytest.raises(ValueError) as got:
+            integrate_batch(*args)
+        assert str(got.value) == str(want.value)
+
+    def test_total_norm_over_the_guard_is_not_divergence(self):
+        # four nodes of norm 0.9e9 (total norm^2 3.2e18) fail the one-dot
+        # filter on every step; the per-node check must still pass the
+        # constant member and stop the growing one exactly where the old
+        # loop did
+        coupling = validate_coupling(np.zeros((4, 4)))
+        constant, growing = (
+            NetworkSystem(
+                coupling=coupling,
+                dynamics=make_dynamics("linear_decay", dim=3, params={"rate": rate}),
+            )
+            for rate in (0.0, -1.0)
+        )
+        x0 = np.full((4, 3), 0.9e9 / np.sqrt(3.0))
+        assert (np.linalg.norm(x0, axis=1) < 1e9).all() and np.sum(x0 * x0) > 1e18
+        s0 = np.zeros(3)
+        got, want = self._both([constant] * 2, [x0, 0.99 * x0], [s0] * 2, 0.01, 1.0)
+        assert all(isinstance(r, Trajectory) for r in got)
+        _assert_same_runs(got, want)
+        got, want = self._both([growing], [x0], [s0], 0.01, 1.0)
+        assert isinstance(want[0], DivergenceError) and want[0].blowup_time > 0.01
+        _assert_same_runs(got, want)
 
 
 class TestIntegratorOracle:
