@@ -742,8 +742,10 @@ def parse_sweep(spec: str) -> np.ndarray:
         raise ScenarioError(f"bad sweep spec {spec!r}, expected c=<a>:<b>:<n>") from err
     if key != "c":
         raise ScenarioError(f"only coupling-strength sweeps are supported, got {key!r}")
-    if count < 1 or hi < lo:
+    if count < 1 or hi < lo or not (np.isfinite(lo) and np.isfinite(hi)):
         raise ScenarioError(f"bad sweep range {spec!r}")
+    if count == 1 and hi != lo:
+        raise ScenarioError(f"bad sweep range {spec!r}: one point cannot span {lo:g} to {hi:g}")
     return np.linspace(lo, hi, count)
 
 
@@ -755,6 +757,16 @@ def run_sweep(cfg: ScenarioConfig, spec: str, out_dir) -> int:
     if cfg.pin is None:
         raise ScenarioError("--sweep needs a scenario with a pin plan")
     values = parse_sweep(spec)
+    # each point's outputs are named by its c at %g, so no two may share it
+    named: dict[str, float] = {}
+    for c in map(float, values):
+        label = f"{c:g}"
+        if label in named:
+            raise ScenarioError(
+                f"sweep {spec!r}: c={named[label]!r} and c={c!r} would share the "
+                f"output names of c={label}; widen the range or take fewer points"
+            )
+        named[label] = c
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     points = [
@@ -853,7 +865,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "check" and args.quad_samples < 0:
+        parser.error(f"argument --quad-samples: must be >= 0, got {args.quad_samples}")
     try:
         cfg = parse_scenario(args.scenario)
         if args.command == "run":

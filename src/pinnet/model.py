@@ -8,7 +8,8 @@ into the pinned node's diagonal entry gives the "pinned" matrix whose spectrum
 drives every stability check in :mod:`pinnet.conditions`.
 
 Node dynamics are looked up in a small registry (built-ins: Chua's circuit and
-a linear decay field); coupling may pass through a componentwise monotone map.
+a linear decay field, whose builders reject unknown or non-numeric
+parameters); coupling may pass through a componentwise monotone map.
 State layout is an ``(m, n)`` array, one row per node. Node indices are
 1-based in all public interfaces.
 
@@ -18,11 +19,12 @@ linear in ``g(y)``, so the whole field is ``f(y) + M g(y)`` with one
 ``(m + 1, m + 1)`` operator ``M`` per system (:func:`network_operator`).
 :func:`make_network_rhs` is the one right-hand side: it stacks the
 operators of B systems on a leading axis and maps ``(B, m + 1, n)`` states,
-one system being a batch of one.
+or their flat ``(B (m + 1), n)`` view, one system being a batch of one.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional
 
@@ -168,11 +170,14 @@ def _chua_affine(k: float, l: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _chua_eval(x: np.ndarray, jt: np.ndarray, gain: np.ndarray) -> np.ndarray:
-    """``x @ J_outer^T + gain clip(x1, -1, 1) e1`` on float ``(..., 3)`` states."""
-    out = x @ jt
-    col = out[..., 0]
+    """``x @ J_outer^T + gain clip(x1, -1, 1) e1`` on float ``(..., 3)`` states,
+    computed on ``(N, 3)`` rows with ``np.dot`` (see :func:`make_network_rhs`)."""
+    if x.ndim != 2:
+        return _chua_eval(x.reshape(-1, 3), jt, gain).reshape(x.shape)
+    out = np.dot(x, jt)
+    col = out[:, 0]
     # np.clip goes through a Python wrapper; the two ufuncs are cheaper
-    np.add(col, np.multiply(np.minimum(np.maximum(x[..., 0], _MINUS_ONE), _ONE), gain), out=col)
+    np.add(col, np.multiply(np.minimum(np.maximum(x[:, 0], _MINUS_ONE), _ONE), gain), out=col)
     return out
 
 
@@ -238,10 +243,23 @@ class Dynamics:
         return self.field_fn(np.asarray(x, dtype=float), t)
 
 
+def _real_params(kind: str, params: Mapping, defaults: Mapping[str, float]) -> list[float]:
+    """``params`` over ``defaults``, in the order of ``defaults``; a
+    ``ValueError`` names any key that is unknown or not a real number."""
+    known = ", ".join(defaults)
+    for key, value in params.items():
+        where = f"dynamics.params.{key}"
+        if key not in defaults:
+            raise ValueError(f"{where} is not a parameter of {kind} (known: {known})")
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ValueError(f"{where} must be a number, got {value!r} (known: {known})")
+    return [float(params.get(key, default)) for key, default in defaults.items()]
+
+
 def _build_chua(dim: int, params: Mapping) -> FieldFn:
     if dim != 3:
         raise CouplingError(f"chua dynamics is 3-dimensional, got dim={dim}")
-    jt, gain = _chua_affine(float(params.get("k", CHUA_K)), float(params.get("l", CHUA_L)))
+    jt, gain = _chua_affine(*_real_params("chua", params, {"k": CHUA_K, "l": CHUA_L}))
 
     def fn(x, t):
         return _chua_eval(x, jt, gain)
@@ -250,7 +268,7 @@ def _build_chua(dim: int, params: Mapping) -> FieldFn:
 
 
 def _build_linear_decay(dim: int, params: Mapping) -> FieldFn:
-    rate = float(params.get("rate", 1.0))
+    (rate,) = _real_params("linear_decay", params, {"rate": 1.0})
 
     def fn(x, t):
         return -rate * x
@@ -393,9 +411,18 @@ def make_network_rhs(systems) -> Callable[[np.ndarray, float], np.ndarray]:
 
     The B systems must share node count, dynamics and coupling map; a
     :class:`CouplingError` names the first field that differs. The closure
-    maps ``(B, m + 1, n)`` to ``(B, m + 1, n)`` with each system's operator
-    on its own slice. Node fields act row by row, so the dynamics are
-    evaluated once on the flattened ``(B (m + 1), n)`` view.
+    maps ``(B, m + 1, n)`` states, or their flat ``(B (m + 1), n)`` view, to
+    a fresh array of the same shape, with each system's operator on its own
+    slice. Node fields act row by row, so the dynamics are evaluated once on
+    the flat view.
+
+    At the paper's sizes a numpy call costs its dispatch, not its
+    arithmetic, and ``np.dot`` on 2-D operands costs about half of
+    ``matmul``. So Chua's field and, for a batch of one, the operator
+    product use ``np.dot``; a batch keeps ``matmul``. On C-contiguous
+    float64 operands both reach the same ``dgemm``, so the bits are those
+    of ``f(y) + op @ g(y)``. The product goes into a buffer the closure
+    owns, so one closure must not be called from two threads at once.
     """
     systems = list(systems)
     if not systems:
@@ -416,9 +443,25 @@ def make_network_rhs(systems) -> Callable[[np.ndarray, float], np.ndarray]:
     # their callable wrappers apply
     field = first.dynamics.field_fn
     g = first.gfun.map_fn
+    count, rows, n = op.shape[0], op.shape[1], first.dynamics.dim
+    tmp = np.empty((count * rows, n))
+
+    if count == 1:
+        op1 = op[0]
+
+        def product(y2):
+            return np.dot(op1, g(y2), out=tmp)
+    else:
+        tmp3 = tmp.reshape(count, rows, n)
+
+        def product(y2):
+            np.matmul(op, g(y2).reshape(count, rows, n), out=tmp3)
+            return tmp
 
     def rhs(y: np.ndarray, t: float) -> np.ndarray:
-        out = field(y.reshape(-1, y.shape[-1]), t).reshape(y.shape)
-        return np.add(out, op @ g(y), out=out)
+        y2 = y if y.ndim == 2 else y.reshape(-1, n)
+        out = field(y2, t)
+        np.add(out, product(y2), out=out)
+        return out if y is y2 else out.reshape(y.shape)
 
     return rhs

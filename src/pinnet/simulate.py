@@ -22,6 +22,9 @@ out), updates ``y`` in place, and passes the step factors as 0-d float64
 arrays: a Python-float operand is converted on every ufunc call. Each
 operation rounds as in the plain expression
 ``y + dt/6 (k1 + 2 (k2 + k3) + k4)``, so the states are the same bit for bit.
+The stages run on the flat ``(B (m + 1), n)`` view of the state, which the
+right-hand side takes without a reshape and hands to ``np.dot``; samples are
+stored through a ``(B, steps + 1, (m + 1) n)`` view of the trajectory buffer.
 
 The state is the stacked array ``y = [x; s]`` and the field is
 ``f(y) + M g(y)`` (:func:`pinnet.model.make_network_rhs`). There is one
@@ -185,6 +188,8 @@ def integrate_batch(
     times = np.arange(steps + 1) * dt
     # member-major, so each member's samples are one contiguous slab
     buf = np.empty((count, steps + 1, m + 1, n))
+    # one row of (m + 1) n doubles per member and sample
+    samples = buf.reshape(count, steps + 1, -1)
     live = np.arange(count)
     rows = slice(None)
     buf[rows, 0] = y
@@ -193,22 +198,25 @@ def integrate_batch(
     # per-call overhead of a ufunc, not its arithmetic, sets the step's cost
     half, full, sixth, two = (np.array(v) for v in (0.5 * dt, dt, dt / 6.0, 2.0))
     t_half = 0.5 * dt
-    stage, acc = np.empty_like(y), np.empty_like(y)
-    flat, safe2 = y.reshape(-1), _total_norm2_bound(y.size, n)
+    # flat views of y: (B (m + 1), n) rows for the field, one row per member
+    # for the sample store, and the whole batch for the guard's dot
+    y2, y_rows, flat = y.reshape(-1, n), y.reshape(count, -1), y.reshape(-1)
+    stage, acc = np.empty_like(y2), np.empty_like(y2)
+    safe2 = _total_norm2_bound(y.size, n)
 
     for i in range(steps):
         t = times[i]
-        k1 = rhs(y, t)
-        np.add(y, np.multiply(k1, half, out=stage), out=stage)
+        k1 = rhs(y2, t)
+        np.add(y2, np.multiply(k1, half, out=stage), out=stage)
         k2 = rhs(stage, t + t_half)
-        np.add(y, np.multiply(k2, half, out=stage), out=stage)
+        np.add(y2, np.multiply(k2, half, out=stage), out=stage)
         k3 = rhs(stage, t + t_half)
-        np.add(y, np.multiply(k3, full, out=stage), out=stage)
+        np.add(y2, np.multiply(k3, full, out=stage), out=stage)
         k4 = rhs(stage, t + dt)
         # y + sixth (k1 + 2 (k2 + k3) + k4), rounded op for op as written
         np.add(k1, np.multiply(np.add(k2, k3, out=acc), two, out=acc), out=acc)
-        np.add(y, np.multiply(np.add(acc, k4, out=acc), sixth, out=acc), out=y)
-        buf[rows, i + 1] = y
+        np.add(y2, np.multiply(np.add(acc, k4, out=acc), sixth, out=acc), out=y2)
+        samples[rows, i + 1] = y_rows
         if np.dot(flat, flat) <= safe2:
             continue
         if not np.all(np.isfinite(y)):
@@ -237,8 +245,9 @@ def integrate_batch(
             y = y[keep]
             rows = live
             rhs = make_network_rhs([systems[k] for k in live])
-            stage, acc = np.empty_like(y), np.empty_like(y)
-            flat, safe2 = y.reshape(-1), _total_norm2_bound(y.size, n)
+            y2, y_rows, flat = y.reshape(-1, n), y.reshape(live.size, -1), y.reshape(-1)
+            stage, acc = np.empty_like(y2), np.empty_like(y2)
+            safe2 = _total_norm2_bound(y.size, n)
 
     for k in live:
         results[k] = Trajectory(

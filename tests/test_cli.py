@@ -137,6 +137,8 @@ class TestParseScenario:
             ([1, 2], r"dynamics.params must be an object, got \[1, 2\]"),
             ({"k": float("nan")}, "dynamics.params.k must be finite"),
             ({"k": [9.0]}, "dynamics: "),
+            ({"K": 20}, r"dynamics.params.K is not a parameter of chua \(known: k, l\)"),
+            ({"k": True}, r"dynamics.params.k must be a number, got True \(known: k, l\)"),
         ],
     )
     def test_bad_dynamics_params(self, params, message):
@@ -501,6 +503,25 @@ class TestSweep:
         with pytest.raises(ScenarioError):
             parse_sweep("c=1:2")
 
+    def test_bad_ranges_are_rejected(self):
+        with pytest.raises(ScenarioError, match="'c=6:14:1': one point cannot span 6 to 14"):
+            parse_sweep("c=6:14:1")
+        np.testing.assert_array_equal(parse_sweep("c=6:6:1"), [6.0])
+        for spec in ("c=inf:inf:1", "c=nan:1:2", "c=1:inf:3", "c=2:1:3"):
+            with pytest.raises(ScenarioError, match=f"bad sweep range '{spec}'"):
+                parse_sweep(spec)
+
+    @pytest.mark.parametrize(
+        "spec, first, second",
+        [("c=10:10.000001:3", "10.0", "10.000000499999999"), ("c=10:10:2", "10.0", "10.0")],
+    )
+    def test_points_that_share_output_names_are_rejected(self, tmp_path, spec, first, second):
+        cfg = _short("fig4-sym-pinned", t_max=0.5)
+        match = f"c={re.escape(first)} and c={re.escape(second)} would share"
+        with pytest.raises(ScenarioError, match=match):
+            run_sweep(cfg, spec, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
     def test_sweep_table_margin_flip(self, tmp_path):
         code = main(
             [
@@ -608,6 +629,14 @@ class TestMainExitCodes:
         assert main(["run", "fig4-sym-pinned", "--dt", "0.3", "--tmax", "1"]) == 1
         err = capsys.readouterr().err
         assert "--dt/--tmax" in err and "dt=0.3" in err and "t_max=1" in err
+
+    def test_negative_quad_samples_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "fig4-sym-pinned", "--quad-samples", "-5"])
+        assert exc.value.code == 2
+        assert "argument --quad-samples: must be >= 0" in capsys.readouterr().err
+        assert main(["check", "fig4-sym-pinned", "--quad-samples", "0"]) == 0
+        assert "QUAD" not in capsys.readouterr().out
 
     def test_run_has_no_seed_flag(self, capsys):
         with pytest.raises(SystemExit):

@@ -16,9 +16,16 @@ from pinnet import (
     register_dynamics,
     validate_coupling,
 )
-from pinnet.model import CHUA_K, CHUA_L, make_network_rhs, network_operator
+from pinnet.model import (
+    CHUA_K,
+    CHUA_L,
+    _chua_affine,
+    _chua_eval,
+    make_network_rhs,
+    network_operator,
+)
 
-from _oracles import chua_field_reference
+from _oracles import chua_eval_reference, chua_field_reference, network_rhs_reference
 
 SYM_3NODE = [[-5.1, 5.0, 0.1], [5.0, -11.0, 6.0], [0.1, 6.0, -6.1]]
 ASYM_3NODE = [[-2.0, 1.0, 1.0], [1.0, -2.0, 1.0], [0.0, 1.0, -1.0]]
@@ -211,6 +218,18 @@ class TestChuaField:
                 dyn(x).view(np.int64), chua_field_reference(x, k=k, l=l).view(np.int64)
             )
 
+    @pytest.mark.parametrize(
+        "shape", [(1, 3), (3, 3), (4, 3), (36, 3), (101, 3), (404, 3), (3,), (9, 4, 3)]
+    )
+    def test_eval_on_rows_matches_the_matmul_form(self, shape):
+        # np.dot on (N, 3) rows, other ranks flattened to rows, against x @ jt
+        x = np.random.default_rng(len(shape) + shape[0]).uniform(-4.0, 4.0, shape)
+        jt, gain = _chua_affine(CHUA_K, CHUA_L)
+        got = _chua_eval(x, jt, gain)
+        want = chua_eval_reference(x, jt, 3.0 * CHUA_K / 7.0)
+        assert got.shape == shape
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
     def test_vectorized_over_nodes(self):
         x = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
         out = chua_field(x)
@@ -296,6 +315,24 @@ class TestDynamicsRegistry:
     def test_linear_decay_needs_dim(self):
         with pytest.raises(ValueError, match="dim"):
             make_dynamics("linear_decay")
+
+    @pytest.mark.parametrize(
+        "kind, dim, params, message",
+        [
+            ("chua", 3, {"K": 20}, r"params.K is not a parameter of chua \(known: k, l\)"),
+            ("chua", 3, {"k": True}, r"params.k must be a number, got True"),
+            ("chua", 3, {"l": "9"}, r"params.l must be a number, got '9'"),
+            ("linear_decay", 2, {"k": 1.0}, r"params.k is not .* \(known: rate\)"),
+            ("linear_decay", 2, {"rate": None}, r"params.rate must be a number"),
+        ],
+    )
+    def test_builtin_params_are_checked(self, kind, dim, params, message):
+        with pytest.raises(ValueError, match=message):
+            make_dynamics(kind, dim=dim, params=params)
+
+    def test_builtin_params_accept_any_real(self):
+        assert make_dynamics("chua", params={"k": 9, "l": np.float64(14.0)}).params["k"] == 9
+        make_dynamics("linear_decay", dim=1, params={"rate": np.int64(2)})
 
     def test_user_registered_field(self):
         register_dynamics("test_shift", lambda dim, params: lambda x, t: x * 0.0 + 1.0)
@@ -384,6 +421,32 @@ class TestSystemRhs:
         out = make_network_rhs(systems)(y, 0.0)
         for k, sys_ in enumerate(systems):
             np.testing.assert_array_equal(out[k], make_network_rhs([sys_])(y[k : k + 1], 0.0)[0])
+
+    @pytest.mark.parametrize("gkind", ["identity", "sine_blend"])
+    @pytest.mark.parametrize("count", [1, 9])
+    def test_flat_and_stacked_states_give_the_same_bits(self, count, gkind):
+        # (B, m + 1, n) and its flat (B (m + 1), n) view, against op @ g(y)
+        systems = [_system(SYM_3NODE, pin=PinPlan(1, 4.9, 6.0 + c), gkind=gkind)
+                   for c in range(count)]
+        y = np.random.default_rng(count).uniform(-3.0, 3.0, (count, 4, 3))
+        rhs = make_network_rhs(systems)
+        stacked = rhs(y, 0.0)
+        flat = rhs(y.reshape(-1, 3), 0.0)
+        want = network_rhs_reference(systems)(y, 0.0)
+        assert stacked.shape == y.shape and flat.shape == (4 * count, 3)
+        np.testing.assert_array_equal(stacked.view(np.int64), want.view(np.int64))
+        np.testing.assert_array_equal(flat.view(np.int64), want.reshape(-1, 3).view(np.int64))
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_each_call_returns_a_fresh_array(self, count):
+        systems = [_system(SYM_3NODE, pin=PinPlan(2, 4.9, 10.0))] * count
+        rhs = make_network_rhs(systems)
+        rng = np.random.default_rng(6)
+        first = rhs(rng.uniform(-2.0, 2.0, (4 * count, 3)), 0.0)
+        kept = first.copy()
+        second = rhs(rng.uniform(-2.0, 2.0, (4 * count, 3)), 0.0)
+        assert not np.shares_memory(first, second)
+        np.testing.assert_array_equal(first, kept)
 
     def test_batched_rhs_names_the_differing_field(self):
         base = _system(SYM_3NODE)
