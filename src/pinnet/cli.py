@@ -403,8 +403,11 @@ def check_scenario(cfg: ScenarioConfig, quad_samples: int = 0, seed: int = 0) ->
     its margin (theorem4, at the same slope bound) when there is a
     certificate. Reducible coupling: the structural pinnability criterion.
     Pass ``quad_samples > 0`` to also falsification-test the certificate by
-    sampling on the hull of [-30, 30] and the scenario's initial data.
+    sampling on the hull of [-30, 30] and the scenario's initial data; 0
+    skips it and a negative count is an error.
     """
+    if quad_samples < 0:
+        raise ScenarioError(f"quad_samples must be >= 0, got {quad_samples!r}")
     pin = cfg.pin if cfg.pin is not None else PinPlan(1, 0.0, 1.0)
     spectral = prop = theorem_name = theorem = min_c = None
     reducibility = condensation = None
@@ -867,8 +870,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.command == "check" and args.quad_samples < 0:
-        parser.error(f"argument --quad-samples: must be >= 0, got {args.quad_samples}")
+    if args.command == "check":
+        for flag, value in (("--quad-samples", args.quad_samples), ("--seed", args.seed)):
+            if value < 0:
+                parser.error(f"argument {flag}: must be >= 0, got {value}")
     try:
         cfg = parse_scenario(args.scenario)
         if args.command == "run":

@@ -211,8 +211,9 @@ def certified_quad_margin(dynamics: Dynamics, p, delta) -> float:
     )
 
 
-# pairs drawn per pair of RNG calls (this fixes the draw stream) and rows
-# evaluated at once (a block's temporaries stay in cache)
+# pairs per chunk of the draw stream (all x of a chunk, then all y, then its
+# redraws: this fixes which double each state gets) and pairs drawn and
+# evaluated at once (a block's buffers and temporaries stay in cache)
 _QUAD_CHUNK = 200_000
 _QUAD_BLOCK = 8192
 
@@ -245,6 +246,28 @@ def _to_box(u: np.ndarray, lo_rows: np.ndarray, width_rows: np.ndarray) -> None:
     np.add(flat, lo_rows[:flat.size], out=flat)
 
 
+def _whole(value, name: str, minimum: int) -> int:
+    """``value`` as an int, rejected unless it is a whole number >= minimum."""
+    try:
+        whole = int(value)
+        ok = whole == value and not isinstance(value, bool)
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok or whole < minimum:
+        raise ValueError(f"{name} must be a whole number >= {minimum}, got {value!r}")
+    return whole
+
+
+def _cursor(rng: np.random.Generator, skip: int) -> np.random.Generator:
+    """A generator on a copy of ``rng``'s PCG64 state, ``skip`` draws (one
+    per double) ahead. Seeding the copy with 0 keeps it from reading OS
+    entropy."""
+    bit_gen = np.random.PCG64(0)
+    bit_gen.state = rng.bit_generator.state
+    bit_gen.advance(skip)
+    return np.random.Generator(bit_gen)
+
+
 def quad_check_sampled(
     dynamics: Dynamics,
     cert: QuadCertificate,
@@ -261,11 +284,17 @@ def quad_check_sampled(
     refute a certificate, never prove one. ``box`` is (lo, hi) scalars or
     per-dimension arrays; the detail records it per dimension.
 
-    Draws: ``default_rng(seed)`` yields the pairs in chunks of 200,000 (the
-    last one partial), all x of a chunk and then all y, each state as
-    ``lo + (hi - lo) u`` with u uniform on [0, 1). Coincident pairs
-    (``||x-y||^2 == 0``) get a fresh y, drawn the same way, block by block
-    in index order until none is left.
+    Draws: the stream of ``default_rng(seed)`` holds the pairs in chunks of
+    200,000 (the last one partial): all x of a chunk, then all y, then its
+    redraws. Each state is ``lo + (hi - lo) u`` with u uniform on [0, 1).
+    The pairs are drawn in place, a block at a time, from three cursors set
+    at each chunk's start: x from a copy of the stream's state, y from a
+    copy advanced past the chunk's ``size * n`` x doubles with
+    ``PCG64.advance``, and redraws from the generator itself, advanced past
+    both. Coincident pairs (``||x-y||^2 == 0``) get a fresh y from the
+    redraw cursor, block by block in index order until none is left. Every
+    state is the double it would be if the whole chunk were drawn at once,
+    and memory stays O(block) whatever ``samples`` is.
 
     Evaluation runs in blocks of 8192 pairs with one column of states at a
     time. ``||x-y||^2`` is numpy's ``einsum``, and the n products
@@ -274,13 +303,15 @@ def quad_check_sampled(
     for bit while n <= 7; for n >= 8 numpy sums pairwise, and the two
     orders differ by at most 2 (n - 1) eps sum_k |product_k| per pair.
 
-    Raises ``ValueError`` for a box whose widths square below the smallest
+    Raises ``ValueError`` for ``samples`` that is not a whole number >= 1
+    (a whole float such as ``1e6`` counts), for ``seed`` that is not a
+    whole number >= 0, for a box whose widths square below the smallest
     normal float or sum beyond the largest (``||x-y||^2`` would underflow
     to 0 for every pair, or overflow), and for the first pair whose
     quotient is not finite: the field must be finite on the box.
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+    samples = _whole(samples, "samples", 1)
+    seed = _whole(seed, "seed", 0)
     n = dynamics.dim
     lo, hi = _quad_box(box, n)
     p, delta = cert.p, cert.delta
@@ -288,11 +319,9 @@ def quad_check_sampled(
         raise ValueError(f"certificate dimension {p.shape[0]} != dynamics dim {n}")
     pd = p * delta
 
-    samples = int(samples)
     rng = np.random.default_rng(seed)
-    chunk = min(_QUAD_CHUNK, samples)
-    x_buf, y_buf = np.empty((chunk, n)), np.empty((chunk, n))
-    block = min(_QUAD_BLOCK, chunk)
+    block = min(_QUAD_BLOCK, samples)
+    x_buf, y_buf = np.empty((block, n)), np.empty((block, n))
     lo_rows, width_rows = np.tile(lo, block), np.tile(hi - lo, block)
     d_buf, nrm2_buf = np.empty((block, n)), np.empty(block)
     ratio_buf, term_buf, tmp_buf = np.empty(block), np.empty(block), np.empty(block)
@@ -300,14 +329,15 @@ def quad_check_sampled(
     best_pair = (None, None)
     for chunk_start in range(0, samples, _QUAD_CHUNK):
         size = min(_QUAD_CHUNK, samples - chunk_start)
-        x_chunk, y_chunk = x_buf[:size], y_buf[:size]
-        rng.random(out=x_chunk)
-        rng.random(out=y_chunk)
+        x_rng, y_rng = _cursor(rng, 0), _cursor(rng, size * n)
+        rng.bit_generator.advance(2 * size * n)
         for start in range(0, size, _QUAD_BLOCK):
-            x, y = x_chunk[start:start + _QUAD_BLOCK], y_chunk[start:start + _QUAD_BLOCK]
+            rows = min(_QUAD_BLOCK, size - start)
+            x, y = x_buf[:rows], y_buf[:rows]
+            x_rng.random(out=x)
+            y_rng.random(out=y)
             _to_box(x, lo_rows, width_rows)
             _to_box(y, lo_rows, width_rows)
-            rows = x.shape[0]
             d, nrm2 = d_buf[:rows], nrm2_buf[:rows]
             ratio, term, tmp = ratio_buf[:rows], term_buf[:rows], tmp_buf[:rows]
             np.subtract(x, y, out=d)

@@ -300,6 +300,12 @@ class TestCheckScenario:
             assert np.all((lo <= start) & (start <= hi))
         assert "box [-30, 60.7] x [-30, 40.8] x [-30, 50.9]" in render_report(report)
 
+    def test_negative_quad_samples_is_an_error(self):
+        cfg = parse_scenario("fig4-sym-pinned")
+        with pytest.raises(ScenarioError, match="quad_samples must be >= 0"):
+            check_scenario(cfg, quad_samples=-5)
+        assert check_scenario(cfg, quad_samples=0).quad_sampled is None
+
     def test_overstated_alpha_lower_rejected(self):
         # sine_blend's slopes bottom out at 0.5; a claimed 5.0 would certify
         # c = 5 with a margin of about -15 where the true margin is +7.5
@@ -637,6 +643,12 @@ class TestMainExitCodes:
         assert "argument --quad-samples: must be >= 0" in capsys.readouterr().err
         assert main(["check", "fig4-sym-pinned", "--quad-samples", "0"]) == 0
         assert "QUAD" not in capsys.readouterr().out
+
+    def test_negative_seed_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "fig4-sym-pinned", "--quad-samples", "10", "--seed", "-1"])
+        assert exc.value.code == 2
+        assert "argument --seed: must be >= 0" in capsys.readouterr().err
 
     def test_run_has_no_seed_flag(self, capsys):
         with pytest.raises(SystemExit):

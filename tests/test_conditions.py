@@ -224,6 +224,22 @@ class TestQuadCheckSampled:
         with pytest.raises(ValueError):
             quad_check_sampled(make_dynamics("chua"), CERT_10, (-1.0, 1.0), 0)
 
+    @pytest.mark.parametrize("samples, seed, name", [
+        (2.7, 0, "samples"), (True, 0, "samples"), (float("nan"), 0, "samples"),
+        ("5", 0, "samples"), (10, -1, "seed"), (10, 1.5, "seed"),
+    ])
+    def test_samples_and_seed_must_be_whole(self, samples, seed, name):
+        # int() would truncate 2.7 to 2 samples, and numpy rejects a bad seed
+        # without naming the argument
+        with pytest.raises(ValueError, match=f"^{name} must be a whole number"):
+            quad_check_sampled(make_dynamics("chua"), CERT_10, (-1.0, 1.0), samples, seed=seed)
+
+    def test_whole_float_samples_accepted(self):
+        got = quad_check_sampled(make_dynamics("chua"), CERT_10, (-1.0, 1.0), 1e4, seed=np.int64(2))
+        want = quad_check_sampled(make_dynamics("chua"), CERT_10, (-1.0, 1.0), 10_000, seed=2)
+        assert got.detail["samples"] == 10_000 and got.detail["seed"] == 2
+        assert got.detail["min_quotient"] == want.detail["min_quotient"]
+
     @pytest.mark.parametrize("samples", [1, 7, 8191, 8192, 8193, 200_001, 450_000])
     @pytest.mark.parametrize("box", ["cube", "hull", "coarse"])
     def test_matches_the_whole_chunk_reference(self, samples, box):
@@ -252,15 +268,24 @@ class TestQuadCheckSampled:
             got, quad_check_sampled_reference(dyn, cert, (-2.0, 3.0), 20_000, seed=3)
         )
 
-    def test_memory_stays_bounded(self):
-        # the whole-chunk form peaks at about 31 MiB on this check
+    @staticmethod
+    def _traced_peak(samples):
         tracemalloc.start()
         try:
-            quad_check_sampled(make_dynamics("chua"), CERT_10, (-30.0, 30.0), 1_000_000, seed=1)
-            peak = tracemalloc.get_traced_memory()[1]
+            quad_check_sampled(make_dynamics("chua"), CERT_10, (-30.0, 30.0), samples, seed=1)
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 16 * 2**20
+
+    def test_memory_stays_bounded(self):
+        # the whole-chunk form peaks at about 31 MiB on this check, and two
+        # chunk-sized draw buffers at about 10.7 MiB
+        assert self._traced_peak(1_000_000) < 4 * 2**20
+
+    def test_memory_does_not_grow_with_samples(self):
+        # the first call in a process also allocates numpy's lazy state
+        self._traced_peak(10)
+        assert self._traced_peak(1_000_000) <= self._traced_peak(100_000) + 256 * 2**10
 
     def test_narrow_box_rejected_before_drawing(self):
         # every |x-y|^2 would underflow to 0 and the redraw loop never end
