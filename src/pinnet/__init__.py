@@ -62,7 +62,6 @@ from .model import (
     make_dynamics,
     network_operator,
     pinned_matrix,
-    register_coupling_function,
     register_dynamics,
     validate_coupling,
 )

@@ -51,7 +51,7 @@ from .model import (
     pinned_matrix,
     validate_coupling,
 )
-from .scenarios import BUILTIN_SCENARIOS, COUPLING_MATRICES
+from .scenarios import BUILTIN_SCENARIOS, COUPLING_MATRICES, _outputs
 from .simulate import (
     DivergenceError,
     MetricSeries,
@@ -201,9 +201,6 @@ def parse_scenario(source) -> ScenarioConfig:
     params = dyn_spec.get("params", {})
     if not isinstance(params, dict):
         raise ScenarioError(f"dynamics.params must be an object, got {params!r}")
-    for key, value in params.items():
-        if isinstance(value, float) and not np.isfinite(value):
-            raise ScenarioError(f"dynamics.params.{key} must be finite, got {value!r}")
     try:
         dynamics = make_dynamics(dyn_spec["kind"], dim=n, params=params)
     except (TypeError, ValueError, CouplingError) as err:
@@ -290,11 +287,7 @@ def parse_scenario(source) -> ScenarioConfig:
 
     outputs = data.get("outputs")
     if outputs is None:
-        outputs = {
-            "trajectory": f"{name}_trajectory.csv",
-            "metrics": f"{name}_metrics.csv",
-            "summary": f"{name}_summary.txt",
-        }
+        outputs = _outputs(name)
     if not isinstance(outputs, dict) or set(outputs) != {"trajectory", "metrics", "summary"}:
         raise ScenarioError(
             "outputs must map exactly 'trajectory', 'metrics', 'summary' to filenames"
@@ -402,6 +395,7 @@ def check_scenario(cfg: ScenarioConfig, quad_samples: int = 0, seed: int = 0) ->
     irreducible coupling: negativity of the weighted symmetrization, plus
     its margin (theorem4, at the same slope bound) when there is a
     certificate. Reducible coupling: the structural pinnability criterion.
+    ``min_c`` (c*) is set only when the route's negativity verdict holds.
     Pass ``quad_samples > 0`` to also falsification-test the certificate by
     sampling on the hull of [-30, 30] and the scenario's initial data; 0
     skips it and a negative count is an error.
@@ -436,13 +430,12 @@ def check_scenario(cfg: ScenarioConfig, quad_samples: int = 0, seed: int = 0) ->
                 cfg.coupling, pin.pin_node
             )
 
-    if theorem is not None:
-        try:
-            min_c = min_coupling_strength(
-                cfg.certificate, spectral.lambda1, alpha=alpha, xi_max=xi_max
-            )
-        except ValueError:
-            min_c = None
+    # the negativity verdict's relative rule, not min_coupling_strength's
+    # absolute -1e-12, decides whether a c* exists
+    if theorem is not None and prop.holds:
+        min_c = min_coupling_strength(
+            cfg.certificate, spectral.lambda1, alpha=alpha, xi_max=xi_max
+        )
 
     quad_sampled = None
     if quad_samples > 0:
@@ -776,11 +769,7 @@ def run_sweep(cfg: ScenarioConfig, spec: str, out_dir) -> int:
         dataclasses.replace(
             cfg,
             pin=dataclasses.replace(cfg.pin, c=float(c)),
-            outputs={
-                "trajectory": f"{cfg.name}_sweep_c{c:g}_trajectory.csv",
-                "metrics": f"{cfg.name}_sweep_c{c:g}_metrics.csv",
-                "summary": f"{cfg.name}_sweep_c{c:g}_summary.txt",
-            },
+            outputs=_outputs(f"{cfg.name}_sweep_c{c:g}"),
         )
         for c in values
     ]

@@ -46,6 +46,7 @@ from .model import (
 )
 
 NEG_TOL = 1e-9
+_MAX_TRIES = 500
 
 
 @dataclass(frozen=True)
@@ -562,18 +563,18 @@ def random_coupling_matrix(
     symmetric: bool = True,
     edge_prob: float = 0.5,
     require_irreducible: bool = True,
-    max_tries: int = 500,
 ) -> CouplingMatrix:
     """Random Erdos-Renyi coupling matrix with uniform (0, 1] edge weights.
 
     Off-diagonal entries are present independently with ``edge_prob``
     (mirrored when symmetric), the diagonal is set to minus the row sum, and
     draws are rejected until the graph is strongly connected when
-    ``require_irreducible``. Deterministic given the generator state.
+    ``require_irreducible``, at most ``_MAX_TRIES`` times. Deterministic given
+    the generator state.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    for _ in range(max_tries):
+    for _ in range(_MAX_TRIES):
         a = np.zeros((m, m))
         if m > 1:
             mask = rng.random((m, m)) < edge_prob
@@ -589,5 +590,5 @@ def random_coupling_matrix(
         if not require_irreducible or scc_condensation(a).irreducible:
             return validate_coupling(a)
     raise RuntimeError(
-        f"no strongly connected draw in {max_tries} tries (m={m}, p={edge_prob})"
+        f"no strongly connected draw in {_MAX_TRIES} tries (m={m}, p={edge_prob})"
     )

@@ -2,7 +2,9 @@
 
 The symmetric eigensolver is LAPACK's ``eigh`` (through numpy), left null
 vectors come from a direct least-squares solve, and reducibility is decided
-by Tarjan's strongly-connected-components algorithm.
+by Tarjan's strongly-connected-components algorithm. The zero-row-sum and
+symmetry rules live here too (:func:`check_zero_row_sums`,
+:func:`is_symmetric`), one each, for every caller.
 
 Functions accept plain arrays or anything with an ``entries`` attribute
 (e.g. :class:`pinnet.model.CouplingMatrix`).
@@ -15,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 SYMMETRY_TOL = 1e-12
+ROW_SUM_TOL = 1e-12
 NULL_RESIDUAL_TOL = 1e-10
 
 
@@ -40,6 +43,29 @@ def _as_square(a, name: str = "matrix") -> np.ndarray:
     return arr
 
 
+def _absmax(arr: np.ndarray) -> float:
+    return float(np.max(np.abs(arr)))
+
+
+def is_symmetric(a: np.ndarray) -> bool:
+    """``max |a - a^T| <= SYMMETRY_TOL max(1, max |a|)``: symmetric up to the
+    roundoff its largest entry can carry."""
+    return _absmax(a - a.T) <= SYMMETRY_TOL * max(1.0, _absmax(a))
+
+
+def check_zero_row_sums(a: np.ndarray) -> None:
+    """Raise ``ValueError`` naming the first row (1-based) whose sum is not
+    zero within ``ROW_SUM_TOL`` times the row's magnitude, the sum of its
+    absolute entries but at least 1: the roundoff a floating-point row sum
+    can carry."""
+    sums = a.sum(axis=1)
+    tol = ROW_SUM_TOL * np.maximum(1.0, np.abs(a).sum(axis=1))
+    bad = np.flatnonzero(np.abs(sums) > tol)
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(f"row {i + 1} sums to {sums[i]:.6g}, expected 0 within {tol[i]:.3g}")
+
+
 @dataclass(frozen=True)
 class EigenDecomposition:
     """Spectrum of a symmetric matrix: eigenvalues sorted descending, with the
@@ -53,11 +79,11 @@ def sym_eigen(a) -> EigenDecomposition:
     """Full symmetric eigendecomposition by LAPACK (``numpy.linalg.eigh``).
 
     Raises :class:`SymmetryError` if the input is asymmetric beyond
-    tolerance; roundoff-level asymmetry is averaged away before solving.
+    tolerance (:func:`is_symmetric`); roundoff-level asymmetry is averaged
+    away before solving.
     """
     arr = _as_square(a)
-    scale = max(1.0, float(np.max(np.abs(arr))))
-    if float(np.max(np.abs(arr - arr.T))) > SYMMETRY_TOL * scale:
+    if not is_symmetric(arr):
         raise SymmetryError(
             "matrix is not symmetric within tolerance; "
             "the weighted symmetrization path handles asymmetric coupling"
@@ -66,28 +92,21 @@ def sym_eigen(a) -> EigenDecomposition:
     return EigenDecomposition(eigenvalues=values[::-1], eigenvectors=vectors[:, ::-1])
 
 
-def left_null_vector(a, require_irreducible: bool = False) -> np.ndarray:
+def left_null_vector(a) -> np.ndarray:
     """Left null vector xi of a zero-row-sum matrix, normalized to sum 1.
 
     Solved directly as the least-squares system {xi^T A = 0, sum xi = 1},
     which is deterministic and exact at these sizes. For an irreducible
-    matrix this is the (strictly positive) left Perron vector; pass
-    ``require_irreducible=True`` to insist, raising
-    :class:`ReducibilityError` with the condensation otherwise.
+    matrix this is the (strictly positive) left Perron vector. For a
+    reducible one it is just some vector of the left null space, often
+    with zero entries; callers that need the Perron vector check
+    irreducibility first (:func:`scc_condensation`). Rows must sum to zero
+    by the rule of :func:`check_zero_row_sums`.
     """
     arr = _as_square(a)
     m = arr.shape[0]
-    scale = max(1.0, float(np.max(np.abs(arr))))
-    sums = arr.sum(axis=1)
-    if float(np.max(np.abs(sums))) > 1e-12 * scale:
-        raise ValueError("left_null_vector needs zero row sums")
-    if require_irreducible:
-        cond = scc_condensation(arr)
-        if len(cond.blocks) != 1:
-            raise ReducibilityError(
-                f"matrix is reducible ({len(cond.blocks)} strongly connected components)",
-                cond,
-            )
+    check_zero_row_sums(arr)
+    scale = max(1.0, _absmax(arr))
     system = np.vstack([arr.T, np.ones((1, m))])
     rhs = np.zeros(m + 1)
     rhs[m] = 1.0

@@ -30,8 +30,7 @@ from typing import Callable, Mapping, Optional
 
 import numpy as np
 
-ROW_SUM_TOL = 1e-12
-SYMMETRY_TOL = 1e-12
+from .linalg import check_zero_row_sums, is_symmetric
 
 CHUA_K = 9.0
 CHUA_L = 100.0 / 7.0
@@ -41,10 +40,6 @@ FieldFn = Callable[[np.ndarray, float], np.ndarray]
 
 class CouplingError(ValueError):
     """An array violates the coupling-matrix contract, or dimensions clash."""
-
-
-def _absmax(a: np.ndarray) -> float:
-    return float(np.max(np.abs(a))) if a.size else 0.0
 
 
 @dataclass(frozen=True)
@@ -67,9 +62,9 @@ def validate_coupling(entries) -> CouplingMatrix:
     """Check zero row sums and nonnegative off-diagonals; wrap the array.
 
     Raises :class:`CouplingError` naming the offending row or entry (1-based)
-    on the first violation found. Row sums must vanish within ``ROW_SUM_TOL``
-    times the row's magnitude (the sum of its absolute entries, at least 1),
-    the roundoff a floating-point row sum can carry.
+    on the first violation found. Row sums and symmetry are judged by the
+    rules of :func:`pinnet.linalg.check_zero_row_sums` and
+    :func:`pinnet.linalg.is_symmetric`.
     """
     a = np.array(entries, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -87,17 +82,12 @@ def validate_coupling(entries) -> CouplingMatrix:
         raise CouplingError(
             f"off-diagonal entry ({i + 1},{j + 1}) is negative: {a[i, j]!r}"
         )
-    sums = a.sum(axis=1)
-    tol = ROW_SUM_TOL * np.maximum(1.0, np.abs(a).sum(axis=1))
-    bad = np.where(np.abs(sums) > tol)[0]
-    if bad.size:
-        i = int(bad[0])
-        raise CouplingError(
-            f"row {i + 1} sums to {sums[i]:.6g}, expected 0 within {tol[i]:.3g}"
-        )
-    sym = _absmax(a - a.T) <= SYMMETRY_TOL * max(1.0, _absmax(a))
+    try:
+        check_zero_row_sums(a)
+    except ValueError as err:
+        raise CouplingError(str(err)) from None
     a.setflags(write=False)
-    return CouplingMatrix(entries=a, symmetric=bool(sym))
+    return CouplingMatrix(entries=a, symmetric=is_symmetric(a))
 
 
 @dataclass(frozen=True)
@@ -245,7 +235,8 @@ class Dynamics:
 
 def _real_params(kind: str, params: Mapping, defaults: Mapping[str, float]) -> list[float]:
     """``params`` over ``defaults``, in the order of ``defaults``; a
-    ``ValueError`` names any key that is unknown or not a real number."""
+    ``ValueError`` names any key that is unknown, not a real number, or not
+    finite."""
     known = ", ".join(defaults)
     for key, value in params.items():
         where = f"dynamics.params.{key}"
@@ -253,6 +244,8 @@ def _real_params(kind: str, params: Mapping, defaults: Mapping[str, float]) -> l
             raise ValueError(f"{where} is not a parameter of {kind} (known: {known})")
         if isinstance(value, bool) or not isinstance(value, numbers.Real):
             raise ValueError(f"{where} must be a number, got {value!r} (known: {known})")
+        if not np.isfinite(value):
+            raise ValueError(f"{where} must be finite, got {value!r}")
     return [float(params.get(key, default)) for key, default in defaults.items()]
 
 
@@ -334,13 +327,6 @@ _COUPLING_FUNCTIONS: dict[str, tuple[Callable, float]] = {
     "identity": (_g_identity, 1.0),
     "sine_blend": (_g_sine_blend, 0.5),
 }
-
-
-def register_coupling_function(kind: str, fn: Callable, alpha_lower: float) -> None:
-    """Register a scalar monotone map with its certified slope lower bound."""
-    if alpha_lower <= 0:
-        raise ValueError("alpha_lower must be > 0")
-    _COUPLING_FUNCTIONS[kind] = (fn, float(alpha_lower))
 
 
 def make_coupling_function(kind: str = "identity", alpha_lower: Optional[float] = None) -> CouplingFunction:

@@ -55,6 +55,8 @@ _ORIGIN = [0.0, 0.0, 0.0]
 
 
 def _outputs(name: str) -> dict[str, str]:
+    """The trajectory, metrics and summary file names of a run named ``name``;
+    the default outputs and each sweep point's use the same rule."""
     return {
         "trajectory": f"{name}_trajectory.csv",
         "metrics": f"{name}_metrics.csv",

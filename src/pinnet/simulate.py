@@ -58,6 +58,7 @@ DIVERGENCE_NORM = 1e9
 _GUARD2 = DIVERGENCE_NORM * DIVERGENCE_NORM
 GRID_RTOL = 1e-9
 _MONITOR_FLOOR = 1e-300
+_MONITOR_TOL_RATE = 1e-3
 
 
 class DivergenceError(RuntimeError):
@@ -79,14 +80,6 @@ class Trajectory:
     times: np.ndarray
     states: np.ndarray
     reference: np.ndarray
-
-    @property
-    def dt(self) -> float:
-        return float(self.times[1] - self.times[0])
-
-    @property
-    def num_nodes(self) -> int:
-        return self.states.shape[1]
 
 
 def grid_steps(dt: float, t_max: float) -> int:
@@ -309,7 +302,8 @@ def metrics(traj: Trajectory, weights=None, p=None) -> MetricSeries:
 
     xbar = x.mean(axis=1)
     sync_dev = np.linalg.norm(x - xbar[:, None, :], axis=2).sum(axis=1)
-    pin_dev = np.linalg.norm(x - s[:, None, :], axis=2).sum(axis=1)
+    dx = x - s[:, None, :]
+    pin_dev = np.linalg.norm(dx, axis=2).sum(axis=1)
     sync_ratio = pin_ratio = sync_floor = pin_floor = None
     roundoff = m * np.finfo(float).eps
     x_top = float(np.linalg.norm(x[-1], axis=1).max())
@@ -321,7 +315,6 @@ def metrics(traj: Trajectory, weights=None, p=None) -> MetricSeries:
         pin_ratio = pin_dev / pin_dev[0]
         pin_floor = roundoff * (x_top + s_top) / float(pin_dev[0])
 
-    dx = x - s[:, None, :]
     lyap = 0.5 * np.einsum("tik,k,i->t", dx * dx, pd, w)
     return MetricSeries(
         times=traj.times,
@@ -364,19 +357,15 @@ class MonitorReport:
     required_rate: float
 
 
-def lyapunov_monitor(
-    series: MetricSeries,
-    cert: QuadCertificate,
-    tol_rate: float = 1e-3,
-) -> MonitorReport:
-    """Check V(t+dt) <= V(t) exp(-(eta / min_k p_k - tol_rate) dt) stepwise.
+def lyapunov_monitor(series: MetricSeries, cert: QuadCertificate) -> MonitorReport:
+    """Check V(t+dt) <= V(t) exp(-(eta / min_k p_k - 1e-3) dt) stepwise.
 
     ``series`` is the run's :func:`metrics` taken with ``p=cert.p`` (and the
     run's node weights), so its V is the certificate's quadratic form; a
     series taken with another P is rejected. Report-only: violations are
     counted, never raised, since the bound is meaningful only when the
-    matching global condition holds. ``tol_rate`` absorbs the O(dt^4)
-    integration error. Steps whose V has underflowed below 1e-300 are
+    matching global condition holds. The 1e-3 slack on the rate absorbs the
+    O(dt^4) integration error. Steps whose V has underflowed below 1e-300 are
     skipped; the quadratic form is meaningless there.
     """
     if series.p is None or not np.array_equal(series.p, cert.p):
@@ -385,7 +374,7 @@ def lyapunov_monitor(
         )
     v = series.lyapunov
     times = series.times
-    rate = cert.eta / float(cert.p.min()) - tol_rate
+    rate = cert.eta / float(cert.p.min()) - _MONITOR_TOL_RATE
     factor = float(np.exp(-rate * float(times[1] - times[0])))
     prev, nxt = v[:-1], v[1:]
     considered = prev >= _MONITOR_FLOOR

@@ -270,6 +270,26 @@ class TestCheckScenario:
         assert not report.theorem.holds
         assert report.min_c is None
 
+    def test_no_c_star_under_a_failing_negativity_verdict(self):
+        # lambda1 is about -3e-11: below min_coupling_strength's absolute
+        # -1e-12 but not negative under the relative negativity rule
+        data = copy.deepcopy(BUILTIN_SCENARIOS["fig4-sym-pinned"])
+        data["pin"]["epsilon"] = 1e-10
+        report = check_scenario(parse_scenario(data))
+        assert not report.proposition1.holds
+        assert report.min_c is None
+        assert "minimal coupling strength: none" in render_report(report)
+
+    def test_large_weight_row_sum_roundoff_is_accepted(self):
+        # row 1 sums to 3e-6, inside its 4e-6 roundoff bound; every check
+        # along the asymmetric route must apply the same per-row rule
+        w = 1e6
+        data = copy.deepcopy(BUILTIN_SCENARIOS["fig5-asym-pinned"])
+        data["coupling"] = [[-2 * w, w, w + 3e-6], [w, -2 * w, w], [0.0, w, -w]]
+        report = check_scenario(parse_scenario(data))
+        assert report.route == "asymmetric"
+        assert report.theorem_name == "theorem4"
+
     def test_nonlinear_routes_to_theorem3(self):
         report = check_scenario(parse_scenario("nonlinear-pinned"))
         assert report.theorem_name == "theorem3"

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pinnet import (
-    ReducibilityError,
     SymmetryError,
     left_null_vector,
     scc_condensation,
@@ -133,16 +132,10 @@ class TestLeftNullVector:
         for _ in range(50):
             m = int(rng.integers(2, 10))
             a = random_coupling_matrix(rng, m, symmetric=False).entries
-            xi = left_null_vector(a, require_irreducible=True)
+            xi = left_null_vector(a)
             assert np.max(np.abs(xi @ a)) <= 1e-10 * np.max(np.abs(a))
             assert xi.sum() == pytest.approx(1.0, abs=1e-12)
             assert np.all(xi > 0)
-
-    def test_reducible_rejected_with_condensation(self):
-        a = np.array([[-1.0, 1.0, 0.0], [1.0, -1.0, 0.0], [1.0, 1.0, -2.0]])
-        with pytest.raises(ReducibilityError) as err:
-            left_null_vector(a, require_irreducible=True)
-        assert err.value.condensation.blocks == ((1, 2), (3,))
 
     def test_nonzero_row_sums_rejected(self):
         with pytest.raises(ValueError):
