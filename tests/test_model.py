@@ -322,9 +322,9 @@ class TestDynamicsRegistry:
             ("chua", 3, {"K": 20}, r"params.K is not a parameter of chua \(known: k, l\)"),
             ("chua", 3, {"k": True}, r"params.k must be a number, got True"),
             ("chua", 3, {"l": "9"}, r"params.l must be a number, got '9'"),
-            ("chua", 3, {"k": float("inf")}, r"params.k must be finite, got inf"),
             ("linear_decay", 2, {"k": 1.0}, r"params.k is not .* \(known: rate\)"),
             ("linear_decay", 2, {"rate": None}, r"params.rate must be a number"),
+            ("chua", 3, {"k": float("inf")}, r"params.k must be finite, got inf"),
         ],
     )
     def test_builtin_params_are_checked(self, kind, dim, params, message):
