@@ -49,6 +49,7 @@ from .linalg import (
 from .model import (
     CHUA_K,
     CHUA_L,
+    UNCONTROLLED,
     CouplingError,
     CouplingFunction,
     CouplingMatrix,

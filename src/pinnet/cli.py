@@ -40,12 +40,14 @@ from .conditions import (
 # this module along with the other pipeline names.
 from .linalg import Condensation, left_null_vector, scc_condensation  # noqa: F401
 from .model import (
+    UNCONTROLLED,
     CouplingError,
     CouplingFunction,
     CouplingMatrix,
     Dynamics,
     NetworkSystem,
     PinPlan,
+    finite_number,
     make_coupling_function,
     make_dynamics,
     pinned_matrix,
@@ -87,20 +89,21 @@ class ScenarioError(ValueError):
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Fully validated scenario, ready to check or run."""
+    """Fully validated scenario, ready to check or run; without a pin plan it
+    runs :data:`pinnet.model.UNCONTROLLED`."""
 
     name: str
     coupling: CouplingMatrix
     coupling_id: Optional[str]
     dynamics: Dynamics
     gfun: CouplingFunction
-    pin: Optional[PinPlan]
     certificate: Optional[QuadCertificate]
     initial_states: np.ndarray
     reference_initial: np.ndarray
     dt: float
     t_max: float
     outputs: dict
+    pin: PinPlan = UNCONTROLLED
 
 
 def _require(data: dict, key: str):
@@ -110,9 +113,10 @@ def _require(data: dict, key: str):
 
 
 def _number(value, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ScenarioError(f"{where} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return finite_number(value, where)
+    except ValueError as err:
+        raise ScenarioError(str(err)) from None
 
 
 def _finite_array(value, where: str) -> np.ndarray:
@@ -240,7 +244,7 @@ def parse_scenario(source) -> ScenarioConfig:
     except ValueError as err:
         raise ScenarioError(f"coupling_function: {err}") from err
 
-    pin = None
+    pin = UNCONTROLLED
     if data.get("pin") is not None:
         pin_spec = data["pin"]
         if not isinstance(pin_spec, dict):
@@ -327,13 +331,8 @@ def serialize_scenario(cfg: ScenarioConfig) -> dict:
         "reference_initial": cfg.reference_initial.tolist(),
         "integration": {"dt": cfg.dt, "t_max": cfg.t_max},
         "outputs": dict(cfg.outputs),
+        "pin": {"node": cfg.pin.pin_node, "epsilon": cfg.pin.epsilon, "c": cfg.pin.c},
     }
-    if cfg.pin is not None:
-        out["pin"] = {
-            "node": cfg.pin.pin_node,
-            "epsilon": cfg.pin.epsilon,
-            "c": cfg.pin.c,
-        }
     if cfg.certificate is not None:
         out["certificate"] = {
             "P": cfg.certificate.p.tolist(),
@@ -370,7 +369,7 @@ class ConditionReport:
     quad_sampled: Optional[Verdict] = None
 
     @property
-    def gate_verdict(self) -> Optional[Verdict]:
+    def gate_verdict(self) -> Verdict:
         """The verdict that decides --require-conditions for this route."""
         if self.theorem is not None:
             return self.theorem
@@ -402,10 +401,10 @@ def check_scenario(cfg: ScenarioConfig, quad_samples: int = 0, seed: int = 0) ->
     """
     if quad_samples < 0:
         raise ScenarioError(f"quad_samples must be >= 0, got {quad_samples!r}")
-    pin = cfg.pin if cfg.pin is not None else PinPlan(1, 0.0, 1.0)
+    pin = cfg.pin
     spectral = prop = theorem_name = theorem = min_c = None
     reducibility = condensation = None
-    alpha, xi_max = cfg.gfun.alpha_lower, 1.0
+    alpha = cfg.gfun.alpha_lower
 
     if cfg.coupling.symmetric:
         route = "symmetric"
@@ -423,19 +422,14 @@ def check_scenario(cfg: ScenarioConfig, quad_samples: int = 0, seed: int = 0) ->
             else:
                 spectral = weighted_spectrum(cfg.coupling, pin)
             prop = spectral_negativity(spectral)
-            xi_max = spectral.xi_max
         else:
             route = "reducible"
             reducibility, condensation = reducible_pinnability(
                 cfg.coupling, pin.pin_node
             )
 
-    # the negativity verdict's relative rule, not min_coupling_strength's
-    # absolute -1e-12, decides whether a c* exists
     if theorem is not None and prop.holds:
-        min_c = min_coupling_strength(
-            cfg.certificate, spectral.lambda1, alpha=alpha, xi_max=xi_max
-        )
+        min_c = min_coupling_strength(cfg.certificate, spectral, alpha=alpha)
 
     quad_sampled = None
     if quad_samples > 0:
@@ -623,8 +617,7 @@ def run_scenario(
     integration with exit code 2.
     """
     report = check_scenario(cfg)
-    gate = report.gate_verdict
-    if require_conditions and (gate is None or not gate.holds):
+    if require_conditions and not report.gate_verdict.holds:
         text = render_report(report) + "\nrun aborted: conditions not satisfied"
         return RunResult(config=cfg, report=report, exit_code=2, summary_text=text)
 
@@ -653,9 +646,7 @@ def _finish_run(cfg: ScenarioConfig, report: ConditionReport, outcome, out: Path
     traj = outcome.trajectory if diverged else outcome
     blowup = outcome.blowup_time if diverged else None
 
-    weights = None
-    if report.route == "asymmetric" and report.spectral is not None:
-        weights = report.spectral.xi
+    weights = report.spectral.xi if report.route == "asymmetric" else None
     p = cfg.certificate.p if cfg.certificate is not None else None
     series = metrics(traj, weights=weights, p=p)
     rate, window = _summary_fit(series, cfg.t_max)
@@ -742,17 +733,7 @@ def parse_sweep(spec: str) -> np.ndarray:
         raise ScenarioError(f"bad sweep range {spec!r}")
     if count == 1 and hi != lo:
         raise ScenarioError(f"bad sweep range {spec!r}: one point cannot span {lo:g} to {hi:g}")
-    return np.linspace(lo, hi, count)
-
-
-def run_sweep(cfg: ScenarioConfig, spec: str, out_dir) -> int:
-    """Run the scenario at each sweep value of c: the same outputs per point
-    as :func:`run_scenario`, plus a ``<name>_sweep.csv`` table of margins and
-    final pin ratios. Every point is checked, then all are integrated as one
-    batch (:func:`pinnet.simulate.integrate_batch`)."""
-    if cfg.pin is None:
-        raise ScenarioError("--sweep needs a scenario with a pin plan")
-    values = parse_sweep(spec)
+    values = np.linspace(lo, hi, count)
     # each point's outputs are named by its c at %g, so no two may share it
     named: dict[str, float] = {}
     for c in map(float, values):
@@ -763,6 +744,15 @@ def run_sweep(cfg: ScenarioConfig, spec: str, out_dir) -> int:
                 f"output names of c={label}; widen the range or take fewer points"
             )
         named[label] = c
+    return values
+
+
+def run_sweep(cfg: ScenarioConfig, spec: str, out_dir) -> int:
+    """Run the scenario at each sweep value of c: the same outputs per point
+    as :func:`run_scenario`, plus a ``<name>_sweep.csv`` table of margins and
+    final pin ratios. Every point is checked, then all are integrated as one
+    batch (:func:`pinnet.simulate.integrate_batch`)."""
+    values = parse_sweep(spec)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     points = [
@@ -785,15 +775,8 @@ def run_sweep(cfg: ScenarioConfig, spec: str, out_dir) -> int:
     for c, point, report, outcome in zip(values, points, reports, outcomes):
         result = _finish_run(point, report, outcome, out)
         gate = report.gate_verdict
-        rows.append(
-            (
-                float(c),
-                gate.margin if gate is not None else float("nan"),
-                bool(gate.holds) if gate is not None else False,
-                result.final_pin if result.final_pin is not None else float("nan"),
-                result.diverged,
-            )
-        )
+        final_pin = result.final_pin if result.final_pin is not None else float("nan")
+        rows.append((float(c), gate.margin, gate.holds, final_pin, result.diverged))
         print(
             f"sweep c={c:g}: margin={rows[-1][1]:+.6g} holds={rows[-1][2]} "
             f"final_pin={rows[-1][3]:.6g} diverged={result.diverged}"
@@ -865,25 +848,27 @@ def main(argv=None) -> int:
                 parser.error(f"argument {flag}: must be >= 0, got {value}")
     try:
         cfg = parse_scenario(args.scenario)
-        if args.command == "run":
-            if args.dt is not None or args.tmax is not None:
-                cfg = dataclasses.replace(
-                    cfg,
-                    dt=cfg.dt if args.dt is None else args.dt,
-                    t_max=cfg.t_max if args.tmax is None else args.tmax,
-                )
-                _check_grid(cfg.dt, cfg.t_max, "--dt/--tmax")
-
         if args.command == "check":
             report = check_scenario(
                 cfg, quad_samples=args.quad_samples, seed=args.seed
             )
             print(render_report(report))
-            gate = report.gate_verdict
-            if args.require_conditions and (gate is None or not gate.holds):
-                return 2
-            return 0
+            return 2 if args.require_conditions and not report.gate_verdict.holds else 0
 
+        if args.sweep:
+            if args.require_conditions:
+                raise ScenarioError(
+                    "--sweep and --require-conditions cannot be combined: a sweep "
+                    "integrates every point whatever its verdict"
+                )
+            parse_sweep(args.sweep)
+        if args.dt is not None or args.tmax is not None:
+            cfg = dataclasses.replace(
+                cfg,
+                dt=cfg.dt if args.dt is None else args.dt,
+                t_max=cfg.t_max if args.tmax is None else args.tmax,
+            )
+            _check_grid(cfg.dt, cfg.t_max, "--dt/--tmax")
         if args.dry_run:
             print(json.dumps(serialize_scenario(cfg), indent=2))
             return 0

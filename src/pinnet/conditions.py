@@ -15,7 +15,8 @@ topologies (:func:`reducible_pinnability`).
 All conditions are strict inequalities: a margin of exactly zero fails. The
 negativity tolerance is relative, ``margin < -1e-9 * max(1, scale)`` with
 ``scale`` the magnitude of the binding combination; for spectral negativity,
-on either route, that is the largest eigenvalue magnitude.
+on either route, that is the largest eigenvalue magnitude. That one verdict
+also decides whether a minimal coupling strength c* exists.
 """
 
 from __future__ import annotations
@@ -397,12 +398,6 @@ def quad_check_sampled(
 # margin checks
 
 
-def _margin_verdict(terms: np.ndarray, scale_terms: np.ndarray, detail: dict) -> Verdict:
-    k = int(np.argmax(terms))
-    detail = dict(detail, per_component=terms, binding_k=k + 1)
-    return _strict(float(terms[k]), float(scale_terms[k]), detail)
-
-
 def theorem1_margin(sys, lambda1: float) -> Verdict:
     """Local pinning condition for the built-in circuit dynamics.
 
@@ -412,8 +407,6 @@ def theorem1_margin(sys, lambda1: float) -> Verdict:
     """
     if sys.dynamics.kind != "chua":
         raise ValueError("theorem1_margin supports only the built-in circuit dynamics")
-    if sys.pin is None:
-        raise ValueError("theorem1_margin needs a pin plan (coupling strength c)")
     k = float(sys.dynamics.params.get("k", CHUA_K))
     l = float(sys.dynamics.params.get("l", CHUA_L))
     mus = {
@@ -445,17 +438,29 @@ def theorem3_check(
         raise ValueError(f"alpha and xi_max must be > 0, got {alpha} and {xi_max}")
     terms = cert.delta * xi_max + alpha * (c * lambda1)
     scales = np.abs(cert.delta * xi_max) + abs(alpha * (c * lambda1))
-    detail = {"c": c, "lambda1": lambda1, "alpha": alpha, "xi_max": xi_max}
-    return _margin_verdict(terms, scales, detail)
+    k = int(np.argmax(terms))
+    detail = {"c": c, "lambda1": lambda1, "alpha": alpha, "xi_max": xi_max,
+              "per_component": terms, "binding_k": k + 1}
+    return _strict(float(terms[k]), float(scales[k]), detail)
 
 
 def weighted_spectrum(a, pin: PinPlan) -> SpectralReport:
     """Spectrum behind the asymmetric conditions: xi, the left Perron vector
     of the unpinned matrix, and the eigenvalues of
     (diag(xi) A~ + A~^T diag(xi)) / 2 for the pinned matrix A~, whose top
-    value is mu1."""
-    xi = left_null_vector(a)
-    dec = sym_eigen(symmetrize_weighted(pinned_matrix(a, pin), xi))
+    value is mu1. The input is validated, and reducible coupling, which has
+    no Perron vector, raises :class:`ReducibilityError` with its condensation.
+    """
+    coupling = a if isinstance(a, CouplingMatrix) else validate_coupling(a)
+    cond = scc_condensation(coupling)
+    if not cond.irreducible:
+        raise ReducibilityError(
+            "weighted_spectrum needs an irreducible coupling matrix; "
+            "use reducible_pinnability",
+            cond,
+        )
+    xi = left_null_vector(coupling)
+    dec = sym_eigen(symmetrize_weighted(pinned_matrix(coupling, pin), xi))
     return SpectralReport(
         eigenvalues=dec.eigenvalues,
         lambda1=float(dec.eigenvalues[0]),
@@ -472,41 +477,32 @@ def theorem4_check(
     With xi and mu1 from :func:`weighted_spectrum`, the condition is
     max_k Delta_k max_i xi_i + alpha c mu1 < 0, i.e. :func:`theorem3_check`
     on the weighted spectrum; ``alpha`` is the coupling map's slope bound.
-    Reducible input raises :class:`ReducibilityError`; use
-    :func:`reducible_pinnability`.
+    Reducible input raises :class:`ReducibilityError` from
+    :func:`weighted_spectrum`; use :func:`reducible_pinnability`.
     """
-    coupling = a if isinstance(a, CouplingMatrix) else validate_coupling(a)
-    cond = scc_condensation(coupling)
-    if not cond.irreducible:
-        raise ReducibilityError(
-            "theorem4_check needs an irreducible coupling matrix; "
-            "use reducible_pinnability",
-            cond,
-        )
-    report = weighted_spectrum(coupling, pin)
+    report = weighted_spectrum(a, pin)
     return theorem3_check(cert, pin.c, report.lambda1, alpha, report.xi_max), report
 
 
 def min_coupling_strength(
-    cert: QuadCertificate,
-    lambda1: float,
-    alpha: float = 1.0,
-    xi_max: float = 1.0,
+    cert: QuadCertificate, spectral: SpectralReport, alpha: float = 1.0
 ) -> float:
     """Smallest coupling strength making the global margin negative.
 
-    Closed form for the family max_k Delta_k xi_max + alpha c lambda1 < 0:
-    c* = max_k Delta_k xi_max / (-alpha lambda1), re-verified by evaluating
-    the margin just above c*. Requires lambda1 < 0 (a numerically zero top
-    eigenvalue means no finite strength pins the network) and returns 0 when
-    every Delta_k is nonpositive.
+    Closed form for the family max_k Delta_k xi_max + alpha c lambda1 < 0,
+    with lambda1 and xi_max (1 if absent) read from ``spectral``:
+    c* = max_k Delta_k xi_max / (-alpha lambda1), re-verified just above c*.
+    It exists exactly when :func:`spectral_negativity` holds for the report,
+    and ``ValueError`` says so otherwise; it is 0 when every Delta_k <= 0.
     """
-    if alpha <= 0 or xi_max <= 0:
-        raise ValueError("alpha and xi_max must be > 0")
-    if lambda1 >= -1e-12:
+    if alpha <= 0:
+        raise ValueError(f"alpha must be > 0, got {alpha}")
+    lambda1 = spectral.lambda1
+    if not spectral_negativity(spectral).holds:
         raise ValueError(
             f"lambda1 = {lambda1:.6g} is not negative: no finite coupling strength exists"
         )
+    xi_max = 1.0 if spectral.xi_max is None else spectral.xi_max
     top = float(np.max(cert.delta)) * xi_max
     if top <= 0.0:
         return 0.0
@@ -521,9 +517,9 @@ def reducible_pinnability(a, pin_node: int) -> tuple[Verdict, Condensation]:
     """Structural pinnability of a possibly reducible network.
 
     Holds when the condensation has exactly one root block (a component
-    receiving no cross-block input), the pinned node lies inside it, and
-    every other block is fed by some earlier block. The verdict margin is
-    -1 when all requirements hold and counts the violations otherwise.
+    receiving no cross-block input, so every other block is fed by an
+    earlier one) and the pinned node lies inside it. The verdict margin is
+    -1 when both requirements hold and counts the violations otherwise.
     """
     coupling = a if isinstance(a, CouplingMatrix) else validate_coupling(a)
     if not 1 <= pin_node <= coupling.m:
@@ -534,20 +530,16 @@ def reducible_pinnability(a, pin_node: int) -> tuple[Verdict, Condensation]:
     pin_block = next(
         q for q, block in enumerate(cond.blocks, start=1) if pin_node in block
     )
-    unfed = [q for q in range(2, len(cond.blocks) + 1) if q not in receivers]
     problems = []
     if len(roots) != 1:
         problems.append(f"{len(roots)} root blocks, need exactly 1")
     if pin_block not in roots:
         problems.append(f"pinned node {pin_node} sits in block {pin_block}, not a root")
-    if unfed:
-        problems.append(f"blocks {unfed} receive no cross-block input")
     holds = not problems
     detail = {
         "blocks": cond.blocks,
         "root_blocks": roots,
         "pin_block": pin_block,
-        "unfed_blocks": unfed,
         "problems": problems,
     }
     return Verdict(holds=holds, margin=-1.0 if holds else float(len(problems)), detail=detail), cond

@@ -24,6 +24,7 @@ or their flat ``(B (m + 1), n)`` view, one system being a batch of one.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional
@@ -110,6 +111,10 @@ class PinPlan:
             raise ValueError(f"feedback gain epsilon must be >= 0, got {self.epsilon}")
         if not np.isfinite(self.c) or self.c <= 0:
             raise ValueError(f"coupling strength c must be > 0, got {self.c}")
+
+
+#: No controller (gain 0) at unit strength: the plan of a system that names none.
+UNCONTROLLED = PinPlan(1, 0.0, 1.0)
 
 
 def pinned_matrix(a, pin: PinPlan) -> np.ndarray:
@@ -233,20 +238,34 @@ class Dynamics:
         return self.field_fn(np.asarray(x, dtype=float), t)
 
 
+def finite_number(value, where: str) -> float:
+    """``value`` as a float; a ``ValueError`` names ``where`` when it is a
+    bool, not a real number, too large for a float, or not finite."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{where} must be a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:
+        raise ValueError(f"{where} is too large for a float") from None
+    if not math.isfinite(number):
+        raise ValueError(f"{where} must be finite, got {value!r}")
+    return number
+
+
 def _real_params(kind: str, params: Mapping, defaults: Mapping[str, float]) -> list[float]:
     """``params`` over ``defaults``, in the order of ``defaults``; a
-    ``ValueError`` names any key that is unknown, not a real number, or not
-    finite."""
+    ``ValueError`` names any key that is unknown or fails
+    :func:`finite_number`, with the known keys."""
     known = ", ".join(defaults)
-    for key, value in params.items():
-        where = f"dynamics.params.{key}"
+    for key in params:
         if key not in defaults:
-            raise ValueError(f"{where} is not a parameter of {kind} (known: {known})")
-        if isinstance(value, bool) or not isinstance(value, numbers.Real):
-            raise ValueError(f"{where} must be a number, got {value!r} (known: {known})")
-        if not np.isfinite(value):
-            raise ValueError(f"{where} must be finite, got {value!r}")
-    return [float(params.get(key, default)) for key, default in defaults.items()]
+            raise ValueError(f"dynamics.params.{key} is not a parameter of {kind} "
+                             f"(known: {known})")
+    try:
+        return [finite_number(params.get(key, default), f"dynamics.params.{key}")
+                for key, default in defaults.items()]
+    except ValueError as err:
+        raise ValueError(f"{err} (known: {known})") from None
 
 
 def _build_chua(dim: int, params: Mapping) -> FieldFn:
@@ -352,19 +371,22 @@ def make_coupling_function(kind: str = "identity", alpha_lower: Optional[float] 
 
 @dataclass(frozen=True)
 class NetworkSystem:
-    """Coupling topology + node dynamics + coupling map + optional controller.
+    """Coupling topology + node dynamics + coupling map + controller.
 
-    Without a pin plan the coupling strength is 1 (fold any strength into the
-    matrix). Instances are immutable and safe to share across threads.
+    The pin plan defaults to :data:`UNCONTROLLED` (no controller, coupling
+    strength 1: fold any strength into the matrix), and ``pin=None`` is read
+    as that plan. Instances are immutable and safe to share across threads.
     """
 
     coupling: CouplingMatrix
     dynamics: Dynamics
     gfun: CouplingFunction = field(default_factory=make_coupling_function)
-    pin: Optional[PinPlan] = None
+    pin: PinPlan = UNCONTROLLED
 
     def __post_init__(self):
-        if self.pin is not None and self.pin.pin_node > self.coupling.m:
+        if self.pin is None:
+            object.__setattr__(self, "pin", UNCONTROLLED)
+        if self.pin.pin_node > self.coupling.m:
             raise CouplingError(
                 f"pin_node {self.pin.pin_node} exceeds node count {self.coupling.m}"
             )
@@ -380,9 +402,6 @@ def network_operator(sys: NetworkSystem) -> np.ndarray:
     """
     m = sys.coupling.m
     op = np.zeros((m + 1, m + 1))
-    if sys.pin is None:
-        op[:m, :m] = sys.coupling.entries
-        return op
     c = sys.pin.c
     p = sys.pin.pin_node - 1
     gain = c * sys.pin.epsilon

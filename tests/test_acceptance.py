@@ -253,7 +253,7 @@ def test_10_reducible_criterion(tmp_path):
 def test_11_nonlinear_coupling(tmp_path):
     cfg = pn.parse_scenario("nonlinear-pinned")
     _, report = pn.proposition1_holds(pn.pinned_matrix(cfg.coupling, cfg.pin))
-    c_star = pn.min_coupling_strength(CERT, report.lambda1, alpha=0.5)
+    c_star = pn.min_coupling_strength(CERT, report, alpha=0.5)
     result = pn.run_scenario(cfg, out_dir=tmp_path)
 
     rng = np.random.default_rng(7)

@@ -10,6 +10,7 @@ import pytest
 
 from pinnet import (
     BUILTIN_SCENARIOS,
+    UNCONTROLLED,
     ScenarioError,
     check_scenario,
     min_coupling_strength,
@@ -207,9 +208,22 @@ class TestParseScenario:
         }
         cfg = parse_scenario(data)
         assert cfg.gfun.kind == "identity"
-        assert cfg.pin is None
+        assert cfg.pin is UNCONTROLLED
         assert cfg.certificate is None
         assert cfg.outputs["metrics"] == "bare_metrics.csv"
+
+    def test_missing_pin_is_written_as_uncontrolled(self):
+        data = {
+            "name": "bare",
+            "coupling": [[0.0]],
+            "dynamics": {"kind": "linear_decay", "params": {}},
+            "initial_states": [[1.0]],
+            "reference_initial": [0.0],
+            "integration": {"dt": 0.1, "t_max": 1.0},
+        }
+        written = serialize_scenario(parse_scenario(data))
+        assert written["pin"] == {"node": 1, "epsilon": 0.0, "c": 1.0}
+        assert parse_scenario(written).pin == UNCONTROLLED
 
 
 class TestRoundTrip:
@@ -271,14 +285,17 @@ class TestCheckScenario:
         assert report.min_c is None
 
     def test_no_c_star_under_a_failing_negativity_verdict(self):
-        # lambda1 is about -3e-11: below min_coupling_strength's absolute
-        # -1e-12 but not negative under the relative negativity rule
+        # lambda1 is about -3e-11: within roundoff of 0 under the relative
+        # negativity rule, which min_coupling_strength applies too
         data = copy.deepcopy(BUILTIN_SCENARIOS["fig4-sym-pinned"])
         data["pin"]["epsilon"] = 1e-10
-        report = check_scenario(parse_scenario(data))
+        cfg = parse_scenario(data)
+        report = check_scenario(cfg)
         assert not report.proposition1.holds
         assert report.min_c is None
         assert "minimal coupling strength: none" in render_report(report)
+        with pytest.raises(ValueError, match="not negative"):
+            min_coupling_strength(cfg.certificate, report.spectral)
 
     def test_large_weight_row_sum_roundoff_is_accepted(self):
         # row 1 sums to 3e-6, inside its 4e-6 roundoff bound; every check
@@ -348,7 +365,7 @@ class TestCheckScenario:
         expected = theorem3_check(cfg.certificate, cfg.pin.c, lam, alpha=0.5)
         assert report.theorem.margin == expected.margin
         assert not report.theorem.holds  # 10 + 0.5 * 10 * (-1.011) > 0
-        assert report.min_c == min_coupling_strength(cfg.certificate, lam, alpha=0.5)
+        assert report.min_c == min_coupling_strength(cfg.certificate, report.spectral, alpha=0.5)
         assert report.min_c == pytest.approx(2 * 9.891, abs=0.02)
 
     def test_asymmetric_branches_share_one_spectrum(self, monkeypatch):
@@ -548,6 +565,10 @@ class TestSweep:
             run_sweep(cfg, spec, tmp_path / "out")
         assert not (tmp_path / "out").exists()
 
+    def test_shared_labels_are_a_spec_error(self):
+        with pytest.raises(ScenarioError, match="c=10.0 and c=10.0 would share"):
+            parse_sweep("c=10:10:2")
+
     def test_sweep_table_margin_flip(self, tmp_path):
         code = main(
             [
@@ -620,6 +641,38 @@ class TestMainExitCodes:
     def test_validation_error(self, capsys):
         assert main(["run", "missing-scenario.json"]) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec", ["bogus", "c=10:10:2"])
+    def test_dry_run_checks_the_sweep_spec(self, capsys, spec):
+        assert main(["run", "fig4-sym-pinned", "--dry-run", "--sweep", spec]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and repr(spec) in err
+
+    def test_sweep_refuses_require_conditions(self, tmp_path, capsys):
+        # a sweep integrates every point, so the gate could only be ignored
+        out = tmp_path / "out"
+        argv = ["run", "fig2-sym-uncontrolled", "--tmax", "1", "--sweep", "c=6:14:3"]
+        assert main(argv + ["--require-conditions", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "--sweep and --require-conditions cannot be combined" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "field",
+        ["pin.epsilon", "pin.c", "integration.dt", "integration.t_max", "certificate.eta",
+         "dynamics.params.k"],
+    )
+    def test_huge_numbers_exit_with_a_named_field(self, tmp_path, capsys, field):
+        data = copy.deepcopy(BUILTIN_SCENARIOS["fig4-sym-pinned"])
+        *parents, key = field.split(".")
+        target = data
+        for name in parents:
+            target = target[name]
+        target[key] = 10**400
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(data))
+        assert main(["check", str(path)]) == 1
+        assert f"{field} is too large for a float" in capsys.readouterr().err
 
     def test_dry_run_prints_config(self, capsys):
         assert main(["run", "fig5-asym-pinned", "--dry-run"]) == 0

@@ -12,6 +12,7 @@ from pinnet import (
     PinPlan,
     QuadCertificate,
     ReducibilityError,
+    SpectralReport,
     SymmetryError,
     certified_quad_margin,
     make_coupling_function,
@@ -31,6 +32,7 @@ from pinnet import (
     theorem3_check,
     theorem4_check,
     validate_coupling,
+    weighted_spectrum,
 )
 
 from _oracles import bisect_min_c, charpoly_eigenvalues, quad_check_sampled_reference
@@ -38,6 +40,11 @@ from _oracles import bisect_min_c, charpoly_eigenvalues, quad_check_sampled_refe
 SYM_3NODE = validate_coupling([[-5.1, 5.0, 0.1], [5.0, -11.0, 6.0], [0.1, 6.0, -6.1]])
 ASYM_3NODE = validate_coupling([[-2.0, 1.0, 1.0], [1.0, -2.0, 1.0], [0.0, 1.0, -1.0]])
 TWO_BLOCK = validate_coupling([[-1.0, 1.0, 0.0], [1.0, -1.0, 0.0], [1.0, 1.0, -2.0]])
+# two pairs that never exchange input: two root blocks. Its left null space is
+# 2-D, and left_null_vector still returns a strictly positive vector of it.
+TWO_ROOTS = validate_coupling(
+    [[-1.0, 1.0, 0.0, 0.0], [1.0, -1.0, 0.0, 0.0], [0.0, 0.0, -1.0, 1.0], [0.0, 0.0, 2.0, -2.0]]
+)
 
 CERT_10 = QuadCertificate(p=np.ones(3), delta=10.0 * np.ones(3), eta=0.6218)
 CERT_SKEWED = QuadCertificate(
@@ -68,6 +75,11 @@ def _cert_10(n):
 # characteristic-polynomial oracle
 LAMBDA1_SYM = -1.0111445855819228
 MU1_ASYM = -0.07179271112089718
+
+
+def _spectrum(lambda1, xi_max=None):
+    """A report whose whole spectrum is its top eigenvalue ``lambda1``."""
+    return SpectralReport(eigenvalues=np.array([lambda1]), lambda1=lambda1, xi_max=xi_max)
 
 
 class TestQuadCertificateType:
@@ -437,8 +449,8 @@ class TestTheorem3:
             assert t3.holds == t2.holds
 
     def test_halved_slope_doubles_required_strength(self):
-        c_full = min_coupling_strength(CERT_10, LAMBDA1_SYM, alpha=1.0)
-        c_half = min_coupling_strength(CERT_10, LAMBDA1_SYM, alpha=0.5)
+        c_full = min_coupling_strength(CERT_10, _spectrum(LAMBDA1_SYM), alpha=1.0)
+        c_half = min_coupling_strength(CERT_10, _spectrum(LAMBDA1_SYM), alpha=0.5)
         assert c_half == pytest.approx(2.0 * c_full, rel=1e-12)
         assert c_half == pytest.approx(19.78, abs=5e-3)
 
@@ -458,7 +470,7 @@ class TestTheorem3:
         verdict = theorem3_check(CERT_10, 4.0, -2.0, alpha=0.5, xi_max=0.5)
         assert verdict.margin == 1.0 and not verdict.holds
         assert verdict.detail["xi_max"] == 0.5
-        c_star = min_coupling_strength(CERT_10, -2.0, alpha=0.5, xi_max=0.5)
+        c_star = min_coupling_strength(CERT_10, _spectrum(-2.0, xi_max=0.5), alpha=0.5)
         assert theorem3_check(CERT_10, c_star, -2.0, 0.5, 0.5).margin == pytest.approx(
             0.0, abs=1e-12
         )
@@ -509,6 +521,17 @@ class TestTheorem4:
             theorem4_check(TWO_BLOCK, PinPlan(1, 1.0, 1.0), CERT_10)
         assert err.value.condensation.blocks == ((1, 2), (3,))
 
+    def test_weighted_spectrum_rejects_two_roots(self):
+        # the positive xi gets past symmetrize_weighted; only the
+        # irreducibility gate catches this input
+        with pytest.raises(ReducibilityError, match="weighted_spectrum needs an irreducible") as err:
+            weighted_spectrum(TWO_ROOTS, PinPlan(1, 1.0, 1.0))
+        assert err.value.condensation.blocks == ((3, 4), (1, 2))
+
+    def test_weighted_spectrum_validates_raw_input(self):
+        with pytest.raises(ValueError, match=r"off-diagonal entry \(1,2\) is negative"):
+            weighted_spectrum([[1.0, -1.0], [-1.0, 1.0]], PinPlan(1, 1.0, 1.0))
+
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
     def test_random_irreducible_weighted_form_negative(self, seed):
@@ -522,7 +545,7 @@ class TestTheorem4:
 
 class TestMinCouplingStrength:
     def test_closed_form_matches_bisection_oracle(self):
-        c_star = min_coupling_strength(CERT_10, LAMBDA1_SYM)
+        c_star = min_coupling_strength(CERT_10, _spectrum(LAMBDA1_SYM))
         assert c_star == pytest.approx(9.891, abs=1e-2)
         oracle = bisect_min_c(
             lambda c: theorem2_check(CERT_10, c, LAMBDA1_SYM).margin, 0.0, 100.0
@@ -531,18 +554,31 @@ class TestMinCouplingStrength:
 
     def test_zero_for_nonpositive_delta(self):
         cert = QuadCertificate(p=np.ones(2), delta=np.array([0.0, -3.0]), eta=1.0)
-        assert min_coupling_strength(cert, -1.0) == 0.0
+        assert min_coupling_strength(cert, _spectrum(-1.0)) == 0.0
 
     def test_theorem4_inputs_near_shipped_strength(self):
-        c_star = min_coupling_strength(CERT_10, MU1_ASYM, xi_max=0.5)
+        c_star = min_coupling_strength(
+            CERT_10, weighted_spectrum(ASYM_3NODE, PinPlan(1, 2.0, 72.0))
+        )
         assert c_star == pytest.approx(69.64, abs=5e-3)
         assert c_star < 72.0
 
     def test_nonnegative_lambda1_rejected(self):
         with pytest.raises(ValueError, match="not negative"):
-            min_coupling_strength(CERT_10, 0.0)
+            min_coupling_strength(CERT_10, _spectrum(0.0))
         with pytest.raises(ValueError):
-            min_coupling_strength(CERT_10, 1e-14)
+            min_coupling_strength(CERT_10, _spectrum(1e-14))
+
+    def test_exists_exactly_when_the_negativity_verdict_holds(self):
+        # -3e-11 is within roundoff of 0 next to eigenvalues of magnitude 15:
+        # not negative, so no finite strength is claimed
+        report = SpectralReport(eigenvalues=np.array([-3e-11, -10.0, -15.0]), lambda1=-3e-11)
+        assert not spectral_negativity(report).holds
+        with pytest.raises(ValueError, match="not negative"):
+            min_coupling_strength(CERT_10, report)
+        shifted = SpectralReport(eigenvalues=np.array([-1e-6, -10.0, -15.0]), lambda1=-1e-6)
+        assert spectral_negativity(shifted).holds
+        assert min_coupling_strength(CERT_10, shifted) == pytest.approx(1e7, rel=1e-12)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=100, deadline=None)
@@ -554,7 +590,7 @@ class TestMinCouplingStrength:
         cert = QuadCertificate(p=1.0 - rng.random(n), delta=delta, eta=1.0)
         lam = -float(rng.uniform(0.05, 5.0))
         alpha = float(rng.uniform(0.2, 2.0))
-        c_star = min_coupling_strength(cert, lam, alpha=alpha)
+        c_star = min_coupling_strength(cert, _spectrum(lam), alpha=alpha)
         assert not theorem3_check(cert, c_star * (1 - 1e-3), lam, alpha).holds
         assert theorem3_check(cert, c_star * (1 + 1e-3), lam, alpha).holds
 
@@ -589,8 +625,15 @@ class TestReduciblePinnability:
         )
         verdict, _ = reducible_pinnability(a, 1)
         assert not verdict.holds
-        assert any("root blocks" in p for p in verdict.detail["problems"])
-        assert verdict.detail["unfed_blocks"]
+        assert verdict.detail["problems"] == ["2 root blocks, need exactly 1"]
+
+    def test_second_root_is_one_defect(self):
+        # node 1 sits in a root block; the only defect is the other root
+        verdict, _ = reducible_pinnability(TWO_ROOTS, 1)
+        assert not verdict.holds
+        assert verdict.margin == 1.0
+        assert verdict.detail["root_blocks"] == [1, 2]
+        assert "unfed_blocks" not in verdict.detail
 
     def test_bad_pin_node(self):
         with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pinnet import (
+    UNCONTROLLED,
     CouplingError,
     NetworkSystem,
     PinPlan,
@@ -331,6 +332,10 @@ class TestDynamicsRegistry:
         with pytest.raises(ValueError, match=message):
             make_dynamics(kind, dim=dim, params=params)
 
+    def test_huge_integer_param_names_its_field(self):
+        with pytest.raises(ValueError, match=r"dynamics.params.k is too large for a float"):
+            make_dynamics("chua", params={"k": 10**400})
+
     def test_builtin_params_accept_any_real(self):
         assert make_dynamics("chua", params={"k": 9, "l": np.float64(14.0)}).params["k"] == 9
         make_dynamics("linear_decay", dim=1, params={"rate": np.int64(2)})
@@ -404,6 +409,17 @@ class TestSystemRhs:
         unpinned = network_operator(_system(SYM_3NODE))
         np.testing.assert_array_equal(unpinned[:3, :3], SYM_3NODE)
         assert not unpinned[3].any() and not unpinned[:, 3].any()
+
+    def test_uncontrolled_operator_bits(self):
+        # pin=None is read as UNCONTROLLED, whose operator is the bare
+        # coupling: c = 1 and a zero gain leave every bit, -0.0 included
+        a = [[-0.0, 0.0, 0.0], [0.0, -2.5, 2.5], [0.0, 2.5, -2.5]]
+        expected = np.zeros((4, 4))
+        expected[:3, :3] = np.array(a)
+        for pin in (None, UNCONTROLLED):
+            sys_ = _system(a, pin=pin)
+            assert sys_.pin is UNCONTROLLED
+            assert network_operator(sys_).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("gkind", ["identity", "sine_blend"])
     def test_operator_form_matches_explicit_terms(self, gkind):
