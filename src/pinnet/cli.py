@@ -36,9 +36,9 @@ from .conditions import (
     theorem4_check,
     weighted_spectrum,
 )
-# left_null_vector is not called here; perfbench/tracing.py patches it on
-# this module along with the other pipeline names.
-from .linalg import Condensation, left_null_vector, scc_condensation  # noqa: F401
+# not called here: perfbench/tracing.py patches left_null_vector and
+# scc_condensation on this module along with the other pipeline names.
+from .linalg import ReducibilityError, left_null_vector, scc_condensation  # noqa: F401
 from .model import (
     UNCONTROLLED,
     CouplingError,
@@ -365,7 +365,6 @@ class ConditionReport:
     theorem: Optional[Verdict]
     min_c: Optional[float]
     reducibility: Optional[Verdict]
-    condensation: Optional[Condensation]
     quad_sampled: Optional[Verdict] = None
 
     @property
@@ -393,7 +392,9 @@ def check_scenario(cfg: ScenarioConfig, quad_samples: int = 0, seed: int = 0) ->
     are :func:`theorem3_check` at the map's slope bound). Asymmetric
     irreducible coupling: negativity of the weighted symmetrization, plus
     its margin (theorem4, at the same slope bound) when there is a
-    certificate. Reducible coupling: the structural pinnability criterion.
+    certificate. Reducible coupling: the structural pinnability criterion,
+    judged on the condensation that the weighted spectrum's
+    :class:`ReducibilityError` carries, so irreducibility is decided once.
     ``min_c`` (c*) is set only when the route's negativity verdict holds.
     Pass ``quad_samples > 0`` to also falsification-test the certificate by
     sampling on the hull of [-30, 30] and the scenario's initial data; 0
@@ -402,8 +403,7 @@ def check_scenario(cfg: ScenarioConfig, quad_samples: int = 0, seed: int = 0) ->
     if quad_samples < 0:
         raise ScenarioError(f"quad_samples must be >= 0, got {quad_samples!r}")
     pin = cfg.pin
-    spectral = prop = theorem_name = theorem = min_c = None
-    reducibility = condensation = None
+    spectral = prop = theorem_name = theorem = min_c = reducibility = None
     alpha = cfg.gfun.alpha_lower
 
     if cfg.coupling.symmetric:
@@ -413,20 +413,18 @@ def check_scenario(cfg: ScenarioConfig, quad_samples: int = 0, seed: int = 0) ->
             theorem_name = "theorem2" if cfg.gfun.kind == "identity" else "theorem3"
             theorem = theorem3_check(cfg.certificate, pin.c, spectral.lambda1, alpha)
     else:
-        condensation = scc_condensation(cfg.coupling)
-        if condensation.irreducible:
-            route = "asymmetric"
-            if cfg.certificate is not None:
-                theorem_name = "theorem4"
-                theorem, spectral = theorem4_check(cfg.coupling, pin, cfg.certificate, alpha)
-            else:
+        try:
+            if cfg.certificate is None:
                 spectral = weighted_spectrum(cfg.coupling, pin)
-            prop = spectral_negativity(spectral)
-        else:
+            else:
+                theorem, spectral = theorem4_check(cfg.coupling, pin, cfg.certificate, alpha)
+                theorem_name = "theorem4"
+        except ReducibilityError as err:
             route = "reducible"
-            reducibility, condensation = reducible_pinnability(
-                cfg.coupling, pin.pin_node
-            )
+            reducibility = reducible_pinnability(err.condensation, pin.pin_node)
+        else:
+            route = "asymmetric"
+            prop = spectral_negativity(spectral)
 
     if theorem is not None and prop.holds:
         min_c = min_coupling_strength(cfg.certificate, spectral, alpha=alpha)
@@ -449,7 +447,6 @@ def check_scenario(cfg: ScenarioConfig, quad_samples: int = 0, seed: int = 0) ->
         theorem=theorem,
         min_c=min_c,
         reducibility=reducibility,
-        condensation=condensation,
         quad_sampled=quad_sampled,
     )
 
@@ -493,7 +490,7 @@ def render_report(report: ConditionReport) -> str:
     if report.reducibility is not None:
         v = report.reducibility
         lines.append(f"  reducible pinnability: {'holds' if v.holds else 'FAILS'}")
-        lines.append(f"    blocks: {[list(b) for b in report.condensation.blocks]}")
+        lines.append(f"    blocks: {[list(b) for b in v.detail['blocks']]}")
         for problem in v.detail["problems"]:
             lines.append(f"    problem: {problem}")
     if report.quad_sampled is not None:
@@ -729,8 +726,8 @@ def parse_sweep(spec: str) -> np.ndarray:
         raise ScenarioError(f"bad sweep spec {spec!r}, expected c=<a>:<b>:<n>") from err
     if key != "c":
         raise ScenarioError(f"only coupling-strength sweeps are supported, got {key!r}")
-    if count < 1 or hi < lo or not (np.isfinite(lo) and np.isfinite(hi)):
-        raise ScenarioError(f"bad sweep range {spec!r}")
+    if count < 1 or not 0 < lo <= hi < np.inf:
+        raise ScenarioError(f"bad sweep range {spec!r}: need finite 0 < a <= b and n >= 1")
     if count == 1 and hi != lo:
         raise ScenarioError(f"bad sweep range {spec!r}: one point cannot span {lo:g} to {hi:g}")
     values = np.linspace(lo, hi, count)

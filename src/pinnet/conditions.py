@@ -42,6 +42,7 @@ from .model import (
     Dynamics,
     PinPlan,
     chua_region_jacobian,
+    finite_number,
     pinned_matrix,
     validate_coupling,
 )
@@ -57,7 +58,7 @@ class QuadCertificate:
         (x - y)^T P (f(x) - Delta x - f(y) + Delta y) <= -eta ||x - y||^2.
 
     ``p`` and ``delta`` are the diagonals (length n); all p_k and eta must be
-    positive.
+    positive; eta passes :func:`pinnet.model.finite_number`.
     """
 
     p: np.ndarray
@@ -74,7 +75,7 @@ class QuadCertificate:
             raise ValueError("certificate diagonals must be finite")
         if np.any(p <= 0.0):
             raise ValueError("all p_k must be > 0")
-        if not np.isfinite(self.eta) or self.eta <= 0.0:
+        if finite_number(self.eta, "eta") <= 0.0:
             raise ValueError(f"eta must be > 0, got {self.eta}")
         p.setflags(write=False)
         d.setflags(write=False)
@@ -456,7 +457,7 @@ def weighted_spectrum(a, pin: PinPlan) -> SpectralReport:
     if not cond.irreducible:
         raise ReducibilityError(
             "weighted_spectrum needs an irreducible coupling matrix; "
-            "use reducible_pinnability",
+            "judge its condensation with reducible_pinnability",
             cond,
         )
     xi = left_null_vector(coupling)
@@ -478,7 +479,8 @@ def theorem4_check(
     max_k Delta_k max_i xi_i + alpha c mu1 < 0, i.e. :func:`theorem3_check`
     on the weighted spectrum; ``alpha`` is the coupling map's slope bound.
     Reducible input raises :class:`ReducibilityError` from
-    :func:`weighted_spectrum`; use :func:`reducible_pinnability`.
+    :func:`weighted_spectrum`; judge its condensation with
+    :func:`reducible_pinnability`.
     """
     report = weighted_spectrum(a, pin)
     return theorem3_check(cert, pin.c, report.lambda1, alpha, report.xi_max), report
@@ -513,18 +515,18 @@ def min_coupling_strength(
     return float(c_star)
 
 
-def reducible_pinnability(a, pin_node: int) -> tuple[Verdict, Condensation]:
-    """Structural pinnability of a possibly reducible network.
+def reducible_pinnability(cond: Condensation, pin_node: int) -> Verdict:
+    """Structural pinnability of a network, judged on its condensation (from
+    :func:`scc_condensation`, or carried by a :class:`ReducibilityError`).
 
     Holds when the condensation has exactly one root block (a component
     receiving no cross-block input, so every other block is fed by an
     earlier one) and the pinned node lies inside it. The verdict margin is
     -1 when both requirements hold and counts the violations otherwise.
     """
-    coupling = a if isinstance(a, CouplingMatrix) else validate_coupling(a)
-    if not 1 <= pin_node <= coupling.m:
-        raise ValueError(f"pin_node {pin_node} out of range 1..{coupling.m}")
-    cond = scc_condensation(coupling)
+    m = sum(map(len, cond.blocks))
+    if not 1 <= pin_node <= m:
+        raise ValueError(f"pin_node {pin_node} out of range 1..{m}")
     receivers = {r for r, _ in cond.block_edges}
     roots = [q for q in range(1, len(cond.blocks) + 1) if q not in receivers]
     pin_block = next(
@@ -542,7 +544,7 @@ def reducible_pinnability(a, pin_node: int) -> tuple[Verdict, Condensation]:
         "pin_block": pin_block,
         "problems": problems,
     }
-    return Verdict(holds=holds, margin=-1.0 if holds else float(len(problems)), detail=detail), cond
+    return Verdict(holds=holds, margin=-1.0 if holds else float(len(problems)), detail=detail)
 
 
 # ---------------------------------------------------------------------------

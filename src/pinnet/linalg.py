@@ -123,10 +123,11 @@ class Condensation:
     """Strongly-connected-component structure of a coupling graph.
 
     ``blocks`` holds 1-based node indices, topologically sorted so that
-    permuting rows and columns into block order leaves every nonzero entry on
-    or below the diagonal blocks (the first block receives no cross-block
-    input). ``block_edges`` lists (receiver_block, sender_block) pairs of
-    1-based block positions with a nonzero connecting entry.
+    permuting rows and columns into block order leaves every positive
+    off-diagonal entry on or below the diagonal blocks (the first block
+    receives no cross-block input). ``block_edges`` lists (receiver_block,
+    sender_block) pairs r > s of 1-based block positions with a positive
+    connecting entry.
     """
 
     blocks: tuple[tuple[int, ...], ...]
@@ -150,11 +151,14 @@ def scc_condensation(a) -> Condensation:
     """
     arr = _as_square(a)
     m = arr.shape[0]
-    # successors in the "sends to" direction: j -> i iff a[i, j] > 0, i != j
-    succ = []
-    for j in range(m):
-        out = np.nonzero(arr[:, j] > 0.0)[0]
-        succ.append([int(i) for i in out if i != j])
+    # every edge j -> i, one scan: nonzero reads the transpose in row-major
+    # order, so senders ascend and each sender's receivers ascend
+    positive = arr.T > 0.0
+    np.fill_diagonal(positive, False)
+    senders, receivers = (side.tolist() for side in np.nonzero(positive))
+    succ: list[list[int]] = [[] for _ in range(m)]
+    for j, i in zip(senders, receivers):
+        succ[j].append(i)
 
     index = [-1] * m
     low = [0] * m
@@ -166,51 +170,44 @@ def scc_condensation(a) -> Condensation:
     for root in range(m):
         if index[root] != -1:
             continue
-        work = [(root, 0)]
+        work = [(root, iter(succ[root]))]
         while work:
-            v, pi = work[-1]
-            if pi == 0:
+            v, out = work[-1]
+            if index[v] == -1:
                 index[v] = low[v] = counter
                 counter += 1
                 stack.append(v)
                 onstack[v] = True
-            descended = False
-            for k in range(pi, len(succ[v])):
-                u = succ[v][k]
+            for u in out:
                 if index[u] == -1:
-                    work[-1] = (v, k + 1)
-                    work.append((u, 0))
-                    descended = True
+                    work.append((u, iter(succ[u])))
                     break
                 if onstack[u]:
                     low[v] = min(low[v], index[u])
-            if descended:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    u = stack.pop()
-                    onstack[u] = False
-                    comp.append(u)
-                    if u == v:
-                        break
-                comps.append(sorted(comp))
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[v])
+                if low[v] == index[v]:
+                    comp = []
+                    while True:
+                        u = stack.pop()
+                        onstack[u] = False
+                        comp.append(u)
+                        if u == v:
+                            break
+                    comps.append(sorted(comp))
 
     # Tarjan emits receivers first; reverse so sources (root blocks) lead and
     # cross-block entries land below the diagonal blocks.
     comps.reverse()
     blocks = tuple(tuple(i + 1 for i in comp) for comp in comps)
-    edges = set()
-    for r in range(len(comps)):
-        for s in range(r):
-            sub = arr[np.ix_(comps[r], comps[s])]
-            if np.any(sub > 0.0):
-                edges.add((r + 1, s + 1))
-    return Condensation(blocks=blocks, block_edges=frozenset(edges))
+    label = {i: q for q, comp in enumerate(comps, start=1) for i in comp}
+    edges = frozenset(
+        (label[i], label[j]) for j, i in zip(senders, receivers) if label[i] != label[j]
+    )
+    return Condensation(blocks=blocks, block_edges=edges)
 
 
 def symmetrize_weighted(a_tilde, xi) -> np.ndarray:

@@ -91,13 +91,28 @@ def validate_coupling(entries) -> CouplingMatrix:
     return CouplingMatrix(entries=a, symmetric=is_symmetric(a))
 
 
+def finite_number(value, where: str) -> float:
+    """``value`` as a float; a ``ValueError`` names ``where`` when it is a
+    bool, not a real number, too large for a float, or not finite."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{where} must be a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:
+        raise ValueError(f"{where} is too large for a float") from None
+    if not math.isfinite(number):
+        raise ValueError(f"{where} must be finite, got {value!r}")
+    return number
+
+
 @dataclass(frozen=True)
 class PinPlan:
     """Single-controller plan: pinned node (1-based), feedback gain, strength.
 
     ``epsilon == 0`` switches the controller off while keeping the coupling
     strength ``c``; that is how the uncontrolled baselines are expressed. The
-    stability theorems themselves require ``epsilon > 0``.
+    stability theorems themselves require ``epsilon > 0``. ``pin_node`` is an
+    integer, not a bool, stored as ``int``; ``epsilon`` and ``c`` are numbers.
     """
 
     pin_node: int
@@ -105,12 +120,14 @@ class PinPlan:
     c: float
 
     def __post_init__(self):
-        if self.pin_node < 1:
-            raise ValueError(f"pin_node is 1-based, got {self.pin_node}")
-        if not np.isfinite(self.epsilon) or self.epsilon < 0:
+        node = self.pin_node
+        if isinstance(node, bool) or not isinstance(node, numbers.Integral) or node < 1:
+            raise ValueError(f"pin_node must be an integer >= 1 (1-based), got {node!r}")
+        if finite_number(self.epsilon, "feedback gain epsilon") < 0:
             raise ValueError(f"feedback gain epsilon must be >= 0, got {self.epsilon}")
-        if not np.isfinite(self.c) or self.c <= 0:
+        if finite_number(self.c, "coupling strength c") <= 0:
             raise ValueError(f"coupling strength c must be > 0, got {self.c}")
+        object.__setattr__(self, "pin_node", int(node))
 
 
 #: No controller (gain 0) at unit strength: the plan of a system that names none.
@@ -236,20 +253,6 @@ class Dynamics:
 
     def __call__(self, x, t: float = 0.0) -> np.ndarray:
         return self.field_fn(np.asarray(x, dtype=float), t)
-
-
-def finite_number(value, where: str) -> float:
-    """``value`` as a float; a ``ValueError`` names ``where`` when it is a
-    bool, not a real number, too large for a float, or not finite."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{where} must be a number, got {value!r}")
-    try:
-        number = float(value)
-    except OverflowError:
-        raise ValueError(f"{where} is too large for a float") from None
-    if not math.isfinite(number):
-        raise ValueError(f"{where} must be finite, got {value!r}")
-    return number
 
 
 def _real_params(kind: str, params: Mapping, defaults: Mapping[str, float]) -> list[float]:

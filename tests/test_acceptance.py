@@ -233,8 +233,8 @@ def test_09_property_suites():
 
 
 def test_10_reducible_criterion(tmp_path):
-    root_ok, _ = pn.reducible_pinnability(TWO_BLOCK, 1)
-    slave_bad, _ = pn.reducible_pinnability(TWO_BLOCK, 3)
+    root_ok = pn.reducible_pinnability(pn.scc_condensation(TWO_BLOCK), 1)
+    slave_bad = pn.reducible_pinnability(pn.scc_condensation(TWO_BLOCK), 3)
     result = pn.run_scenario(pn.parse_scenario("reducible-pinned"), out_dir=tmp_path)
     ok = (
         root_ok.holds

@@ -319,6 +319,36 @@ class TestCheckScenario:
         assert report.reducibility.holds
         assert report.gate_verdict is report.reducibility
 
+    @pytest.mark.parametrize(
+        "name, certified, route, calls",
+        [
+            ("fig4-sym-pinned", True, "symmetric", 0),
+            ("fig5-asym-pinned", True, "asymmetric", 1),
+            ("fig5-asym-pinned", False, "asymmetric", 1),
+            ("reducible-pinned", True, "reducible", 1),
+            ("reducible-pinned", False, "reducible", 1),
+        ],
+    )
+    def test_irreducibility_is_decided_once(self, monkeypatch, name, certified, route, calls):
+        import pinnet.cli
+        import pinnet.conditions
+        from pinnet.linalg import scc_condensation
+
+        seen = []
+
+        def counted(a):
+            seen.append(a)
+            return scc_condensation(a)
+
+        for module in (pinnet.cli, pinnet.conditions):
+            monkeypatch.setattr(module, "scc_condensation", counted)
+        cfg = parse_scenario(name)
+        if not certified:
+            cfg = dataclasses.replace(cfg, certificate=None)
+        report = check_scenario(cfg)
+        assert report.route == route
+        assert len(seen) == calls
+
     def test_check_writes_nothing(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         check_scenario(parse_scenario("fig4-sym-pinned"))
@@ -565,6 +595,14 @@ class TestSweep:
             run_sweep(cfg, spec, tmp_path / "out")
         assert not (tmp_path / "out").exists()
 
+    def test_nonpositive_lower_bound_is_a_spec_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = ["run", "fig4-sym-pinned", "--tmax", "1", "--sweep", "c=0:5:3"]
+        assert main(argv + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "bad sweep range 'c=0:5:3': need finite 0 < a <= b" in err
+        assert not out.exists()
+
     def test_shared_labels_are_a_spec_error(self):
         with pytest.raises(ScenarioError, match="c=10.0 and c=10.0 would share"):
             parse_sweep("c=10:10:2")
@@ -642,7 +680,7 @@ class TestMainExitCodes:
         assert main(["run", "missing-scenario.json"]) == 1
         assert "error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("spec", ["bogus", "c=10:10:2"])
+    @pytest.mark.parametrize("spec", ["bogus", "c=10:10:2", "c=-5:5:3"])
     def test_dry_run_checks_the_sweep_spec(self, capsys, spec):
         assert main(["run", "fig4-sym-pinned", "--dry-run", "--sweep", spec]) == 1
         err = capsys.readouterr().err

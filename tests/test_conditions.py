@@ -25,6 +25,7 @@ from pinnet import (
     quad_margin_affine,
     random_coupling_matrix,
     reducible_pinnability,
+    scc_condensation,
     spectral_negativity,
     sym_eigen,
     theorem1_margin,
@@ -98,6 +99,16 @@ class TestQuadCertificateType:
     def test_rejects_mismatched_shapes(self):
         with pytest.raises(ValueError):
             QuadCertificate(p=[1.0, 1.0], delta=[0.0], eta=0.5)
+
+    @pytest.mark.parametrize(
+        "eta, message",
+        [(10**400, "eta is too large for a float"), (True, "eta must be a number"),
+         (float("inf"), "eta must be finite")],
+        ids=["huge", "bool", "inf"],
+    )
+    def test_eta_is_a_finite_number(self, eta, message):
+        with pytest.raises(ValueError, match=message):
+            QuadCertificate(p=[1.0], delta=[0.0], eta=eta)
 
 
 class TestProposition1:
@@ -598,18 +609,20 @@ class TestMinCouplingStrength:
 class TestReduciblePinnability:
     def test_irreducible_any_pin(self):
         for node in (1, 2, 3):
-            verdict, cond = reducible_pinnability(ASYM_3NODE, node)
+            cond = scc_condensation(ASYM_3NODE)
+            verdict = reducible_pinnability(cond, node)
             assert verdict.holds
             assert cond.irreducible
 
     def test_two_block_root_pin_holds(self):
-        verdict, cond = reducible_pinnability(TWO_BLOCK, 1)
+        cond = scc_condensation(TWO_BLOCK)
+        verdict = reducible_pinnability(cond, 1)
         assert verdict.holds
         assert cond.blocks == ((1, 2), (3,))
         assert verdict.detail["pin_block"] == 1
 
     def test_two_block_slave_pin_fails(self):
-        verdict, _ = reducible_pinnability(TWO_BLOCK, 3)
+        verdict = reducible_pinnability(scc_condensation(TWO_BLOCK), 3)
         assert not verdict.holds
         assert any("not a root" in p for p in verdict.detail["problems"])
 
@@ -623,13 +636,13 @@ class TestReduciblePinnability:
                 [0.0, 0.0, 1.0, -1.0],
             ]
         )
-        verdict, _ = reducible_pinnability(a, 1)
+        verdict = reducible_pinnability(scc_condensation(a), 1)
         assert not verdict.holds
         assert verdict.detail["problems"] == ["2 root blocks, need exactly 1"]
 
     def test_second_root_is_one_defect(self):
         # node 1 sits in a root block; the only defect is the other root
-        verdict, _ = reducible_pinnability(TWO_ROOTS, 1)
+        verdict = reducible_pinnability(scc_condensation(TWO_ROOTS), 1)
         assert not verdict.holds
         assert verdict.margin == 1.0
         assert verdict.detail["root_blocks"] == [1, 2]
@@ -637,7 +650,7 @@ class TestReduciblePinnability:
 
     def test_bad_pin_node(self):
         with pytest.raises(ValueError):
-            reducible_pinnability(TWO_BLOCK, 0)
+            reducible_pinnability(scc_condensation(TWO_BLOCK), 0)
 
 
 class TestRandomCouplingMatrix:

@@ -160,6 +160,32 @@ class TestSccCondensation:
         cond = scc_condensation(np.array([[0.0]]))
         assert cond.blocks == ((1,),)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_an_independent_oracle(self, seed):
+        # the edge j -> i is a positive off-diagonal a[i, j]; negative and
+        # zero entries carry none, and sparse draws give many blocks
+        csgraph = pytest.importorskip("scipy.sparse.csgraph")
+        rng = np.random.default_rng(seed)
+        for m in (1, 2, 5, 30, 120, 300):
+            density = 10 ** rng.uniform(-3.0, -0.5)
+            a = rng.normal(size=(m, m)) * (rng.random((m, m)) < density)
+            cond = scc_condensation(a)
+            positive = a > 0.0
+            np.fill_diagonal(positive, False)
+            count, labels = csgraph.connected_components(positive, connection="strong")
+            assert len(cond.blocks) == count
+            assert sorted(i for block in cond.blocks for i in block) == list(range(1, m + 1))
+            for block in cond.blocks:
+                assert len({labels[i - 1] for i in block}) == 1
+            position = {i: q for q, block in enumerate(cond.blocks, start=1) for i in block}
+            brute = {
+                (position[i + 1], position[j + 1])
+                for i, j in zip(*np.nonzero(positive))
+                if position[i + 1] != position[j + 1]
+            }
+            assert cond.block_edges == brute
+            assert all(r > s for r, s in cond.block_edges)
+
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=100, deadline=None)
     def test_block_lower_triangular_property(self, seed):

@@ -100,6 +100,29 @@ class TestPinPlan:
         with pytest.raises(ValueError, match="1-based"):
             PinPlan(0, 1.0, 1.0)
 
+    @pytest.mark.parametrize("node", [1.5, 2.0, True])
+    def test_node_must_be_an_integer(self, node):
+        # a fractional node used to fail later in network_operator, and True
+        # used to pin node 1
+        with pytest.raises(ValueError, match="pin_node must be an integer >= 1"):
+            PinPlan(node, 4.9, 10.0)
+
+    def test_numpy_integer_node_is_stored_as_int(self):
+        # a numpy integer node used to stay np.int64, which json cannot write
+        pin = PinPlan(np.int64(2), 4.9, 10.0)
+        assert pin.pin_node == 2 and type(pin.pin_node) is int
+
+    @pytest.mark.parametrize(
+        "epsilon, c, message",
+        [(10**400, 1.0, "feedback gain epsilon is too large for a float"),
+         (1.0, 10**400, "coupling strength c is too large for a float"),
+         ("1", 1.0, "feedback gain epsilon must be a number")],
+        ids=["huge-epsilon", "huge-c", "string-epsilon"],
+    )
+    def test_gain_and_strength_are_finite_numbers(self, epsilon, c, message):
+        with pytest.raises(ValueError, match=message):
+            PinPlan(1, epsilon, c)
+
 
 class TestPinnedMatrix:
     def test_builtin_symmetric_matrix(self):
