@@ -876,7 +876,7 @@ def main(argv=None) -> int:
         )
         print(result.summary_text)
         return result.exit_code
-    except (ScenarioError, CouplingError, ValueError) as err:
+    except (ScenarioError, CouplingError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -45,6 +45,7 @@ from .model import (
     finite_number,
     pinned_matrix,
     validate_coupling,
+    whole_number,
 )
 
 NEG_TOL = 1e-9
@@ -214,10 +215,9 @@ def certified_quad_margin(dynamics: Dynamics, p, delta) -> float:
     )
 
 
-# pairs per chunk of the draw stream (all x of a chunk, then all y, then its
-# redraws: this fixes which double each state gets) and pairs drawn and
-# evaluated at once (a block's buffers and temporaries stay in cache)
-_QUAD_CHUNK = 200_000
+# pairs per block of the draw stream (all x of a block, then all y, then its
+# redraws: this fixes which double each state gets), drawn and evaluated at
+# once so a block's buffers and temporaries stay in cache
 _QUAD_BLOCK = 8192
 
 
@@ -249,28 +249,6 @@ def _to_box(u: np.ndarray, lo_rows: np.ndarray, width_rows: np.ndarray) -> None:
     np.add(flat, lo_rows[:flat.size], out=flat)
 
 
-def _whole(value, name: str, minimum: int) -> int:
-    """``value`` as an int, rejected unless it is a whole number >= minimum."""
-    try:
-        whole = int(value)
-        ok = whole == value and not isinstance(value, bool)
-    except (TypeError, ValueError, OverflowError):
-        ok = False
-    if not ok or whole < minimum:
-        raise ValueError(f"{name} must be a whole number >= {minimum}, got {value!r}")
-    return whole
-
-
-def _cursor(rng: np.random.Generator, skip: int) -> np.random.Generator:
-    """A generator on a copy of ``rng``'s PCG64 state, ``skip`` draws (one
-    per double) ahead. Seeding the copy with 0 keeps it from reading OS
-    entropy."""
-    bit_gen = np.random.PCG64(0)
-    bit_gen.state = rng.bit_generator.state
-    bit_gen.advance(skip)
-    return np.random.Generator(bit_gen)
-
-
 def quad_check_sampled(
     dynamics: Dynamics,
     cert: QuadCertificate,
@@ -287,20 +265,18 @@ def quad_check_sampled(
     refute a certificate, never prove one. ``box`` is (lo, hi) scalars or
     per-dimension arrays; the detail records it per dimension.
 
-    Draws: the stream of ``default_rng(seed)`` holds the pairs in chunks of
-    200,000 (the last one partial): all x of a chunk, then all y, then its
-    redraws. Each state is ``lo + (hi - lo) u`` with u uniform on [0, 1).
-    The pairs are drawn in place, a block at a time, from three cursors set
-    at each chunk's start: x from a copy of the stream's state, y from a
-    copy advanced past the chunk's ``size * n`` x doubles with
-    ``PCG64.advance``, and redraws from the generator itself, advanced past
-    both. Coincident pairs (``||x-y||^2 == 0``) get a fresh y from the
-    redraw cursor, block by block in index order until none is left. Every
-    state is the double it would be if the whole chunk were drawn at once,
-    and memory stays O(block) whatever ``samples`` is.
+    Draws: the stream of ``default_rng(seed)`` holds the pairs in blocks of
+    8192: all x of a block, then all y, then its redraws. The last block is
+    drawn whole and only its first pairs are used. Each state is
+    ``lo + (hi - lo) u`` with u uniform on [0, 1). Coincident pairs
+    (``||x-y||^2 == 0``) get a fresh y, in index order until none is left.
+    So the first N pairs of a seed are the same whatever ``samples`` is, and
+    ``min_quotient`` can only fall as ``samples`` grows. The one exception is
+    a pair whose redraw coincides again, which needs a box about 2^-48 wide.
+    Memory stays O(block) whatever ``samples`` is.
 
-    Evaluation runs in blocks of 8192 pairs with one column of states at a
-    time. ``||x-y||^2`` is numpy's ``einsum``, and the n products
+    Evaluation runs a block at a time, one column of states at a time.
+    ``||x-y||^2`` is numpy's ``einsum``, and the n products
     ``(x-y)_k (p_k (f(x) - f(y))_k - p_k Delta_k (x-y)_k)`` are summed left
     to right from +0.0. That is ``.sum(axis=1)`` of the same products bit
     for bit while n <= 7; for n >= 8 numpy sums pairwise, and the two
@@ -313,8 +289,8 @@ def quad_check_sampled(
     to 0 for every pair, or overflow), and for the first pair whose
     quotient is not finite: the field must be finite on the box.
     """
-    samples = _whole(samples, "samples", 1)
-    seed = _whole(seed, "seed", 0)
+    samples = whole_number(samples, "samples", 1)
+    seed = whole_number(seed, "seed", 0)
     n = dynamics.dim
     lo, hi = _quad_box(box, n)
     p, delta = cert.p, cert.delta
@@ -323,67 +299,63 @@ def quad_check_sampled(
     pd = p * delta
 
     rng = np.random.default_rng(seed)
-    block = min(_QUAD_BLOCK, samples)
+    block = _QUAD_BLOCK
     x_buf, y_buf = np.empty((block, n)), np.empty((block, n))
     lo_rows, width_rows = np.tile(lo, block), np.tile(hi - lo, block)
     d_buf, nrm2_buf = np.empty((block, n)), np.empty(block)
     ratio_buf, term_buf, tmp_buf = np.empty(block), np.empty(block), np.empty(block)
     best = np.inf
     best_pair = (None, None)
-    for chunk_start in range(0, samples, _QUAD_CHUNK):
-        size = min(_QUAD_CHUNK, samples - chunk_start)
-        x_rng, y_rng = _cursor(rng, 0), _cursor(rng, size * n)
-        rng.bit_generator.advance(2 * size * n)
-        for start in range(0, size, _QUAD_BLOCK):
-            rows = min(_QUAD_BLOCK, size - start)
-            x, y = x_buf[:rows], y_buf[:rows]
-            x_rng.random(out=x)
-            y_rng.random(out=y)
-            _to_box(x, lo_rows, width_rows)
-            _to_box(y, lo_rows, width_rows)
-            d, nrm2 = d_buf[:rows], nrm2_buf[:rows]
-            ratio, term, tmp = ratio_buf[:rows], term_buf[:rows], tmp_buf[:rows]
-            np.subtract(x, y, out=d)
-            np.einsum("ij,ij->i", d, d, out=nrm2)
-            while True:
-                idx = np.flatnonzero(nrm2 == 0.0)
-                if idx.size == 0:
-                    break
-                fresh = rng.random((idx.size, n))
-                _to_box(fresh, lo_rows, width_rows)
-                y[idx] = fresh
-                d[idx] = x[idx] - fresh
-                nrm2[idx] = np.einsum("ij,ij->i", d[idx], d[idx])
-            # an overflow or inf - inf here is caught by the finiteness check
-            # below, which names the pair instead of warning about it
-            with np.errstate(over="ignore", invalid="ignore"):
-                df = dynamics(x) - dynamics(y)
-                # ratio = sum_k d_k (p_k df_k - pd_k d_k) / |d|^2 is minus the
-                # quotient, so its first argmax is the quotient's first argmin
-                for k in range(n):
-                    acc = ratio if k == 0 else term
-                    np.multiply(df[:, k], p[k], out=acc)
-                    np.multiply(d[:, k], pd[k], out=tmp)
-                    acc -= tmp
-                    acc *= d[:, k]
-                    if k:
-                        ratio += term
-                ratio /= nrm2
-            finite = np.isfinite(ratio)
-            if not finite.all():
-                i = int(np.argmin(finite))
-                raise ValueError(
-                    f"non-finite QUAD quotient at sample {chunk_start + start + i}: "
-                    f"x={x[i]}, y={y[i]} (the field is not finite there, "
-                    "or the quotient overflows)"
-                )
-            i = int(np.argmax(ratio))
-            # numpy's sum starts from +0.0, so a zero sum is +0.0 and its
-            # quotient -0.0; adding 0.0 keeps that sign
-            quotient = float(-(ratio[i] + 0.0))
-            if quotient < best:
-                best = quotient
-                best_pair = (x[i].copy(), y[i].copy())
+    for start in range(0, samples, block):
+        rows = min(block, samples - start)
+        rng.random(out=x_buf)
+        rng.random(out=y_buf)
+        x, y = x_buf[:rows], y_buf[:rows]
+        _to_box(x, lo_rows, width_rows)
+        _to_box(y, lo_rows, width_rows)
+        d, nrm2 = d_buf[:rows], nrm2_buf[:rows]
+        ratio, term, tmp = ratio_buf[:rows], term_buf[:rows], tmp_buf[:rows]
+        np.subtract(x, y, out=d)
+        np.einsum("ij,ij->i", d, d, out=nrm2)
+        while True:
+            idx = np.flatnonzero(nrm2 == 0.0)
+            if idx.size == 0:
+                break
+            fresh = rng.random((idx.size, n))
+            _to_box(fresh, lo_rows, width_rows)
+            y[idx] = fresh
+            d[idx] = x[idx] - fresh
+            nrm2[idx] = np.einsum("ij,ij->i", d[idx], d[idx])
+        # an overflow or inf - inf here is caught by the finiteness check
+        # below, which names the pair instead of warning about it
+        with np.errstate(over="ignore", invalid="ignore"):
+            df = dynamics(x) - dynamics(y)
+            # ratio = sum_k d_k (p_k df_k - pd_k d_k) / |d|^2 is minus the
+            # quotient, so its first argmax is the quotient's first argmin
+            for k in range(n):
+                acc = ratio if k == 0 else term
+                np.multiply(df[:, k], p[k], out=acc)
+                np.multiply(d[:, k], pd[k], out=tmp)
+                acc -= tmp
+                acc *= d[:, k]
+                if k:
+                    ratio += term
+            ratio /= nrm2
+        finite = np.isfinite(ratio)
+        if not finite.all():
+            i = int(np.argmin(finite))
+            raise ValueError(
+                f"non-finite QUAD quotient at sample {start + i}: "
+                f"x={x[i]}, y={y[i]} (the field is not finite there, "
+                "or the quotient overflows)"
+            )
+        i = int(np.argmax(ratio))
+        # numpy's sum starts from +0.0, so a zero sum is +0.0 and its
+        # quotient -0.0; adding 0.0 keeps that sign
+        quotient = float(-(ratio[i] + 0.0))
+        if quotient < best:
+            best = quotient
+            best_pair = (x[i].copy(), y[i].copy())
     margin = cert.eta - best
     detail = {
         "min_quotient": best,

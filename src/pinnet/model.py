@@ -105,6 +105,20 @@ def finite_number(value, where: str) -> float:
     return number
 
 
+def whole_number(value, where: str, minimum: int) -> int:
+    """``value`` as an int; a ``ValueError`` names ``where`` unless it is a
+    whole number >= ``minimum`` (a bool is not; a whole float such as
+    ``1e6`` is)."""
+    try:
+        whole = int(value)
+        ok = whole == value and not isinstance(value, bool)
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok or whole < minimum:
+        raise ValueError(f"{where} must be a whole number >= {minimum}, got {value!r}")
+    return whole
+
+
 @dataclass(frozen=True)
 class PinPlan:
     """Single-controller plan: pinned node (1-based), feedback gain, strength.
@@ -311,9 +325,10 @@ def make_dynamics(kind: str, dim: Optional[int] = None, params: Optional[Mapping
         if kind != "chua":
             raise ValueError(f"dynamics kind {kind!r} needs an explicit dim")
         dim = 3
+    dim = whole_number(dim, "dim", 1)
     params = dict(params or {})
-    return Dynamics(kind=kind, dim=int(dim), params=params,
-                    field_fn=_DYNAMICS_BUILDERS[kind](int(dim), params))
+    return Dynamics(kind=kind, dim=dim, params=params,
+                    field_fn=_DYNAMICS_BUILDERS[kind](dim, params))
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +373,7 @@ def make_coupling_function(kind: str = "identity", alpha_lower: Optional[float] 
         known = ", ".join(sorted(_COUPLING_FUNCTIONS))
         raise ValueError(f"unknown coupling function kind {kind!r} (known: {known})")
     fn, bound = _COUPLING_FUNCTIONS[kind]
-    alpha = bound if alpha_lower is None else float(alpha_lower)
+    alpha = bound if alpha_lower is None else finite_number(alpha_lower, "alpha_lower")
     if not alpha > 0:
         raise ValueError(f"alpha_lower must be > 0, got {alpha}")
     if alpha > bound:

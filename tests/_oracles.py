@@ -76,10 +76,10 @@ def quad_check_sampled_reference(dynamics, cert, box, samples, seed=0):
     """The sampled QUAD falsifier in its whole-chunk form, returning
     ``(min_quotient, minimizing_pair, holds, margin)``.
 
-    Each 200,000-pair chunk is drawn with ``rng.uniform``, x then y, and its
-    quotients are evaluated at once with ``(N, n)`` broadcasts; coincident
-    pairs are redrawn per chunk. It has no box limits and no non-finite
-    check.
+    Each 8192-pair chunk is drawn whole with ``rng.uniform``, x then y, the
+    last one cut to the pairs asked for, and its quotients are evaluated at
+    once with ``(N, n)`` broadcasts; coincident pairs are redrawn per chunk.
+    It has no box limits and no non-finite check.
     """
     n = dynamics.dim
     lo, hi = box
@@ -90,13 +90,13 @@ def quad_check_sampled_reference(dynamics, cert, box, samples, seed=0):
     rng = np.random.default_rng(seed)
     best = np.inf
     best_pair = (None, None)
-    chunk = 200_000
+    chunk = 8192
     remaining = int(samples)
     while remaining > 0:
         size = min(chunk, remaining)
         remaining -= size
-        x = rng.uniform(lo, hi, size=(size, n))
-        y = rng.uniform(lo, hi, size=(size, n))
+        x = rng.uniform(lo, hi, size=(chunk, n))[:size]
+        y = rng.uniform(lo, hi, size=(chunk, n))[:size]
         d = x - y
         nrm2 = np.einsum("ij,ij->i", d, d)
         while np.any(nrm2 == 0.0):

@@ -773,6 +773,15 @@ class TestMainExitCodes:
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
         assert "error: dynamics.params must be an object" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("sweep", [[], ["--sweep", "c=6:14:3"]], ids=["run", "sweep"])
+    def test_out_naming_a_file_is_an_error(self, tmp_path, capsys, sweep):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        for out in (blocker, blocker / "sub"):
+            argv = ["run", "fig4-sym-pinned", "--tmax", "1", *sweep, "--out", str(out)]
+            assert main(argv) == 1
+            assert capsys.readouterr().err.startswith("error:")
+
     def test_run_divergence_exit_code(self, tmp_path):
         data = {
             "name": "blowup",

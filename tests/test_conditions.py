@@ -54,7 +54,7 @@ CERT_SKEWED = QuadCertificate(
 QUAD_BOXES = {
     "cube": (-30.0, 30.0),
     "hull": (np.array([-1.5, -20.0, 0.3]), np.array([2.5, 7.0, 0.9])),
-    # 17 doubles per coordinate: about 45 coincident pairs per chunk are redrawn
+    # 17 doubles per coordinate: about 2 coincident pairs per 8192-pair block are redrawn
     "coarse": (1.0, 1.0 + 2.0**-48),
 }
 
@@ -262,6 +262,20 @@ class TestQuadCheckSampled:
         want = quad_check_sampled(make_dynamics("chua"), CERT_10, (-1.0, 1.0), 10_000, seed=2)
         assert got.detail["samples"] == 10_000 and got.detail["seed"] == 2
         assert got.detail["min_quotient"] == want.detail["min_quotient"]
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("box", ["cube", "coarse"])
+    def test_more_samples_never_raise_the_minimum(self, box, seed):
+        # pair i of a seed does not depend on samples, so asking for one more
+        # pair can only lower the minimum: across a block edge and near 20,000
+        for counts in (range(8190, 8196), range(19_995, 20_006)):
+            minima = [
+                quad_check_sampled(
+                    make_dynamics("chua"), CERT_10, QUAD_BOXES[box], k, seed=seed
+                ).detail["min_quotient"]
+                for k in counts
+            ]
+            assert minima == sorted(minima, reverse=True), (counts, minima)
 
     @pytest.mark.parametrize("samples", [1, 7, 8191, 8192, 8193, 200_001, 450_000])
     @pytest.mark.parametrize("box", ["cube", "hull", "coarse"])

@@ -322,6 +322,14 @@ class TestCouplingFunction:
         with pytest.raises(ValueError, match="exceeds the certified slope bound"):
             make_coupling_function(kind, alpha_lower=alpha)
 
+    @pytest.mark.parametrize("alpha, message", [
+        ("0.5", r"^alpha_lower must be a number, got '0.5'"),
+        (10**400, r"^alpha_lower is too large for a float"),
+    ], ids=["string", "huge-int"])
+    def test_alpha_is_a_finite_number(self, alpha, message):
+        with pytest.raises(ValueError, match=message):
+            make_coupling_function("identity", alpha_lower=alpha)
+
     def test_alpha_may_lower_the_bound(self):
         assert make_coupling_function("identity", alpha_lower=0.5).alpha_lower == 0.5
         assert make_coupling_function("sine_blend", alpha_lower=0.5).alpha_lower == 0.5
@@ -335,6 +343,13 @@ class TestDynamicsRegistry:
     def test_chua_dimension_enforced(self):
         with pytest.raises(CouplingError, match="3-dimensional"):
             make_dynamics("chua", dim=2)
+
+    @pytest.mark.parametrize("dim", [2.7, True, 0, -3, "3"])
+    def test_dim_is_a_whole_number(self, dim):
+        # int() would take 2.7 as 2 and True as 1
+        with pytest.raises(ValueError, match=r"^dim must be a whole number >= 1"):
+            make_dynamics("linear_decay", dim=dim)
+        assert make_dynamics("linear_decay", dim=2.0).dim == 2
 
     def test_linear_decay_needs_dim(self):
         with pytest.raises(ValueError, match="dim"):
