@@ -6,8 +6,8 @@ function, pin plan, certificate, initial data, and integration grid.
 ``check`` runs the condition chain and prints a report; ``run`` integrates
 and writes trajectory/metrics CSVs plus a plain-text summary.
 
-Exit codes: 0 success, 1 validation error, 2 condition-check failure under
-``--require-conditions``, 3 divergence.
+Exit codes: 0 success, 1 usage or validation error, 2 condition-check
+failure under ``--require-conditions``, 3 divergence.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from .conditions import (
 from .linalg import ReducibilityError, left_null_vector, scc_condensation  # noqa: F401
 from .model import (
     UNCONTROLLED,
-    CouplingError,
     CouplingFunction,
     CouplingMatrix,
     Dynamics,
@@ -69,19 +68,6 @@ from .simulate import (
 
 _SUMMARY_FIT_HORIZON = 10.0
 
-_SCENARIO_FIELDS = {
-    "name",
-    "coupling",
-    "dynamics",
-    "coupling_function",
-    "pin",
-    "certificate",
-    "initial_states",
-    "reference_initial",
-    "integration",
-    "outputs",
-}
-
 
 class ScenarioError(ValueError):
     """A scenario file or dict failed validation; the message names the field."""
@@ -104,12 +90,6 @@ class ScenarioConfig:
     t_max: float
     outputs: dict
     pin: PinPlan = UNCONTROLLED
-
-
-def _require(data: dict, key: str):
-    if key not in data:
-        raise ScenarioError(f"scenario field {key!r} is required")
-    return data[key]
 
 
 def _number(value, where: str) -> float:
@@ -150,10 +130,31 @@ def _check_file_name(value, where: str) -> None:
         raise ScenarioError(f"{where} must be a plain file name, got {value!r}")
 
 
-def _check_grid(dt: float, t_max: float, where: str) -> None:
+def _object(value, where: str, required, optional=()) -> dict:
+    """``value`` as a JSON object with every key in ``required`` and no key
+    outside ``required`` and ``optional``; a ``ScenarioError`` names the
+    dotted path. ``where`` is the object's own path, "" at the top level."""
+    label, prefix = (where, where + ".") if where else ("scenario", "")
+    if not isinstance(value, dict):
+        raise ScenarioError(f"{label} must be a JSON object, got {type(value).__name__}")
+    fields = (*required, *optional)
+    unknown = sorted(prefix + str(key) for key in value if key not in fields)
+    if unknown:
+        raise ScenarioError(
+            f"unknown {label} field(s): {', '.join(unknown)} (known: {', '.join(fields)})"
+        )
+    for key in required:
+        if key not in value:
+            raise ScenarioError(f"scenario field {prefix + key!r} is required")
+    return value
+
+
+def _named(where: str, build, *args, **kwargs):
+    """``build(*args, **kwargs)``; its ``TypeError`` or ``ValueError`` becomes a
+    ``ScenarioError`` that starts with ``where``."""
     try:
-        grid_steps(dt, t_max)
-    except ValueError as err:
+        return build(*args, **kwargs)
+    except (TypeError, ValueError) as err:
         raise ScenarioError(f"{where}: {err}") from err
 
 
@@ -181,36 +182,31 @@ def parse_scenario(source) -> ScenarioConfig:
                 data = json.loads(path.read_text())
             except json.JSONDecodeError as err:
                 raise ScenarioError(f"{path}: invalid JSON: {err}") from err
-            if not isinstance(data, dict):
-                raise ScenarioError(f"{path}: top level must be a JSON object")
+    _object(
+        data,
+        "",
+        ("name", "reference_initial", "dynamics", "coupling", "initial_states", "integration"),
+        ("coupling_function", "pin", "certificate", "outputs"),
+    )
 
-    unknown = set(data) - _SCENARIO_FIELDS
-    if unknown:
-        raise ScenarioError(f"unknown scenario field(s): {', '.join(sorted(unknown))}")
-
-    name = _require(data, "name")
+    name = data["name"]
     if not isinstance(name, str) or not name:
         raise ScenarioError("scenario field 'name' must be a nonempty string")
     # the default and sweep output names derive from it
     _check_file_name(name, "name")
 
-    reference_initial = _finite_array(_require(data, "reference_initial"), "reference_initial")
+    reference_initial = _finite_array(data["reference_initial"], "reference_initial")
     if reference_initial.ndim != 1 or reference_initial.size == 0:
         raise ScenarioError("reference_initial must be a nonempty flat list of numbers")
     n = reference_initial.size
 
-    dyn_spec = _require(data, "dynamics")
-    if not isinstance(dyn_spec, dict) or "kind" not in dyn_spec:
-        raise ScenarioError("dynamics must be an object with a 'kind' field")
+    dyn_spec = _object(data["dynamics"], "dynamics", ("kind",), ("params",))
     params = dyn_spec.get("params", {})
     if not isinstance(params, dict):
         raise ScenarioError(f"dynamics.params must be an object, got {params!r}")
-    try:
-        dynamics = make_dynamics(dyn_spec["kind"], dim=n, params=params)
-    except (TypeError, ValueError, CouplingError) as err:
-        raise ScenarioError(f"dynamics: {err}") from err
+    dynamics = _named("dynamics", make_dynamics, dyn_spec["kind"], dim=n, params=params)
 
-    coupling_spec = _require(data, "coupling")
+    coupling_spec = data["coupling"]
     coupling_id = None
     if isinstance(coupling_spec, str):
         if coupling_spec not in COUPLING_MATRICES:
@@ -220,84 +216,63 @@ def parse_scenario(source) -> ScenarioConfig:
             )
         coupling_id = coupling_spec
         coupling_spec = COUPLING_MATRICES[coupling_spec]
-    try:
-        coupling = validate_coupling(coupling_spec)
-    except CouplingError as err:
-        raise ScenarioError(f"coupling: {err}") from err
+    coupling = _named("coupling", validate_coupling, coupling_spec)
     m = coupling.m
 
-    initial_states = _finite_array(_require(data, "initial_states"), "initial_states")
+    initial_states = _finite_array(data["initial_states"], "initial_states")
     if initial_states.shape != (m, n):
         raise ScenarioError(
             f"initial_states must have shape ({m}, {n}) to match the coupling "
             f"matrix and dynamics, got {initial_states.shape}"
         )
 
-    gfun_spec = data.get("coupling_function", {"kind": "identity"})
-    if not isinstance(gfun_spec, dict) or "kind" not in gfun_spec:
-        raise ScenarioError("coupling_function must be an object with a 'kind' field")
+    gfun_spec = _object(
+        data.get("coupling_function", {"kind": "identity"}),
+        "coupling_function",
+        ("kind",),
+        ("alpha_lower",),
+    )
     alpha_lower = gfun_spec.get("alpha_lower")
     if alpha_lower is not None:
         alpha_lower = _number(alpha_lower, "coupling_function.alpha_lower")
-    try:
-        gfun = make_coupling_function(gfun_spec["kind"], alpha_lower=alpha_lower)
-    except ValueError as err:
-        raise ScenarioError(f"coupling_function: {err}") from err
+    gfun = _named(
+        "coupling_function", make_coupling_function, gfun_spec["kind"], alpha_lower=alpha_lower
+    )
 
     pin = UNCONTROLLED
     if data.get("pin") is not None:
-        pin_spec = data["pin"]
-        if not isinstance(pin_spec, dict):
-            raise ScenarioError("pin must be an object with node, epsilon, c")
-        node = pin_spec.get("node")
-        if not isinstance(node, int) or isinstance(node, bool) or not 1 <= node <= m:
-            raise ScenarioError(
-                f"pin.node must be an integer between 1 and {m} "
-                f"(node indices are 1-based), got {node!r}"
-            )
-        try:
-            pin = PinPlan(
-                pin_node=node,
-                epsilon=_number(_require(pin_spec, "epsilon"), "pin.epsilon"),
-                c=_number(_require(pin_spec, "c"), "pin.c"),
-            )
-        except ValueError as err:
-            raise ScenarioError(f"pin: {err}") from err
+        pin_spec = _object(data["pin"], "pin", ("node", "epsilon", "c"))
+        epsilon = _number(pin_spec["epsilon"], "pin.epsilon")
+        c = _number(pin_spec["c"], "pin.c")
+        # PinPlan owns the node's type and 1-based rule, NetworkSystem its range
+        pin = _named("pin", PinPlan, pin_spec["node"], epsilon, c)
+        _named("pin", NetworkSystem, coupling, dynamics, gfun, pin)
 
     certificate = None
     if data.get("certificate") is not None:
-        cert_spec = data["certificate"]
-        if not isinstance(cert_spec, dict):
-            raise ScenarioError("certificate must be an object with P, Delta, eta")
-        p = _finite_array(_require(cert_spec, "P"), "certificate.P")
-        delta = _finite_array(_require(cert_spec, "Delta"), "certificate.Delta")
+        cert_spec = _object(data["certificate"], "certificate", ("P", "Delta", "eta"))
+        p = _finite_array(cert_spec["P"], "certificate.P")
+        delta = _finite_array(cert_spec["Delta"], "certificate.Delta")
         if p.shape != (n,) or delta.shape != (n,):
             raise ScenarioError(
                 f"certificate.P and certificate.Delta must be length-{n} lists"
             )
-        try:
-            certificate = QuadCertificate(
-                p=p, delta=delta, eta=_number(_require(cert_spec, "eta"), "certificate.eta")
-            )
-        except ValueError as err:
-            raise ScenarioError(f"certificate: {err}") from err
+        eta = _number(cert_spec["eta"], "certificate.eta")
+        certificate = _named("certificate", QuadCertificate, p, delta, eta)
 
-    integration = _require(data, "integration")
-    if not isinstance(integration, dict):
-        raise ScenarioError("integration must be an object with dt and t_max")
-    dt = _number(_require(integration, "dt"), "integration.dt")
-    t_max = _number(_require(integration, "t_max"), "integration.t_max")
-    _check_grid(dt, t_max, "integration")
+    integration = _object(data["integration"], "integration", ("dt", "t_max"))
+    dt = _number(integration["dt"], "integration.dt")
+    t_max = _number(integration["t_max"], "integration.t_max")
+    _named("integration", grid_steps, dt, t_max)
 
     outputs = data.get("outputs")
     if outputs is None:
         outputs = _outputs(name)
-    if not isinstance(outputs, dict) or set(outputs) != {"trajectory", "metrics", "summary"}:
-        raise ScenarioError(
-            "outputs must map exactly 'trajectory', 'metrics', 'summary' to filenames"
-        )
+    _object(outputs, "outputs", ("trajectory", "metrics", "summary"))
     for key, value in outputs.items():
         _check_file_name(value, f"outputs.{key}")
+    if len(set(outputs.values())) < len(outputs):
+        raise ScenarioError(f"outputs must name three different files, got {outputs!r}")
 
     return ScenarioConfig(
         name=name,
@@ -838,11 +813,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "check":
-        for flag, value in (("--quad-samples", args.quad_samples), ("--seed", args.seed)):
-            if value < 0:
-                parser.error(f"argument {flag}: must be >= 0, got {value}")
+    try:
+        args = parser.parse_args(argv)
+        if args.command == "check":
+            for flag, value in (("--quad-samples", args.quad_samples), ("--seed", args.seed)):
+                if value < 0:
+                    parser.error(f"argument {flag}: must be >= 0, got {value}")
+    except SystemExit as err:
+        if not err.code:  # --help
+            raise
+        # argparse exits 2 on a usage error; 2 means failed conditions here
+        return 1
     try:
         cfg = parse_scenario(args.scenario)
         if args.command == "check":
@@ -865,7 +846,7 @@ def main(argv=None) -> int:
                 dt=cfg.dt if args.dt is None else args.dt,
                 t_max=cfg.t_max if args.tmax is None else args.tmax,
             )
-            _check_grid(cfg.dt, cfg.t_max, "--dt/--tmax")
+            _named("--dt/--tmax", grid_steps, cfg.dt, cfg.t_max)
         if args.dry_run:
             print(json.dumps(serialize_scenario(cfg), indent=2))
             return 0
@@ -876,7 +857,7 @@ def main(argv=None) -> int:
         )
         print(result.summary_text)
         return result.exit_code
-    except (ScenarioError, CouplingError, ValueError, OSError) as err:
+    except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

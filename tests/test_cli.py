@@ -225,6 +225,64 @@ class TestParseScenario:
         assert written["pin"] == {"node": 1, "epsilon": 0.0, "c": 1.0}
         assert parse_scenario(written).pin == UNCONTROLLED
 
+    @pytest.mark.parametrize(
+        "field",
+        ["dynamics", "coupling_function", "pin", "certificate", "integration", "outputs"],
+    )
+    def test_unknown_nested_field_names_its_path(self, field):
+        data = copy.deepcopy(BUILTIN_SCENARIOS["nonlinear-pinned"])
+        data["outputs"] = {"trajectory": "t.csv", "metrics": "m.csv", "summary": "s.txt"}
+        data[field]["typo"] = 1
+        with pytest.raises(ScenarioError, match=rf"unknown {field} field\(s\): {field}\.typo\b"):
+            parse_scenario(data)
+
+    def test_missing_nested_field_names_its_path(self):
+        data = copy.deepcopy(BUILTIN_SCENARIOS["fig4-sym-pinned"])
+        del data["pin"]["epsilon"]
+        with pytest.raises(ScenarioError, match="scenario field 'pin.epsilon' is required"):
+            parse_scenario(data)
+
+    def test_numpy_integer_pin_node_parses(self):
+        # the library's PinPlan accepts any integral node, so the scenario does
+        data = copy.deepcopy(BUILTIN_SCENARIOS["fig4-sym-pinned"])
+        data["pin"]["node"] = np.int64(2)
+        pin = parse_scenario(data).pin
+        assert pin.pin_node == 2 and type(pin.pin_node) is int
+
+    @pytest.mark.parametrize(
+        "node, message",
+        [(5, r"^pin: pin_node 5 exceeds node count 3$"), (1.0, r"^pin: .*1-based.*got 1\.0$")],
+        ids=["out-of-range", "float"],
+    )
+    def test_pin_node_errors_come_from_the_model(self, node, message):
+        data = copy.deepcopy(BUILTIN_SCENARIOS["fig4-sym-pinned"])
+        data["pin"]["node"] = node
+        with pytest.raises(ScenarioError, match=message):
+            parse_scenario(data)
+
+    @pytest.mark.parametrize(
+        "field, value, prefix",
+        [
+            ("coupling_function", {"kind": ["identity"]}, "coupling_function: "),
+            ("coupling", {"a": 1}, "coupling: "),
+            ("coupling", [["a", "b"], ["c", "d"]], "coupling: "),
+        ],
+        ids=["kind-list", "coupling-dict", "coupling-strings"],
+    )
+    def test_malformed_constructor_input_names_its_field(self, field, value, prefix):
+        data = copy.deepcopy(BUILTIN_SCENARIOS["fig4-sym-pinned"])
+        data[field] = value
+        with pytest.raises(ScenarioError, match=f"^{prefix}"):
+            parse_scenario(data)
+
+    @pytest.mark.parametrize("other", ["metrics", "summary"])
+    def test_output_names_must_differ(self, other):
+        data = copy.deepcopy(BUILTIN_SCENARIOS["fig4-sym-pinned"])
+        data["outputs"] = {"trajectory": "t.csv", "metrics": "m.csv", "summary": "s.txt"}
+        data["outputs"][other] = "t.csv"
+        with pytest.raises(ScenarioError, match="outputs must name three different files"):
+            parse_scenario(data)
+
 
 class TestRoundTrip:
     @pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
@@ -748,22 +806,50 @@ class TestMainExitCodes:
         assert "--dt/--tmax" in err and "dt=0.3" in err and "t_max=1" in err
 
     def test_negative_quad_samples_rejected(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["check", "fig4-sym-pinned", "--quad-samples", "-5"])
-        assert exc.value.code == 2
+        assert main(["check", "fig4-sym-pinned", "--quad-samples", "-5"]) == 1
         assert "argument --quad-samples: must be >= 0" in capsys.readouterr().err
         assert main(["check", "fig4-sym-pinned", "--quad-samples", "0"]) == 0
         assert "QUAD" not in capsys.readouterr().out
 
     def test_negative_seed_rejected(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["check", "fig4-sym-pinned", "--quad-samples", "10", "--seed", "-1"])
-        assert exc.value.code == 2
+        assert main(["check", "fig4-sym-pinned", "--quad-samples", "10", "--seed", "-1"]) == 1
         assert "argument --seed: must be >= 0" in capsys.readouterr().err
 
     def test_run_has_no_seed_flag(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["run", "fig4-sym-pinned", "--seed", "1", "--dry-run"])
+        assert main(["run", "fig4-sym-pinned", "--seed", "1", "--dry-run"]) == 1
+
+    def test_usage_error_exits_1(self, capsys):
+        # 2 is kept for a failed condition under --require-conditions
+        assert main(["check", "fig4-sym-pinned", "--bogus"]) == 1
+        assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+        assert main(["run", "fig4-sym-pinned", "--dt", "abc"]) == 1
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "--help"])
+        assert exc.value.code == 0
+
+    @pytest.mark.parametrize(
+        "edit, prefix",
+        [
+            (lambda d: d["integration"].update(tmax=1),
+             "unknown integration field(s): integration.tmax"),
+            (lambda d: d["pin"].update(eps=1), "unknown pin field(s): pin.eps"),
+            (lambda d: d.update(coupling_function={"kind": ["identity"]}), "coupling_function: "),
+            (lambda d: d.update(coupling={"a": 1}), "coupling: "),
+            (lambda d: d.update(coupling=[["a", "b"], ["c", "d"]]), "coupling: "),
+            (lambda d: d.update(
+                outputs={"trajectory": "a.csv", "metrics": "a.csv", "summary": "s.txt"}),
+             "outputs must name three different files"),
+        ],
+        ids=["integration.tmax", "pin.eps", "kind-list", "coupling-dict", "coupling-strings",
+             "duplicate-outputs"],
+    )
+    def test_malformed_scenario_exits_with_its_field(self, tmp_path, capsys, edit, prefix):
+        data = copy.deepcopy(BUILTIN_SCENARIOS["fig4-sym-pinned"])
+        edit(data)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        assert main(["check", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: " + prefix)
 
     def test_bad_params_exit_with_a_named_field(self, tmp_path, capsys):
         data = copy.deepcopy(BUILTIN_SCENARIOS["fig4-sym-pinned"])
