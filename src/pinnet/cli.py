@@ -107,7 +107,11 @@ def _finite_array(value, where: str) -> np.ndarray:
         arr = np.asarray(value)
     except ValueError as err:
         raise ScenarioError(f"{where} must be a regular array of numbers: {err}") from err
-    if arr.dtype.kind not in "iuf":
+    numeric = arr.dtype.kind in "iuf"
+    if numeric and not isinstance(value, np.ndarray):
+        # numpy reads a bool among numbers as 0 or 1, so look at the elements
+        numeric = not {bool, np.bool_} & set(map(type, np.asarray(value, dtype=object).ravel()))
+    if not numeric:
         raise ScenarioError(f"{where} must hold numbers only, got {value!r}")
     arr = arr.astype(float)
     bad = np.argwhere(~np.isfinite(arr))
@@ -216,6 +220,9 @@ def parse_scenario(source) -> ScenarioConfig:
             )
         coupling_id = coupling_spec
         coupling_spec = COUPLING_MATRICES[coupling_spec]
+    else:
+        # numbers only, as for initial_states: no numeric strings or booleans
+        coupling_spec = _named("coupling", _finite_array, coupling_spec, "matrix")
     coupling = _named("coupling", validate_coupling, coupling_spec)
     m = coupling.m
 

@@ -252,18 +252,33 @@ def chua_region_jacobian(region: str, k: float = CHUA_K, l: float = CHUA_L) -> n
 
 
 @dataclass(frozen=True)
+class LinearRegion:
+    """Where a node field is exactly linear and autonomous: ``f(x) = J x``
+    with ``J = jacobian`` wherever ``|x_c| <= bound`` for every 0-based
+    coordinate ``c`` in ``coords``. No coordinates means everywhere."""
+
+    jacobian: np.ndarray
+    coords: tuple = ()
+    bound: float = math.inf
+
+
+@dataclass(frozen=True)
 class Dynamics:
     """A named node vector field with its state dimension and parameters.
 
     ``field_fn(x, t)`` must be vectorized over leading axes, map ``(..., dim)``
     to ``(..., dim)``, return a fresh array, and produce finite derivatives at
-    finite states. Build instances through :func:`make_dynamics`.
+    finite states. ``linear`` is the :class:`LinearRegion` of a built-in
+    field (the circuit's middle region, or all of space for the linear
+    decay) and None for registered fields. Build instances through
+    :func:`make_dynamics`.
     """
 
     kind: str
     dim: int
     params: dict
     field_fn: FieldFn = field(repr=False, compare=False)
+    linear: Optional[LinearRegion] = field(default=None, repr=False, compare=False)
 
     def __call__(self, x, t: float = 0.0) -> np.ndarray:
         return self.field_fn(np.asarray(x, dtype=float), t)
@@ -285,39 +300,44 @@ def _real_params(kind: str, params: Mapping, defaults: Mapping[str, float]) -> l
         raise ValueError(f"{err} (known: {known})") from None
 
 
-def _build_chua(dim: int, params: Mapping) -> FieldFn:
+def _build_chua(dim: int, params: Mapping) -> tuple[FieldFn, LinearRegion]:
     if dim != 3:
         raise CouplingError(f"chua dynamics is 3-dimensional, got dim={dim}")
-    jt, gain = _chua_affine(*_real_params("chua", params, {"k": CHUA_K, "l": CHUA_L}))
+    k, l = _real_params("chua", params, {"k": CHUA_K, "l": CHUA_L})
+    jt, gain = _chua_affine(k, l)
 
     def fn(x, t):
         return _chua_eval(x, jt, gain)
 
-    return fn
+    # h(0) = 0, so the middle region's field has no offset
+    return fn, LinearRegion(chua_region_jacobian("middle", k, l), (0,), 1.0)
 
 
-def _build_linear_decay(dim: int, params: Mapping) -> FieldFn:
+def _build_linear_decay(dim: int, params: Mapping) -> tuple[FieldFn, LinearRegion]:
     (rate,) = _real_params("linear_decay", params, {"rate": 1.0})
 
     def fn(x, t):
         return -rate * x
 
-    return fn
+    return fn, LinearRegion(-rate * np.eye(dim))
 
 
-_DYNAMICS_BUILDERS: dict[str, Callable[[int, Mapping], FieldFn]] = {
+_DYNAMICS_BUILDERS: dict[str, Callable[[int, Mapping], tuple[FieldFn, Optional[LinearRegion]]]] = {
     "chua": _build_chua,
     "linear_decay": _build_linear_decay,
 }
 
 
 def register_dynamics(kind: str, builder: Callable[[int, Mapping], FieldFn]) -> None:
-    """Register a vector-field builder under ``kind`` (import-time setup only)."""
-    _DYNAMICS_BUILDERS[kind] = builder
+    """Register a vector-field builder under ``kind`` (import-time setup only).
+    A registered field declares no linear region."""
+    _DYNAMICS_BUILDERS[kind] = lambda dim, params: (builder(dim, params), None)
 
 
 def make_dynamics(kind: str, dim: Optional[int] = None, params: Optional[Mapping] = None) -> Dynamics:
     """Resolve a registered vector field into a ready-to-call :class:`Dynamics`."""
+    if not isinstance(kind, str):
+        raise ValueError(f"kind must be a string, got {kind!r}")
     if kind not in _DYNAMICS_BUILDERS:
         known = ", ".join(sorted(_DYNAMICS_BUILDERS))
         raise ValueError(f"unknown dynamics kind {kind!r} (known: {known})")
@@ -327,8 +347,8 @@ def make_dynamics(kind: str, dim: Optional[int] = None, params: Optional[Mapping
         dim = 3
     dim = whole_number(dim, "dim", 1)
     params = dict(params or {})
-    return Dynamics(kind=kind, dim=dim, params=params,
-                    field_fn=_DYNAMICS_BUILDERS[kind](dim, params))
+    fn, linear = _DYNAMICS_BUILDERS[kind](dim, params)
+    return Dynamics(kind=kind, dim=dim, params=params, field_fn=fn, linear=linear)
 
 
 # ---------------------------------------------------------------------------
@@ -369,6 +389,8 @@ _COUPLING_FUNCTIONS: dict[str, tuple[Callable, float]] = {
 def make_coupling_function(kind: str = "identity", alpha_lower: Optional[float] = None) -> CouplingFunction:
     """Registered map ``kind`` with slope bound ``alpha_lower``, which defaults
     to the registered certified bound and may lower it but never exceed it."""
+    if not isinstance(kind, str):
+        raise ValueError(f"kind must be a string, got {kind!r}")
     if kind not in _COUPLING_FUNCTIONS:
         known = ", ".join(sorted(_COUPLING_FUNCTIONS))
         raise ValueError(f"unknown coupling function kind {kind!r} (known: {known})")

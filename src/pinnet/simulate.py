@@ -28,13 +28,41 @@ stored through a ``(B, steps + 1, (m + 1) n)`` view of the trajectory buffer.
 
 The state is the stacked array ``y = [x; s]`` and the field is
 ``f(y) + M g(y)`` (:func:`pinnet.model.make_network_rhs`). There is one
-entry point and one RK4 loop: :func:`integrate_batch` runs B systems that
-share node count, dynamics and coupling map on ``(B, m + 1, n)`` operands,
-one operator per member, and :func:`integrate` is a batch of one that
-raises its member's :class:`DivergenceError`. Members are independent: each
-one's trajectory is bit-identical to its run in a batch of one, and a member
-that breaches the guard leaves the batch with its own
-:class:`DivergenceError` while the others run on.
+entry point: :func:`integrate_batch` runs B systems that share node count,
+dynamics and coupling map on ``(B, m + 1, n)`` operands, one operator per
+member, and :func:`integrate` is a batch of one that raises its member's
+:class:`DivergenceError`. Members are independent: each one's trajectory is
+bit-identical to its run in a batch of one, and a member that breaches the
+guard leaves the batch with its own :class:`DivergenceError` while the
+others run on.
+
+Each step is the RK4 loop above or, in the linear regime, one matrix
+product. Where the dynamics declare a :class:`pinnet.model.LinearRegion`
+(Chua's middle region ``|x1| <= 1``, all of space for the linear decay),
+the coupling map is the identity and the flat state has at most
+``_LINEAR_MAX_SIZE`` = 72 entries, the field is ``y' = K y`` with
+``K = blockdiag(J) + M kron I_n`` whenever every node and the reference
+lie in the region, and an RK4 step there is exactly ``y + B y`` with
+``B = R(hK) - I = hK + (hK)^2/2 + (hK)^3/6 + (hK)^4/24``. Each member
+carries one matrix ``W``: the rows of ``B``, then the rows giving the
+region's coordinates of all four stage states (``y``, ``(I + hK/2) y``,
+...), once with each sign. One ``matmul`` gives the increment and the
+proof that every stage stayed within the bound; a member whose stages
+leave the region takes the RK4 loop on that step. ``W`` is built on the
+member's first step inside the region; until then it is the ``W`` of
+``dt = 0``, whose rows only test the state. A member that is not stepping
+linearly is tested on every ``_RETEST_STEPS`` = 8th step only, so a run
+that stays outside, or has left the region, pays the test on one step in
+eight and enters at most 7 steps late. The choice
+depends only on the member's own states, so batch members stay
+bit-identical to their solo runs. On the built-ins a linear step costs
+about 5 us against 21-28 us for the loop (one BLAS thread, 2-vCPU Xeon).
+The cap is measured: on a pinned Chua ring, a linear step cost 0.2-0.36 of
+a loop step up to 72 entries, 0.49 at 93 (m = 30) and more than a loop
+step at 153, where building ``W`` also costs 2.3 ms. The linear step
+rounds differently from the four stages; on the built-ins at their shipped
+horizons the states move by at most 2.3e-13 relative per sample, and the
+tests hold every run to 1e-11 against the plain-expression loop.
 
 The step must divide the horizon: the grid ends exactly at ``t_max`` or the
 call is rejected (:func:`grid_steps`).
@@ -52,13 +80,19 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .conditions import QuadCertificate
-from .model import NetworkSystem, make_network_rhs
+from .model import LinearRegion, NetworkSystem, make_network_rhs, network_operator
 
 DIVERGENCE_NORM = 1e9
 _GUARD2 = DIVERGENCE_NORM * DIVERGENCE_NORM
 GRID_RTOL = 1e-9
 _MONITOR_FLOOR = 1e-300
 _MONITOR_TOL_RATE = 1e-3
+# Largest flat state (m + 1) n stepped by the linear-regime matrix, from the
+# measured crossover (module docstring). A member outside that regime is
+# tested for it on every _RETEST_STEPS-th step: a test (one matmul and one
+# reduction, about 3 us) then costs under 2% of a 21-28 us loop step.
+_LINEAR_MAX_SIZE = 72
+_RETEST_STEPS = 8
 
 
 class DivergenceError(RuntimeError):
@@ -127,6 +161,28 @@ def _total_norm2_bound(size: int, n: int) -> float:
     return _GUARD2 * (1.0 - 4.0 * (size + n + 2) * np.finfo(float).eps)
 
 
+def _linear_step_matrix(sys: NetworkSystem, region: LinearRegion, dt: float) -> np.ndarray:
+    """The RK4 step of ``y' = K y`` on the flat ``(m + 1) n`` state, with its
+    region test: rows ``B = R(hK) - I``, then ``+S`` and ``-S``, where ``S``
+    gives the region's coordinates of every row of the four stage states.
+
+    ``K = blockdiag(J) + M kron I_n`` is the field ``f(y) + M y`` inside the
+    region. ``W y`` holds the increment ``B y`` and, in its other rows, the
+    signed coordinates that must stay within ``region.bound``.
+    """
+    m, n = sys.coupling.m, sys.dynamics.dim
+    eye = np.eye((m + 1) * n)
+    hk = dt * (np.kron(np.eye(m + 1), region.jacobian) + np.kron(network_operator(sys), np.eye(n)))
+    # R(hK) - I = hK (I + hK/2 (I + hK/3 (I + hK/4))), without forming I + ...
+    inc = hk @ (eye + hk @ (eye + hk @ (eye + hk / 4.0) / 3.0) / 2.0)
+    stage2 = eye + hk / 2.0
+    stage3 = eye + hk @ stage2 / 2.0
+    stage4 = eye + hk @ stage3
+    sel = [row * n + c for row in range(m + 1) for c in region.coords]
+    stages = np.vstack([eye[sel], stage2[sel], stage3[sel], stage4[sel]])
+    return np.vstack([inc, stages, -stages])
+
+
 def integrate(sys: NetworkSystem, x0, s0, dt: float, t_max: float) -> Trajectory:
     """Integrate nodes and reference together with classical RK4.
 
@@ -156,7 +212,9 @@ def integrate_batch(
     differ in coupling matrix, pin plan and initial data (``x0s[k]`` is
     (m, n), ``s0s[k]`` is (n,)). Returns, in order, each member's
     :class:`Trajectory`, bit-identical to its run in a batch of one, or the
-    :class:`DivergenceError` that run would raise: a member whose node norm
+    :class:`DivergenceError` that run would raise. Small networks step in
+    their field's linear region with one matrix per member (see the module
+    docstring). A member whose node norm
     breaches the guard leaves the active set with its partial trajectory,
     and the others run on. The trajectories are views into one shared
     buffer, so keeping any of them keeps all of it. Raises ``ValueError``
@@ -196,19 +254,76 @@ def integrate_batch(
     y2, y_rows, flat = y.reshape(-1, n), y.reshape(count, -1), y.reshape(-1)
     stage, acc = np.empty_like(y2), np.empty_like(y2)
     safe2 = _total_norm2_bound(y.size, n)
+    size = (m + 1) * n
+    region = systems[0].dynamics.linear
+    if systems[0].gfun.kind != "identity" or size > _LINEAR_MAX_SIZE:
+        region = None
+    if region is not None:
+        bound, tested = region.bound, bool(region.coords)
+        # a member outside the region so far carries the step matrix of
+        # dt = 0: no increment, and its region rows test the state itself
+        ws = np.repeat(_linear_step_matrix(systems[0], region, 0.0)[None], count, axis=0)
+        built = np.zeros(count, dtype=bool)
+        all_built = False
+        # the members that took a linear step on the last step
+        active = np.zeros(count, dtype=bool)
+        any_active = all_active = False
+        z = np.empty(ws.shape[:2] + (1,))
+        y_col, inc, signed = y_rows[:, :, None], z[:, :size, 0], z[:, size:, 0]
+
+        def in_region():
+            """True when every member's rows stay within the bound, False when
+            the one member's do not, else a mask over the members."""
+            if not tested or np.maximum.reduce(signed, axis=None) <= bound:
+                return True
+            if y_rows.shape[0] == 1:
+                return False
+            return np.maximum.reduce(signed, axis=1) <= bound
 
     for i in range(steps):
         t = times[i]
-        k1 = rhs(y2, t)
-        np.add(y2, np.multiply(k1, half, out=stage), out=stage)
-        k2 = rhs(stage, t + t_half)
-        np.add(y2, np.multiply(k2, half, out=stage), out=stage)
-        k3 = rhs(stage, t + t_half)
-        np.add(y2, np.multiply(k3, full, out=stage), out=stage)
-        k4 = rhs(stage, t + dt)
-        # y + sixth (k1 + 2 (k2 + k3) + k4), rounded op for op as written
-        np.add(k1, np.multiply(np.add(k2, k3, out=acc), two, out=acc), out=acc)
-        np.add(y2, np.multiply(np.add(acc, k4, out=acc), sixth, out=acc), out=y2)
+        ok = False
+        if region is not None and (any_active or i % _RETEST_STEPS == 0):
+            np.matmul(ws, y_col, out=z)
+            ok = in_region()
+            if i % _RETEST_STEPS:
+                # between retests only the members already stepping linearly
+                if ok is not False and not all_active:
+                    ok = active if ok is True else ok & active
+            elif ok is not False and not all_built:
+                # members that pass on the dt = 0 matrix have just entered
+                fresh = np.flatnonzero(~built if ok is True else ok > built)
+                if fresh.size:
+                    for j in fresh:
+                        ws[j] = _linear_step_matrix(systems[live[j]], region, dt)
+                    built[fresh] = True
+                    all_built = bool(built.all())
+                    np.matmul(ws, y_col, out=z)
+                    ok = in_region()
+            # every member that passes is built now
+            if ok is True or ok is False:
+                any_active = all_active = ok
+            else:
+                active, any_active, all_active = ok, bool(ok.any()), False
+        if ok is True:
+            # every member's four stages stay in the region: one add
+            np.add(y_rows, inc, out=y_rows)
+        else:
+            if ok is not False:
+                stepped = np.add(y_rows, inc)
+            k1 = rhs(y2, t)
+            np.add(y2, np.multiply(k1, half, out=stage), out=stage)
+            k2 = rhs(stage, t + t_half)
+            np.add(y2, np.multiply(k2, half, out=stage), out=stage)
+            k3 = rhs(stage, t + t_half)
+            np.add(y2, np.multiply(k3, full, out=stage), out=stage)
+            k4 = rhs(stage, t + dt)
+            # y + sixth (k1 + 2 (k2 + k3) + k4), rounded op for op as written
+            np.add(k1, np.multiply(np.add(k2, k3, out=acc), two, out=acc), out=acc)
+            np.add(y2, np.multiply(np.add(acc, k4, out=acc), sixth, out=acc), out=y2)
+            if ok is not False:
+                # the members that passed keep their linear step
+                np.copyto(y_rows, stepped, where=ok[:, None])
         samples[rows, i + 1] = y_rows
         if np.dot(flat, flat) <= safe2:
             continue
@@ -241,6 +356,14 @@ def integrate_batch(
             y2, y_rows, flat = y.reshape(-1, n), y.reshape(live.size, -1), y.reshape(-1)
             stage, acc = np.empty_like(y2), np.empty_like(y2)
             safe2 = _total_norm2_bound(y.size, n)
+            if region is not None:
+                ws, built = ws[keep], built[keep]
+                all_built = bool(built.all())
+                if any_active and not all_active:
+                    active = active[keep]
+                    any_active, all_active = bool(active.any()), bool(active.all())
+                z = np.empty(ws.shape[:2] + (1,))
+                y_col, inc, signed = y_rows[:, :, None], z[:, :size, 0], z[:, size:, 0]
 
     for k in live:
         results[k] = Trajectory(

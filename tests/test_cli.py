@@ -4,6 +4,7 @@ import dataclasses
 import io
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -273,6 +274,32 @@ class TestParseScenario:
         data = copy.deepcopy(BUILTIN_SCENARIOS["fig4-sym-pinned"])
         data[field] = value
         with pytest.raises(ScenarioError, match=f"^{prefix}"):
+            parse_scenario(data)
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            [["-5.1", "5.0", "0.1"], ["5.0", "-11.0", "6.0"], ["0.1", "6.0", "-6.1"]],
+            [[-1, True, False], [True, -1, False], [False, False, 0]],
+            [[-1.0, 1.0, 0.0], [1.0, -1.0, 0.0], [0.0, False, 0.0]],
+        ],
+        ids=["numeric-strings", "booleans", "one-boolean"],
+    )
+    def test_inline_coupling_holds_numbers_only(self, matrix):
+        data = copy.deepcopy(BUILTIN_SCENARIOS["fig4-sym-pinned"])
+        data["coupling"] = matrix
+        with pytest.raises(ScenarioError, match=r"^coupling: matrix must hold numbers only"):
+            parse_scenario(data)
+        data["coupling"] = [[-1, 1, 0], [1, -1, 0], [0, 0, 0]]
+        np.testing.assert_array_equal(
+            parse_scenario(data).coupling.entries, [[-1, 1, 0], [1, -1, 0], [0, 0, 0]]
+        )
+
+    @pytest.mark.parametrize("field", ["dynamics", "coupling_function"])
+    def test_kind_must_be_a_string(self, field):
+        data = copy.deepcopy(BUILTIN_SCENARIOS["fig4-sym-pinned"])
+        data[field]["kind"] = ["chua"]
+        with pytest.raises(ScenarioError, match=rf"^{field}: kind must be a string, got \['chua'\]"):
             parse_scenario(data)
 
     @pytest.mark.parametrize("other", ["metrics", "summary"])
@@ -624,6 +651,21 @@ class TestRunScenario:
         assert result.blowup_time == pytest.approx(np.log(1e9) / 5.0, abs=0.05)
         assert "DIVERGED" in result.summary_path.read_text()
         assert result.metrics_path.exists()
+
+
+SUMMARIES = Path(__file__).with_name("data") / "summaries"
+
+
+class TestShippedSummaries:
+    # the summaries `pinnet run` wrote for the built-ins at their shipped
+    # horizons before the integrator stepped the linear regime with one
+    # matrix; that step moves states by at most 2.3e-13 relative, below
+    # every printed digit
+    @pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
+    def test_summary_text_is_unchanged(self, tmp_path, name):
+        result = run_scenario(parse_scenario(name), out_dir=tmp_path)
+        want = (SUMMARIES / f"{name}_summary.txt").read_text()
+        assert result.summary_path.read_text() == want
 
 
 class TestSweep:

@@ -382,6 +382,33 @@ class TestDynamicsRegistry:
         register_dynamics("test_shift", lambda dim, params: lambda x, t: x * 0.0 + 1.0)
         dyn = make_dynamics("test_shift", dim=2)
         np.testing.assert_array_equal(dyn(np.zeros(2)), [1.0, 1.0])
+        assert dyn.linear is None
+
+    @pytest.mark.parametrize("kind", [["chua"], {"kind": "chua"}, 3, None])
+    def test_kind_must_be_a_string(self, kind):
+        # a list or dict used to fail as "unhashable type"
+        with pytest.raises(ValueError, match=r"^kind must be a string, got "):
+            make_dynamics(kind, dim=3)
+        with pytest.raises(ValueError, match=r"^kind must be a string, got "):
+            make_coupling_function(kind)
+
+    @pytest.mark.parametrize(
+        "kind, dim, params",
+        [("chua", 3, {"k": 15.6, "l": 28.0}), ("chua", 3, {}), ("linear_decay", 4, {"rate": -0.7})],
+    )
+    def test_linear_region_is_where_the_field_is_its_jacobian(self, kind, dim, params):
+        dyn = make_dynamics(kind, dim=dim, params=params)
+        region = dyn.linear
+        rng = np.random.default_rng(5)
+        x = rng.uniform(-3.0, 3.0, size=(2000, dim))
+        inside = np.all(np.abs(x[:, list(region.coords)]) <= region.bound, axis=1)
+        assert 0 < inside.sum() and (kind == "linear_decay") == inside.all()
+        lin = x @ region.jacobian.T
+        scale = np.abs(lin).max(axis=1, keepdims=True) + np.abs(x).max(axis=1, keepdims=True)
+        err = (np.abs(dyn(x) - lin) / scale).max(axis=1)
+        assert err[inside].max() <= 1e-15
+        if not inside.all():
+            assert err[~inside].max() > 1e-2
 
 
 def _system(a, pin=None, gkind="identity", dynamics=None):

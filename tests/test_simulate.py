@@ -24,6 +24,7 @@ from pinnet import (
     run_scenario,
     validate_coupling,
 )
+from pinnet import simulate
 from pinnet.model import make_network_rhs
 from pinnet.scenarios import BUILTIN_SCENARIOS
 from pinnet.simulate import Trajectory, grid_steps, integrate_batch
@@ -35,11 +36,11 @@ SPREAD_X0 = np.array([[40.1, 20.2, 30.3], [20.4, 30.5, 10.6], [60.7, 40.8, 50.9]
 CERT = QuadCertificate(p=np.ones(3), delta=10.0 * np.ones(3), eta=0.6218)
 
 
-def _single_node(rate=1.0, dim=1, pin=None):
+def _single_node(rate=1.0, dim=1, pin=None, gfun="identity"):
     return NetworkSystem(
         coupling=validate_coupling(np.zeros((1, 1))),
         dynamics=make_dynamics("linear_decay", dim=dim, params={"rate": rate}),
-        gfun=make_coupling_function("identity"),
+        gfun=make_coupling_function(gfun),
         pin=pin,
     )
 
@@ -271,9 +272,59 @@ def _assert_same_runs(got, want):
             np.testing.assert_array_equal(_bits(getattr(g, field)), _bits(getattr(w, field)))
 
 
+# Per-sample drift allowed between a run that takes linear-regime steps and
+# the RK4 loop, relative to the sample's largest entry: a linear step rounds
+# y + B y where the loop rounds its four stages, about eps per step. The
+# built-ins drift by at most 2.3e-13 at their shipped horizons.
+LINEAR_DRIFT = 1e-11
+
+
+def _stacked(traj):
+    """The samples as ``(N + 1, m + 1, n)``, the reference last."""
+    return np.concatenate([traj.states, traj.reference[:, None, :]], axis=1)
+
+
+def _first_inside(samples, region):
+    """Index of the first sample whose rows all lie in ``region`` (the last
+    index when none does): no linear step can start before it."""
+    inside = np.all(np.abs(samples[:, :, list(region.coords)]) <= region.bound, axis=(1, 2))
+    return int(np.argmax(inside)) if inside.any() else len(samples) - 1
+
+
+def _assert_parity(got, want, region):
+    """Batch results against the frozen loop. Without a linear ``region``
+    they are equal bit for bit. With one, outcomes, messages and blow-up
+    times are equal, each member's samples are equal bit for bit up to its
+    first sample in the region, and every sample after it is within
+    ``LINEAR_DRIFT`` of the loop's."""
+    if region is None:
+        _assert_same_runs(got, want)
+        return
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert type(g) is type(w)
+        if isinstance(w, DivergenceError):
+            assert str(g) == str(w) and g.blowup_time == w.blowup_time
+            g, w = g.trajectory, w.trajectory
+        np.testing.assert_array_equal(_bits(g.times), _bits(w.times))
+        a, b = _stacked(g), _stacked(w)
+        first = _first_inside(b, region)
+        np.testing.assert_array_equal(_bits(a[: first + 1]), _bits(b[: first + 1]))
+        scale = np.abs(b).max(axis=(1, 2))
+        assert np.all(np.abs(a - b).max(axis=(1, 2)) <= LINEAR_DRIFT * scale)
+
+
+def _region(sys_):
+    """The linear region the integrator may step in: the field's, under the
+    identity coupling map."""
+    return sys_.dynamics.linear if sys_.gfun.kind == "identity" else None
+
+
 class TestFrozenLoopParity:
     """The integrator against its earlier plain-expression loop
-    (``_oracles.integrate_batch_reference``): same states, bit for bit."""
+    (``_oracles.integrate_batch_reference``): same states, bit for bit, for
+    systems without a linear regime, and within ``LINEAR_DRIFT`` once a
+    member steps in its linear region (:func:`_assert_parity`)."""
 
     @staticmethod
     def _both(systems, x0s, s0s, dt, t_max):
@@ -285,10 +336,10 @@ class TestFrozenLoopParity:
     @pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
     def test_builtins_at_shipped_dt(self, name):
         cfg = parse_scenario(name)
-        _assert_same_runs(
-            *self._both(
-                [build_system(cfg)], [cfg.initial_states], [cfg.reference_initial], cfg.dt, 2.0
-            )
+        sys_ = build_system(cfg)
+        _assert_parity(
+            *self._both([sys_], [cfg.initial_states], [cfg.reference_initial], cfg.dt, 2.0),
+            _region(sys_),
         )
 
     def test_fig4_sweep_batch(self):
@@ -297,21 +348,30 @@ class TestFrozenLoopParity:
             build_system(dataclasses.replace(cfg, pin=dataclasses.replace(cfg.pin, c=float(c))))
             for c in np.linspace(6.0, 14.0, 9)
         ]
-        _assert_same_runs(
+        _assert_parity(
             *self._both(
                 systems, [cfg.initial_states] * 9, [cfg.reference_initial] * 9, cfg.dt, 2.0
-            )
+            ),
+            _region(systems[0]),
         )
 
     def test_diverging_member(self):
+        self._diverging_member("identity")
+
+    def test_diverging_member_sine_blend(self):
+        # the same guard case without a linear regime: bit for bit
+        self._diverging_member("sine_blend")
+
+    def _diverging_member(self, gfun):
         systems = [
-            _single_node(rate=-5.0, pin=PinPlan(1, 6.0, 1.0)),
-            _single_node(rate=-5.0),
-            _single_node(rate=-5.0, pin=PinPlan(1, 5.5, 1.0)),
+            _single_node(rate=-5.0, pin=PinPlan(1, 6.0, 1.0), gfun=gfun),
+            _single_node(rate=-5.0, gfun=gfun),
+            _single_node(rate=-5.0, pin=PinPlan(1, 5.5, 1.0), gfun=gfun),
         ]
         got, want = self._both(systems, [[[1.0]], [[1.0]], [[2.0]]], [[0.0]] * 3, 0.01, 6.0)
         assert isinstance(want[1], DivergenceError) and 0.0 < want[1].blowup_time < 6.0
-        _assert_same_runs(got, want)
+        assert not any(isinstance(r, DivergenceError) for r in (want[0], want[2]))
+        _assert_parity(got, want, _region(systems[0]))
 
     def test_non_finite_member(self):
         register_dynamics(
@@ -330,6 +390,13 @@ class TestFrozenLoopParity:
         assert str(got.value) == str(want.value)
 
     def test_total_norm_over_the_guard_is_not_divergence(self):
+        self._total_norm_over_the_guard("identity")
+
+    def test_total_norm_over_the_guard_sine_blend(self):
+        # the same guard case without a linear regime: bit for bit
+        self._total_norm_over_the_guard("sine_blend")
+
+    def _total_norm_over_the_guard(self, gfun):
         # four nodes of norm 0.9e9 (total norm^2 3.2e18) fail the one-dot
         # filter on every step; the per-node check must still pass the
         # constant member and stop the growing one exactly where the old
@@ -339,6 +406,7 @@ class TestFrozenLoopParity:
             NetworkSystem(
                 coupling=coupling,
                 dynamics=make_dynamics("linear_decay", dim=3, params={"rate": rate}),
+                gfun=make_coupling_function(gfun),
             )
             for rate in (0.0, -1.0)
         )
@@ -347,10 +415,135 @@ class TestFrozenLoopParity:
         s0 = np.zeros(3)
         got, want = self._both([constant] * 2, [x0, 0.99 * x0], [s0] * 2, 0.01, 1.0)
         assert all(isinstance(r, Trajectory) for r in got)
-        _assert_same_runs(got, want)
+        _assert_parity(got, want, _region(constant))
         got, want = self._both([growing], [x0], [s0], 0.01, 1.0)
         assert isinstance(want[0], DivergenceError) and want[0].blowup_time > 0.01
-        _assert_same_runs(got, want)
+        _assert_parity(got, want, _region(growing))
+
+
+def _ring(m):
+    a = np.zeros((m, m))
+    i = np.arange(m)
+    a[i, (i + 1) % m] = 1.0
+    a = a + a.T
+    np.fill_diagonal(a, -a.sum(axis=1))
+    return validate_coupling(a)
+
+
+@pytest.fixture
+def generic_steps(monkeypatch):
+    """The grid indices of the steps the integrator takes with the RK4 loop,
+    read off its right-hand-side calls (four per step, the first at the
+    step's start); every other step is a linear-regime step."""
+    starts = []
+    real = simulate.make_network_rhs
+
+    def counted(systems):
+        rhs = real(systems)
+
+        def call(y, t):
+            starts.append(t)
+            return rhs(y, t)
+
+        return call
+
+    monkeypatch.setattr(simulate, "make_network_rhs", counted)
+
+    def read(dt):
+        return set(np.rint(np.array(starts[::4]) / dt).astype(int).tolist())
+
+    return read
+
+
+class TestLinearRegime:
+    """Which steps take the one-matrix linear step: only members of small
+    networks whose field declares a linear region, under the identity map,
+    and only while all four stages stay in that region."""
+
+    def test_small_network_steps_linearly_once_inside(self, generic_steps):
+        cfg = parse_scenario("fig4-sym-pinned")
+        sys_ = build_system(cfg)
+        traj = integrate(sys_, cfg.initial_states, cfg.reference_initial, cfg.dt, 1.0)
+        first = _first_inside(_stacked(traj), sys_.dynamics.linear)
+        # pinned at the origin, the run enters the middle region and stays;
+        # a member stepping generically is tested on every 8th step
+        every = simulate._RETEST_STEPS
+        entry = -(-first // every) * every
+        assert 0 < first <= entry < min(first + every, 1000)
+        assert generic_steps(cfg.dt) == set(range(entry))
+
+    def test_fig2_enters_and_leaves_the_region(self, generic_steps):
+        # the uncontrolled run crosses the middle region in transit
+        cfg = parse_scenario("fig2-sym-uncontrolled")
+        sys_ = build_system(cfg)
+        traj = integrate(sys_, cfg.initial_states, cfg.reference_initial, cfg.dt, 2.0)
+        linear = sorted(set(range(2000)) - generic_steps(cfg.dt))
+        assert linear and max(linear) < 1999
+        samples = _stacked(traj)
+        assert np.all(np.abs(samples[linear, :, 0]) <= 1.0)
+        # each run of linear steps starts on a retest step
+        starts = [i for i in linear if i - 1 not in linear]
+        assert all(i % simulate._RETEST_STEPS == 0 for i in starts)
+
+    @pytest.mark.parametrize(
+        "m, gfun, linear",
+        [
+            (simulate._LINEAR_MAX_SIZE // 3 - 1, "identity", True),
+            (simulate._LINEAR_MAX_SIZE // 3, "identity", False),
+            (100, "identity", False),
+            (3, "sine_blend", False),
+        ],
+        ids=["at-cap", "over-cap", "m100", "sine-blend"],
+    )
+    def test_step_matrix_is_built_only_where_it_pays(self, monkeypatch, generic_steps,
+                                                     m, gfun, linear):
+        built = []
+        real = simulate._linear_step_matrix
+
+        def recorded(sys_, region, dt):
+            built.append(dt)
+            return real(sys_, region, dt)
+
+        monkeypatch.setattr(simulate, "_linear_step_matrix", recorded)
+        sys_ = NetworkSystem(
+            coupling=_ring(m),
+            dynamics=make_dynamics("chua"),
+            gfun=make_coupling_function(gfun),
+            pin=PinPlan(1, 5.0, 10.0),
+        )
+        # inside the middle region from the start
+        x0 = np.full((m, 3), 0.01)
+        got = integrate_batch([sys_], [x0], [np.zeros(3)], 1e-3, 0.02)
+        want = integrate_batch_reference([sys_], [x0], [np.zeros(3)], 1e-3, 0.02)
+        if linear:
+            # the dt = 0 stand-in, then the member's own matrix once
+            assert built == [0.0, 1e-3] and generic_steps(1e-3) == set()
+            _assert_parity(got, want, sys_.dynamics.linear)
+        else:
+            assert built == [] and generic_steps(1e-3) == set(range(20))
+            _assert_same_runs(got, want)
+
+    def test_members_enter_and_leave_on_their_own(self):
+        # one batch: fig2 passes through the region, the fig4 pin strengths
+        # enter it at different steps, one member starts inside; each is its
+        # solo run bit for bit
+        fig2, fig4 = parse_scenario("fig2-sym-uncontrolled"), parse_scenario("fig4-sym-pinned")
+        systems = [build_system(fig2)] + [
+            build_system(dataclasses.replace(fig4, pin=dataclasses.replace(fig4.pin, c=c)))
+            for c in (6.0, 10.0, 14.0)
+        ]
+        x0s = [fig2.initial_states] * 3 + [np.full((3, 3), 0.5)]
+        s0 = fig4.reference_initial
+        batch = integrate_batch(systems, x0s, [s0] * 4, fig4.dt, 2.0)
+        for sys_, x0, got in zip(systems, x0s, batch):
+            solo = integrate(sys_, x0, s0, fig4.dt, 2.0)
+            np.testing.assert_array_equal(_bits(got.states), _bits(solo.states))
+            np.testing.assert_array_equal(_bits(got.reference), _bits(solo.reference))
+
+    def test_everywhere_linear_field_steps_linearly_from_the_start(self, generic_steps):
+        traj = integrate(_decay_net(2.0), [[1.0, -0.5]], [0.0, 0.0], 0.01, 1.0)
+        assert generic_steps(0.01) == set()
+        assert traj.states[-1, 0, 0] == pytest.approx(np.exp(-3.0), rel=1e-7)
 
 
 class TestIntegratorOracle:
