@@ -252,14 +252,14 @@ def chua_region_jacobian(region: str, k: float = CHUA_K, l: float = CHUA_L) -> n
 
 
 @dataclass(frozen=True)
-class LinearRegion:
-    """Where a node field is exactly linear and autonomous: ``f(x) = J x``
-    with ``J = jacobian`` wherever ``|x_c| <= bound`` for every 0-based
-    coordinate ``c`` in ``coords``. No coordinates means everywhere."""
+class PiecewiseAffine:
+    """A node field that is ``J_k x + b_k``, ``(J_k, b_k) = pieces[k]``, on
+    piece ``k``: ``breaks[k - 1] <= x[coord] <= breaks[k]``, inclusive, as
+    the field is continuous there. No breakpoints: one piece, all of space."""
 
-    jacobian: np.ndarray
-    coords: tuple = ()
-    bound: float = math.inf
+    coord: int
+    breaks: tuple
+    pieces: tuple
 
 
 @dataclass(frozen=True)
@@ -268,9 +268,9 @@ class Dynamics:
 
     ``field_fn(x, t)`` must be vectorized over leading axes, map ``(..., dim)``
     to ``(..., dim)``, return a fresh array, and produce finite derivatives at
-    finite states. ``linear`` is the :class:`LinearRegion` of a built-in
-    field (the circuit's middle region, or all of space for the linear
-    decay) and None for registered fields. Build instances through
+    finite states. ``affine`` is the :class:`PiecewiseAffine` form of a
+    built-in field (the circuit's three diode regions, or one piece for the
+    linear decay) and None for registered fields. Build instances through
     :func:`make_dynamics`.
     """
 
@@ -278,7 +278,7 @@ class Dynamics:
     dim: int
     params: dict
     field_fn: FieldFn = field(repr=False, compare=False)
-    linear: Optional[LinearRegion] = field(default=None, repr=False, compare=False)
+    affine: Optional[PiecewiseAffine] = field(default=None, repr=False, compare=False)
 
     def __call__(self, x, t: float = 0.0) -> np.ndarray:
         return self.field_fn(np.asarray(x, dtype=float), t)
@@ -300,7 +300,7 @@ def _real_params(kind: str, params: Mapping, defaults: Mapping[str, float]) -> l
         raise ValueError(f"{err} (known: {known})") from None
 
 
-def _build_chua(dim: int, params: Mapping) -> tuple[FieldFn, LinearRegion]:
+def _build_chua(dim: int, params: Mapping) -> tuple[FieldFn, PiecewiseAffine]:
     if dim != 3:
         raise CouplingError(f"chua dynamics is 3-dimensional, got dim={dim}")
     k, l = _real_params("chua", params, {"k": CHUA_K, "l": CHUA_L})
@@ -309,20 +309,22 @@ def _build_chua(dim: int, params: Mapping) -> tuple[FieldFn, LinearRegion]:
     def fn(x, t):
         return _chua_eval(x, jt, gain)
 
-    # h(0) = 0, so the middle region's field has no offset
-    return fn, LinearRegion(chua_region_jacobian("middle", k, l), (0,), 1.0)
+    # the diode adds -/+ 3k/7 to dx1/dt on the outer regions, 0 on the middle
+    offsets = [np.array([sign * 3.0 * k / 7.0, 0.0, 0.0]) for sign in (-1.0, 0.0, 1.0)]
+    pieces = tuple(zip([chua_region_jacobian(r, k, l) for r in CHUA_REGIONS], offsets))
+    return fn, PiecewiseAffine(0, (-1.0, 1.0), pieces)
 
 
-def _build_linear_decay(dim: int, params: Mapping) -> tuple[FieldFn, LinearRegion]:
+def _build_linear_decay(dim: int, params: Mapping) -> tuple[FieldFn, PiecewiseAffine]:
     (rate,) = _real_params("linear_decay", params, {"rate": 1.0})
 
     def fn(x, t):
         return -rate * x
 
-    return fn, LinearRegion(-rate * np.eye(dim))
+    return fn, PiecewiseAffine(0, (), ((-rate * np.eye(dim), np.zeros(dim)),))
 
 
-_DYNAMICS_BUILDERS: dict[str, Callable[[int, Mapping], tuple[FieldFn, Optional[LinearRegion]]]] = {
+_DYNAMICS_BUILDERS: dict[str, Callable[[int, Mapping], tuple[FieldFn, Optional[PiecewiseAffine]]]] = {
     "chua": _build_chua,
     "linear_decay": _build_linear_decay,
 }
@@ -330,7 +332,7 @@ _DYNAMICS_BUILDERS: dict[str, Callable[[int, Mapping], tuple[FieldFn, Optional[L
 
 def register_dynamics(kind: str, builder: Callable[[int, Mapping], FieldFn]) -> None:
     """Register a vector-field builder under ``kind`` (import-time setup only).
-    A registered field declares no linear region."""
+    A registered field declares no affine pieces."""
     _DYNAMICS_BUILDERS[kind] = lambda dim, params: (builder(dim, params), None)
 
 
@@ -347,8 +349,8 @@ def make_dynamics(kind: str, dim: Optional[int] = None, params: Optional[Mapping
         dim = 3
     dim = whole_number(dim, "dim", 1)
     params = dict(params or {})
-    fn, linear = _DYNAMICS_BUILDERS[kind](dim, params)
-    return Dynamics(kind=kind, dim=dim, params=params, field_fn=fn, linear=linear)
+    fn, affine = _DYNAMICS_BUILDERS[kind](dim, params)
+    return Dynamics(kind=kind, dim=dim, params=params, field_fn=fn, affine=affine)
 
 
 # ---------------------------------------------------------------------------

@@ -36,33 +36,31 @@ bit-identical to its run in a batch of one, and a member that breaches the
 guard leaves the batch with its own :class:`DivergenceError` while the
 others run on.
 
-Each step is the RK4 loop above or, in the linear regime, one matrix
-product. Where the dynamics declare a :class:`pinnet.model.LinearRegion`
-(Chua's middle region ``|x1| <= 1``, all of space for the linear decay),
-the coupling map is the identity and the flat state has at most
-``_LINEAR_MAX_SIZE`` = 72 entries, the field is ``y' = K y`` with
-``K = blockdiag(J) + M kron I_n`` whenever every node and the reference
-lie in the region, and an RK4 step there is exactly ``y + B y`` with
-``B = R(hK) - I = hK + (hK)^2/2 + (hK)^3/6 + (hK)^4/24``. Each member
-carries one matrix ``W``: the rows of ``B``, then the rows giving the
-region's coordinates of all four stage states (``y``, ``(I + hK/2) y``,
-...), once with each sign. One ``matmul`` gives the increment and the
-proof that every stage stayed within the bound; a member whose stages
-leave the region takes the RK4 loop on that step. ``W`` is built on the
-member's first step inside the region; until then it is the ``W`` of
-``dt = 0``, whose rows only test the state. A member that is not stepping
-linearly is tested on every ``_RETEST_STEPS`` = 8th step only, so a run
-that stays outside, or has left the region, pays the test on one step in
-eight and enters at most 7 steps late. The choice
+Each step is the RK4 loop above or one matrix product. Where the dynamics
+declare :class:`pinnet.model.PiecewiseAffine` pieces (Chua's three diode
+regions, split at ``x1 = -1, 1``; one piece for the linear decay), the
+coupling map is the identity and the flat state has at most
+``_LINEAR_MAX_SIZE`` = 72 entries, the field is affine in each pattern of
+pieces (one per row of the state), ``y' = K y + c``, and an RK4 step is
+exactly ``y + B [y; 1]``, ``B`` the top rows of ``R(hL) - I`` for
+``L = [[K, c], [0, 0]]``. Each member always has a pattern, the number of
+breakpoints below each row's coordinate, and one matrix ``W`` for it: the
+rows of ``B``, then for every row of the four stage states its coordinate
+minus its piece's upper bound, and the lower bound minus the coordinate.
+One ``matmul`` gives the increment and, with all those rows ``<= 0`` (the
+bounds are inclusive: the field is continuous at a breakpoint), the proof
+that every stage stayed on its pieces. A member that fails re-reads its
+pattern; if it moved, its matrix is rebuilt and tested once more, and a
+member that still fails takes the RK4 loop on that step. So the loop runs
+only where the stages straddle a breakpoint (64 of fig2's 50,000 steps).
+No pattern is cached: a chaotic network can visit very many. The choice
 depends only on the member's own states, so batch members stay
-bit-identical to their solo runs. On the built-ins a linear step costs
-about 5 us against 21-28 us for the loop (one BLAS thread, 2-vCPU Xeon).
-The cap is measured: on a pinned Chua ring, a linear step cost 0.2-0.36 of
-a loop step up to 72 entries, 0.49 at 93 (m = 30) and more than a loop
-step at 153, where building ``W`` also costs 2.3 ms. The linear step
-rounds differently from the four stages; on the built-ins at their shipped
-horizons the states move by at most 2.3e-13 relative per sample, and the
-tests hold every run to 1e-11 against the plain-expression loop.
+bit-identical to their solo runs. An affine step costs about 5 us against
+21-28 us for the loop, a rebuild 0.1-0.5 ms up to 93 entries (one BLAS
+thread, 2-vCPU Xeon); on an uncontrolled chaotic ring the rebuilds cost
+more than the affine steps save at m = 30, hence the cap. On the
+built-ins at their shipped horizons the states move from the loop's by at
+most 2.3e-13 relative per sample; the tests allow 1e-11.
 
 The step must divide the horizon: the grid ends exactly at ``t_max`` or the
 call is rejected (:func:`grid_steps`).
@@ -80,19 +78,16 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .conditions import QuadCertificate
-from .model import LinearRegion, NetworkSystem, make_network_rhs, network_operator
+from .model import NetworkSystem, PiecewiseAffine, make_network_rhs, network_operator
 
 DIVERGENCE_NORM = 1e9
 _GUARD2 = DIVERGENCE_NORM * DIVERGENCE_NORM
 GRID_RTOL = 1e-9
 _MONITOR_FLOOR = 1e-300
 _MONITOR_TOL_RATE = 1e-3
-# Largest flat state (m + 1) n stepped by the linear-regime matrix, from the
-# measured crossover (module docstring). A member outside that regime is
-# tested for it on every _RETEST_STEPS-th step: a test (one matmul and one
-# reduction, about 3 us) then costs under 2% of a 21-28 us loop step.
+# Largest flat state (m + 1) n stepped by the affine matrix, from the
+# measured crossover of a chaotic run's rebuilds (module docstring)
 _LINEAR_MAX_SIZE = 72
-_RETEST_STEPS = 8
 
 
 class DivergenceError(RuntimeError):
@@ -161,26 +156,42 @@ def _total_norm2_bound(size: int, n: int) -> float:
     return _GUARD2 * (1.0 - 4.0 * (size + n + 2) * np.finfo(float).eps)
 
 
-def _linear_step_matrix(sys: NetworkSystem, region: LinearRegion, dt: float) -> np.ndarray:
-    """The RK4 step of ``y' = K y`` on the flat ``(m + 1) n`` state, with its
-    region test: rows ``B = R(hK) - I``, then ``+S`` and ``-S``, where ``S``
-    gives the region's coordinates of every row of the four stage states.
-
-    ``K = blockdiag(J) + M kron I_n`` is the field ``f(y) + M y`` inside the
-    region. ``W y`` holds the increment ``B y`` and, in its other rows, the
-    signed coordinates that must stay within ``region.bound``.
-    """
+def _affine_step_matrix(
+    sys: NetworkSystem, affine: PiecewiseAffine, pattern: Sequence[int], dt: float
+) -> np.ndarray:
+    """The matrix ``W`` of one member's pattern (module docstring), on its
+    flat ``(m + 1) n`` state with a trailing 1. A bound at infinity gives a
+    zero test row; a field without breakpoints gets no test rows."""
+    pattern = np.asarray(pattern)
     m, n = sys.coupling.m, sys.dynamics.dim
-    eye = np.eye((m + 1) * n)
-    hk = dt * (np.kron(np.eye(m + 1), region.jacobian) + np.kron(network_operator(sys), np.eye(n)))
-    # R(hK) - I = hK (I + hK/2 (I + hK/3 (I + hK/4))), without forming I + ...
-    inc = hk @ (eye + hk @ (eye + hk @ (eye + hk / 4.0) / 3.0) / 2.0)
-    stage2 = eye + hk / 2.0
-    stage3 = eye + hk @ stage2 / 2.0
-    stage4 = eye + hk @ stage3
-    sel = [row * n + c for row in range(m + 1) for c in region.coords]
+    size = (m + 1) * n
+    hl = np.zeros((size + 1, size + 1))
+    # K by (row, component) blocks: M kron I_n, plus J_k on the diagonal
+    blocks = hl[:size, :size].reshape(m + 1, n, m + 1, n)
+    blocks[:, range(n), :, range(n)] = network_operator(sys)
+    for row, piece in enumerate(pattern):
+        jac, offset = affine.pieces[piece]
+        blocks[row, :, row, :] += jac
+        hl[row * n : (row + 1) * n, size] = offset
+    hl *= dt
+    eye = np.eye(size + 1)
+    # R(hL) - I = hL (I + hL/2 (I + hL/3 (I + hL/4))), without forming I + ...
+    inc = (hl @ (eye + hl @ (eye + hl @ (eye + hl / 4.0) / 3.0) / 2.0))[:size]
+    if not affine.breaks:
+        return inc
+    stage2 = eye + hl / 2.0
+    stage3 = eye + hl @ stage2 / 2.0
+    stage4 = eye + hl @ stage3
+    sel = np.arange(m + 1) * n + affine.coord
     stages = np.vstack([eye[sel], stage2[sel], stage3[sel], stage4[sel]])
-    return np.vstack([inc, stages, -stages])
+    ends = np.concatenate([[-np.inf], affine.breaks, [np.inf]])
+    lower, upper = np.tile(ends[pattern], 4), np.tile(ends[pattern + 1], 4)
+    above, below = stages.copy(), -stages
+    above[:, size] -= upper
+    below[:, size] += lower
+    above[np.isinf(upper)] = 0.0
+    below[np.isinf(lower)] = 0.0
+    return np.vstack([inc, above, below])
 
 
 def integrate(sys: NetworkSystem, x0, s0, dt: float, t_max: float) -> Trajectory:
@@ -212,8 +223,8 @@ def integrate_batch(
     differ in coupling matrix, pin plan and initial data (``x0s[k]`` is
     (m, n), ``s0s[k]`` is (n,)). Returns, in order, each member's
     :class:`Trajectory`, bit-identical to its run in a batch of one, or the
-    :class:`DivergenceError` that run would raise. Small networks step in
-    their field's linear region with one matrix per member (see the module
+    :class:`DivergenceError` that run would raise. Small networks step on
+    their field's affine pieces with one matrix per member (see the module
     docstring). A member whose node norm
     breaches the guard leaves the active set with its partial trajectory,
     and the others run on. The trajectories are views into one shared
@@ -255,58 +266,59 @@ def integrate_batch(
     stage, acc = np.empty_like(y2), np.empty_like(y2)
     safe2 = _total_norm2_bound(y.size, n)
     size = (m + 1) * n
-    region = systems[0].dynamics.linear
+    affine = systems[0].dynamics.affine
     if systems[0].gfun.kind != "identity" or size > _LINEAR_MAX_SIZE:
-        region = None
-    if region is not None:
-        bound, tested = region.bound, bool(region.coords)
-        # a member outside the region so far carries the step matrix of
-        # dt = 0: no increment, and its region rows test the state itself
-        ws = np.repeat(_linear_step_matrix(systems[0], region, 0.0)[None], count, axis=0)
-        built = np.zeros(count, dtype=bool)
-        all_built = False
-        # the members that took a linear step on the last step
-        active = np.zeros(count, dtype=bool)
-        any_active = all_active = False
-        z = np.empty(ws.shape[:2] + (1,))
-        y_col, inc, signed = y_rows[:, :, None], z[:, :size, 0], z[:, size:, 0]
+        affine = None
+    if affine is not None:
+        coord, breaks = affine.coord, np.asarray(affine.breaks, dtype=float)
+        tested = bool(affine.breaks)
 
-        def in_region():
-            """True when every member's rows stay within the bound, False when
+        def pieces(members):
+            """Each member's pattern, as a list."""
+            return (y[members, :, coord, None] > breaks).sum(axis=2).tolist()
+
+        # each member's pattern, and the step matrix of that pattern
+        patterns = pieces(slice(None))
+        ws = np.stack(
+            [_affine_step_matrix(systems[k], affine, p, dt) for k, p in zip(live, patterns)]
+        )
+        # [y; 1] per member, the operand of the step matrices
+        ya = np.ones((count, size + 1, 1))
+        z = np.empty(ws.shape[:2] + (1,))
+        ya_rows, inc, signed = ya[:, :size, 0], z[:, :size, 0], z[:, size:, 0]
+
+        def on_pieces():
+            """True when every member's stages stay on its pieces, False when
             the one member's do not, else a mask over the members."""
-            if not tested or np.maximum.reduce(signed, axis=None) <= bound:
+            np.copyto(ya_rows, y_rows)
+            np.matmul(ws, ya, out=z)
+            if not tested or np.maximum.reduce(signed, axis=None) <= 0.0:
                 return True
             if y_rows.shape[0] == 1:
                 return False
-            return np.maximum.reduce(signed, axis=1) <= bound
+            return np.maximum.reduce(signed, axis=1) <= 0.0
+
+        def repattern(ok):
+            """Re-read the pieces of the members that failed, rebuild the
+            matrices of those whose pattern moved and test once more."""
+            failed = np.arange(y.shape[0]) if ok is False else np.flatnonzero(~ok)
+            moved = False
+            for j, pattern in zip(failed, pieces(failed)):
+                if pattern != patterns[j]:
+                    patterns[j] = pattern
+                    ws[j] = _affine_step_matrix(systems[live[j]], affine, pattern, dt)
+                    moved = True
+            return on_pieces() if moved else ok
 
     for i in range(steps):
         t = times[i]
         ok = False
-        if region is not None and (any_active or i % _RETEST_STEPS == 0):
-            np.matmul(ws, y_col, out=z)
-            ok = in_region()
-            if i % _RETEST_STEPS:
-                # between retests only the members already stepping linearly
-                if ok is not False and not all_active:
-                    ok = active if ok is True else ok & active
-            elif ok is not False and not all_built:
-                # members that pass on the dt = 0 matrix have just entered
-                fresh = np.flatnonzero(~built if ok is True else ok > built)
-                if fresh.size:
-                    for j in fresh:
-                        ws[j] = _linear_step_matrix(systems[live[j]], region, dt)
-                    built[fresh] = True
-                    all_built = bool(built.all())
-                    np.matmul(ws, y_col, out=z)
-                    ok = in_region()
-            # every member that passes is built now
-            if ok is True or ok is False:
-                any_active = all_active = ok
-            else:
-                active, any_active, all_active = ok, bool(ok.any()), False
+        if affine is not None:
+            ok = on_pieces()
+            if ok is not True:
+                ok = repattern(ok)
         if ok is True:
-            # every member's four stages stay in the region: one add
+            # every member's four stages stay on its pieces: one add
             np.add(y_rows, inc, out=y_rows)
         else:
             if ok is not False:
@@ -322,7 +334,7 @@ def integrate_batch(
             np.add(k1, np.multiply(np.add(k2, k3, out=acc), two, out=acc), out=acc)
             np.add(y2, np.multiply(np.add(acc, k4, out=acc), sixth, out=acc), out=y2)
             if ok is not False:
-                # the members that passed keep their linear step
+                # the members that passed keep their affine step
                 np.copyto(y_rows, stepped, where=ok[:, None])
         samples[rows, i + 1] = y_rows
         if np.dot(flat, flat) <= safe2:
@@ -356,14 +368,11 @@ def integrate_batch(
             y2, y_rows, flat = y.reshape(-1, n), y.reshape(live.size, -1), y.reshape(-1)
             stage, acc = np.empty_like(y2), np.empty_like(y2)
             safe2 = _total_norm2_bound(y.size, n)
-            if region is not None:
-                ws, built = ws[keep], built[keep]
-                all_built = bool(built.all())
-                if any_active and not all_active:
-                    active = active[keep]
-                    any_active, all_active = bool(active.any()), bool(active.all())
+            if affine is not None:
+                ws, ya = ws[keep], ya[keep]
+                patterns = [p for p, kept in zip(patterns, keep) if kept]
                 z = np.empty(ws.shape[:2] + (1,))
-                y_col, inc, signed = y_rows[:, :, None], z[:, :size, 0], z[:, size:, 0]
+                ya_rows, inc, signed = ya[:, :size, 0], z[:, :size, 0], z[:, size:, 0]
 
     for k in live:
         results[k] = Trajectory(

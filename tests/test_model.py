@@ -382,7 +382,7 @@ class TestDynamicsRegistry:
         register_dynamics("test_shift", lambda dim, params: lambda x, t: x * 0.0 + 1.0)
         dyn = make_dynamics("test_shift", dim=2)
         np.testing.assert_array_equal(dyn(np.zeros(2)), [1.0, 1.0])
-        assert dyn.linear is None
+        assert dyn.affine is None
 
     @pytest.mark.parametrize("kind", [["chua"], {"kind": "chua"}, 3, None])
     def test_kind_must_be_a_string(self, kind):
@@ -394,21 +394,33 @@ class TestDynamicsRegistry:
 
     @pytest.mark.parametrize(
         "kind, dim, params",
-        [("chua", 3, {"k": 15.6, "l": 28.0}), ("chua", 3, {}), ("linear_decay", 4, {"rate": -0.7})],
+        [
+            ("chua", 3, {"k": 15.6, "l": 28.0}),
+            ("chua", 3, {"k": 9.0, "l": 100.0 / 7.0}),
+            ("linear_decay", 4, {"rate": -0.7}),
+        ],
     )
     def test_linear_region_is_where_the_field_is_its_jacobian(self, kind, dim, params):
+        # on each affine piece the field is J_k x + b_k: seeded states inside
+        # the piece, its finite bounds included, and states off the piece,
+        # where it is not
         dyn = make_dynamics(kind, dim=dim, params=params)
-        region = dyn.linear
+        affine = dyn.affine
+        ends = np.concatenate([[-np.inf], affine.breaks, [np.inf]])
+        assert len(affine.pieces) == len(ends) - 1
+        assert (kind == "linear_decay") == (len(affine.pieces) == 1)
         rng = np.random.default_rng(5)
         x = rng.uniform(-3.0, 3.0, size=(2000, dim))
-        inside = np.all(np.abs(x[:, list(region.coords)]) <= region.bound, axis=1)
-        assert 0 < inside.sum() and (kind == "linear_decay") == inside.all()
-        lin = x @ region.jacobian.T
-        scale = np.abs(lin).max(axis=1, keepdims=True) + np.abs(x).max(axis=1, keepdims=True)
-        err = (np.abs(dyn(x) - lin) / scale).max(axis=1)
-        assert err[inside].max() <= 1e-15
-        if not inside.all():
-            assert err[~inside].max() > 1e-2
+        x[:20, affine.coord] = rng.choice(ends[np.isfinite(ends)], 20) if affine.breaks else 0.0
+        for k, (jac, offset) in enumerate(affine.pieces):
+            on = (ends[k] <= x[:, affine.coord]) & (x[:, affine.coord] <= ends[k + 1])
+            assert on.sum() > 500
+            want = x @ jac.T + offset
+            scale = np.abs(x @ jac.T).max(axis=1) + np.abs(offset).max() + np.abs(x).max(axis=1)
+            err = np.abs(dyn(x) - want).max(axis=1) / scale
+            assert err[on].max() <= 1e-15
+            if not on.all():
+                assert err[~on].max() > 1e-2
 
 
 def _system(a, pin=None, gkind="identity", dynamics=None):

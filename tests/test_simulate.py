@@ -25,7 +25,7 @@ from pinnet import (
     validate_coupling,
 )
 from pinnet import simulate
-from pinnet.model import make_network_rhs
+from pinnet.model import make_network_rhs, network_operator
 from pinnet.scenarios import BUILTIN_SCENARIOS
 from pinnet.simulate import Trajectory, grid_steps, integrate_batch
 
@@ -272,10 +272,10 @@ def _assert_same_runs(got, want):
             np.testing.assert_array_equal(_bits(getattr(g, field)), _bits(getattr(w, field)))
 
 
-# Per-sample drift allowed between a run that takes linear-regime steps and
-# the RK4 loop, relative to the sample's largest entry: a linear step rounds
-# y + B y where the loop rounds its four stages, about eps per step. The
-# built-ins drift by at most 2.3e-13 at their shipped horizons.
+# Per-sample drift allowed between a run that takes affine steps and the
+# RK4 loop, relative to the sample's largest entry: an affine step rounds
+# y + B [y; 1] where the loop rounds its four stages, about eps per step.
+# The built-ins drift by at most 2.3e-13 at their shipped horizons.
 LINEAR_DRIFT = 1e-11
 
 
@@ -284,20 +284,12 @@ def _stacked(traj):
     return np.concatenate([traj.states, traj.reference[:, None, :]], axis=1)
 
 
-def _first_inside(samples, region):
-    """Index of the first sample whose rows all lie in ``region`` (the last
-    index when none does): no linear step can start before it."""
-    inside = np.all(np.abs(samples[:, :, list(region.coords)]) <= region.bound, axis=(1, 2))
-    return int(np.argmax(inside)) if inside.any() else len(samples) - 1
-
-
-def _assert_parity(got, want, region):
-    """Batch results against the frozen loop. Without a linear ``region``
-    they are equal bit for bit. With one, outcomes, messages and blow-up
-    times are equal, each member's samples are equal bit for bit up to its
-    first sample in the region, and every sample after it is within
-    ``LINEAR_DRIFT`` of the loop's."""
-    if region is None:
+def _assert_parity(got, want, affine):
+    """Batch results against the frozen loop. Without ``affine`` pieces they
+    are equal bit for bit. With them, outcomes, messages and blow-up times
+    are equal, the initial samples are equal bit for bit, and every sample
+    from sample 1 on is within ``LINEAR_DRIFT`` of the loop's."""
+    if affine is None:
         _assert_same_runs(got, want)
         return
     assert len(got) == len(want)
@@ -308,23 +300,22 @@ def _assert_parity(got, want, region):
             g, w = g.trajectory, w.trajectory
         np.testing.assert_array_equal(_bits(g.times), _bits(w.times))
         a, b = _stacked(g), _stacked(w)
-        first = _first_inside(b, region)
-        np.testing.assert_array_equal(_bits(a[: first + 1]), _bits(b[: first + 1]))
+        np.testing.assert_array_equal(_bits(a[0]), _bits(b[0]))
         scale = np.abs(b).max(axis=(1, 2))
         assert np.all(np.abs(a - b).max(axis=(1, 2)) <= LINEAR_DRIFT * scale)
 
 
-def _region(sys_):
-    """The linear region the integrator may step in: the field's, under the
+def _pieces(sys_):
+    """The affine pieces the integrator may step on: the field's, under the
     identity coupling map."""
-    return sys_.dynamics.linear if sys_.gfun.kind == "identity" else None
+    return sys_.dynamics.affine if sys_.gfun.kind == "identity" else None
 
 
 class TestFrozenLoopParity:
     """The integrator against its earlier plain-expression loop
     (``_oracles.integrate_batch_reference``): same states, bit for bit, for
-    systems without a linear regime, and within ``LINEAR_DRIFT`` once a
-    member steps in its linear region (:func:`_assert_parity`)."""
+    systems without affine pieces, and within ``LINEAR_DRIFT`` for systems
+    with them (:func:`_assert_parity`)."""
 
     @staticmethod
     def _both(systems, x0s, s0s, dt, t_max):
@@ -339,7 +330,7 @@ class TestFrozenLoopParity:
         sys_ = build_system(cfg)
         _assert_parity(
             *self._both([sys_], [cfg.initial_states], [cfg.reference_initial], cfg.dt, 2.0),
-            _region(sys_),
+            _pieces(sys_),
         )
 
     def test_fig4_sweep_batch(self):
@@ -352,14 +343,14 @@ class TestFrozenLoopParity:
             *self._both(
                 systems, [cfg.initial_states] * 9, [cfg.reference_initial] * 9, cfg.dt, 2.0
             ),
-            _region(systems[0]),
+            _pieces(systems[0]),
         )
 
     def test_diverging_member(self):
         self._diverging_member("identity")
 
     def test_diverging_member_sine_blend(self):
-        # the same guard case without a linear regime: bit for bit
+        # the same guard case without affine pieces: bit for bit
         self._diverging_member("sine_blend")
 
     def _diverging_member(self, gfun):
@@ -371,7 +362,7 @@ class TestFrozenLoopParity:
         got, want = self._both(systems, [[[1.0]], [[1.0]], [[2.0]]], [[0.0]] * 3, 0.01, 6.0)
         assert isinstance(want[1], DivergenceError) and 0.0 < want[1].blowup_time < 6.0
         assert not any(isinstance(r, DivergenceError) for r in (want[0], want[2]))
-        _assert_parity(got, want, _region(systems[0]))
+        _assert_parity(got, want, _pieces(systems[0]))
 
     def test_non_finite_member(self):
         register_dynamics(
@@ -393,7 +384,7 @@ class TestFrozenLoopParity:
         self._total_norm_over_the_guard("identity")
 
     def test_total_norm_over_the_guard_sine_blend(self):
-        # the same guard case without a linear regime: bit for bit
+        # the same guard case without affine pieces: bit for bit
         self._total_norm_over_the_guard("sine_blend")
 
     def _total_norm_over_the_guard(self, gfun):
@@ -415,10 +406,10 @@ class TestFrozenLoopParity:
         s0 = np.zeros(3)
         got, want = self._both([constant] * 2, [x0, 0.99 * x0], [s0] * 2, 0.01, 1.0)
         assert all(isinstance(r, Trajectory) for r in got)
-        _assert_parity(got, want, _region(constant))
+        _assert_parity(got, want, _pieces(constant))
         got, want = self._both([growing], [x0], [s0], 0.01, 1.0)
         assert isinstance(want[0], DivergenceError) and want[0].blowup_time > 0.01
-        _assert_parity(got, want, _region(growing))
+        _assert_parity(got, want, _pieces(growing))
 
 
 def _ring(m):
@@ -434,7 +425,7 @@ def _ring(m):
 def generic_steps(monkeypatch):
     """The grid indices of the steps the integrator takes with the RK4 loop,
     read off its right-hand-side calls (four per step, the first at the
-    step's start); every other step is a linear-regime step."""
+    step's start); every other step is an affine step."""
     starts = []
     real = simulate.make_network_rhs
 
@@ -455,35 +446,46 @@ def generic_steps(monkeypatch):
     return read
 
 
+def _straddling_steps(sys_, traj, dt):
+    """The grid indices of the steps whose plain RK4 stages, formed from the
+    run's own samples, do not all lie on the pieces of the step's start (a
+    row's piece is the number of breakpoints below its coordinate)."""
+    affine = sys_.dynamics.affine
+    op = network_operator(sys_)
+
+    def field(v):
+        return sys_.dynamics(v) + np.einsum("ij,sjk->sik", op, v)
+
+    def piece(v):
+        return np.searchsorted(affine.breaks, v[:, :, affine.coord])
+
+    y = _stacked(traj)[:-1]
+    start = piece(y)
+    k1 = field(y)
+    s2 = y + 0.5 * dt * k1
+    s3 = y + 0.5 * dt * field(s2)
+    s4 = y + dt * field(s3)
+    moved = np.zeros(len(y), dtype=bool)
+    for stage in (s2, s3, s4):
+        moved |= (piece(stage) != start).any(axis=1)
+    return set(np.flatnonzero(moved).tolist())
+
+
 class TestLinearRegime:
-    """Which steps take the one-matrix linear step: only members of small
-    networks whose field declares a linear region, under the identity map,
-    and only while all four stages stay in that region."""
+    """Which steps take the one-matrix affine step: every step of a small
+    network whose field declares affine pieces, under the identity map,
+    except those whose stages leave the pieces the step starts on."""
 
-    def test_small_network_steps_linearly_once_inside(self, generic_steps):
-        cfg = parse_scenario("fig4-sym-pinned")
-        sys_ = build_system(cfg)
-        traj = integrate(sys_, cfg.initial_states, cfg.reference_initial, cfg.dt, 1.0)
-        first = _first_inside(_stacked(traj), sys_.dynamics.linear)
-        # pinned at the origin, the run enters the middle region and stays;
-        # a member stepping generically is tested on every 8th step
-        every = simulate._RETEST_STEPS
-        entry = -(-first // every) * every
-        assert 0 < first <= entry < min(first + every, 1000)
-        assert generic_steps(cfg.dt) == set(range(entry))
-
-    def test_fig2_enters_and_leaves_the_region(self, generic_steps):
-        # the uncontrolled run crosses the middle region in transit
-        cfg = parse_scenario("fig2-sym-uncontrolled")
+    @pytest.mark.parametrize(
+        "name", sorted(set(BUILTIN_SCENARIOS) - {"nonlinear-pinned"})
+    )
+    def test_loop_steps_straddle_a_breakpoint(self, generic_steps, name):
+        # fig2 crosses |x1| = 1 in transit, the pinned runs on their way in
+        cfg = parse_scenario(name)
         sys_ = build_system(cfg)
         traj = integrate(sys_, cfg.initial_states, cfg.reference_initial, cfg.dt, 2.0)
-        linear = sorted(set(range(2000)) - generic_steps(cfg.dt))
-        assert linear and max(linear) < 1999
-        samples = _stacked(traj)
-        assert np.all(np.abs(samples[linear, :, 0]) <= 1.0)
-        # each run of linear steps starts on a retest step
-        starts = [i for i in linear if i - 1 not in linear]
-        assert all(i % simulate._RETEST_STEPS == 0 for i in starts)
+        loop = generic_steps(cfg.dt)
+        assert loop and loop == _straddling_steps(sys_, traj, cfg.dt)
 
     @pytest.mark.parametrize(
         "m, gfun, linear",
@@ -498,47 +500,79 @@ class TestLinearRegime:
     def test_step_matrix_is_built_only_where_it_pays(self, monkeypatch, generic_steps,
                                                      m, gfun, linear):
         built = []
-        real = simulate._linear_step_matrix
+        real = simulate._affine_step_matrix
 
-        def recorded(sys_, region, dt):
-            built.append(dt)
-            return real(sys_, region, dt)
+        def recorded(sys_, affine, pattern, dt):
+            built.append((tuple(pattern), dt))
+            return real(sys_, affine, pattern, dt)
 
-        monkeypatch.setattr(simulate, "_linear_step_matrix", recorded)
+        monkeypatch.setattr(simulate, "_affine_step_matrix", recorded)
         sys_ = NetworkSystem(
             coupling=_ring(m),
             dynamics=make_dynamics("chua"),
             gfun=make_coupling_function(gfun),
             pin=PinPlan(1, 5.0, 10.0),
         )
-        # inside the middle region from the start
+        # on the middle piece from the start, and it stays there
         x0 = np.full((m, 3), 0.01)
         got = integrate_batch([sys_], [x0], [np.zeros(3)], 1e-3, 0.02)
         want = integrate_batch_reference([sys_], [x0], [np.zeros(3)], 1e-3, 0.02)
         if linear:
-            # the dt = 0 stand-in, then the member's own matrix once
-            assert built == [0.0, 1e-3] and generic_steps(1e-3) == set()
-            _assert_parity(got, want, sys_.dynamics.linear)
+            # one matrix, for the pattern read at the start
+            assert built == [((1,) * (m + 1), 1e-3)] and generic_steps(1e-3) == set()
+            _assert_parity(got, want, sys_.dynamics.affine)
         else:
             assert built == [] and generic_steps(1e-3) == set(range(20))
             _assert_same_runs(got, want)
 
     def test_members_enter_and_leave_on_their_own(self):
-        # one batch: fig2 passes through the region, the fig4 pin strengths
-        # enter it at different steps, one member starts inside; each is its
+        # one batch: fig2 passes through the middle piece, the fig4 pin
+        # strengths enter it at different steps, one member starts inside,
+        # one on the left piece and one with x1 = 1 exactly; each is its
         # solo run bit for bit
         fig2, fig4 = parse_scenario("fig2-sym-uncontrolled"), parse_scenario("fig4-sym-pinned")
         systems = [build_system(fig2)] + [
             build_system(dataclasses.replace(fig4, pin=dataclasses.replace(fig4.pin, c=c)))
-            for c in (6.0, 10.0, 14.0)
+            for c in (6.0, 10.0, 14.0, 10.0, 14.0)
         ]
-        x0s = [fig2.initial_states] * 3 + [np.full((3, 3), 0.5)]
+        left = np.array([[-3.0, 0.1, 0.2], [-2.0, -0.1, 0.0], [-1.5, 0.3, -0.2]])
+        on_break = np.array([[1.0, 0.0, 0.0], [0.5, 0.5, 0.5], [1.0, -0.2, 0.1]])
+        x0s = [fig2.initial_states] * 3 + [np.full((3, 3), 0.5), left, on_break]
         s0 = fig4.reference_initial
-        batch = integrate_batch(systems, x0s, [s0] * 4, fig4.dt, 2.0)
+        batch = integrate_batch(systems, x0s, [s0] * 6, fig4.dt, 2.0)
         for sys_, x0, got in zip(systems, x0s, batch):
             solo = integrate(sys_, x0, s0, fig4.dt, 2.0)
             np.testing.assert_array_equal(_bits(got.states), _bits(solo.states))
             np.testing.assert_array_equal(_bits(got.reference), _bits(solo.reference))
+
+    def test_a_diverging_member_leaves_with_its_pattern(self, monkeypatch):
+        # the middle member blows up on the left piece; the last member
+        # keeps its own pattern, so it builds the matrices of its solo run,
+        # and both others match their solo runs bit for bit
+        built = []
+        real = simulate._affine_step_matrix
+
+        def recorded(sys_, affine, pattern, dt):
+            built.append((sys_, tuple(pattern)))
+            return real(sys_, affine, pattern, dt)
+
+        monkeypatch.setattr(simulate, "_affine_step_matrix", recorded)
+        cfg = parse_scenario("fig2-sym-uncontrolled")
+        systems = [build_system(cfg) for _ in range(3)]
+        x0s = [cfg.initial_states, -1e7 * cfg.initial_states, cfg.initial_states]
+        s0 = cfg.reference_initial
+        batch = integrate_batch(systems, x0s, [s0] * 3, cfg.dt, 1.0)
+        in_batch = list(built)
+        assert isinstance(batch[1], DivergenceError)
+        with pytest.raises(DivergenceError) as solo:
+            integrate(systems[1], x0s[1], s0, cfg.dt, 1.0)
+        assert batch[1].blowup_time == solo.value.blowup_time
+        for k in (0, 2):
+            built.clear()
+            solo = integrate(systems[k], x0s[k], s0, cfg.dt, 1.0)
+            assert [p for sys_, p in in_batch if sys_ is systems[k]] == [p for _, p in built]
+            np.testing.assert_array_equal(_bits(batch[k].states), _bits(solo.states))
+            np.testing.assert_array_equal(_bits(batch[k].reference), _bits(solo.reference))
 
     def test_everywhere_linear_field_steps_linearly_from_the_start(self, generic_steps):
         traj = integrate(_decay_net(2.0), [[1.0, -0.5]], [0.0, 0.0], 0.01, 1.0)
