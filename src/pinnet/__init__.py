@@ -34,6 +34,7 @@ from .conditions import (
     theorem2_check,
     theorem3_check,
     theorem4_check,
+    verify_certificate,
     weighted_spectrum,
 )
 from .linalg import (
@@ -56,8 +57,6 @@ from .model import (
     Dynamics,
     NetworkSystem,
     PinPlan,
-    chua_diode,
-    chua_field,
     chua_region_jacobian,
     make_coupling_function,
     make_dynamics,

@@ -34,6 +34,7 @@ from .conditions import (
     spectral_negativity,
     theorem3_check,
     theorem4_check,
+    verify_certificate,
     weighted_spectrum,
 )
 # not called here: perfbench/tracing.py patches left_null_vector and
@@ -377,7 +378,10 @@ def check_scenario(cfg: ScenarioConfig, quad_samples: int = 0, seed: int = 0) ->
     certificate. Reducible coupling: the structural pinnability criterion,
     judged on the condensation that the weighted spectrum's
     :class:`ReducibilityError` carries, so irreducibility is decided once.
-    ``min_c`` (c*) is set only when the route's negativity verdict holds.
+    A theorem verdict also requires the certificate it relies on to be
+    verified (:func:`pinnet.conditions.verify_certificate`). ``min_c`` (c*)
+    is set only when the route's negativity verdict holds and the
+    certificate is verified.
     Pass ``quad_samples > 0`` to also falsification-test the certificate by
     sampling on the hull of [-30, 30] and the scenario's initial data; 0
     skips it and a negative count is an error.
@@ -408,8 +412,10 @@ def check_scenario(cfg: ScenarioConfig, quad_samples: int = 0, seed: int = 0) ->
             route = "asymmetric"
             prop = spectral_negativity(spectral)
 
-    if theorem is not None and prop.holds:
-        min_c = min_coupling_strength(cfg.certificate, spectral, alpha=alpha)
+    if theorem is not None:
+        theorem = verify_certificate(theorem, cfg.dynamics, cfg.certificate)
+        if prop.holds and theorem.detail["certificate"] is None:
+            min_c = min_coupling_strength(cfg.certificate, spectral, alpha=alpha)
 
     quad_sampled = None
     if quad_samples > 0:
@@ -465,9 +471,11 @@ def render_report(report: ConditionReport) -> str:
         )
     if report.theorem is not None:
         lines.append(f"  {report.theorem_name}: {_fmt_verdict(report.theorem)}")
+        if report.theorem.detail["certificate"] is not None:
+            lines.append(f"  certificate: {report.theorem.detail['certificate']}")
     if report.min_c is not None:
         lines.append(f"  minimal coupling strength c* = {report.min_c:.6f}")
-    elif report.theorem is not None:
+    elif report.theorem is not None and not report.proposition1.holds:
         lines.append("  minimal coupling strength: none (top eigenvalue not negative)")
     if report.reducibility is not None:
         v = report.reducibility

@@ -2,7 +2,8 @@
 
 The checkers cover the whole decision chain: negativity of the pinned
 coupling spectrum (:func:`proposition1_holds`), the QUAD one-sided-Lipschitz
-certificate for the node dynamics (:func:`quad_certificate_chua`,
+certificate for the node dynamics (:func:`certified_quad_margin`, with
+:func:`verify_certificate` for the verdicts that rely on it, and
 :func:`quad_check_sampled`), local and global margins for symmetric coupling
 (:func:`theorem1_margin`, :func:`theorem2_check`), nonlinear coupling
 (:func:`theorem3_check`, of which theorem 2 is the alpha = 1 case),
@@ -16,7 +17,10 @@ All conditions are strict inequalities: a margin of exactly zero fails. The
 negativity tolerance is relative, ``margin < -1e-9 * max(1, scale)`` with
 ``scale`` the magnitude of the binding combination; for spectral negativity,
 on either route, that is the largest eigenvalue magnitude. That one verdict
-also decides whether a minimal coupling strength c* exists.
+also decides whether a minimal coupling strength c* exists. The closed
+forms know no dynamics kind: they read the Jacobians of the pieces a field
+declares on ``Dynamics.affine``, and a field that declares none is left to
+sampling.
 """
 
 from __future__ import annotations
@@ -41,8 +45,8 @@ from .model import (
     CouplingMatrix,
     Dynamics,
     PinPlan,
-    chua_region_jacobian,
     finite_number,
+    make_dynamics,
     pinned_matrix,
     validate_coupling,
     whole_number,
@@ -175,44 +179,50 @@ def quad_margin_affine(p, delta, jacobian) -> float:
     return -float(sym_eigen(m).eigenvalues[0])
 
 
-def quad_certificate_chua(p, delta, k: float = CHUA_K, l: float = CHUA_L) -> float:
-    """Certified QUAD margin for Chua's circuit with diagonal P and Delta.
+def certified_quad_margin(dynamics: Dynamics, p, delta) -> float:
+    """Closed-form QUAD margin at diagonal P and Delta, from the pieces the
+    field declares on ``dynamics.affine``. One piece is exact
+    (:func:`quad_margin_affine`); with breakpoints it is the regional bound
 
-    The field is affine except through the scalar piecewise-linear diode
-    term, whose difference quotients lie between the two regional slopes
-    (-1/7 and 2/7). The certificate evaluates the classical worst-case bound
-    at those slope extremes:
+        eta = min_k p_k Delta_k - max_pieces || sym(P J_piece) ||_2
 
-        eta = min_k p_k Delta_k - max_slope || sym(P J(slope)) ||_2
-
-    which is conservative for pairs straddling a kink but valid everywhere;
-    a nonpositive return means no certificate at this (P, Delta). For P = I,
-    Delta = 10 I at the standard circuit parameters the binding region is the
-    outer slope and eta = 0.6218.
+    conservative for pairs straddling a breakpoint but valid everywhere
+    (Chua's circuit at P = I, Delta = 10 I: 0.6218, the outer pieces bind).
+    A nonpositive return means no certificate at this (P, Delta). A field
+    without pieces raises: fall back on :func:`quad_check_sampled`.
     """
-    p, delta = _check_diagonals(p, delta, 3)
-    gain = max(
-        _spectral_norm_sym(_sym_part(p[:, None] * chua_region_jacobian(region, k, l)))
-        for region in ("middle", "right")
-    )
+    if dynamics.affine is None:
+        raise ValueError(
+            f"no closed-form QUAD margin for dynamics kind {dynamics.kind!r}, which "
+            "declares no affine pieces; use quad_check_sampled"
+        )
+    jacobians = [jac for jac, _ in dynamics.affine.pieces]
+    if len(jacobians) == 1:
+        return quad_margin_affine(p, delta, jacobians[0])
+    p, delta = _check_diagonals(p, delta, dynamics.dim)
+    gain = max(_spectral_norm_sym(_sym_part(p[:, None] * jac)) for jac in jacobians)
     return float(np.min(p * delta) - gain)
 
 
-def certified_quad_margin(dynamics: Dynamics, p, delta) -> float:
-    """Closed-form QUAD margin for a built-in field; the sanity path for
-    affine dynamics is exact, the circuit path uses the regional certificate.
-    Unknown kinds raise: fall back on :func:`quad_check_sampled`."""
-    if dynamics.kind == "chua":
-        k = float(dynamics.params.get("k", CHUA_K))
-        l = float(dynamics.params.get("l", CHUA_L))
-        return quad_certificate_chua(p, delta, k=k, l=l)
-    if dynamics.kind == "linear_decay":
-        rate = float(dynamics.params.get("rate", 1.0))
-        return quad_margin_affine(p, delta, -rate * np.eye(dynamics.dim))
-    raise ValueError(
-        f"no closed-form QUAD margin for dynamics kind {dynamics.kind!r}; "
-        "use quad_check_sampled"
-    )
+def quad_certificate_chua(p, delta, k: float = CHUA_K, l: float = CHUA_L) -> float:
+    """:func:`certified_quad_margin` of Chua's circuit at parameters k, l."""
+    return certified_quad_margin(make_dynamics("chua", params={"k": k, "l": l}), p, delta)
+
+
+def verify_certificate(theorem: Verdict, dynamics: Dynamics, cert: QuadCertificate) -> Verdict:
+    """``theorem``, a margin that relies on ``cert``, holding only if also
+    ``cert.eta <= certified_quad_margin``; a field without pieces leaves the
+    certificate unverified. The margin is kept; the detail adds
+    ``certified_margin`` and ``certificate``, None or why it fails."""
+    certified = problem = None
+    if dynamics.affine is None:
+        problem = f"unverified (dynamics {dynamics.kind!r} declares no affine pieces)"
+    else:
+        certified = certified_quad_margin(dynamics, cert.p, cert.delta)
+        if not cert.eta <= certified:
+            problem = f"eta {cert.eta:g} exceeds the certified margin {certified:g}"
+    detail = {**theorem.detail, "certified_margin": certified, "certificate": problem}
+    return Verdict(holds=theorem.holds and problem is None, margin=theorem.margin, detail=detail)
 
 
 # pairs per block of the draw stream (all x of a block, then all y, then its
@@ -372,25 +382,24 @@ def quad_check_sampled(
 
 
 def theorem1_margin(sys, lambda1: float) -> Verdict:
-    """Local pinning condition for the built-in circuit dynamics.
-
-    mu_region is the largest eigenvalue of the symmetrized Jacobian on each
-    linear region; the condition holds when max_region mu < -c lambda1, i.e.
-    margin = max mu + c lambda1 < 0. Other dynamics kinds are unsupported.
+    """Local pinning condition: mu_piece is the largest eigenvalue of the
+    symmetrized Jacobian on each piece of ``sys.dynamics.affine``, and the
+    condition holds when max_piece mu < -c lambda1, i.e.
+    margin = max mu + c lambda1 < 0. The detail lists ``mu_by_piece`` in
+    piece order. A field that declares no affine pieces raises ``ValueError``.
     """
-    if sys.dynamics.kind != "chua":
-        raise ValueError("theorem1_margin supports only the built-in circuit dynamics")
-    k = float(sys.dynamics.params.get("k", CHUA_K))
-    l = float(sys.dynamics.params.get("l", CHUA_L))
-    mus = {
-        region: float(sym_eigen(_sym_part(chua_region_jacobian(region, k, l))).eigenvalues[0])
-        for region in ("left", "middle", "right")
-    }
-    mu = max(mus.values())
+    affine = sys.dynamics.affine
+    if affine is None:
+        raise ValueError(
+            f"theorem1_margin needs the field's affine pieces; dynamics kind "
+            f"{sys.dynamics.kind!r} declares none"
+        )
+    mus = tuple(float(sym_eigen(_sym_part(jac)).eigenvalues[0]) for jac, _ in affine.pieces)
+    mu = max(mus)
     c = sys.pin.c
     margin = mu + c * lambda1
     scale = abs(mu) + abs(c * lambda1)
-    return _strict(margin, scale, {"mu_by_region": mus, "c_lambda1": c * lambda1})
+    return _strict(margin, scale, {"mu_by_piece": mus, "c_lambda1": c * lambda1})
 
 
 def theorem2_check(cert: QuadCertificate, c: float, lambda1: float) -> Verdict:

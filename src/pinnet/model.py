@@ -9,7 +9,9 @@ drives every stability check in :mod:`pinnet.conditions`.
 
 Node dynamics are looked up in a small registry (built-ins: Chua's circuit and
 a linear decay field, whose builders reject unknown or non-numeric
-parameters); coupling may pass through a componentwise monotone map.
+parameters); coupling may pass through a componentwise monotone map. A
+built-in field declares its linear pieces on ``Dynamics.affine``, the one
+place the simulator and the closed-form conditions read its Jacobians.
 State layout is an ``(m, n)`` array, one row per node. Node indices are
 1-based in all public interfaces.
 
@@ -169,30 +171,11 @@ def pinned_matrix(a, pin: PinPlan) -> np.ndarray:
 # node dynamics
 
 
-def chua_diode(x1):
-    """Piecewise-linear diode characteristic h(x) = (2/7)x - (3/14)(|x+1| - |x-1|).
-
-    Slope is -1/7 on |x| <= 1 and 2/7 outside; continuous at the kinks, with
-    h(0) = 0. Evaluated through the exact identity
-    ``|x+1| - |x-1| = 2 clip(x, -1, 1)`` as ``(2/7)x - (3/7) clip(x, -1, 1)``:
-    the absolute-value form rounds to 0 for |x| below about 1e-16 and so
-    takes the outer slope 2/7 there, while the clip keeps the middle slope
-    down to the smallest subnormal.
-    """
-    x1 = np.asarray(x1, dtype=float)
-    return (2.0 / 7.0) * x1 - (3.0 / 7.0) * np.minimum(np.maximum(x1, -1.0), 1.0)
-
-
 # 0-d operands: a ufunc converts a Python float on every call, which costs
 # more than the arithmetic on a network's few dozen doubles
 _MINUS_ONE = np.array(-1.0)
 _ONE = np.array(1.0)
 _HALF = np.array(0.5)
-
-
-def _chua_affine(k: float, l: float) -> tuple[np.ndarray, np.ndarray]:
-    """``J_outer^T`` and the diode gain ``3k/7`` (0-d) of the circuit field."""
-    return chua_region_jacobian("right", k, l).T.copy(), np.array(3.0 * k / 7.0)
 
 
 def _chua_eval(x: np.ndarray, jt: np.ndarray, gain: np.ndarray) -> np.ndarray:
@@ -205,29 +188,6 @@ def _chua_eval(x: np.ndarray, jt: np.ndarray, gain: np.ndarray) -> np.ndarray:
     # np.clip goes through a Python wrapper; the two ufuncs are cheaper
     np.add(col, np.multiply(np.minimum(np.maximum(x[:, 0], _MINUS_ONE), _ONE), gain), out=col)
     return out
-
-
-def chua_field(x, k: float = CHUA_K, l: float = CHUA_L) -> np.ndarray:
-    """Chua's circuit vector field, vectorized over leading axes.
-
-        dx1/dt = k (x2 - h(x1))
-        dx2/dt = x1 - x2 + x3
-        dx3/dt = -l x2
-
-    At k = 9, l = 100/7 the circuit carries the double-scroll chaotic
-    attractor; the origin is an equilibrium since h(0) = 0.
-
-    With the diode written as ``(2/7)x1 - (3/7) clip(x1, -1, 1)`` the field
-    is one matrix product plus a clipped correction,
-    ``x @ J_outer^T + (3k/7) clip(x1, -1, 1) e1``, where ``J_outer`` is the
-    outer-region Jacobian (:func:`chua_region_jacobian`). The registered
-    ``chua`` dynamics evaluate the same arithmetic with ``J_outer^T`` built
-    once.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.shape[-1] != 3:
-        raise ValueError(f"chua state must have last dimension 3, got {x.shape}")
-    return _chua_eval(x, *_chua_affine(k, l))
 
 
 CHUA_REGIONS = ("left", "middle", "right")
@@ -268,10 +228,10 @@ class Dynamics:
 
     ``field_fn(x, t)`` must be vectorized over leading axes, map ``(..., dim)``
     to ``(..., dim)``, return a fresh array, and produce finite derivatives at
-    finite states. ``affine`` is the :class:`PiecewiseAffine` form of a
-    built-in field (the circuit's three diode regions, or one piece for the
-    linear decay) and None for registered fields. Build instances through
-    :func:`make_dynamics`.
+    finite states; calling the instance checks that last dimension.
+    ``affine`` is the :class:`PiecewiseAffine` form of a built-in field (the
+    circuit's three diode regions, or one piece for the linear decay) and
+    None for registered fields. Build instances through :func:`make_dynamics`.
     """
 
     kind: str
@@ -281,7 +241,11 @@ class Dynamics:
     affine: Optional[PiecewiseAffine] = field(default=None, repr=False, compare=False)
 
     def __call__(self, x, t: float = 0.0) -> np.ndarray:
-        return self.field_fn(np.asarray(x, dtype=float), t)
+        x = np.asarray(x, dtype=float)
+        if x.shape[-1:] != (self.dim,):
+            raise ValueError(f"{self.kind} states must have last dimension {self.dim}, "
+                             f"got shape {x.shape}")
+        return self.field_fn(x, t)
 
 
 def _real_params(kind: str, params: Mapping, defaults: Mapping[str, float]) -> list[float]:
@@ -301,18 +265,28 @@ def _real_params(kind: str, params: Mapping, defaults: Mapping[str, float]) -> l
 
 
 def _build_chua(dim: int, params: Mapping) -> tuple[FieldFn, PiecewiseAffine]:
+    """Chua's circuit, ``dx1/dt = k (x2 - h(x1))``, ``dx2/dt = x1 - x2 + x3``,
+    ``dx3/dt = -l x2``, with the diode ``h(x) = (2/7)x - (3/14)(|x+1| - |x-1|)``;
+    at k = 9, l = 100/7 it carries the double-scroll attractor.
+
+    The field is evaluated as ``x @ J_outer^T + (3k/7) clip(x1, -1, 1) e1``,
+    through the identity ``|x+1| - |x-1| = 2 clip(x, -1, 1)``: the
+    absolute-value form rounds to 0 for |x1| below about 1e-16 and so takes
+    the outer slope there, while the clip keeps the middle slope down to the
+    smallest subnormal.
+    """
     if dim != 3:
         raise CouplingError(f"chua dynamics is 3-dimensional, got dim={dim}")
     k, l = _real_params("chua", params, {"k": CHUA_K, "l": CHUA_L})
-    jt, gain = _chua_affine(k, l)
+    jacobians = [chua_region_jacobian(r, k, l) for r in CHUA_REGIONS]
+    jt, gain = jacobians[2].T.copy(), np.array(3.0 * k / 7.0)
 
     def fn(x, t):
         return _chua_eval(x, jt, gain)
 
     # the diode adds -/+ 3k/7 to dx1/dt on the outer regions, 0 on the middle
     offsets = [np.array([sign * 3.0 * k / 7.0, 0.0, 0.0]) for sign in (-1.0, 0.0, 1.0)]
-    pieces = tuple(zip([chua_region_jacobian(r, k, l) for r in CHUA_REGIONS], offsets))
-    return fn, PiecewiseAffine(0, (-1.0, 1.0), pieces)
+    return fn, PiecewiseAffine(0, (-1.0, 1.0), tuple(zip(jacobians, offsets)))
 
 
 def _build_linear_decay(dim: int, params: Mapping) -> tuple[FieldFn, PiecewiseAffine]:

@@ -19,6 +19,7 @@ from pinnet import (
     metrics,
     min_coupling_strength,
     parse_scenario,
+    register_dynamics,
     render_report,
     run_scenario,
     serialize_scenario,
@@ -499,10 +500,12 @@ class TestCheckScenario:
         monkeypatch.setattr(pinnet.conditions, "sym_eigen", counted)
         with_cert = parse_scenario("fig5-asym-pinned")
         reports = []
-        for cfg in (with_cert, dataclasses.replace(with_cert, certificate=None)):
+        for cfg, pieces in ((with_cert, 3), (dataclasses.replace(with_cert, certificate=None), 0)):
             calls.clear()
             reports.append(check_scenario(cfg))
-            assert len(calls) == 1
+            # one coupling spectrum, plus one per Chua piece for the
+            # certified QUAD margin that verifies the certificate
+            assert len(calls) == 1 + pieces
         certified, bare = reports
         assert (certified.theorem_name, bare.theorem_name) == ("theorem4", None)
         assert bare.theorem is None and bare.min_c is None
@@ -514,6 +517,72 @@ class TestCheckScenario:
         )
         assert certified.spectral.lambda1 == bare.spectral.lambda1
         assert certified.spectral.xi_max == bare.spectral.xi_max
+
+
+UNVERIFIED = Path(__file__).with_name("data") / "scenarios" / "fig4-unverified-certificate.json"
+
+
+class TestCertificateGate:
+    # fig4 with P = I, Delta = 0.1 I and eta = 5: theorem 2 reads margin
+    # -10.0114, but the certified QUAD margin at that Delta is -9.27817
+    def test_unverified_certificate_fails_the_theorem(self):
+        report = check_scenario(parse_scenario(str(UNVERIFIED)))
+        assert report.proposition1.holds
+        assert not report.theorem.holds and not report.gate_verdict.holds
+        assert report.theorem.margin == pytest.approx(-10.0114, abs=1e-4)
+        assert report.theorem.detail["certified_margin"] == pytest.approx(-9.27817, abs=1e-5)
+        assert report.min_c is None
+        text = render_report(report)
+        assert "  theorem2: FAILS (margin -10.0114)\n" in text
+        assert text.endswith("  certificate: eta 5 exceeds the certified margin -9.27817")
+        assert "minimal coupling strength" not in text
+
+    def test_check_and_run_exit_2(self, tmp_path, capsys):
+        assert main(["check", str(UNVERIFIED), "--require-conditions"]) == 2
+        assert main(["check", str(UNVERIFIED)]) == 0
+        out = tmp_path / "out"
+        argv = ["run", str(UNVERIFIED), "--tmax", "1", "--require-conditions", "--out", str(out)]
+        assert main(argv) == 2
+        assert not out.exists()
+        assert "run aborted: conditions not satisfied" in capsys.readouterr().out
+
+    def test_overclaimed_eta_at_the_shipped_delta_fails(self):
+        data = copy.deepcopy(BUILTIN_SCENARIOS["fig4-sym-pinned"])
+        data["certificate"]["eta"] = 0.7
+        report = check_scenario(parse_scenario(data))
+        assert not report.gate_verdict.holds and report.min_c is None
+        assert report.theorem.detail["certificate"] == (
+            "eta 0.7 exceeds the certified margin 0.621827"
+        )
+
+    @pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
+    def test_builtins_keep_their_verdicts(self, name):
+        report = check_scenario(parse_scenario(name))
+        holds = {"fig2-sym-uncontrolled": False}.get(name, True)
+        assert report.gate_verdict.holds == holds
+        if report.theorem is not None:
+            assert report.theorem.detail["certificate"] is None
+            assert report.theorem.detail["certified_margin"] == 0.621826504640163
+            assert "certificate:" not in render_report(report)
+
+    def test_registered_kind_is_unverified(self):
+        register_dynamics("cli_probe_decay", lambda dim, params: lambda x, t: -2.0 * x)
+        data = copy.deepcopy(BUILTIN_SCENARIOS["fig4-sym-pinned"])
+        data["dynamics"] = {"kind": "cli_probe_decay"}
+        report = check_scenario(parse_scenario(data))
+        assert report.theorem.margin < 0 and not report.gate_verdict.holds
+        assert report.min_c is None
+        assert render_report(report).endswith(
+            "  certificate: unverified (dynamics 'cli_probe_decay' declares no affine pieces)"
+        )
+
+    def test_sweep_rows_fail_under_the_bad_certificate(self, tmp_path):
+        cfg = dataclasses.replace(parse_scenario(str(UNVERIFIED)), t_max=0.5)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run_sweep(cfg, "c=6:14:3", tmp_path) == 0
+        rows = (tmp_path / "fig4-unverified-certificate_sweep.csv").read_text().splitlines()
+        assert [row.split(",")[2] for row in rows[1:]] == ["0", "0", "0"]
+        assert all(float(row.split(",")[1]) < 0 for row in rows[1:])
 
 
 def _short(name, t_max=2.0):

@@ -15,6 +15,7 @@ from pinnet import (
     SpectralReport,
     SymmetryError,
     certified_quad_margin,
+    chua_region_jacobian,
     make_coupling_function,
     make_dynamics,
     min_coupling_strength,
@@ -33,6 +34,7 @@ from pinnet import (
     theorem3_check,
     theorem4_check,
     validate_coupling,
+    verify_certificate,
     weighted_spectrum,
 )
 
@@ -161,6 +163,19 @@ class TestQuadCertificateChua:
     def test_reference_margin(self):
         eta = quad_certificate_chua(np.ones(3), 10.0 * np.ones(3))
         assert eta == pytest.approx(0.6218, abs=1e-3)
+        assert eta == 0.621826504640163
+
+    def test_regional_bound_bit_for_bit_on_a_seeded_grid(self):
+        # the field's declared pieces give the bound over the circuit's two
+        # diode slopes, built here from the regional Jacobians, to the bit
+        rng = np.random.default_rng(18)
+        for _ in range(300):
+            k, l = rng.uniform(0.5, 20.0), rng.uniform(1.0, 30.0)
+            p, delta = rng.uniform(0.1, 3.0, 3), rng.uniform(-5.0, 20.0, 3)
+            want = _regional_bound(p, delta, k, l)
+            dyn = make_dynamics("chua", params={"k": k, "l": l})
+            assert certified_quad_margin(dyn, p, delta) == want, (k, l, p, delta)
+            assert quad_certificate_chua(p, delta, k=k, l=l) == want
 
     def test_binding_region_value(self):
         # eta = 10 - || sym(J_outer) ||_2; the outer slope binds here
@@ -177,6 +192,8 @@ class TestQuadCertificateChua:
         assert certified_quad_margin(dyn, np.ones(3), np.zeros(3)) == pytest.approx(
             1.0, abs=1e-12
         )
+        p, delta = np.array([1.0, 0.37, 2.5]), np.array([3.0, -11.0, 0.5])
+        assert certified_quad_margin(dyn, p, delta) == quad_margin_affine(p, delta, -np.eye(3))
         assert quad_margin_affine(np.ones(3), np.zeros(3), -np.eye(3)) == 1.0
 
     def test_no_certificate_without_damping(self):
@@ -199,6 +216,17 @@ class TestQuadCertificateChua:
     def test_rejects_bad_p(self):
         with pytest.raises(ValueError):
             quad_certificate_chua(np.array([1.0, -1.0, 1.0]), np.zeros(3))
+
+
+def _regional_bound(p, delta, k, l):
+    """min_k p_k Delta_k - max over the middle and outer diode slopes of
+    ||sym(P J)||_2, straight from :func:`chua_region_jacobian`."""
+    norms = []
+    for region in ("middle", "right"):
+        pj = p[:, None] * chua_region_jacobian(region, k, l)
+        ev = sym_eigen((pj + pj.T) / 2.0).eigenvalues
+        norms.append(float(max(abs(ev[0]), abs(ev[-1]))))
+    return float(np.min(p * delta) - max(norms))
 
 
 def _register_probe():
@@ -402,14 +430,91 @@ class TestTheorem1:
         assert huge.holds
         assert huge.margin < -1e5
 
-    def test_other_dynamics_unsupported(self):
+    def test_mu_by_piece(self):
+        verdict = theorem1_margin(_chua_system(PinPlan(1, 4.9, 10.0)), LAMBDA1_SYM)
+        np.testing.assert_allclose(
+            verdict.detail["mu_by_piece"], [self.MU_OUTER, self.MU_MIDDLE, self.MU_OUTER],
+            rtol=0.0, atol=1e-9,
+        )
+
+    def test_seeded_grid_matches_the_regional_jacobians(self):
+        # mu over the declared pieces is mu over the circuit's regions, bit for bit
+        rng = np.random.default_rng(19)
+        for _ in range(300):
+            k, l = rng.uniform(0.5, 20.0), rng.uniform(1.0, 30.0)
+            pin = PinPlan(1, 4.9, float(rng.uniform(0.1, 20.0)))
+            sys_ = NetworkSystem(
+                coupling=SYM_3NODE, dynamics=make_dynamics("chua", params={"k": k, "l": l}),
+                pin=pin,
+            )
+            mu = max(
+                float(sym_eigen((j + j.T) / 2.0).eigenvalues[0])
+                for j in (chua_region_jacobian(r, k, l) for r in ("left", "middle", "right"))
+            )
+            assert theorem1_margin(sys_, LAMBDA1_SYM).margin == mu + pin.c * LAMBDA1_SYM
+
+    def test_linear_decay_reads_its_one_piece(self):
+        # mu = -rate everywhere, so the margin is -rate + c lambda1
         sys_ = NetworkSystem(
             coupling=SYM_3NODE,
-            dynamics=make_dynamics("linear_decay", dim=3),
+            dynamics=make_dynamics("linear_decay", dim=3, params={"rate": 2.5}),
+            pin=PinPlan(1, 1.0, 0.5),
+        )
+        verdict = theorem1_margin(sys_, -1.0)
+        assert verdict.holds
+        assert verdict.margin == -2.5 + 0.5 * -1.0
+        assert verdict.detail["mu_by_piece"] == (-2.5,)
+
+    def test_registered_field_unsupported(self):
+        sys_ = NetworkSystem(
+            coupling=validate_coupling([[0.0]]), dynamics=_register_probe(),
             pin=PinPlan(1, 1.0, 1.0),
         )
-        with pytest.raises(ValueError, match="circuit"):
+        with pytest.raises(ValueError, match="'test_probe' declares none"):
             theorem1_margin(sys_, -1.0)
+
+
+class TestVerifyCertificate:
+    HOLDS = theorem2_check(CERT_10, 10.0, LAMBDA1_SYM)
+
+    def test_shipped_certificate_is_verified(self):
+        verdict = verify_certificate(self.HOLDS, make_dynamics("chua"), CERT_10)
+        assert verdict.holds and verdict.margin == self.HOLDS.margin
+        assert verdict.detail["certificate"] is None
+        assert verdict.detail["certified_margin"] == 0.621826504640163
+        assert verdict.detail["binding_k"] == self.HOLDS.detail["binding_k"]
+
+    @pytest.mark.parametrize("delta, eta", [(0.1, 5.0), (10.0, 0.7)])
+    def test_overclaimed_eta_fails_with_its_margin_kept(self, delta, eta):
+        cert = QuadCertificate(p=np.ones(3), delta=delta * np.ones(3), eta=eta)
+        theorem = theorem2_check(cert, 10.0, LAMBDA1_SYM)
+        assert theorem.holds
+        verdict = verify_certificate(theorem, make_dynamics("chua"), cert)
+        certified = quad_certificate_chua(np.ones(3), delta * np.ones(3))
+        assert not verdict.holds and verdict.margin == theorem.margin
+        assert verdict.detail["certified_margin"] == certified
+        assert verdict.detail["certificate"] == (
+            f"eta {eta:g} exceeds the certified margin {certified:g}"
+        )
+
+    def test_eta_equal_to_the_certified_margin_is_verified(self):
+        certified = quad_certificate_chua(np.ones(3), 10.0 * np.ones(3))
+        cert = QuadCertificate(p=np.ones(3), delta=10.0 * np.ones(3), eta=certified)
+        assert verify_certificate(self.HOLDS, make_dynamics("chua"), cert).holds
+
+    def test_failing_theorem_stays_failed(self):
+        theorem = theorem2_check(CERT_10, 1.0, LAMBDA1_SYM)
+        assert not verify_certificate(theorem, make_dynamics("chua"), CERT_10).holds
+
+    def test_registered_field_is_unverified(self):
+        cert = QuadCertificate(p=np.ones(1), delta=np.ones(1), eta=0.5)
+        theorem = theorem2_check(cert, 10.0, LAMBDA1_SYM)
+        verdict = verify_certificate(theorem, _register_probe(), cert)
+        assert not verdict.holds
+        assert verdict.detail["certified_margin"] is None
+        assert verdict.detail["certificate"] == (
+            "unverified (dynamics 'test_probe' declares no affine pieces)"
+        )
 
 
 class TestTheorem2:

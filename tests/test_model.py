@@ -8,8 +8,6 @@ from pinnet import (
     CouplingError,
     NetworkSystem,
     PinPlan,
-    chua_diode,
-    chua_field,
     chua_region_jacobian,
     make_coupling_function,
     make_dynamics,
@@ -20,7 +18,6 @@ from pinnet import (
 from pinnet.model import (
     CHUA_K,
     CHUA_L,
-    _chua_affine,
     _chua_eval,
     make_network_rhs,
     network_operator,
@@ -161,31 +158,42 @@ class TestPinnedMatrix:
             pinned_matrix(validate_coupling(SYM_3NODE), PinPlan(4, 1.0, 1.0))
 
 
+def chua(k=CHUA_K, l=CHUA_L):
+    return make_dynamics("chua", params={"k": k, "l": l})
+
+
 class TestChuaField:
     def test_origin_is_equilibrium(self):
-        np.testing.assert_array_equal(chua_field(np.zeros(3)), np.zeros(3))
+        np.testing.assert_array_equal(chua()(np.zeros(3)), np.zeros(3))
 
     def test_hand_value_inner_region(self):
         # h(1) = 2/7 - (3/14)(2 - 0) = -1/7, so f = (9/7, 1, 0)
-        out = chua_field(np.array([1.0, 0.0, 0.0]), k=9.0, l=100.0 / 7.0)
+        out = chua(k=9.0, l=100.0 / 7.0)(np.array([1.0, 0.0, 0.0]))
         np.testing.assert_allclose(out, [9.0 / 7.0, 1.0, 0.0], atol=1e-15)
 
     def test_hand_value_outer_region(self):
         # h(2) = 4/7 - (3/14)(3 - 1) = 1/7, first component -9/7
-        out = chua_field(np.array([2.0, 0.0, 0.0]), k=9.0)
+        out = make_dynamics("chua", params={"k": 9.0})(np.array([2.0, 0.0, 0.0]))
         assert out[0] == pytest.approx(-9.0 / 7.0, abs=1e-15)
 
     def test_continuity_at_kinks_exact(self):
-        # |.|-form agrees bitwise with both regional affine forms at x = +-1
-        assert chua_diode(1.0) == -1.0 / 7.0
-        assert chua_diode(1.0) == (2.0 / 7.0) * 1.0 - 3.0 / 7.0
-        assert chua_diode(-1.0) == 1.0 / 7.0
-        assert chua_diode(-1.0) == (2.0 / 7.0) * -1.0 + 3.0 / 7.0
+        # at x1 = +-1 the field is its outer piece's affine form to the bit
+        # and the middle piece's to two ulps; f1 = -k h(+-1) = +-9/7
+        dyn = chua(k=9.0, l=100.0 / 7.0)
+        left, middle, right = dyn.affine.pieces
+        for x1, (jac, offset) in ((1.0, right), (-1.0, left)):
+            x = np.array([x1, 0.0, 0.0])
+            got = dyn(x)
+            np.testing.assert_array_equal(got, jac @ x + offset)
+            np.testing.assert_array_max_ulp(got, middle[0] @ x, maxulp=2)
+            np.testing.assert_array_max_ulp(got, [x1 * 9.0 / 7.0, x1, 0.0], maxulp=2)
 
     def test_diode_keeps_the_middle_slope_near_zero(self):
-        # |x+1| - |x-1| rounds to 0 here; the diode must still read -x/7
+        # |x+1| - |x-1| rounds to 0 here; f1 must still read -k h(x1) = k x1 / 7
+        dyn = chua(k=9.0)
         for x in (1e-20, -1e-200, 5e-324):
-            assert chua_diode(x) == pytest.approx(-x / 7.0, rel=1e-15, abs=0.0), x
+            got = dyn(np.array([x, 0.0, 0.0]))[0]
+            assert got == pytest.approx(9.0 * x / 7.0, rel=1e-15, abs=0.0), x
 
     def test_field_matches_the_regional_affine_form(self):
         # f(x) = J_region x + offset on each linear region: seeded states in
@@ -216,10 +224,9 @@ class TestChuaField:
         offset[:, 0] = outer * 3.0 * k / 7.0
         expected = np.einsum("bij,bj->bi", jac, x) + offset
         scale = np.einsum("bij,bj->bi", np.abs(jac), np.abs(x)) + np.abs(offset)
-        got = chua_field(x, k=k, l=l)
+        got = chua(k=k, l=l)(x)
         bad = np.argwhere(np.abs(got - expected) > 1e-14 * scale)
         assert not bad.size, f"{len(bad)} mismatches, first at x = {x[bad[0, 0]]}"
-        np.testing.assert_array_equal(make_dynamics("chua")(x), got)
 
     def test_bit_identical_to_the_plain_expression_form(self):
         # 0-d operands and the in-place diode column round as the earlier
@@ -231,16 +238,12 @@ class TestChuaField:
         grid = np.array(np.meshgrid(special, [0.0, -0.0, tiny, -1.0], [-0.0, tiny, 2.5]))
         x = grid.reshape(3, -1).T.copy()
         for k, l in ((CHUA_K, CHUA_L), (15.6, 28.0)):
-            cases = [x, x[5], x.reshape(2, -1, 3)]
-            for case in cases:
+            dyn = chua(k=k, l=l)
+            for case in (x, x[5], x.reshape(2, -1, 3)):
                 want = chua_field_reference(case, k=k, l=l)
-                got = chua_field(case, k=k, l=l)
+                got = dyn(case)
                 assert got.shape == case.shape
                 np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
-            dyn = make_dynamics("chua", params={"k": k, "l": l})
-            np.testing.assert_array_equal(
-                dyn(x).view(np.int64), chua_field_reference(x, k=k, l=l).view(np.int64)
-            )
 
     @pytest.mark.parametrize(
         "shape", [(1, 3), (3, 3), (4, 3), (36, 3), (101, 3), (404, 3), (3,), (9, 4, 3)]
@@ -248,21 +251,22 @@ class TestChuaField:
     def test_eval_on_rows_matches_the_matmul_form(self, shape):
         # np.dot on (N, 3) rows, other ranks flattened to rows, against x @ jt
         x = np.random.default_rng(len(shape) + shape[0]).uniform(-4.0, 4.0, shape)
-        jt, gain = _chua_affine(CHUA_K, CHUA_L)
-        got = _chua_eval(x, jt, gain)
+        jt = chua_region_jacobian("right").T.copy()
+        got = _chua_eval(x, jt, np.array(3.0 * CHUA_K / 7.0))
         want = chua_eval_reference(x, jt, 3.0 * CHUA_K / 7.0)
         assert got.shape == shape
         np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
     def test_vectorized_over_nodes(self):
         x = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-        out = chua_field(x)
+        out = chua()(x)
         assert out.shape == (2, 3)
         np.testing.assert_allclose(out[0], [9.0 / 7.0, 1.0, 0.0], atol=1e-15)
 
     def test_wrong_dimension(self):
-        with pytest.raises(ValueError):
-            chua_field(np.zeros(2))
+        for shape in ((2,), (4, 2), (3, 1)):
+            with pytest.raises(ValueError, match="last dimension 3"):
+                chua()(np.zeros(shape))
 
 
 class TestChuaRegionJacobian:
@@ -444,7 +448,7 @@ class TestSystemRhs:
         sys_ = _system(np.zeros((2, 2)))
         state = np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
         out = _rhs(sys_, state, np.zeros(3))
-        np.testing.assert_array_equal(out, chua_field(state))
+        np.testing.assert_array_equal(out, chua()(state))
 
     @pytest.mark.parametrize("gkind", ["identity", "sine_blend"])
     @pytest.mark.parametrize("pin", [None, PinPlan(1, 4.9, 10.0)])
@@ -453,7 +457,7 @@ class TestSystemRhs:
         s = np.array([1.5, -0.5, 2.0])
         state = np.tile(s, (3, 1))
         out = _rhs(sys_, state, s)
-        expected = np.tile(chua_field(s), (3, 1))
+        expected = np.tile(chua()(s), (3, 1))
         # coupling cancels up to row-sum roundoff; controller cancels exactly
         np.testing.assert_allclose(out, expected, atol=1e-12)
 
@@ -505,7 +509,7 @@ class TestSystemRhs:
         g = make_coupling_function(gkind)
         rng = np.random.default_rng(4)
         x, s = rng.uniform(-3.0, 3.0, (3, 3)), rng.uniform(-3.0, 3.0, 3)
-        expected = chua_field(x) + 7.0 * (np.array(SYM_3NODE) @ g(x))
+        expected = chua()(x) + 7.0 * (np.array(SYM_3NODE) @ g(x))
         expected[2] -= 7.0 * 2.5 * (g(x[2]) - g(s))
         np.testing.assert_allclose(_rhs(sys_, x, s), expected, rtol=1e-13, atol=1e-12)
 
