@@ -465,7 +465,8 @@ class TestTheorem1:
         assert verdict.margin == -2.5 + 0.5 * -1.0
         assert verdict.detail["mu_by_piece"] == (-2.5,)
 
-    def test_registered_field_unsupported(self):
+    def test_other_dynamics_unsupported(self):
+        # a registered field declares no affine pieces, so theorem 1 cannot read mu
         sys_ = NetworkSystem(
             coupling=validate_coupling([[0.0]]), dynamics=_register_probe(),
             pin=PinPlan(1, 1.0, 1.0),
