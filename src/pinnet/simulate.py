@@ -29,38 +29,53 @@ stored through a ``(B, steps + 1, (m + 1) n)`` view of the trajectory buffer.
 The state is the stacked array ``y = [x; s]`` and the field is
 ``f(y) + M g(y)`` (:func:`pinnet.model.make_network_rhs`). There is one
 entry point: :func:`integrate_batch` runs B systems that share node count,
-dynamics and coupling map on ``(B, m + 1, n)`` operands, one operator per
-member, and :func:`integrate` is a batch of one that raises its member's
-:class:`DivergenceError`. Members are independent: each one's trajectory is
-bit-identical to its run in a batch of one, and a member that breaches the
-guard leaves the batch with its own :class:`DivergenceError` while the
-others run on.
+dynamics and coupling map, one operator per member, and :func:`integrate`
+is a batch of one that raises its member's :class:`DivergenceError`.
+Members are independent: each one's trajectory is bit-identical to its run
+in a batch of one, and a member that breaches the guard stops with its own
+:class:`DivergenceError` while the others run on.
 
-Each step is the RK4 loop above or one matrix product. Where the dynamics
-declare :class:`pinnet.model.PiecewiseAffine` pieces (Chua's three diode
-regions, split at ``x1 = -1, 1``; one piece for the linear decay), the
-coupling map is the identity and the flat state has at most
-``_LINEAR_MAX_SIZE`` = 72 entries, the field is affine in each pattern of
-pieces (one per row of the state), ``y' = K y + c``, and an RK4 step is
+Where the dynamics declare :class:`pinnet.model.PiecewiseAffine` pieces
+(Chua's three diode regions, split at ``x1 = -1, 1``; one piece for the
+linear decay), the coupling map is the identity and the flat state has at
+most ``_LINEAR_MAX_SIZE`` = 72 entries, the field is affine in each pattern
+of pieces (one per row of the state), ``y' = K y + c``, and an RK4 step is
 exactly ``y + B [y; 1]``, ``B`` the top rows of ``R(hL) - I`` for
-``L = [[K, c], [0, 0]]``. Each member always has a pattern, the number of
-breakpoints below each row's coordinate, and one matrix ``W`` for it: the
-rows of ``B``, then for every row of the four stage states its coordinate
-minus its piece's upper bound, and the lower bound minus the coordinate.
-One ``matmul`` gives the increment and, with all those rows ``<= 0`` (the
-bounds are inclusive: the field is continuous at a breakpoint), the proof
-that every stage stayed on its pieces. A member that fails re-reads its
-pattern; if it moved, its matrix is rebuilt and tested once more, and a
-member that still fails takes the RK4 loop on that step. So the loop runs
-only where the stages straddle a breakpoint (64 of fig2's 50,000 steps).
-No pattern is cached: a chaotic network can visit very many. The choice
-depends only on the member's own states, so batch members stay
-bit-identical to their solo runs. An affine step costs about 5 us against
-21-28 us for the loop, a rebuild 0.1-0.5 ms up to 93 entries (one BLAS
-thread, 2-vCPU Xeon); on an uncontrolled chaotic ring the rebuilds cost
-more than the affine steps save at m = 30, hence the cap. On the
-built-ins at their shipped horizons the states move from the loop's by at
-most 2.3e-13 relative per sample; the tests allow 1e-11.
+``L = [[K, c], [0, 0]]``. A member's pattern is the number of breakpoints
+below each row's coordinate, and its matrix ``W`` holds the rows of ``B``,
+then for every row of the four stage states its coordinate minus its
+piece's upper bound, and the lower bound minus the coordinate: with all
+those rows ``<= 0`` (the bounds are inclusive: the field is continuous at a
+breakpoint) every stage stayed on its pieces.
+
+On an unchanged pattern, with ``A`` the augmented one-step map,
+``y_j = y_0 + D_j [y_0; 1]`` for ``D_j`` the top rows of ``A^j - I``, and
+the tests of step j are ``T A^(j-1)``, ``T`` the test rows of ``W``. So a
+block matrix stacking those rows for S steps gives, in one ``matmul`` from
+an anchor state, the next S states and all their tests; it is built by
+doubling (:func:`_double_block`), never from ``A^j``. Such blocks run member
+by member. A member accepts every step before its block's first failing
+test, all with one ``add`` into the buffer, and anchors its next block at
+the last. A step that fails from its own anchor re-reads the pattern: a
+moved pattern gets its ``W`` (a block of one step, the one-matrix step bit
+for bit) and one more test, and otherwise the RK4 loop takes the step, on
+that member alone. So the loop runs only where the stages straddle a
+breakpoint (64 of fig2's 50,000 steps). S starts at 1 on each pattern and
+doubles after each full block, within ``_BLOCK_ENTRIES`` = 2^15 block
+entries: 32 steps at the built-ins' 12-entry state, one at the 72-entry
+cap; so a pattern that moves every few steps builds only short blocks. No
+pattern is cached: a chaotic network can visit very many. The guard takes
+one dot over a block's new samples while their total is under the bound,
+else the full check of each in order, so blow-up times and partial
+trajectories are those of checking every step.
+
+Costs on a pinned 3-node ring (one BLAS thread, shared 2-vCPU Xeon): 0.45
+to 0.7 us a step in blocks of 32, against about 5 us for the one-matrix
+step and 32-34 us for the loop; a doubling costs 10-30 us, a rebuild 0.1 to
+0.5 ms up to 93 entries. On an uncontrolled chaotic ring the rebuilds cost
+more than the affine steps save at m = 30, hence the cap. On the built-ins
+at their shipped horizons the states move from the loop's by at most
+2.3e-13 relative per sample; the tests allow 1e-11.
 
 The step must divide the horizon: the grid ends exactly at ``t_max`` or the
 call is rejected (:func:`grid_steps`).
@@ -88,6 +103,11 @@ _MONITOR_TOL_RATE = 1e-3
 # Largest flat state (m + 1) n stepped by the affine matrix, from the
 # measured crossover of a chaotic run's rebuilds (module docstring)
 _LINEAR_MAX_SIZE = 72
+# Most entries of one member's block matrix: blocks of 32 steps at the
+# built-ins' 12-entry state, of one step at the 72-entry cap
+_BLOCK_ENTRIES = 1 << 15
+# a member's outcome when it stops early: over the guard, or not finite
+_DIVERGED, _NON_FINITE = 1, 2
 
 
 class DivergenceError(RuntimeError):
@@ -194,6 +214,67 @@ def _affine_step_matrix(
     return np.vstack([inc, above, below])
 
 
+def _double_block(block: np.ndarray, span: int, size: int) -> Optional[np.ndarray]:
+    """The block matrix of ``2 span`` steps from that of ``span`` steps, or
+    None where an entry overflows or passes 1e154.
+
+    A block stacks one ``[D_j; T_j]`` per step j on ``[y; 1]``: ``D_j`` are
+    the top rows of ``A^j - I`` for the augmented one-step map ``A``, so
+    ``y_j = y_0 + D_j [y_0; 1]``, and ``T_j = T A^(j-1)`` are the signed
+    stage rows of step j. The block of one step is ``W``. Since
+    ``A^(S+j) = A^j A^S``, ``D_(S+j) = D_j + D_S + D_j D_S`` and
+    ``T_(S+j) = T_j + T_j D_S``: one matmul, and ``A^j`` is never formed,
+    whose identity would swamp the increment's digits.
+    """
+    rows = block.shape[0]
+    last = block[rows - rows // span :][:size]
+    doubled = np.empty((2 * rows, size + 1))
+    doubled[:rows] = block
+    ahead = doubled[rows:]
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.matmul(block[:, :size], last, out=ahead)
+        np.add(ahead, block, out=ahead)
+        incs = ahead.reshape(span, -1, size + 1)[:, :size]
+        np.add(incs, last, out=incs)
+        # inf or NaN for an entry that overflowed (or passed 1e154)
+        squares = np.vdot(ahead, ahead)
+    return doubled if squares < np.inf else None
+
+
+def _rk4_stepper(systems: Sequence[NetworkSystem], dt: float):
+    """Classical RK4 in place, ``step(y2, t)``, on the flat ``(B (m + 1), n)``
+    states of ``systems`` (module docstring)."""
+    rhs = make_network_rhs(systems)
+    stage = np.empty((len(systems) * (systems[0].coupling.m + 1), systems[0].dynamics.dim))
+    acc = np.empty_like(stage)
+    # 0-d operands and out= buffers: at a few dozen doubles per array the
+    # per-call overhead of a ufunc, not its arithmetic, sets the step's cost
+    half, full, sixth, two = (np.array(v) for v in (0.5 * dt, dt, dt / 6.0, 2.0))
+    t_half = 0.5 * dt
+
+    def step(y2: np.ndarray, t: float) -> None:
+        k1 = rhs(y2, t)
+        np.add(y2, np.multiply(k1, half, out=stage), out=stage)
+        k2 = rhs(stage, t + t_half)
+        np.add(y2, np.multiply(k2, half, out=stage), out=stage)
+        k3 = rhs(stage, t + t_half)
+        np.add(y2, np.multiply(k3, full, out=stage), out=stage)
+        k4 = rhs(stage, t + dt)
+        # y + sixth (k1 + 2 (k2 + k3) + k4), rounded op for op as written
+        np.add(k1, np.multiply(np.add(k2, k3, out=acc), two, out=acc), out=acc)
+        np.add(y2, np.multiply(np.add(acc, k4, out=acc), sixth, out=acc), out=y2)
+
+    return step
+
+
+def _breaches(y: np.ndarray) -> np.ndarray:
+    """Each member's outcome at the states ``y`` ((B, m + 1, n)): 0 while
+    they are finite and every node norm is within the guard, else
+    ``_DIVERGED`` or ``_NON_FINITE``."""
+    over = np.einsum("bij,bij->bi", y, y).max(axis=1) > _GUARD2
+    return np.where(np.isfinite(y).all(axis=(1, 2)), over * _DIVERGED, _NON_FINITE)
+
+
 def integrate(sys: NetworkSystem, x0, s0, dt: float, t_max: float) -> Trajectory:
     """Integrate nodes and reference together with classical RK4.
 
@@ -217,20 +298,21 @@ def integrate_batch(
     dt: float,
     t_max: float,
 ) -> list[Union[Trajectory, DivergenceError]]:
-    """Integrate B systems on one grid with classical RK4, as one array program.
+    """Integrate B systems on one grid with classical RK4.
 
     The systems must share node count, dynamics and coupling map; they may
     differ in coupling matrix, pin plan and initial data (``x0s[k]`` is
     (m, n), ``s0s[k]`` is (n,)). Returns, in order, each member's
     :class:`Trajectory`, bit-identical to its run in a batch of one, or the
     :class:`DivergenceError` that run would raise. Small networks step on
-    their field's affine pieces with one matrix per member (see the module
-    docstring). A member whose node norm
-    breaches the guard leaves the active set with its partial trajectory,
-    and the others run on. The trajectories are views into one shared
-    buffer, so keeping any of them keeps all of it. Raises ``ValueError``
-    (naming the member or field) on mismatched systems or initial data, a
-    ``dt`` that does not divide ``t_max``, or non-finite values.
+    their field's affine pieces, member by member; the others run the RK4
+    loop as one array program (see the module docstring). A member whose
+    node norm breaches the guard stops with its partial trajectory, and the
+    others run on. The trajectories are views into one shared buffer, so
+    keeping any of them keeps all of it. Raises ``ValueError`` (naming the
+    member or field) on mismatched systems or initial data, a ``dt`` that
+    does not divide ``t_max``, or non-finite values, for the member and
+    time of the first.
     """
     systems = list(systems)
     if len(x0s) != len(systems) or len(s0s) != len(systems):
@@ -238,7 +320,8 @@ def integrate_batch(
             f"need one x0 and one s0 per system: {len(systems)} systems, "
             f"{len(x0s)} x0s, {len(s0s)} s0s"
         )
-    rhs = make_network_rhs(systems)
+    # the batch's right-hand side also checks that the systems match
+    step = _rk4_stepper(systems, dt)
     steps = grid_steps(dt, t_max)
     y = np.stack(
         [
@@ -250,135 +333,144 @@ def integrate_batch(
     times = np.arange(steps + 1) * dt
     # member-major, so each member's samples are one contiguous slab
     buf = np.empty((count, steps + 1, m + 1, n))
+    buf[:, 0] = y
     # one row of (m + 1) n doubles per member and sample
     samples = buf.reshape(count, steps + 1, -1)
-    live = np.arange(count)
-    rows = slice(None)
-    buf[rows, 0] = y
-    results: list = [None] * count
-    # 0-d operands and out= buffers: at a few dozen doubles per array the
-    # per-call overhead of a ufunc, not its arithmetic, sets the step's cost
-    half, full, sixth, two = (np.array(v) for v in (0.5 * dt, dt, dt / 6.0, 2.0))
-    t_half = 0.5 * dt
+    affine = systems[0].dynamics.affine
+    if affine is None or systems[0].gfun.kind != "identity" or (m + 1) * n > _LINEAR_MAX_SIZE:
+        ends = _run_loop(systems, step, y, samples, times, dt)
+    else:
+        ends = [_run_affine(sys, affine, samples[k], times, dt) for k, sys in enumerate(systems)]
+
+    broken = [(end, k) for k, (end, outcome) in enumerate(ends) if outcome == _NON_FINITE]
+    if broken:
+        end, k = min(broken)
+        raise ValueError(
+            f"right-hand side produced non-finite values in batch member "
+            f"{k + 1} at t={times[end]:g}"
+        )
+    results: list = []
+    for k, (end, outcome) in enumerate(ends):
+        if outcome == _DIVERGED:
+            partial = Trajectory(
+                times=times[: end + 1],
+                states=buf[k, : end + 1, :m, :].copy(),
+                reference=buf[k, : end + 1, m, :].copy(),
+            )
+            results.append(
+                DivergenceError(
+                    f"state norm exceeded {DIVERGENCE_NORM:g} at t={times[end]:g}",
+                    partial,
+                    float(times[end]),
+                )
+            )
+        else:
+            results.append(
+                Trajectory(times=times, states=buf[k, :, :m, :], reference=buf[k, :, m, :])
+            )
+    return results
+
+
+def _run_loop(systems, step, y, samples, times, dt) -> list[tuple[int, int]]:
+    """The RK4 loop over the batch: ``step`` advances ``y`` ((B, m + 1, n)) in
+    place and each step goes into ``samples`` ((B, steps + 1, (m + 1) n)).
+    Returns each member's last sample and outcome; a member leaves the
+    batch at its first breach."""
+    count, _, n = y.shape
+    steps = len(times) - 1
+    ends = [(steps, 0)] * count
+    live, rows = np.arange(count), slice(None)
     # flat views of y: (B (m + 1), n) rows for the field, one row per member
     # for the sample store, and the whole batch for the guard's dot
     y2, y_rows, flat = y.reshape(-1, n), y.reshape(count, -1), y.reshape(-1)
-    stage, acc = np.empty_like(y2), np.empty_like(y2)
     safe2 = _total_norm2_bound(y.size, n)
-    size = (m + 1) * n
-    affine = systems[0].dynamics.affine
-    if systems[0].gfun.kind != "identity" or size > _LINEAR_MAX_SIZE:
-        affine = None
-    if affine is not None:
-        coord, breaks = affine.coord, np.asarray(affine.breaks, dtype=float)
-        tested = bool(affine.breaks)
-
-        def pieces(members):
-            """Each member's pattern, as a list."""
-            return (y[members, :, coord, None] > breaks).sum(axis=2).tolist()
-
-        # each member's pattern, and the step matrix of that pattern
-        patterns = pieces(slice(None))
-        ws = np.stack(
-            [_affine_step_matrix(systems[k], affine, p, dt) for k, p in zip(live, patterns)]
-        )
-        # [y; 1] per member, the operand of the step matrices
-        ya = np.ones((count, size + 1, 1))
-        z = np.empty(ws.shape[:2] + (1,))
-        ya_rows, inc, signed = ya[:, :size, 0], z[:, :size, 0], z[:, size:, 0]
-
-        def on_pieces():
-            """True when every member's stages stay on its pieces, False when
-            the one member's do not, else a mask over the members."""
-            np.copyto(ya_rows, y_rows)
-            np.matmul(ws, ya, out=z)
-            if not tested or np.maximum.reduce(signed, axis=None) <= 0.0:
-                return True
-            if y_rows.shape[0] == 1:
-                return False
-            return np.maximum.reduce(signed, axis=1) <= 0.0
-
-        def repattern(ok):
-            """Re-read the pieces of the members that failed, rebuild the
-            matrices of those whose pattern moved and test once more."""
-            failed = np.arange(y.shape[0]) if ok is False else np.flatnonzero(~ok)
-            moved = False
-            for j, pattern in zip(failed, pieces(failed)):
-                if pattern != patterns[j]:
-                    patterns[j] = pattern
-                    ws[j] = _affine_step_matrix(systems[live[j]], affine, pattern, dt)
-                    moved = True
-            return on_pieces() if moved else ok
-
     for i in range(steps):
-        t = times[i]
-        ok = False
-        if affine is not None:
-            ok = on_pieces()
-            if ok is not True:
-                ok = repattern(ok)
-        if ok is True:
-            # every member's four stages stay on its pieces: one add
-            np.add(y_rows, inc, out=y_rows)
-        else:
-            if ok is not False:
-                stepped = np.add(y_rows, inc)
-            k1 = rhs(y2, t)
-            np.add(y2, np.multiply(k1, half, out=stage), out=stage)
-            k2 = rhs(stage, t + t_half)
-            np.add(y2, np.multiply(k2, half, out=stage), out=stage)
-            k3 = rhs(stage, t + t_half)
-            np.add(y2, np.multiply(k3, full, out=stage), out=stage)
-            k4 = rhs(stage, t + dt)
-            # y + sixth (k1 + 2 (k2 + k3) + k4), rounded op for op as written
-            np.add(k1, np.multiply(np.add(k2, k3, out=acc), two, out=acc), out=acc)
-            np.add(y2, np.multiply(np.add(acc, k4, out=acc), sixth, out=acc), out=y2)
-            if ok is not False:
-                # the members that passed keep their affine step
-                np.copyto(y_rows, stepped, where=ok[:, None])
+        step(y2, times[i])
         samples[rows, i + 1] = y_rows
         if np.dot(flat, flat) <= safe2:
             continue
-        if not np.all(np.isfinite(y)):
-            k = live[np.argmin(np.isfinite(y).all(axis=(1, 2)))]
-            raise ValueError(
-                f"right-hand side produced non-finite values in batch member "
-                f"{k + 1} at t={times[i + 1]:g}"
-            )
-        norm2 = np.einsum("bij,bij->bi", y, y).max(axis=1)
-        if norm2.max() > _GUARD2:
-            keep = norm2 <= _GUARD2
-            for k in live[~keep]:
-                partial = Trajectory(
-                    times=times[: i + 2],
-                    states=buf[k, : i + 2, :m, :].copy(),
-                    reference=buf[k, : i + 2, m, :].copy(),
-                )
-                results[k] = DivergenceError(
-                    f"state norm exceeded {DIVERGENCE_NORM:g} at t={times[i + 1]:g}",
-                    partial,
-                    float(times[i + 1]),
-                )
-            live = live[keep]
-            if not live.size:
-                break
-            y = y[keep]
-            rows = live
-            rhs = make_network_rhs([systems[k] for k in live])
-            y2, y_rows, flat = y.reshape(-1, n), y.reshape(live.size, -1), y.reshape(-1)
-            stage, acc = np.empty_like(y2), np.empty_like(y2)
-            safe2 = _total_norm2_bound(y.size, n)
-            if affine is not None:
-                ws, ya = ws[keep], ya[keep]
-                patterns = [p for p, kept in zip(patterns, keep) if kept]
-                z = np.empty(ws.shape[:2] + (1,))
-                ya_rows, inc, signed = ya[:, :size, 0], z[:, :size, 0], z[:, size:, 0]
+        outcomes = _breaches(y)
+        if not outcomes.any():
+            continue
+        for k, outcome in zip(live, outcomes):
+            if outcome:
+                ends[k] = (i + 1, outcome)
+        keep = outcomes == 0
+        live = live[keep]
+        if not live.size:
+            break
+        y = y[keep]
+        rows = live
+        step = _rk4_stepper([systems[k] for k in live], dt)
+        y2, y_rows, flat = y.reshape(-1, n), y.reshape(live.size, -1), y.reshape(-1)
+        safe2 = _total_norm2_bound(y.size, n)
+    return ends
 
-    for k in live:
-        results[k] = Trajectory(
-            times=times, states=buf[k, :, :m, :], reference=buf[k, :, m, :]
-        )
-    return results
+
+def _run_affine(sys, affine: PiecewiseAffine, traj, times, dt) -> tuple[int, int]:
+    """One member on its field's affine pieces (module docstring), from
+    ``traj[0]``, one sample per row of ``traj`` ((steps + 1, (m + 1) n)).
+    Returns its last sample and outcome."""
+    m1, n = sys.coupling.m + 1, sys.dynamics.dim
+    size = m1 * n
+    steps = len(times) - 1
+    coord, breaks = affine.coord, np.asarray(affine.breaks, dtype=float)
+    # no block adds more entries than this
+    safe2 = _total_norm2_bound(_BLOCK_ENTRIES, n)
+
+    def pattern(i):
+        """The piece of each row of sample i, as a list."""
+        return (traj[i].reshape(m1, n)[:, coord, None] > breaks).sum(axis=1).tolist()
+
+    def views(block, span):
+        """The product buffer of a block, and its increments and tests by step."""
+        z = np.empty(block.shape[0])
+        by_step = z.reshape(span, -1)
+        return z, by_step[:, :size], by_step[:, size:]
+
+    pat = pattern(0)
+    block, span = _affine_step_matrix(sys, affine, pat, dt), 1
+    z, incs, signed = views(block, span)
+    tests = signed.shape[1]
+    ya = np.ones(size + 1)
+    step = _rk4_stepper([sys], dt)
+    i = 0
+    while i < steps:
+        # one product from the anchor gives the block's states and stage
+        # tests; a test fails unless <= 0, so NaN fails
+        ya[:size] = traj[i]
+        np.dot(block, ya, out=z)
+        take = min(span, steps - i)
+        if tests and not np.maximum.reduce(signed, axis=None) <= 0.0:
+            take = min(take, int((signed <= 0.0).argmin()) // tests)
+        new = traj[i + 1 : i + 1 + max(take, 1)]
+        if take:
+            np.add(traj[i : i + 1], incs[:take], out=new)
+        else:
+            # step i leaves its pieces: a moved pattern gets its matrix, a
+            # block of one step tested once more; else the RK4 loop takes it
+            now = pattern(i)
+            if now != pat:
+                pat, block, span = now, _affine_step_matrix(sys, affine, now, dt), 1
+                z, incs, signed = views(block, span)
+                continue
+            new[0] = traj[i]
+            step(new.reshape(m1, n), times[i])
+        # the guard, on every new sample: one dot while all are far inside
+        if not np.vdot(new, new) <= safe2:
+            outcomes = _breaches(new.reshape(-1, m1, n))
+            if outcomes.any():
+                first = int(np.flatnonzero(outcomes)[0])
+                return i + 1 + first, int(outcomes[first])
+        i += len(new)
+        if take == span and 2 * block.size <= _BLOCK_ENTRIES:
+            # a full block on one pattern: the next one is twice as long,
+            # within the entry budget and while its entries stay finite
+            doubled = _double_block(block, span, size)
+            if doubled is not None:
+                block, span = doubled, 2 * span
+                z, incs, signed = views(block, span)
+    return steps, 0
 
 
 # ---------------------------------------------------------------------------

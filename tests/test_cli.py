@@ -500,12 +500,12 @@ class TestCheckScenario:
         monkeypatch.setattr(pinnet.conditions, "sym_eigen", counted)
         with_cert = parse_scenario("fig5-asym-pinned")
         reports = []
-        for cfg, pieces in ((with_cert, 3), (dataclasses.replace(with_cert, certificate=None), 0)):
+        for cfg in (with_cert, dataclasses.replace(with_cert, certificate=None)):
             calls.clear()
             reports.append(check_scenario(cfg))
-            # one coupling spectrum, plus one per Chua piece for the
-            # certified QUAD margin that verifies the certificate
-            assert len(calls) == 1 + pieces
+            # one coupling spectrum; the certified QUAD margin that verifies
+            # the certificate takes one batched eigh, not sym_eigen
+            assert len(calls) == 1
         certified, bare = reports
         assert (certified.theorem_name, bare.theorem_name) == ("theorem4", None)
         assert bare.theorem is None and bare.min_c is None
@@ -730,10 +730,11 @@ SUMMARIES = Path(__file__).with_name("data") / "summaries"
 
 class TestShippedSummaries:
     # the summaries `pinnet run` writes for the built-ins at their shipped
-    # horizons. They were written by the plain RK4 loop; the affine step
-    # moves states by at most 2.3e-13 relative, below every printed digit
+    # horizons. They were written by the plain RK4 loop; the affine steps
+    # move states by at most 2.3e-13 relative, below every printed digit
     # but one: fig2's final sync ratio, roundoff below its printed floor,
-    # read 0 there and reads 7.1892e-12 now
+    # read 0 there, 7.1892e-12 with one matrix per step and 1.05568e-11
+    # with blocks of steps
     @pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
     def test_summary_text_is_unchanged(self, tmp_path, name):
         result = run_scenario(parse_scenario(name), out_dir=tmp_path)

@@ -1,4 +1,5 @@
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from pinnet.simulate import Trajectory, grid_steps, integrate_batch
 
 from _oracles import integrate_batch_reference
 
+SCENARIOS = Path(__file__).with_name("data") / "scenarios"
 SYM_3NODE = validate_coupling([[-5.1, 5.0, 0.1], [5.0, -11.0, 6.0], [0.1, 6.0, -6.1]])
 SPREAD_X0 = np.array([[40.1, 20.2, 30.3], [20.4, 30.5, 10.6], [60.7, 40.8, 50.9]])
 CERT = QuadCertificate(p=np.ones(3), delta=10.0 * np.ones(3), eta=0.6218)
@@ -154,6 +156,20 @@ class TestIntegrateBatch:
             np.testing.assert_array_equal(got.times, solo.times)
             np.testing.assert_array_equal(got.states, solo.states)
             np.testing.assert_array_equal(got.reference, solo.reference)
+
+    def test_fig4_sweep_members_match_their_solo_runs_at_the_shipped_horizon(self):
+        # each member steps by its own blocks from its own anchors
+        cfg = parse_scenario("fig4-sym-pinned")
+        systems = [
+            build_system(dataclasses.replace(cfg, pin=dataclasses.replace(cfg.pin, c=float(c))))
+            for c in np.linspace(6.0, 14.0, 9)
+        ]
+        x0, s0 = cfg.initial_states, cfg.reference_initial
+        batch = integrate_batch(systems, [x0] * 9, [s0] * 9, cfg.dt, cfg.t_max)
+        for sys_, got in zip(systems, batch):
+            solo = integrate(sys_, x0, s0, cfg.dt, cfg.t_max)
+            np.testing.assert_array_equal(_bits(got.states), _bits(solo.states))
+            np.testing.assert_array_equal(_bits(got.reference), _bits(solo.reference))
 
     def test_nonlinear_coupling_members_match_solo_runs(self):
         cfg = parse_scenario("nonlinear-pinned")
@@ -330,6 +346,17 @@ class TestFrozenLoopParity:
         sys_ = build_system(cfg)
         _assert_parity(
             *self._both([sys_], [cfg.initial_states], [cfg.reference_initial], cfg.dt, 2.0),
+            _pieces(sys_),
+        )
+
+    def test_fig2_at_its_shipped_horizon(self):
+        # the built-in with the most pattern switches: 50,000 steps
+        cfg = parse_scenario("fig2-sym-uncontrolled")
+        sys_ = build_system(cfg)
+        _assert_parity(
+            *self._both(
+                [sys_], [cfg.initial_states], [cfg.reference_initial], cfg.dt, cfg.t_max
+            ),
             _pieces(sys_),
         )
 
@@ -578,6 +605,161 @@ class TestLinearRegime:
         traj = integrate(_decay_net(2.0), [[1.0, -0.5]], [0.0, 0.0], 0.01, 1.0)
         assert generic_steps(0.01) == set()
         assert traj.states[-1, 0, 0] == pytest.approx(np.exp(-3.0), rel=1e-7)
+
+
+@pytest.fixture
+def doublings(monkeypatch):
+    """The span of every block the integrator doubles, in order."""
+    spans = []
+    real = simulate._double_block
+
+    def recorded(block, span, size):
+        spans.append(span)
+        doubled = real(block, span, size)
+        assert doubled is None or doubled.size <= simulate._BLOCK_ENTRIES
+        return doubled
+
+    monkeypatch.setattr(simulate, "_double_block", recorded)
+    return spans
+
+
+def _middle_ring(m):
+    # pinned at the origin; started on the middle piece, it stays there
+    return NetworkSystem(coupling=_ring(m), dynamics=make_dynamics("chua"), pin=PinPlan(1, 5.0, 10.0))
+
+
+class TestBlocks:
+    """Blocks of affine steps: one product from an anchor state gives the
+    next S states and their stage tests."""
+
+    def test_a_block_holds_the_powers_of_the_one_step_map(self):
+        # D_j = A^j - I and T_j = T A^(j - 1), here against matrix powers
+        # (which lose the increment's last digits, hence the tolerance)
+        sys_ = _middle_ring(3)
+        affine = sys_.dynamics.affine
+        w = simulate._affine_step_matrix(sys_, affine, [1] * 4, 1e-3)
+        size = 12
+        step = np.eye(size + 1)
+        step[:size] += w[:size]
+        block, span = w, 1
+        while span < 32:
+            block, span = simulate._double_block(block, span, size), 2 * span
+        by_step = block.reshape(32, -1, size + 1)
+        for j in range(1, 33):
+            power = np.linalg.matrix_power(step, j - 1)
+            d = (power @ step - np.eye(size + 1))[:size]
+            np.testing.assert_allclose(by_step[j - 1, :size], d, rtol=0, atol=1e-13)
+            np.testing.assert_allclose(by_step[j - 1, size:], w[size:] @ power, rtol=0, atol=1e-13)
+
+    def test_a_block_stops_doubling_before_it_overflows(self, doublings):
+        # x' = 1e4 x at dt = 0.01 multiplies a state by 4.4e6 per step, so
+        # A^64 overflows; from exactly 0 the one-matrix steps stay at 0, and
+        # so must the blocks (an inf entry would make 0 * inf = NaN)
+        traj = integrate(_single_node(rate=-1e4), [[0.0]], [0.0], 0.01, 2.0)
+        np.testing.assert_array_equal(traj.states, 0.0)
+        assert doublings[:6] == [1, 2, 4, 8, 16, 16]
+
+    def test_a_block_of_one_step_is_the_one_matrix_step(self, monkeypatch, doublings):
+        sys_ = _middle_ring(3)
+        x0, s0 = np.full((3, 3), 0.01), np.zeros(3)
+        blocked = integrate(sys_, x0, s0, 1e-3, 0.2)
+        assert doublings and max(doublings) == 16
+        monkeypatch.setattr(simulate, "_BLOCK_ENTRIES", 0)
+        doublings.clear()
+        single = integrate(sys_, x0, s0, 1e-3, 0.2)
+        assert doublings == []
+        # y + W [y; 1], one step at a time
+        w = simulate._affine_step_matrix(sys_, sys_.dynamics.affine, [1] * 4, 1e-3)
+        y = np.append(np.vstack([x0, s0]).ravel(), 1.0)
+        want = [y[:-1]]
+        for _ in range(200):
+            z = np.dot(w, y)
+            assert z[12:].max() <= 0.0
+            y = np.append(y[:-1] + z[:12], 1.0)
+            want.append(y[:-1])
+        want = np.array(want).reshape(201, 4, 3)
+        np.testing.assert_array_equal(_bits(_stacked(single)), _bits(want))
+        scale = np.abs(want).max(axis=(1, 2))
+        assert np.all(np.abs(_stacked(blocked) - want).max(axis=(1, 2)) <= 1e-13 * scale)
+
+    def test_blocks_grow_on_one_pattern_and_not_at_the_cap(self, monkeypatch, doublings):
+        built = []
+        real = simulate._affine_step_matrix
+
+        def recorded(sys_, affine, pattern, dt):
+            built.append(tuple(pattern))
+            return real(sys_, affine, pattern, dt)
+
+        monkeypatch.setattr(simulate, "_affine_step_matrix", recorded)
+        # pinned fig4: every rebuild starts over at one step, and a pattern
+        # held long enough grows its blocks to 32 steps (12 entries each)
+        cfg = parse_scenario("fig4-sym-pinned")
+        integrate(build_system(cfg), cfg.initial_states, cfg.reference_initial, cfg.dt, 2.0)
+        starts = [k for k, span in enumerate(doublings) if span == 1]
+        assert len(starts) == len(built) and starts[0] == 0
+        assert doublings[-5:] == [1, 2, 4, 8, 16]
+        # at the 72-entry cap one step's matrix already fills the budget
+        m = simulate._LINEAR_MAX_SIZE // 3 - 1
+        built.clear()
+        doublings.clear()
+        integrate(_middle_ring(m), np.full((m, 3), 0.01), np.zeros(3), 1e-3, 0.05)
+        assert built == [(1,) * (m + 1)] and doublings == []
+
+    def test_guard_breach_inside_a_block(self, monkeypatch, doublings):
+        # x' = 5x from 2 crosses the guard at t = 4.01, sample 401, inside
+        # the 256-step block anchored at sample 255 (blocks of 1, 2, 4, ...
+        # steps: a one-node state with no stage tests fills the budget late)
+        sys_ = _single_node(rate=-5.0)
+        args = ([sys_], [[[2.0]]], [[0.0]], 0.01, 6.0)
+        (got,) = integrate_batch(*args)
+        assert doublings == [1, 2, 4, 8, 16, 32, 64, 128]
+        assert isinstance(got, DivergenceError) and got.blowup_time == 4.01
+        _assert_parity([got], integrate_batch_reference(*args), sys_.dynamics.affine)
+        # the same step, time and partial trajectory as one step per product
+        monkeypatch.setattr(simulate, "_BLOCK_ENTRIES", 0)
+        (single,) = integrate_batch(*args)
+        assert str(single) == str(got) and single.blowup_time == got.blowup_time
+        _assert_parity([got], [single], sys_.dynamics.affine)
+
+    def test_chaotic_ring_at_the_cap(self, generic_steps, doublings):
+        # a block holds one step here, and the pattern moves every few steps;
+        # cut at t = 10, before the chaos amplifies roundoff past LINEAR_DRIFT
+        cfg = parse_scenario(str(SCENARIOS / "chua-ring-m23-uncontrolled.json"))
+        sys_ = build_system(cfg)
+        args = ([sys_], [cfg.initial_states], [cfg.reference_initial], cfg.dt, 10.0)
+        got = integrate_batch(*args)
+        loop = generic_steps(cfg.dt)
+        assert doublings == [] and loop == _straddling_steps(sys_, got[0], cfg.dt)
+        assert len(loop) > 100
+        _assert_parity(got, integrate_batch_reference(*args), sys_.dynamics.affine)
+
+    def test_loop_steps_see_only_their_member(self, monkeypatch):
+        rows = []
+        real = simulate.make_network_rhs
+
+        def recorded(systems):
+            rhs = real(systems)
+
+            def call(y, t):
+                rows.append(y.shape)
+                return rhs(y, t)
+
+            return call
+
+        monkeypatch.setattr(simulate, "make_network_rhs", recorded)
+        cfg = parse_scenario("fig4-sym-pinned")
+        systems = [
+            build_system(dataclasses.replace(cfg, pin=dataclasses.replace(cfg.pin, c=float(c))))
+            for c in np.linspace(6.0, 14.0, 9)
+        ]
+        x0, s0 = cfg.initial_states, cfg.reference_initial
+        integrate_batch(systems, [x0] * 9, [s0] * 9, cfg.dt, 1.0)
+        in_batch = list(rows)
+        rows.clear()
+        for sys_ in systems:
+            integrate(sys_, x0, s0, cfg.dt, 1.0)
+        assert in_batch and set(in_batch) == {(4, 3)}
+        assert len(in_batch) == len(rows)
 
 
 class TestIntegratorOracle:
