@@ -440,7 +440,10 @@ def check_scenario(cfg: ScenarioConfig, quad_samples: int = 0, seed: int = 0) ->
 
 
 def _fmt_verdict(v: Verdict) -> str:
-    return f"{'holds' if v.holds else 'FAILS'} (margin {v.margin:+.6g})"
+    # a failing margin within the tolerance is a roundoff zero: say so
+    tolerance = v.detail["tolerance"]
+    within = f", zero within {tolerance:g}" if not v.holds and abs(v.margin) <= tolerance else ""
+    return f"{'holds' if v.holds else 'FAILS'} (margin {v.margin:+.6g}{within})"
 
 
 def render_report(report: ConditionReport) -> str:

@@ -15,8 +15,9 @@ topologies (:func:`reducible_pinnability`).
 
 All conditions are strict inequalities: a margin of exactly zero fails. The
 negativity tolerance is relative, ``margin < -1e-9 * max(1, scale)`` with
-``scale`` the magnitude of the binding combination; for spectral negativity,
-on either route, that is the largest eigenvalue magnitude. That one verdict
+``scale`` the magnitude of the binding combination, recorded as the
+verdict's ``detail["tolerance"]``; for spectral negativity, on either
+route, that is the largest eigenvalue magnitude. That one verdict
 also decides whether a minimal coupling strength c* exists. The closed
 forms know no dynamics kind: they read the Jacobians of the pieces a field
 declares on ``Dynamics.affine``, and a field that declares none is left to
@@ -111,8 +112,10 @@ class Verdict:
 
 
 def _strict(margin: float, scale: float, detail: dict) -> Verdict:
-    holds = margin < -NEG_TOL * max(1.0, abs(scale))
-    return Verdict(holds=bool(holds), margin=float(margin), detail=detail)
+    """``margin < -NEG_TOL max(1, |scale|)``; the detail records that tolerance."""
+    tolerance = NEG_TOL * max(1.0, abs(scale))
+    return Verdict(holds=bool(margin < -tolerance), margin=float(margin),
+                   detail={**detail, "tolerance": tolerance})
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +155,7 @@ def proposition1_holds(a_tilde) -> tuple[Verdict, SpectralReport]:
 
 
 def _sym_part(m: np.ndarray) -> np.ndarray:
-    return (m + m.T) / 2.0
+    return (m + np.swapaxes(m, -1, -2)) / 2.0
 
 
 def _check_diagonals(p, delta, n: Optional[int] = None) -> tuple[np.ndarray, np.ndarray]:
@@ -191,15 +194,13 @@ def certified_quad_margin(dynamics: Dynamics, p, delta) -> float:
             f"no closed-form QUAD margin for dynamics kind {dynamics.kind!r}, which "
             "declares no affine pieces; use quad_check_sampled"
         )
-    jacobians = [jac for jac, _ in dynamics.affine.pieces]
+    jacobians = dynamics.affine.jacobians
     if len(jacobians) == 1:
         return quad_margin_affine(p, delta, jacobians[0])
     p, delta = _check_diagonals(p, delta, dynamics.dim)
-    # one eigh over the distinct pieces (Chua's outer two share a Jacobian);
-    # the symmetric parts are built exactly, so no symmetry check is needed
-    distinct = np.array(list({jac.tobytes(): jac for jac in jacobians}.values()))
-    pj = p[:, None] * distinct
-    values, _ = np.linalg.eigh((pj + pj.transpose(0, 2, 1)) / 2.0)
+    # one eigh over the stack; the symmetric parts are built exactly, so no
+    # symmetry check is needed
+    values, _ = np.linalg.eigh(_sym_part(p[:, None] * jacobians))
     return float((p * delta).min() - np.abs(values).max())
 
 
@@ -393,7 +394,8 @@ def theorem1_margin(sys, lambda1: float) -> Verdict:
             f"theorem1_margin needs the field's affine pieces; dynamics kind "
             f"{sys.dynamics.kind!r} declares none"
         )
-    mus = tuple(float(sym_eigen(_sym_part(jac)).eigenvalues[0]) for jac, _ in affine.pieces)
+    values, _ = np.linalg.eigh(_sym_part(affine.jacobians))
+    mus = tuple(values[:, -1].tolist())
     mu = max(mus)
     c = sys.pin.c
     margin = mu + c * lambda1

@@ -137,10 +137,6 @@ class Condensation:
     def irreducible(self) -> bool:
         return len(self.blocks) == 1
 
-    def permutation(self) -> list[int]:
-        """0-based node order that makes the matrix block lower triangular."""
-        return [i - 1 for block in self.blocks for i in block]
-
 
 def scc_condensation(a) -> Condensation:
     """Condense the coupling graph into topologically sorted strong components.

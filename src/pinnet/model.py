@@ -213,13 +213,20 @@ def chua_region_jacobian(region: str, k: float = CHUA_K, l: float = CHUA_L) -> n
 
 @dataclass(frozen=True)
 class PiecewiseAffine:
-    """A node field that is ``J_k x + b_k``, ``(J_k, b_k) = pieces[k]``, on
-    piece ``k``: ``breaks[k - 1] <= x[coord] <= breaks[k]``, inclusive, as
-    the field is continuous there. No breakpoints: one piece, all of space."""
+    """A node field that is ``J_k x + b_k`` on piece ``k``: ``breaks[k - 1]
+    <= x[coord] <= breaks[k]``, inclusive, as the field is continuous there.
+    No breakpoints: one piece, all of space. The pieces' ``J_k`` and ``b_k``
+    are stacked in read-only ``(K, n, n)`` and ``(K, n)`` arrays."""
 
     coord: int
     breaks: tuple
-    pieces: tuple
+    jacobians: np.ndarray
+    offsets: np.ndarray
+
+    def __post_init__(self):
+        for name in ("jacobians", "offsets"):
+            object.__setattr__(self, name, np.array(getattr(self, name), dtype=float))
+            getattr(self, name).setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -285,8 +292,8 @@ def _build_chua(dim: int, params: Mapping) -> tuple[FieldFn, PiecewiseAffine]:
         return _chua_eval(x, jt, gain)
 
     # the diode adds -/+ 3k/7 to dx1/dt on the outer regions, 0 on the middle
-    offsets = [np.array([sign * 3.0 * k / 7.0, 0.0, 0.0]) for sign in (-1.0, 0.0, 1.0)]
-    return fn, PiecewiseAffine(0, (-1.0, 1.0), tuple(zip(jacobians, offsets)))
+    offsets = [[sign * 3.0 * k / 7.0, 0.0, 0.0] for sign in (-1.0, 0.0, 1.0)]
+    return fn, PiecewiseAffine(0, (-1.0, 1.0), jacobians, offsets)
 
 
 def _build_linear_decay(dim: int, params: Mapping) -> tuple[FieldFn, PiecewiseAffine]:
@@ -295,7 +302,7 @@ def _build_linear_decay(dim: int, params: Mapping) -> tuple[FieldFn, PiecewiseAf
     def fn(x, t):
         return -rate * x
 
-    return fn, PiecewiseAffine(0, (), ((-rate * np.eye(dim), np.zeros(dim)),))
+    return fn, PiecewiseAffine(0, (), [-rate * np.eye(dim)], np.zeros((1, dim)))
 
 
 _DYNAMICS_BUILDERS: dict[str, Callable[[int, Mapping], tuple[FieldFn, Optional[PiecewiseAffine]]]] = {

@@ -40,13 +40,15 @@ Where the dynamics declare :class:`pinnet.model.PiecewiseAffine` pieces
 linear decay), the coupling map is the identity and the flat state has at
 most ``_LINEAR_MAX_SIZE`` = 72 entries, the field is affine in each pattern
 of pieces (one per row of the state), ``y' = K y + c``, and an RK4 step is
-exactly ``y + B [y; 1]``, ``B`` the top rows of ``R(hL) - I`` for
-``L = [[K, c], [0, 0]]``. A member's pattern is the number of breakpoints
-below each row's coordinate, and its matrix ``W`` holds the rows of ``B``,
-then for every row of the four stage states its coordinate minus its
-piece's upper bound, and the lower bound minus the coordinate: with all
-those rows ``<= 0`` (the bounds are inclusive: the field is continuous at a
-breakpoint) every stage stayed on its pieces.
+exactly ``y + B [y; 1]`` for ``L = [[K, c], [0, 0]]``: with the stage
+maps ``S2 = I + hL/2``, ``S3 = I + hL S2/2``, ``S4 = I + hL S3`` and
+``K_i = hL S_i``, ``B`` is the top rows of ``(hL + 2 (K2 + K3) + K4) / 6``.
+A member's pattern is the number of breakpoints below each row's
+coordinate, and its matrix ``W`` holds the rows of ``B``, then for every
+row of the four stage states its coordinate minus its piece's upper bound,
+and the lower bound minus the coordinate: with all those rows ``<= 0``
+(the bounds are inclusive: the field is continuous at a breakpoint) every
+stage stayed on its pieces.
 
 On an unchanged pattern, with ``A`` the augmented one-step map,
 ``y_j = y_0 + D_j [y_0; 1]`` for ``D_j`` the top rows of ``A^j - I``, and
@@ -71,11 +73,11 @@ trajectories are those of checking every step.
 
 Costs on a pinned 3-node ring (one BLAS thread, shared 2-vCPU Xeon): 0.45
 to 0.7 us a step in blocks of 32, against about 5 us for the one-matrix
-step and 32-34 us for the loop; a doubling costs 10-30 us, a rebuild 0.1 to
-0.5 ms up to 93 entries. On an uncontrolled chaotic ring the rebuilds cost
-more than the affine steps save at m = 30, hence the cap. On the built-ins
-at their shipped horizons the states move from the loop's by at most
-2.3e-13 relative per sample; the tests allow 1e-11.
+step and 32-34 us for the loop; a doubling costs 10-30 us, a rebuild 0.06
+to 0.21 ms up to 72 entries. On an uncontrolled chaotic ring the rebuilds
+cost more than the affine steps save at m = 30, hence the cap. On the
+built-ins at their shipped horizons the states move from the loop's by at
+most 5.7e-13 relative per sample; the tests allow 1e-11.
 
 The step must divide the horizon: the grid ends exactly at ``t_max`` or the
 call is rejected (:func:`grid_steps`).
@@ -185,33 +187,35 @@ def _affine_step_matrix(
     pattern = np.asarray(pattern)
     m, n = sys.coupling.m, sys.dynamics.dim
     size = (m + 1) * n
+    rows = np.arange(m + 1)
     hl = np.zeros((size + 1, size + 1))
     # K by (row, component) blocks: M kron I_n, plus J_k on the diagonal
     blocks = hl[:size, :size].reshape(m + 1, n, m + 1, n)
     blocks[:, range(n), :, range(n)] = network_operator(sys)
-    for row, piece in enumerate(pattern):
-        jac, offset = affine.pieces[piece]
-        blocks[row, :, row, :] += jac
-        hl[row * n : (row + 1) * n, size] = offset
+    blocks[rows, :, rows, :] += affine.jacobians[pattern]
+    hl[:size, size] = affine.offsets[pattern].ravel()
     hl *= dt
     eye = np.eye(size + 1)
-    # R(hL) - I = hL (I + hL/2 (I + hL/3 (I + hL/4))), without forming I + ...
-    inc = (hl @ (eye + hl @ (eye + hl @ (eye + hl / 4.0) / 3.0) / 2.0))[:size]
+    # the stage maps S2 = I + hL/2, S3 = I + hL S2/2, S4 = I + hL S3, and
+    # R(hL) - I = (hL + 2 (K2 + K3) + K4) / 6 with K_i = hL S_i
+    stage2 = eye + hl / 2.0
+    k2 = hl @ stage2
+    stage3 = eye + k2 / 2.0
+    k3 = hl @ stage3
+    stage4 = eye + k3
+    inc = ((hl + 2.0 * (k2 + k3) + hl @ stage4) / 6.0)[:size]
     if not affine.breaks:
         return inc
-    stage2 = eye + hl / 2.0
-    stage3 = eye + hl @ stage2 / 2.0
-    stage4 = eye + hl @ stage3
-    sel = np.arange(m + 1) * n + affine.coord
-    stages = np.vstack([eye[sel], stage2[sel], stage3[sel], stage4[sel]])
+    sel = rows * n + affine.coord
     ends = np.concatenate([[-np.inf], affine.breaks, [np.inf]])
-    lower, upper = np.tile(ends[pattern], 4), np.tile(ends[pattern + 1], 4)
-    above, below = stages.copy(), -stages
-    above[:, size] -= upper
-    below[:, size] += lower
-    above[np.isinf(upper)] = 0.0
-    below[np.isinf(lower)] = 0.0
-    return np.vstack([inc, above, below])
+    # every stage row's coordinate minus its upper bound, then its lower bound
+    # minus the coordinate; a zero row where that bound is infinite
+    bounds = np.stack([ends[pattern + 1], -ends[pattern]])[:, None, :, None]
+    stages = np.stack([eye[sel], stage2[sel], stage3[sel], stage4[sel]])
+    signed = np.stack([stages, -stages])
+    signed[..., size:] -= bounds
+    signed = np.where(np.isinf(bounds), 0.0, signed)
+    return np.concatenate([inc, signed.reshape(-1, size + 1)])
 
 
 def _double_block(block: np.ndarray, span: int, size: int) -> Optional[np.ndarray]:

@@ -585,6 +585,36 @@ class TestCertificateGate:
         assert all(float(row.split(",")[1]) < 0 for row in rows[1:])
 
 
+LINEAR_RING = Path(__file__).with_name("data") / "scenarios" / "linear-decay-ring.json"
+
+
+class TestLinearDecayRing:
+    # a pinned ring of five linear_decay nodes (rate 0.5, n = 2): the field
+    # is one affine piece, so its QUAD margin is exact, rate + Delta = 1.5
+    # at P = I, and its step matrix has no stage test rows
+    def test_check_verifies_the_exact_certificate(self, capsys):
+        assert main(["check", str(LINEAR_RING), "--require-conditions"]) == 0
+        report = check_scenario(parse_scenario(str(LINEAR_RING)))
+        assert report.theorem.holds and report.theorem.detail["certificate"] is None
+        assert report.theorem.detail["certified_margin"] == 1.5
+        assert report.min_c == pytest.approx(4.791288, abs=1e-6)
+        assert "  minimal coupling strength c* = 4.791288" in capsys.readouterr().out
+
+    def test_run_decays_at_the_rate_of_the_pinned_spectrum(self, tmp_path):
+        # the pin error obeys e' = (-rate I + c A~) e, so it decays late at
+        # -rate + c lambda1 (= -1.752273 at c = 6)
+        cfg = parse_scenario(str(LINEAR_RING))
+        argv = ["run", str(LINEAR_RING), "--require-conditions", "--out", str(tmp_path)]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+        predicted = -0.5 + cfg.pin.c * check_scenario(cfg).spectral.lambda1
+        table = np.loadtxt(tmp_path / "linear-decay-ring_metrics.csv", delimiter=",", skiprows=1)
+        times, pin_ratio = table[:, 0], table[:, 2]
+        late = times >= 2.0
+        rate = np.polyfit(times[late], np.log(pin_ratio[late]), 1)[0]
+        assert rate == pytest.approx(predicted, rel=1e-9)
+
+
 def _short(name, t_max=2.0):
     return dataclasses.replace(parse_scenario(name), t_max=t_max)
 
@@ -733,8 +763,9 @@ class TestShippedSummaries:
     # horizons. They were written by the plain RK4 loop; the affine steps
     # move states by at most 2.3e-13 relative, below every printed digit
     # but one: fig2's final sync ratio, roundoff below its printed floor,
-    # read 0 there, 7.1892e-12 with one matrix per step and 1.05568e-11
-    # with blocks of steps
+    # read 0 there, 7.1892e-12 with one matrix per step, 1.05568e-11 with
+    # blocks of steps and 5.45245e-12 with the step matrix formed from the
+    # RK4 stage maps
     @pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
     def test_summary_text_is_unchanged(self, tmp_path, name):
         result = run_scenario(parse_scenario(name), out_dir=tmp_path)

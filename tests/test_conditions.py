@@ -219,10 +219,11 @@ class TestQuadCertificateChua:
 
 
 def _regional_bound(p, delta, k, l):
-    """min_k p_k Delta_k - max over the middle and outer diode slopes of
-    ||sym(P J)||_2, straight from :func:`chua_region_jacobian`."""
+    """min_k p_k Delta_k - max over the circuit's regions of
+    ||sym(P J)||_2, one ``sym_eigen`` per region of
+    :func:`chua_region_jacobian`."""
     norms = []
-    for region in ("middle", "right"):
+    for region in ("left", "middle", "right"):
         pj = p[:, None] * chua_region_jacobian(region, k, l)
         ev = sym_eigen((pj + pj.T) / 2.0).eigenvalues
         norms.append(float(max(abs(ev[0]), abs(ev[-1]))))
@@ -438,7 +439,8 @@ class TestTheorem1:
         )
 
     def test_seeded_grid_matches_the_regional_jacobians(self):
-        # mu over the declared pieces is mu over the circuit's regions, bit for bit
+        # mu over the declared pieces, one batched eigh, is mu over the
+        # circuit's regions, one sym_eigen each, bit for bit
         rng = np.random.default_rng(19)
         for _ in range(300):
             k, l = rng.uniform(0.5, 20.0), rng.uniform(1.0, 30.0)
@@ -447,11 +449,13 @@ class TestTheorem1:
                 coupling=SYM_3NODE, dynamics=make_dynamics("chua", params={"k": k, "l": l}),
                 pin=pin,
             )
-            mu = max(
+            mus = tuple(
                 float(sym_eigen((j + j.T) / 2.0).eigenvalues[0])
                 for j in (chua_region_jacobian(r, k, l) for r in ("left", "middle", "right"))
             )
-            assert theorem1_margin(sys_, LAMBDA1_SYM).margin == mu + pin.c * LAMBDA1_SYM
+            verdict = theorem1_margin(sys_, LAMBDA1_SYM)
+            assert verdict.detail["mu_by_piece"] == mus
+            assert verdict.margin == max(mus) + pin.c * LAMBDA1_SYM
 
     def test_linear_decay_reads_its_one_piece(self):
         # mu = -rate everywhere, so the margin is -rate + c lambda1

@@ -195,7 +195,8 @@ class TestSccCondensation:
             rng, m, symmetric=False, edge_prob=0.3, require_irreducible=False
         ).entries
         cond = scc_condensation(a)
-        perm = cond.permutation()
+        # 0-based node order of the blocks: block lower triangular
+        perm = [i - 1 for block in cond.blocks for i in block]
         assert sorted(perm) == list(range(m))
         reordered = a[np.ix_(perm, perm)]
         sizes = [len(b) for b in cond.blocks]

@@ -18,6 +18,7 @@ from pinnet import (
 from pinnet.model import (
     CHUA_K,
     CHUA_L,
+    PiecewiseAffine,
     _chua_eval,
     make_network_rhs,
     network_operator,
@@ -180,12 +181,12 @@ class TestChuaField:
         # at x1 = +-1 the field is its outer piece's affine form to the bit
         # and the middle piece's to two ulps; f1 = -k h(+-1) = +-9/7
         dyn = chua(k=9.0, l=100.0 / 7.0)
-        left, middle, right = dyn.affine.pieces
-        for x1, (jac, offset) in ((1.0, right), (-1.0, left)):
+        jacobians, offsets = dyn.affine.jacobians, dyn.affine.offsets
+        for x1, piece in ((1.0, 2), (-1.0, 0)):
             x = np.array([x1, 0.0, 0.0])
             got = dyn(x)
-            np.testing.assert_array_equal(got, jac @ x + offset)
-            np.testing.assert_array_max_ulp(got, middle[0] @ x, maxulp=2)
+            np.testing.assert_array_equal(got, jacobians[piece] @ x + offsets[piece])
+            np.testing.assert_array_max_ulp(got, jacobians[1] @ x, maxulp=2)
             np.testing.assert_array_max_ulp(got, [x1 * 9.0 / 7.0, x1, 0.0], maxulp=2)
 
     def test_diode_keeps_the_middle_slope_near_zero(self):
@@ -411,12 +412,13 @@ class TestDynamicsRegistry:
         dyn = make_dynamics(kind, dim=dim, params=params)
         affine = dyn.affine
         ends = np.concatenate([[-np.inf], affine.breaks, [np.inf]])
-        assert len(affine.pieces) == len(ends) - 1
-        assert (kind == "linear_decay") == (len(affine.pieces) == 1)
+        assert affine.jacobians.shape == (len(ends) - 1, dim, dim)
+        assert affine.offsets.shape == (len(ends) - 1, dim)
+        assert (kind == "linear_decay") == (len(ends) == 2)
         rng = np.random.default_rng(5)
         x = rng.uniform(-3.0, 3.0, size=(2000, dim))
         x[:20, affine.coord] = rng.choice(ends[np.isfinite(ends)], 20) if affine.breaks else 0.0
-        for k, (jac, offset) in enumerate(affine.pieces):
+        for k, (jac, offset) in enumerate(zip(affine.jacobians, affine.offsets)):
             on = (ends[k] <= x[:, affine.coord]) & (x[:, affine.coord] <= ends[k + 1])
             assert on.sum() > 500
             want = x @ jac.T + offset
@@ -425,6 +427,16 @@ class TestDynamicsRegistry:
             assert err[on].max() <= 1e-15
             if not on.all():
                 assert err[~on].max() > 1e-2
+
+    def test_pieces_are_read_only_copies(self):
+        jacobians, offsets = -np.eye(2)[None], np.zeros((1, 2))
+        affine = PiecewiseAffine(0, (), jacobians, offsets)
+        jacobians[0, 0, 0] = 5.0
+        assert affine.jacobians[0, 0, 0] == -1.0
+        for dyn in (make_dynamics("chua"), make_dynamics("linear_decay", dim=2)):
+            for arr in (dyn.affine.jacobians, dyn.affine.offsets):
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[0] = 0.0
 
 
 def _system(a, pin=None, gkind="identity", dynamics=None):

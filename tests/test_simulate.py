@@ -291,7 +291,7 @@ def _assert_same_runs(got, want):
 # Per-sample drift allowed between a run that takes affine steps and the
 # RK4 loop, relative to the sample's largest entry: an affine step rounds
 # y + B [y; 1] where the loop rounds its four stages, about eps per step.
-# The built-ins drift by at most 2.3e-13 at their shipped horizons.
+# The built-ins drift by at most 5.7e-13 at their shipped horizons.
 LINEAR_DRIFT = 1e-11
 
 
@@ -626,6 +626,66 @@ def doublings(monkeypatch):
 def _middle_ring(m):
     # pinned at the origin; started on the middle piece, it stays there
     return NetworkSystem(coupling=_ring(m), dynamics=make_dynamics("chua"), pin=PinPlan(1, 5.0, 10.0))
+
+
+def _pinned_chua(m):
+    """A pinned Chua ring, or one pinned node at m = 1."""
+    if m > 1:
+        return _middle_ring(m)
+    return NetworkSystem(coupling=validate_coupling(np.zeros((1, 1))),
+                         dynamics=make_dynamics("chua"), pin=PinPlan(1, 5.0, 10.0))
+
+
+class TestStepMatrix:
+    """``W`` of a pattern: the increment rows are one RK4 step on the
+    pattern's pieces, and the stage rows sign the loop's stage states."""
+
+    @pytest.mark.parametrize("m", [1, 3, 23])
+    def test_increment_rows_are_one_loop_step(self, m):
+        # anchors well inside their pieces, outer ones included so that the
+        # offsets enter, and every stage stays on them
+        rng = np.random.default_rng(m)
+        sys_, size, dt = _pinned_chua(m), (m + 1) * 3, 1e-3
+        for _ in range(20):
+            pattern = rng.integers(0, 3, m + 1)
+            while not {0, 2} <= set(pattern.tolist()):
+                pattern = rng.integers(0, 3, m + 1)
+            y = rng.uniform(-0.5, 0.5, (m + 1, 3))
+            y[:, 0] += 2.5 * (pattern - 1)
+            w = simulate._affine_step_matrix(sys_, sys_.dynamics.affine, pattern, dt)
+            z = w @ np.append(y, 1.0)
+            assert z[size:].max() <= 0.0
+            (loop,) = integrate_batch_reference([sys_], [y[:m]], [y[m]], dt, dt)
+            want = np.vstack([loop.states[1], loop.reference[1]]).ravel()
+            assert np.abs(y.ravel() + z[:size] - want).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("m", [1, 3, 23])
+    def test_stage_rows_sign_the_loop_stages(self, m):
+        # a row's test is <= 0 exactly where the loop's stage state lies on
+        # the row's piece, up to the first stage that leaves (after it the
+        # loop's field is another piece's)
+        rng = np.random.default_rng(100 + m)
+        sys_, size, dt = _pinned_chua(m), (m + 1) * 3, 5e-3
+        affine, op = sys_.dynamics.affine, network_operator(sys_)
+        ends = np.concatenate([[-np.inf], affine.breaks, [np.inf]])
+        left_at = []
+        for _ in range(50):
+            y = rng.uniform(-3.0, 3.0, (m + 1, 3))
+            pattern = np.searchsorted(affine.breaks, y[:, affine.coord])
+            w = simulate._affine_step_matrix(sys_, affine, pattern, dt)
+            above, below = (w @ np.append(y, 1.0))[size:].reshape(2, 4, m + 1) <= 0.0
+            stages = [y]
+            for factor in (0.5 * dt, 0.5 * dt, dt):
+                stages.append(y + factor * (sys_.dynamics(stages[-1]) + op @ stages[-1]))
+            for j, stage in enumerate(stages):
+                coord = stage[:, affine.coord]
+                np.testing.assert_array_equal(above[j], coord <= ends[pattern + 1])
+                np.testing.assert_array_equal(below[j], coord >= ends[pattern])
+                if not (above[j] & below[j]).all():
+                    left_at.append(j)
+                    break
+        # some draws leave at the second stage, some later, and some stay on
+        assert 1 in left_at and max(left_at) > 1 and len(left_at) < 50
 
 
 class TestBlocks:
