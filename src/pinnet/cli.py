@@ -439,6 +439,11 @@ def check_scenario(cfg: ScenarioConfig, quad_samples: int = 0, seed: int = 0) ->
     )
 
 
+def _fixed(v: float) -> str:
+    """``v`` to six decimals; a value that rounds to zero prints without a sign."""
+    return f"{round(v, 6) + 0.0:.6f}"
+
+
 def _fmt_verdict(v: Verdict) -> str:
     # a failing margin within the tolerance is a roundoff zero: say so
     tolerance = v.detail["tolerance"]
@@ -457,16 +462,16 @@ def render_report(report: ConditionReport) -> str:
         sp = report.spectral
         label = "mu1" if report.route == "asymmetric" else "lambda1"
         lines.append(
-            f"  {label} = {sp.lambda1:.6f}   (c*{label} = {pin.c * sp.lambda1:.6f})"
+            f"  {label} = {_fixed(sp.lambda1)}   (c*{label} = {_fixed(pin.c * sp.lambda1)})"
         )
         lines.append(
-            "  spectrum: [" + ", ".join(f"{v:.6f}" for v in sp.eigenvalues) + "]"
+            "  spectrum: [" + ", ".join(map(_fixed, sp.eigenvalues)) + "]"
         )
         if sp.xi is not None:
             lines.append(
                 "  left Perron vector xi: ["
-                + ", ".join(f"{v:.6f}" for v in sp.xi)
-                + f"]   max xi = {sp.xi_max:.6f}"
+                + ", ".join(map(_fixed, sp.xi))
+                + f"]   max xi = {_fixed(sp.xi_max)}"
             )
     if report.proposition1 is not None:
         lines.append(
@@ -477,7 +482,7 @@ def render_report(report: ConditionReport) -> str:
         if report.theorem.detail["certificate"] is not None:
             lines.append(f"  certificate: {report.theorem.detail['certificate']}")
     if report.min_c is not None:
-        lines.append(f"  minimal coupling strength c* = {report.min_c:.6f}")
+        lines.append(f"  minimal coupling strength c* = {_fixed(report.min_c)}")
     elif report.theorem is not None and not report.proposition1.holds:
         lines.append("  minimal coupling strength: none (top eigenvalue not negative)")
     if report.reducibility is not None:
@@ -491,7 +496,7 @@ def render_report(report: ConditionReport) -> str:
         box = " x ".join(f"[{a:g}, {b:g}]" for a, b in zip(*v.detail["box"]))
         lines.append(
             f"  QUAD sampling: {'no violation' if v.holds else 'VIOLATED'} "
-            f"(min quotient {v.detail['min_quotient']:.6f} vs eta, "
+            f"(min quotient {_fixed(v.detail['min_quotient'])} vs eta, "
             f"{v.detail['samples']} samples, seed {v.detail['seed']}, box {box})"
         )
     return "\n".join(lines)

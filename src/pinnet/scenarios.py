@@ -18,6 +18,8 @@ Five runs over a 3-node circuit network:
   {1, 2} drives node 3; pinning inside the root block pins the whole
   network, at c = 15.
 
+``_experiment`` builds each one, with new nested lists and dicts, from the
+values that set it apart: coupling, coupling map, epsilon, c, dt and t_max.
 Every scenario dict is in the canonical field layout produced by
 ``pinnet.cli.serialize_scenario``, so parse/serialize round-trips exactly.
 """
@@ -42,17 +44,6 @@ COUPLING_MATRICES: dict[str, list[list[float]]] = {
     ],
 }
 
-_CHUA = {"kind": "chua", "params": {"k": 9.0, "l": 100.0 / 7.0}}
-_IDENTITY = {"kind": "identity", "alpha_lower": 1.0}
-_SINE_BLEND = {"kind": "sine_blend", "alpha_lower": 0.5}
-_CERT = {"P": [1.0, 1.0, 1.0], "Delta": [10.0, 10.0, 10.0], "eta": 0.6218}
-_INITIAL = [
-    [40.1, 20.2, 30.3],
-    [20.4, 30.5, 10.6],
-    [60.7, 40.8, 50.9],
-]
-_ORIGIN = [0.0, 0.0, 0.0]
-
 
 def _outputs(name: str) -> dict[str, str]:
     """The trajectory, metrics and summary file names of a run named ``name``;
@@ -64,65 +55,34 @@ def _outputs(name: str) -> dict[str, str]:
     }
 
 
+def _experiment(
+    name: str, coupling: str, epsilon: float, c: float, dt: float, t_max: float,
+    coupling_function: tuple[str, float] = ("identity", 1.0),
+) -> dict:
+    """A fresh canonical scenario dict: the paper's Chua network pinned at
+    node 1 from its one start, under its one QUAD certificate."""
+    kind, alpha_lower = coupling_function
+    return {
+        "name": name,
+        "coupling": coupling,
+        "dynamics": {"kind": "chua", "params": {"k": 9.0, "l": 100.0 / 7.0}},
+        "coupling_function": {"kind": kind, "alpha_lower": alpha_lower},
+        "pin": {"node": 1, "epsilon": epsilon, "c": c},
+        "certificate": {"P": [1.0, 1.0, 1.0], "Delta": [10.0, 10.0, 10.0], "eta": 0.6218},
+        "initial_states": [[40.1, 20.2, 30.3], [20.4, 30.5, 10.6], [60.7, 40.8, 50.9]],
+        "reference_initial": [0.0, 0.0, 0.0],
+        "integration": {"dt": dt, "t_max": t_max},
+        "outputs": _outputs(name),
+    }
+
+
 BUILTIN_SCENARIOS: dict[str, dict] = {
-    "fig2-sym-uncontrolled": {
-        "name": "fig2-sym-uncontrolled",
-        "coupling": "sym-3node",
-        "dynamics": dict(_CHUA),
-        "coupling_function": dict(_IDENTITY),
-        "pin": {"node": 1, "epsilon": 0.0, "c": 10.0},
-        "certificate": dict(_CERT),
-        "initial_states": list(_INITIAL),
-        "reference_initial": list(_ORIGIN),
-        "integration": {"dt": 1e-3, "t_max": 50.0},
-        "outputs": _outputs("fig2-sym-uncontrolled"),
-    },
-    "fig4-sym-pinned": {
-        "name": "fig4-sym-pinned",
-        "coupling": "sym-3node",
-        "dynamics": dict(_CHUA),
-        "coupling_function": dict(_IDENTITY),
-        "pin": {"node": 1, "epsilon": 4.9, "c": 10.0},
-        "certificate": dict(_CERT),
-        "initial_states": list(_INITIAL),
-        "reference_initial": list(_ORIGIN),
-        "integration": {"dt": 1e-3, "t_max": 20.0},
-        "outputs": _outputs("fig4-sym-pinned"),
-    },
-    "fig5-asym-pinned": {
-        "name": "fig5-asym-pinned",
-        "coupling": "asym-3node",
-        "dynamics": dict(_CHUA),
-        "coupling_function": dict(_IDENTITY),
-        "pin": {"node": 1, "epsilon": 2.0, "c": 72.0},
-        "certificate": dict(_CERT),
-        "initial_states": list(_INITIAL),
-        "reference_initial": list(_ORIGIN),
-        "integration": {"dt": 2e-4, "t_max": 20.0},
-        "outputs": _outputs("fig5-asym-pinned"),
-    },
-    "nonlinear-pinned": {
-        "name": "nonlinear-pinned",
-        "coupling": "sym-3node",
-        "dynamics": dict(_CHUA),
-        "coupling_function": dict(_SINE_BLEND),
-        "pin": {"node": 1, "epsilon": 4.9, "c": 22.0},
-        "certificate": dict(_CERT),
-        "initial_states": list(_INITIAL),
-        "reference_initial": list(_ORIGIN),
-        "integration": {"dt": 1e-3, "t_max": 30.0},
-        "outputs": _outputs("nonlinear-pinned"),
-    },
-    "reducible-pinned": {
-        "name": "reducible-pinned",
-        "coupling": "two-block-3node",
-        "dynamics": dict(_CHUA),
-        "coupling_function": dict(_IDENTITY),
-        "pin": {"node": 1, "epsilon": 4.9, "c": 15.0},
-        "certificate": dict(_CERT),
-        "initial_states": list(_INITIAL),
-        "reference_initial": list(_ORIGIN),
-        "integration": {"dt": 1e-3, "t_max": 30.0},
-        "outputs": _outputs("reducible-pinned"),
-    },
+    s["name"]: s
+    for s in (
+        _experiment("fig2-sym-uncontrolled", "sym-3node", 0.0, 10.0, 1e-3, 50.0),
+        _experiment("fig4-sym-pinned", "sym-3node", 4.9, 10.0, 1e-3, 20.0),
+        _experiment("fig5-asym-pinned", "asym-3node", 2.0, 72.0, 2e-4, 20.0),
+        _experiment("nonlinear-pinned", "sym-3node", 4.9, 22.0, 1e-3, 30.0, ("sine_blend", 0.5)),
+        _experiment("reducible-pinned", "two-block-3node", 4.9, 15.0, 1e-3, 30.0),
+    )
 }

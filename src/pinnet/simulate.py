@@ -315,8 +315,8 @@ def integrate_batch(
     others run on. The trajectories are views into one shared buffer, so
     keeping any of them keeps all of it. Raises ``ValueError`` (naming the
     member or field) on mismatched systems or initial data, a ``dt`` that
-    does not divide ``t_max``, or non-finite values, for the member and
-    time of the first.
+    does not divide ``t_max``, a horizon whose buffer cannot be allocated,
+    or non-finite values, for the member and time of the first.
     """
     systems = list(systems)
     if len(x0s) != len(systems) or len(s0s) != len(systems):
@@ -334,9 +334,15 @@ def integrate_batch(
         ]
     )
     count, m, n = y.shape[0], y.shape[1] - 1, y.shape[2]
-    times = np.arange(steps + 1) * dt
-    # member-major, so each member's samples are one contiguous slab
-    buf = np.empty((count, steps + 1, m + 1, n))
+    try:
+        times = np.arange(steps + 1) * dt
+        # member-major, so each member's samples are one contiguous slab
+        buf = np.empty((count, steps + 1, m + 1, n))
+    except (MemoryError, ValueError) as err:
+        raise ValueError(
+            f"dt={dt:g}, t_max={t_max:g}: {steps:g} steps need a trajectory "
+            f"buffer that cannot be allocated ({err})"
+        ) from err
     buf[:, 0] = y
     # one row of (m + 1) n doubles per member and sample
     samples = buf.reshape(count, steps + 1, -1)

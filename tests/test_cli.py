@@ -321,6 +321,20 @@ class TestRoundTrip:
         original = BUILTIN_SCENARIOS[name]
         assert serialize_scenario(parse_scenario(name)) == original
 
+    def test_builtins_share_no_nested_object(self):
+        # a built-in edited in place must not change the others
+        def containers(obj):
+            if isinstance(obj, (dict, list)):
+                yield id(obj)
+                for child in obj.values() if isinstance(obj, dict) else obj:
+                    yield from containers(child)
+
+        seen = {}
+        for name, data in BUILTIN_SCENARIOS.items():
+            for ident in containers(data):
+                assert ident not in seen, f"{name} shares a list or dict with {seen[ident]}"
+                seen[ident] = name
+
     def test_inline_matrix_roundtrip(self):
         data = copy.deepcopy(BUILTIN_SCENARIOS["fig4-sym-pinned"])
         data["coupling"] = [[-1.0, 1.0], [1.0, -1.0]]
@@ -583,6 +597,19 @@ class TestCertificateGate:
         rows = (tmp_path / "fig4-unverified-certificate_sweep.csv").read_text().splitlines()
         assert [row.split(",")[2] for row in rows[1:]] == ["0", "0", "0"]
         assert all(float(row.split(",")[1]) < 0 for row in rows[1:])
+
+
+RING = Path(__file__).with_name("data") / "scenarios" / "chua-ring-m23-uncontrolled.json"
+
+
+class TestRenderReport:
+    def test_roundoff_zero_prints_without_a_sign(self, capsys):
+        # the uncontrolled ring's top eigenvalue is a roundoff zero (-2.8e-16)
+        assert main(["check", str(RING)]) == 0
+        out = capsys.readouterr().out
+        assert "  lambda1 = 0.000000   (c*lambda1 = 0.000000)\n" in out
+        assert "  spectrum: [0.000000, -0.074165," in out
+        assert "-0.000000" not in out
 
 
 LINEAR_RING = Path(__file__).with_name("data") / "scenarios" / "linear-decay-ring.json"
@@ -955,6 +982,15 @@ class TestMainExitCodes:
 
     def test_bad_dt_override(self, capsys):
         assert main(["run", "fig4-sym-pinned", "--dt", "-1"]) == 1
+
+    @pytest.mark.parametrize("dt, tmax", [("1e-3", "1e12"), ("1e-300", "1")])
+    def test_unallocatable_horizon_exits_with_the_fields_named(self, tmp_path, capsys, dt, tmax):
+        # 10^15 steps and more: numpy refuses the buffer at once
+        argv = ["run", "fig4-sym-pinned", "--dt", dt, "--tmax", tmax, "--out", str(tmp_path)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: dt=") and "t_max=" in err and "steps" in err
+        assert "Traceback" not in err
 
     def test_non_dividing_override(self, capsys):
         assert main(["run", "fig4-sym-pinned", "--dt", "0.3", "--tmax", "1"]) == 1
