@@ -39,7 +39,7 @@ from .conditions import (
 )
 # not called here: perfbench/tracing.py patches left_null_vector and
 # scc_condensation on this module along with the other pipeline names.
-from .linalg import ReducibilityError, left_null_vector, scc_condensation  # noqa: F401
+from .linalg import ReducibilityError, finite_array, left_null_vector, scc_condensation  # noqa: F401
 from .model import (
     UNCONTROLLED,
     CouplingFunction,
@@ -52,6 +52,7 @@ from .model import (
     make_dynamics,
     pinned_matrix,
     validate_coupling,
+    whole_number,
 )
 from .scenarios import BUILTIN_SCENARIOS, COUPLING_MATRICES, _outputs
 from .simulate import (
@@ -93,34 +94,13 @@ class ScenarioConfig:
     pin: PinPlan = UNCONTROLLED
 
 
-def _number(value, where: str) -> float:
+def _field(rule, value, where: str, *args):
+    """``rule(value, where, *args)``, a shared value rule naming the field's
+    dotted path ``where``, with its ``ValueError`` as a ``ScenarioError``."""
     try:
-        return finite_number(value, where)
+        return rule(value, where, *args)
     except ValueError as err:
         raise ScenarioError(str(err)) from None
-
-
-def _finite_array(value, where: str) -> np.ndarray:
-    """``value`` as a float array; a ``ScenarioError`` names ``where`` when it
-    holds anything but numbers (strings and booleans included), is ragged, or
-    has a non-finite entry (named 1-based, like node indices)."""
-    try:
-        arr = np.asarray(value)
-    except ValueError as err:
-        raise ScenarioError(f"{where} must be a regular array of numbers: {err}") from err
-    numeric = arr.dtype.kind in "iuf"
-    if numeric and not isinstance(value, np.ndarray):
-        # numpy reads a bool among numbers as 0 or 1, so look at the elements
-        numeric = not {bool, np.bool_} & set(map(type, np.asarray(value, dtype=object).ravel()))
-    if not numeric:
-        raise ScenarioError(f"{where} must hold numbers only, got {value!r}")
-    arr = arr.astype(float)
-    bad = np.argwhere(~np.isfinite(arr))
-    if bad.size:
-        index = tuple(bad[0])
-        entry = ",".join(str(i + 1) for i in index)
-        raise ScenarioError(f"{where} entry ({entry}) is not finite: {float(arr[index])}")
-    return arr
 
 
 def _check_file_name(value, where: str) -> None:
@@ -200,7 +180,7 @@ def parse_scenario(source) -> ScenarioConfig:
     # the default and sweep output names derive from it
     _check_file_name(name, "name")
 
-    reference_initial = _finite_array(data["reference_initial"], "reference_initial")
+    reference_initial = _field(finite_array, data["reference_initial"], "reference_initial")
     if reference_initial.ndim != 1 or reference_initial.size == 0:
         raise ScenarioError("reference_initial must be a nonempty flat list of numbers")
     n = reference_initial.size
@@ -223,11 +203,11 @@ def parse_scenario(source) -> ScenarioConfig:
         coupling_spec = COUPLING_MATRICES[coupling_spec]
     else:
         # numbers only, as for initial_states: no numeric strings or booleans
-        coupling_spec = _named("coupling", _finite_array, coupling_spec, "matrix")
+        coupling_spec = _named("coupling", finite_array, coupling_spec, "matrix")
     coupling = _named("coupling", validate_coupling, coupling_spec)
     m = coupling.m
 
-    initial_states = _finite_array(data["initial_states"], "initial_states")
+    initial_states = _field(finite_array, data["initial_states"], "initial_states")
     if initial_states.shape != (m, n):
         raise ScenarioError(
             f"initial_states must have shape ({m}, {n}) to match the coupling "
@@ -242,7 +222,7 @@ def parse_scenario(source) -> ScenarioConfig:
     )
     alpha_lower = gfun_spec.get("alpha_lower")
     if alpha_lower is not None:
-        alpha_lower = _number(alpha_lower, "coupling_function.alpha_lower")
+        alpha_lower = _field(finite_number, alpha_lower, "coupling_function.alpha_lower")
     gfun = _named(
         "coupling_function", make_coupling_function, gfun_spec["kind"], alpha_lower=alpha_lower
     )
@@ -250,8 +230,8 @@ def parse_scenario(source) -> ScenarioConfig:
     pin = UNCONTROLLED
     if data.get("pin") is not None:
         pin_spec = _object(data["pin"], "pin", ("node", "epsilon", "c"))
-        epsilon = _number(pin_spec["epsilon"], "pin.epsilon")
-        c = _number(pin_spec["c"], "pin.c")
+        epsilon = _field(finite_number, pin_spec["epsilon"], "pin.epsilon")
+        c = _field(finite_number, pin_spec["c"], "pin.c")
         # PinPlan owns the node's type and 1-based rule, NetworkSystem its range
         pin = _named("pin", PinPlan, pin_spec["node"], epsilon, c)
         _named("pin", NetworkSystem, coupling, dynamics, gfun, pin)
@@ -259,18 +239,18 @@ def parse_scenario(source) -> ScenarioConfig:
     certificate = None
     if data.get("certificate") is not None:
         cert_spec = _object(data["certificate"], "certificate", ("P", "Delta", "eta"))
-        p = _finite_array(cert_spec["P"], "certificate.P")
-        delta = _finite_array(cert_spec["Delta"], "certificate.Delta")
+        p = _field(finite_array, cert_spec["P"], "certificate.P")
+        delta = _field(finite_array, cert_spec["Delta"], "certificate.Delta")
         if p.shape != (n,) or delta.shape != (n,):
             raise ScenarioError(
                 f"certificate.P and certificate.Delta must be length-{n} lists"
             )
-        eta = _number(cert_spec["eta"], "certificate.eta")
+        eta = _field(finite_number, cert_spec["eta"], "certificate.eta")
         certificate = _named("certificate", QuadCertificate, p, delta, eta)
 
     integration = _object(data["integration"], "integration", ("dt", "t_max"))
-    dt = _number(integration["dt"], "integration.dt")
-    t_max = _number(integration["t_max"], "integration.t_max")
+    dt = _field(finite_number, integration["dt"], "integration.dt")
+    t_max = _field(finite_number, integration["t_max"], "integration.t_max")
     _named("integration", grid_steps, dt, t_max)
 
     outputs = data.get("outputs")
@@ -384,10 +364,10 @@ def check_scenario(cfg: ScenarioConfig, quad_samples: int = 0, seed: int = 0) ->
     certificate is verified.
     Pass ``quad_samples > 0`` to also falsification-test the certificate by
     sampling on the hull of [-30, 30] and the scenario's initial data; 0
-    skips it and a negative count is an error.
+    skips it; both it and ``seed`` must be whole numbers >= 0.
     """
-    if quad_samples < 0:
-        raise ScenarioError(f"quad_samples must be >= 0, got {quad_samples!r}")
+    quad_samples = _field(whole_number, quad_samples, "quad_samples", 0)
+    seed = _field(whole_number, seed, "seed", 0)
     pin = cfg.pin
     spectral = prop = theorem_name = theorem = min_c = reducibility = None
     alpha = cfg.gfun.alpha_lower
@@ -616,8 +596,6 @@ def run_scenario(
         text = render_report(report) + "\nrun aborted: conditions not satisfied"
         return RunResult(config=cfg, report=report, exit_code=2, summary_text=text)
 
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     try:
         outcome = integrate(
             build_system(cfg),
@@ -628,14 +606,15 @@ def run_scenario(
         )
     except DivergenceError as err:
         outcome = err
-    return _finish_run(cfg, report, outcome, out)
+    return _finish_run(cfg, report, outcome, Path(out_dir))
 
 
 def _finish_run(cfg: ScenarioConfig, report: ConditionReport, outcome, out: Path) -> RunResult:
     """Metrics, fit, monitor, CSVs and summary of one integrated scenario.
 
     ``outcome`` is the :class:`Trajectory` or the :class:`DivergenceError`
-    (carrying the partial trajectory) that integration produced.
+    (carrying the partial trajectory) that integration produced. ``out`` is
+    made just before the first write: a run that fails earlier leaves none.
     """
     diverged = isinstance(outcome, DivergenceError)
     traj = outcome.trajectory if diverged else outcome
@@ -652,6 +631,7 @@ def _finish_run(cfg: ScenarioConfig, report: ConditionReport, outcome, out: Path
     traj_path = out / cfg.outputs["trajectory"]
     metrics_path = out / cfg.outputs["metrics"]
     summary_path = out / cfg.outputs["summary"]
+    out.mkdir(parents=True, exist_ok=True)
     write_trajectory_csv(traj_path, traj)
     write_metrics_csv(metrics_path, series)
 
@@ -749,7 +729,6 @@ def run_sweep(cfg: ScenarioConfig, spec: str, out_dir) -> int:
     batch (:func:`pinnet.simulate.integrate_batch`)."""
     values = parse_sweep(spec)
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     points = [
         dataclasses.replace(
             cfg,

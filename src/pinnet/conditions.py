@@ -35,7 +35,9 @@ from .linalg import (
     Condensation,
     ReducibilityError,
     SymmetryError,
+    finite_array,
     left_null_vector,
+    positive_vector,
     scc_condensation,
     sym_eigen,
     symmetrize_weighted,
@@ -48,7 +50,9 @@ from .model import (
     PinPlan,
     finite_number,
     make_dynamics,
+    node_index,
     pinned_matrix,
+    positive_number,
     validate_coupling,
     whole_number,
 )
@@ -63,8 +67,8 @@ class QuadCertificate:
 
         (x - y)^T P (f(x) - Delta x - f(y) + Delta y) <= -eta ||x - y||^2.
 
-    ``p`` and ``delta`` are the diagonals (length n); all p_k and eta must be
-    positive; eta passes :func:`pinnet.model.finite_number`.
+    ``p`` and ``delta`` are the diagonals (length n), by the one diagonal
+    rule; eta is a :func:`pinnet.model.positive_number`.
     """
 
     p: np.ndarray
@@ -72,21 +76,11 @@ class QuadCertificate:
     eta: float
 
     def __post_init__(self):
-        # copy so freezing the fields cannot leak back to caller arrays
-        p = np.atleast_1d(np.array(self.p, dtype=float))
-        d = np.atleast_1d(np.array(self.delta, dtype=float))
-        if p.ndim != 1 or d.shape != p.shape:
-            raise ValueError("p and delta must be 1-d diagonals of equal length")
-        if not (np.all(np.isfinite(p)) and np.all(np.isfinite(d))):
-            raise ValueError("certificate diagonals must be finite")
-        if np.any(p <= 0.0):
-            raise ValueError("all p_k must be > 0")
-        if finite_number(self.eta, "eta") <= 0.0:
-            raise ValueError(f"eta must be > 0, got {self.eta}")
-        p.setflags(write=False)
-        d.setflags(write=False)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "delta", d)
+        # the rule copies, so freezing the fields cannot leak back to caller arrays
+        for name, diagonal in zip(("p", "delta"), _check_diagonals(self.p, self.delta)):
+            diagonal.setflags(write=False)
+            object.__setattr__(self, name, diagonal)
+        positive_number(self.eta, "eta")
 
 
 @dataclass(frozen=True)
@@ -138,9 +132,8 @@ def proposition1_holds(a_tilde) -> tuple[Verdict, SpectralReport]:
     vector). Asymmetric input raises :class:`SymmetryError`; route those
     through :func:`theorem4_check`.
     """
-    arr = np.asarray(getattr(a_tilde, "entries", a_tilde), dtype=float)
     try:
-        dec = sym_eigen(arr)
+        dec = sym_eigen(a_tilde)
     except SymmetryError:
         raise SymmetryError(
             "proposition1_holds needs symmetric coupling; "
@@ -159,13 +152,13 @@ def _sym_part(m: np.ndarray) -> np.ndarray:
 
 
 def _check_diagonals(p, delta, n: Optional[int] = None) -> tuple[np.ndarray, np.ndarray]:
-    p = np.atleast_1d(np.asarray(p, dtype=float))
-    delta = np.atleast_1d(np.asarray(delta, dtype=float))
-    if n is not None and (p.shape != (n,) or delta.shape != (n,)):
-        raise ValueError(f"p and delta must have shape ({n},)")
-    if np.any(p <= 0.0):
-        raise ValueError("all p_k must be > 0")
-    return p, delta
+    """The (P, Delta) rule: ``delta`` a finite vector of ``n`` entries (any if
+    None), ``p`` a positive vector as long; a number is a diagonal of one."""
+    delta = np.atleast_1d(finite_array(delta, "delta"))
+    n = len(delta) if n is None else n
+    if delta.shape != (n,):
+        raise ValueError(f"delta must have shape ({n},), got {delta.shape}")
+    return positive_vector(np.atleast_1d(finite_array(p, "p")), "p", n), delta
 
 
 def quad_margin_affine(p, delta, jacobian) -> float:
@@ -417,8 +410,11 @@ def theorem3_check(
     family :func:`min_coupling_strength` solves. At alpha = 1 and
     xi_max = 1 this is :func:`theorem2_check` (the identity map); with the
     weighted spectrum it is :func:`theorem4_check`."""
-    if alpha <= 0 or xi_max <= 0:
-        raise ValueError(f"alpha and xi_max must be > 0, got {alpha} and {xi_max}")
+    # c = 0 is allowed: the margin is defined there, max_k Delta_k xi_max
+    finite_number(c, "c")
+    finite_number(lambda1, "lambda1")
+    positive_number(alpha, "alpha")
+    positive_number(xi_max, "xi_max")
     terms = cert.delta * xi_max + alpha * (c * lambda1)
     scales = np.abs(cert.delta * xi_max) + abs(alpha * (c * lambda1))
     k = int(np.argmax(terms))
@@ -479,8 +475,7 @@ def min_coupling_strength(
     It exists exactly when :func:`spectral_negativity` holds for the report,
     and ``ValueError`` says so otherwise; it is 0 when every Delta_k <= 0.
     """
-    if alpha <= 0:
-        raise ValueError(f"alpha must be > 0, got {alpha}")
+    positive_number(alpha, "alpha")
     lambda1 = spectral.lambda1
     if not spectral_negativity(spectral).holds:
         raise ValueError(
@@ -506,9 +501,7 @@ def reducible_pinnability(cond: Condensation, pin_node: int) -> Verdict:
     earlier one) and the pinned node lies inside it. The verdict margin is
     -1 when both requirements hold and counts the violations otherwise.
     """
-    m = sum(map(len, cond.blocks))
-    if not 1 <= pin_node <= m:
-        raise ValueError(f"pin_node {pin_node} out of range 1..{m}")
+    node_index(pin_node, "pin_node", sum(map(len, cond.blocks)))
     receivers = {r for r, _ in cond.block_edges}
     roots = [q for q in range(1, len(cond.blocks) + 1) if q not in receivers]
     pin_block = next(
@@ -548,8 +541,7 @@ def random_coupling_matrix(
     ``require_irreducible``, at most ``_MAX_TRIES`` times. Deterministic given
     the generator state.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    m = whole_number(m, "m", 1)
     for _ in range(_MAX_TRIES):
         a = np.zeros((m, m))
         if m > 1:

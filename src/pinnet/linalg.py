@@ -2,9 +2,9 @@
 
 The symmetric eigensolver is LAPACK's ``eigh`` (through numpy), left null
 vectors come from a direct least-squares solve, and reducibility is decided
-by Tarjan's strongly-connected-components algorithm. The zero-row-sum and
-symmetry rules live here too (:func:`check_zero_row_sums`,
-:func:`is_symmetric`), one each, for every caller.
+by Tarjan's strongly-connected-components algorithm. Each array rule is one
+function here, for every caller: :func:`finite_array`, :func:`positive_vector`,
+``_as_square``, :func:`check_zero_row_sums` and :func:`is_symmetric`.
 
 Functions accept plain arrays or anything with an ``entries`` attribute
 (e.g. :class:`pinnet.model.CouplingMatrix`).
@@ -34,12 +34,46 @@ class ReducibilityError(ValueError):
         self.condensation = condensation
 
 
+def finite_array(value, where: str) -> np.ndarray:
+    """``value`` as a new float array; a ``ValueError`` names ``where`` when it
+    holds anything but numbers (strings and booleans included), is ragged, or
+    has a non-finite entry (named 1-based, like node indices)."""
+    try:
+        arr = np.asarray(value)
+    except ValueError as err:
+        raise ValueError(f"{where} must be a regular array of numbers: {err}") from err
+    numeric = arr.dtype.kind in "iuf"
+    if numeric and not isinstance(value, np.ndarray):
+        # numpy reads a bool among numbers as 0 or 1, so look at the elements
+        numeric = not {bool, np.bool_} & set(map(type, np.asarray(value, dtype=object).ravel()))
+    if not numeric:
+        raise ValueError(f"{where} must hold numbers only, got {value!r}")
+    arr = arr.astype(float)
+    bad = np.argwhere(~np.isfinite(arr))
+    if bad.size:
+        entry = ",".join(str(i + 1) for i in bad[0])
+        raise ValueError(f"{where} entry ({entry}) is not finite: {float(arr[tuple(bad[0])])}")
+    return arr
+
+
+def positive_vector(value, where: str, n: int) -> np.ndarray:
+    """:func:`finite_array` of shape ``(n,)`` whose entries are all > 0; a
+    ``ValueError`` names ``where`` and the first entry that is not (1-based)."""
+    arr = finite_array(value, where)
+    if arr.shape != (n,):
+        raise ValueError(f"{where} must have shape ({n},), got {arr.shape}")
+    if not np.all(arr > 0.0):
+        i = int(np.argmin(arr > 0.0))
+        raise ValueError(f"{where} entry ({i + 1}) must be > 0, got {arr[i]:g}")
+    return arr
+
+
 def _as_square(a, name: str = "matrix") -> np.ndarray:
-    arr = np.asarray(getattr(a, "entries", a), dtype=float)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
-        raise ValueError(f"{name} must be square and nonempty, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} has non-finite entries")
+    arr = finite_array(getattr(a, "entries", a), name)
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        raise ValueError(f"{name} must be square, got shape {arr.shape}")
+    if arr.shape[0] == 0:
+        raise ValueError(f"{name} must have at least one row")
     return arr
 
 
@@ -214,10 +248,6 @@ def symmetrize_weighted(a_tilde, xi) -> np.ndarray:
     condition; its row sums then vanish because xi^T A = 0.
     """
     arr = _as_square(a_tilde)
-    w = np.asarray(xi, dtype=float)
-    if w.shape != (arr.shape[0],):
-        raise ValueError(f"xi must have shape ({arr.shape[0]},), got {w.shape}")
-    if np.any(w <= 0.0) or not np.all(np.isfinite(w)):
-        raise ValueError("xi must be strictly positive and finite")
+    w = positive_vector(xi, "xi", arr.shape[0])
     weighted = w[:, None] * arr  # diag(xi) @ A; A.T @ diag(xi) is its transpose
     return (weighted + weighted.T) / 2.0

@@ -13,7 +13,9 @@ parameters); coupling may pass through a componentwise monotone map. A
 built-in field declares its linear pieces on ``Dynamics.affine``, the one
 place the simulator and the closed-form conditions read its Jacobians.
 State layout is an ``(m, n)`` array, one row per node. Node indices are
-1-based in all public interfaces.
+1-based in all public interfaces. Each value rule is one function here, for
+every caller: :func:`finite_number`, :func:`positive_number`,
+:func:`whole_number`, :func:`node_index` and ``_registered`` (a kind).
 
 The simulated state stacks the m node rows over the reference row,
 ``y = [x; s]`` of shape ``(m + 1, n)``. Coupling and controller are both
@@ -33,7 +35,7 @@ from typing import Callable, Mapping, Optional
 
 import numpy as np
 
-from .linalg import check_zero_row_sums, is_symmetric
+from .linalg import _as_square, check_zero_row_sums, is_symmetric
 
 CHUA_K = 9.0
 CHUA_L = 100.0 / 7.0
@@ -65,27 +67,15 @@ def validate_coupling(entries) -> CouplingMatrix:
     """Check zero row sums and nonnegative off-diagonals; wrap the array.
 
     Raises :class:`CouplingError` naming the offending row or entry (1-based)
-    on the first violation found. Row sums and symmetry are judged by the
-    rules of :func:`pinnet.linalg.check_zero_row_sums` and
-    :func:`pinnet.linalg.is_symmetric`.
+    on the first violation found. Entries, shape, row sums and symmetry are
+    judged by the rules of :mod:`pinnet.linalg`.
     """
-    a = np.array(entries, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise CouplingError(f"coupling matrix must be square, got shape {a.shape}")
-    if a.shape[0] == 0:
-        raise CouplingError("coupling matrix must have at least one node")
-    if not np.all(np.isfinite(a)):
-        i, j = map(int, np.argwhere(~np.isfinite(a))[0])
-        raise CouplingError(f"entry ({i + 1},{j + 1}) is not finite")
-    off = a.copy()
-    np.fill_diagonal(off, 0.0)
-    neg = np.argwhere(off < 0.0)
-    if neg.size:
-        i, j = map(int, neg[0])
-        raise CouplingError(
-            f"off-diagonal entry ({i + 1},{j + 1}) is negative: {a[i, j]!r}"
-        )
     try:
+        a = _as_square(entries, "coupling matrix")
+        neg = np.argwhere((a < 0.0) & ~np.eye(len(a), dtype=bool))
+        if neg.size:
+            i, j = map(int, neg[0])
+            raise ValueError(f"off-diagonal entry ({i + 1},{j + 1}) is negative: {a[i, j]!r}")
         check_zero_row_sums(a)
     except ValueError as err:
         raise CouplingError(str(err)) from None
@@ -107,6 +97,14 @@ def finite_number(value, where: str) -> float:
     return number
 
 
+def positive_number(value, where: str) -> float:
+    """:func:`finite_number` that is > 0; a ``ValueError`` names ``where``."""
+    number = finite_number(value, where)
+    if not number > 0:
+        raise ValueError(f"{where} must be > 0, got {value}")
+    return number
+
+
 def whole_number(value, where: str, minimum: int) -> int:
     """``value`` as an int; a ``ValueError`` names ``where`` unless it is a
     whole number >= ``minimum`` (a bool is not; a whole float such as
@@ -119,6 +117,16 @@ def whole_number(value, where: str, minimum: int) -> int:
     if not ok or whole < minimum:
         raise ValueError(f"{where} must be a whole number >= {minimum}, got {value!r}")
     return whole
+
+
+def node_index(value, where: str, m: Optional[int] = None) -> int:
+    """``value`` as a 1-based node index, an integer (not a bool) >= 1 and <= ``m``
+    if given; a ``ValueError`` names ``where``, a :class:`CouplingError` past m."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"{where} must be an integer >= 1 (1-based), got {value!r}")
+    if m is not None and value > m:
+        raise CouplingError(f"{where} {value} exceeds node count {m}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -136,14 +144,11 @@ class PinPlan:
     c: float
 
     def __post_init__(self):
-        node = self.pin_node
-        if isinstance(node, bool) or not isinstance(node, numbers.Integral) or node < 1:
-            raise ValueError(f"pin_node must be an integer >= 1 (1-based), got {node!r}")
+        node = node_index(self.pin_node, "pin_node")
         if finite_number(self.epsilon, "feedback gain epsilon") < 0:
             raise ValueError(f"feedback gain epsilon must be >= 0, got {self.epsilon}")
-        if finite_number(self.c, "coupling strength c") <= 0:
-            raise ValueError(f"coupling strength c must be > 0, got {self.c}")
-        object.__setattr__(self, "pin_node", int(node))
+        positive_number(self.c, "coupling strength c")
+        object.__setattr__(self, "pin_node", node)
 
 
 #: No controller (gain 0) at unit strength: the plan of a system that names none.
@@ -157,11 +162,8 @@ def pinned_matrix(a, pin: PinPlan) -> np.ndarray:
     by ``pin.epsilon``, so the pinned row sums to ``-epsilon`` and every other
     row still sums to zero.
     """
-    arr = np.asarray(getattr(a, "entries", a), dtype=float)
-    m = arr.shape[0]
-    if not 1 <= pin.pin_node <= m:
-        raise CouplingError(f"pin_node {pin.pin_node} out of range 1..{m}")
-    out = arr.copy()
+    out = _as_square(a, "coupling matrix")
+    node_index(pin.pin_node, "pin_node", len(out))
     i = pin.pin_node - 1
     out[i, i] = out[i, i] - pin.epsilon
     return out
@@ -317,20 +319,27 @@ def register_dynamics(kind: str, builder: Callable[[int, Mapping], FieldFn]) -> 
     _DYNAMICS_BUILDERS[kind] = lambda dim, params: (builder(dim, params), None)
 
 
-def make_dynamics(kind: str, dim: Optional[int] = None, params: Optional[Mapping] = None) -> Dynamics:
-    """Resolve a registered vector field into a ready-to-call :class:`Dynamics`."""
+def _registered(registry: Mapping, kind, what: str):
+    """The entry of ``registry`` under ``kind``; a ``ValueError`` says why
+    there is none: ``kind`` is not a string, or unknown (with the known)."""
     if not isinstance(kind, str):
         raise ValueError(f"kind must be a string, got {kind!r}")
-    if kind not in _DYNAMICS_BUILDERS:
-        known = ", ".join(sorted(_DYNAMICS_BUILDERS))
-        raise ValueError(f"unknown dynamics kind {kind!r} (known: {known})")
+    if kind not in registry:
+        known = ", ".join(sorted(registry))
+        raise ValueError(f"unknown {what} kind {kind!r} (known: {known})")
+    return registry[kind]
+
+
+def make_dynamics(kind: str, dim: Optional[int] = None, params: Optional[Mapping] = None) -> Dynamics:
+    """Resolve a registered vector field into a ready-to-call :class:`Dynamics`."""
+    build = _registered(_DYNAMICS_BUILDERS, kind, "dynamics")
     if dim is None:
         if kind != "chua":
             raise ValueError(f"dynamics kind {kind!r} needs an explicit dim")
         dim = 3
     dim = whole_number(dim, "dim", 1)
     params = dict(params or {})
-    fn, affine = _DYNAMICS_BUILDERS[kind](dim, params)
+    fn, affine = build(dim, params)
     return Dynamics(kind=kind, dim=dim, params=params, field_fn=fn, affine=affine)
 
 
@@ -372,15 +381,8 @@ _COUPLING_FUNCTIONS: dict[str, tuple[Callable, float]] = {
 def make_coupling_function(kind: str = "identity", alpha_lower: Optional[float] = None) -> CouplingFunction:
     """Registered map ``kind`` with slope bound ``alpha_lower``, which defaults
     to the registered certified bound and may lower it but never exceed it."""
-    if not isinstance(kind, str):
-        raise ValueError(f"kind must be a string, got {kind!r}")
-    if kind not in _COUPLING_FUNCTIONS:
-        known = ", ".join(sorted(_COUPLING_FUNCTIONS))
-        raise ValueError(f"unknown coupling function kind {kind!r} (known: {known})")
-    fn, bound = _COUPLING_FUNCTIONS[kind]
-    alpha = bound if alpha_lower is None else finite_number(alpha_lower, "alpha_lower")
-    if not alpha > 0:
-        raise ValueError(f"alpha_lower must be > 0, got {alpha}")
+    fn, bound = _registered(_COUPLING_FUNCTIONS, kind, "coupling function")
+    alpha = bound if alpha_lower is None else positive_number(alpha_lower, "alpha_lower")
     if alpha > bound:
         raise ValueError(
             f"alpha_lower {alpha:g} exceeds the certified slope bound {bound:g} of {kind!r}"
@@ -409,10 +411,7 @@ class NetworkSystem:
     def __post_init__(self):
         if self.pin is None:
             object.__setattr__(self, "pin", UNCONTROLLED)
-        if self.pin.pin_node > self.coupling.m:
-            raise CouplingError(
-                f"pin_node {self.pin.pin_node} exceeds node count {self.coupling.m}"
-            )
+        node_index(self.pin.pin_node, "pin_node", self.coupling.m)
 
 
 def network_operator(sys: NetworkSystem) -> np.ndarray:

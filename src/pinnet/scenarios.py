@@ -26,6 +26,8 @@ Every scenario dict is in the canonical field layout produced by
 
 from __future__ import annotations
 
+from .model import CHUA_K, CHUA_L
+
 COUPLING_MATRICES: dict[str, list[list[float]]] = {
     "sym-3node": [
         [-5.1, 5.0, 0.1],
@@ -65,7 +67,7 @@ def _experiment(
     return {
         "name": name,
         "coupling": coupling,
-        "dynamics": {"kind": "chua", "params": {"k": 9.0, "l": 100.0 / 7.0}},
+        "dynamics": {"kind": "chua", "params": {"k": CHUA_K, "l": CHUA_L}},
         "coupling_function": {"kind": kind, "alpha_lower": alpha_lower},
         "pin": {"node": 1, "epsilon": epsilon, "c": c},
         "certificate": {"P": [1.0, 1.0, 1.0], "Delta": [10.0, 10.0, 10.0], "eta": 0.6218},

@@ -95,6 +95,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .conditions import QuadCertificate
+from .linalg import finite_array, positive_vector
 from .model import NetworkSystem, PiecewiseAffine, make_network_rhs, network_operator
 
 DIVERGENCE_NORM = 1e9
@@ -156,14 +157,12 @@ def grid_steps(dt: float, t_max: float) -> int:
 def _stacked_state(sys: NetworkSystem, x0, s0, label: str) -> np.ndarray:
     """Validate one member's initial data and stack it as ``[x0; s0]``."""
     m, n = sys.coupling.m, sys.dynamics.dim
-    x0 = np.asarray(x0, dtype=float)
-    s0 = np.asarray(s0, dtype=float)
+    x0 = finite_array(x0, f"{label}x0")
+    s0 = finite_array(s0, f"{label}s0")
     if x0.shape != (m, n):
         raise ValueError(f"{label}x0 must have shape ({m}, {n}), got {x0.shape}")
     if s0.shape != (n,):
         raise ValueError(f"{label}s0 must have shape ({n},), got {s0.shape}")
-    if not (np.all(np.isfinite(x0)) and np.all(np.isfinite(s0))):
-        raise ValueError(f"{label}initial data must be finite")
     return np.vstack([x0, s0[None, :]])
 
 
@@ -522,17 +521,14 @@ def metrics(traj: Trajectory, weights=None, p=None) -> MetricSeries:
 
     ``weights`` default to 1 per node (pass the left Perron vector for
     asymmetric coupling); ``p`` is the diagonal of P, default identity.
-    Node norms are Euclidean.
+    Both are positive vectors (:func:`pinnet.linalg.positive_vector`), so V
+    is positive definite in the errors. Node norms are Euclidean.
     """
     x = traj.states
     s = traj.reference
     m, n = x.shape[1], x.shape[2]
-    w = np.ones(m) if weights is None else np.asarray(weights, dtype=float)
-    pd = np.ones(n) if p is None else np.asarray(p, dtype=float)
-    if w.shape != (m,):
-        raise ValueError(f"weights must have shape ({m},), got {w.shape}")
-    if pd.shape != (n,):
-        raise ValueError(f"p must have shape ({n},), got {pd.shape}")
+    w = np.ones(m) if weights is None else positive_vector(weights, "weights", m)
+    pd = np.ones(n) if p is None else positive_vector(p, "p", n)
 
     xbar = x.mean(axis=1)
     sync_dev = np.linalg.norm(x - xbar[:, None, :], axis=2).sum(axis=1)

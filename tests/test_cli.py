@@ -472,7 +472,7 @@ class TestCheckScenario:
 
     def test_negative_quad_samples_is_an_error(self):
         cfg = parse_scenario("fig4-sym-pinned")
-        with pytest.raises(ScenarioError, match="quad_samples must be >= 0"):
+        with pytest.raises(ScenarioError, match="quad_samples must be a whole number >= 0"):
             check_scenario(cfg, quad_samples=-5)
         assert check_scenario(cfg, quad_samples=0).quad_sampled is None
 
@@ -1059,6 +1059,15 @@ class TestMainExitCodes:
             argv = ["run", "fig4-sym-pinned", "--tmax", "1", *sweep, "--out", str(out)]
             assert main(argv) == 1
             assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("sweep", [[], ["--sweep", "c=6:14:3"]], ids=["run", "sweep"])
+    def test_failed_run_leaves_no_output_directory(self, tmp_path, capsys, sweep):
+        # 10^15 steps: numpy refuses the trajectory buffer before touching memory
+        out = tmp_path / "X"
+        argv = ["run", "fig4-sym-pinned", "--tmax", "1e12", *sweep, "--out", str(out)]
+        assert main(argv) == 1
+        assert "cannot be allocated" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_run_divergence_exit_code(self, tmp_path):
         data = {

@@ -91,7 +91,7 @@ class TestQuadCertificateType:
         assert not cert.p.flags.writeable
 
     def test_rejects_nonpositive_p(self):
-        with pytest.raises(ValueError, match="p_k"):
+        with pytest.raises(ValueError, match=r"^p entry \(2\) must be > 0, got 0$"):
             QuadCertificate(p=[1.0, 0.0], delta=[0.0, 0.0], eta=0.5)
 
     def test_rejects_nonpositive_eta(self):
