@@ -47,7 +47,6 @@ from .model import (
     Dynamics,
     NetworkSystem,
     PinPlan,
-    finite_number,
     make_coupling_function,
     make_dynamics,
     pinned_matrix,
@@ -146,8 +145,8 @@ def _named(where: str, build, *args, **kwargs):
 def parse_scenario(source) -> ScenarioConfig:
     """Load and validate a scenario from a dict, a built-in id, or a file path.
 
-    Every validation error names the offending field; node indices are
-    1-based throughout.
+    Each value is checked once; an error names its field, or the object that
+    keeps it and its argument. Node indices are 1-based throughout.
     """
     if isinstance(source, dict):
         data = source
@@ -175,8 +174,6 @@ def parse_scenario(source) -> ScenarioConfig:
     )
 
     name = data["name"]
-    if not isinstance(name, str) or not name:
-        raise ScenarioError("scenario field 'name' must be a nonempty string")
     # the default and sweep output names derive from it
     _check_file_name(name, "name")
 
@@ -201,9 +198,6 @@ def parse_scenario(source) -> ScenarioConfig:
             )
         coupling_id = coupling_spec
         coupling_spec = COUPLING_MATRICES[coupling_spec]
-    else:
-        # numbers only, as for initial_states: no numeric strings or booleans
-        coupling_spec = _named("coupling", finite_array, coupling_spec, "matrix")
     coupling = _named("coupling", validate_coupling, coupling_spec)
     m = coupling.m
 
@@ -220,37 +214,28 @@ def parse_scenario(source) -> ScenarioConfig:
         ("kind",),
         ("alpha_lower",),
     )
-    alpha_lower = gfun_spec.get("alpha_lower")
-    if alpha_lower is not None:
-        alpha_lower = _field(finite_number, alpha_lower, "coupling_function.alpha_lower")
     gfun = _named(
-        "coupling_function", make_coupling_function, gfun_spec["kind"], alpha_lower=alpha_lower
+        "coupling_function", make_coupling_function, gfun_spec["kind"], gfun_spec.get("alpha_lower")
     )
 
     pin = UNCONTROLLED
     if data.get("pin") is not None:
         pin_spec = _object(data["pin"], "pin", ("node", "epsilon", "c"))
-        epsilon = _field(finite_number, pin_spec["epsilon"], "pin.epsilon")
-        c = _field(finite_number, pin_spec["c"], "pin.c")
         # PinPlan owns the node's type and 1-based rule, NetworkSystem its range
-        pin = _named("pin", PinPlan, pin_spec["node"], epsilon, c)
+        pin = _named("pin", PinPlan, pin_spec["node"], pin_spec["epsilon"], pin_spec["c"])
         _named("pin", NetworkSystem, coupling, dynamics, gfun, pin)
 
     certificate = None
     if data.get("certificate") is not None:
         cert_spec = _object(data["certificate"], "certificate", ("P", "Delta", "eta"))
-        p = _field(finite_array, cert_spec["P"], "certificate.P")
-        delta = _field(finite_array, cert_spec["Delta"], "certificate.Delta")
-        if p.shape != (n,) or delta.shape != (n,):
-            raise ScenarioError(
-                f"certificate.P and certificate.Delta must be length-{n} lists"
-            )
-        eta = _field(finite_number, cert_spec["eta"], "certificate.eta")
-        certificate = _named("certificate", QuadCertificate, p, delta, eta)
+        certificate = _named(
+            "certificate", QuadCertificate, cert_spec["P"], cert_spec["Delta"], cert_spec["eta"]
+        )
+        if certificate.p.shape != (n,):
+            raise ScenarioError(f"certificate.P and certificate.Delta must be length-{n} lists")
 
     integration = _object(data["integration"], "integration", ("dt", "t_max"))
-    dt = _field(finite_number, integration["dt"], "integration.dt")
-    t_max = _field(finite_number, integration["t_max"], "integration.t_max")
+    dt, t_max = integration["dt"], integration["t_max"]
     _named("integration", grid_steps, dt, t_max)
 
     outputs = data.get("outputs")
@@ -272,8 +257,8 @@ def parse_scenario(source) -> ScenarioConfig:
         certificate=certificate,
         initial_states=initial_states,
         reference_initial=reference_initial,
-        dt=dt,
-        t_max=t_max,
+        dt=float(dt),
+        t_max=float(t_max),
         outputs=dict(outputs),
     )
 
@@ -570,8 +555,7 @@ def _summary_fit(series: MetricSeries, t_max: float):
     end = min(_SUMMARY_FIT_HORIZON, t_max)
     dead = np.nonzero((series.pin_ratio <= 0.0) & (series.times <= end))[0]
     if dead.size:
-        if dead[0] < 2:
-            return None, None
+        # dead[0] >= 1, as the ratio starts at 1; at 1, decay_rate_fit rejects [0, 0]
         end = float(series.times[dead[0] - 1])
     try:
         return decay_rate_fit(series, (0.0, end)), (0.0, end)
@@ -725,8 +709,8 @@ def parse_sweep(spec: str) -> np.ndarray:
 def run_sweep(cfg: ScenarioConfig, spec: str, out_dir) -> int:
     """Run the scenario at each sweep value of c: the same outputs per point
     as :func:`run_scenario`, plus a ``<name>_sweep.csv`` table of margins and
-    final pin ratios. Every point is checked, then all are integrated as one
-    batch (:func:`pinnet.simulate.integrate_batch`)."""
+    final pin ratios. Every point is checked, then all are integrated by one
+    :func:`pinnet.simulate.integrate_batch` call."""
     values = parse_sweep(spec)
     out = Path(out_dir)
     points = [

@@ -68,7 +68,7 @@ class QuadCertificate:
         (x - y)^T P (f(x) - Delta x - f(y) + Delta y) <= -eta ||x - y||^2.
 
     ``p`` and ``delta`` are the diagonals (length n), by the one diagonal
-    rule; eta is a :func:`pinnet.model.positive_number`.
+    rule; eta is a :func:`pinnet.model.positive_number`, stored as ``float``.
     """
 
     p: np.ndarray
@@ -80,7 +80,7 @@ class QuadCertificate:
         for name, diagonal in zip(("p", "delta"), _check_diagonals(self.p, self.delta)):
             diagonal.setflags(write=False)
             object.__setattr__(self, name, diagonal)
-        positive_number(self.eta, "eta")
+        object.__setattr__(self, "eta", positive_number(self.eta, "eta"))
 
 
 @dataclass(frozen=True)
@@ -225,12 +225,12 @@ _QUAD_BLOCK = 8192
 
 
 def _quad_box(box, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-dimension ``(lo, hi)`` of a sampling box, rejected unless every
-    width squares to a normal float and the squares sum to a finite one."""
+    """Per-dimension ``(lo, hi)`` of a sampling box of finite arrays, rejected
+    unless every width squares to a normal float and the squares sum to a finite one."""
     lo, hi = box
-    lo = np.broadcast_to(np.asarray(lo, dtype=float), (n,)).copy()
-    hi = np.broadcast_to(np.asarray(hi, dtype=float), (n,)).copy()
-    if not np.all(hi > lo) or not np.all(np.isfinite(lo) & np.isfinite(hi)):
+    lo = np.broadcast_to(finite_array(lo, "box lo"), (n,)).copy()
+    hi = np.broadcast_to(finite_array(hi, "box hi"), (n,)).copy()
+    if not np.all(hi > lo):
         raise ValueError(f"degenerate sampling box: lo={lo}, hi={hi}")
     with np.errstate(over="ignore", under="ignore"):
         width2 = (hi - lo) ** 2

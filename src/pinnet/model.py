@@ -136,7 +136,7 @@ class PinPlan:
     ``epsilon == 0`` switches the controller off while keeping the coupling
     strength ``c``; that is how the uncontrolled baselines are expressed. The
     stability theorems themselves require ``epsilon > 0``. ``pin_node`` is an
-    integer, not a bool, stored as ``int``; ``epsilon`` and ``c`` are numbers.
+    integer, not a bool, stored as ``int``; ``epsilon`` and ``c`` as ``float``.
     """
 
     pin_node: int
@@ -144,11 +144,11 @@ class PinPlan:
     c: float
 
     def __post_init__(self):
-        node = node_index(self.pin_node, "pin_node")
-        if finite_number(self.epsilon, "feedback gain epsilon") < 0:
+        object.__setattr__(self, "pin_node", node_index(self.pin_node, "pin_node"))
+        object.__setattr__(self, "epsilon", finite_number(self.epsilon, "feedback gain epsilon"))
+        if self.epsilon < 0:
             raise ValueError(f"feedback gain epsilon must be >= 0, got {self.epsilon}")
-        positive_number(self.c, "coupling strength c")
-        object.__setattr__(self, "pin_node", node)
+        object.__setattr__(self, "c", positive_number(self.c, "coupling strength c"))
 
 
 #: No controller (gain 0) at unit strength: the plan of a system that names none.

@@ -96,7 +96,14 @@ import numpy as np
 
 from .conditions import QuadCertificate
 from .linalg import finite_array, positive_vector
-from .model import NetworkSystem, PiecewiseAffine, make_network_rhs, network_operator
+from .model import (
+    NetworkSystem,
+    PiecewiseAffine,
+    finite_number,
+    make_network_rhs,
+    network_operator,
+    positive_number,
+)
 
 DIVERGENCE_NORM = 1e9
 _GUARD2 = DIVERGENCE_NORM * DIVERGENCE_NORM
@@ -137,13 +144,12 @@ class Trajectory:
 def grid_steps(dt: float, t_max: float) -> int:
     """Number of steps of size ``dt`` that end exactly at ``t_max``.
 
-    Raises ``ValueError`` unless ``dt`` is positive, ``t_max >= dt``, and
-    ``dt`` divides ``t_max`` within a relative ``GRID_RTOL``; the horizon is
-    never silently shortened or stretched.
+    Raises ``ValueError`` unless ``dt`` is a positive number, ``t_max`` a
+    finite one at least ``dt``, and ``dt`` divides ``t_max`` within a relative
+    ``GRID_RTOL``; the horizon is never silently shortened or stretched.
     """
-    if not (dt > 0.0 and np.isfinite(dt)):
-        raise ValueError(f"dt must be positive, got {dt}")
-    if not (np.isfinite(t_max) and t_max >= dt):
+    dt, t_max = positive_number(dt, "dt"), finite_number(t_max, "t_max")
+    if not t_max >= dt:
         raise ValueError(f"t_max={t_max} must be at least dt={dt}")
     steps = int(round(t_max / dt))
     if abs(steps * dt - t_max) > GRID_RTOL * t_max:
@@ -323,9 +329,9 @@ def integrate_batch(
             f"need one x0 and one s0 per system: {len(systems)} systems, "
             f"{len(x0s)} x0s, {len(s0s)} s0s"
         )
+    steps = grid_steps(dt, t_max)
     # the batch's right-hand side also checks that the systems match
     step = _rk4_stepper(systems, dt)
-    steps = grid_steps(dt, t_max)
     y = np.stack(
         [
             _stacked_state(sys, x0, s0, f"member {k + 1}: ")

@@ -25,8 +25,31 @@ from pinnet import (
     serialize_scenario,
     theorem3_check,
 )
-from pinnet.cli import main, parse_sweep, run_sweep, write_metrics_csv, write_trajectory_csv
+from pinnet.cli import (
+    _summary_fit,
+    main,
+    parse_sweep,
+    run_sweep,
+    write_metrics_csv,
+    write_trajectory_csv,
+)
 from pinnet.simulate import MetricSeries, Trajectory
+
+
+# a scenario field, the argument its constructor names, a value that is not
+# a number and one that is out of range or not finite
+_FIELD_RULES = [
+    ("pin.epsilon", "feedback gain epsilon", "x", -1.0),
+    ("pin.c", "coupling strength c", "x", 0.0),
+    ("certificate.P", "p", [1.0, "1", 1.0], [1.0, 0.0, 1.0]),
+    ("certificate.Delta", "delta", [10.0, True, 10.0], [10.0, float("inf"), 10.0]),
+    ("certificate.eta", "eta", "0.5", 0.0),
+    ("coupling_function.alpha_lower", "alpha_lower", [0.5], -0.5),
+    ("integration.dt", "dt", "0.01", 0.0),
+    ("integration.t_max", "t_max", None, float("inf")),
+    ("coupling", "coupling matrix", [["-1", "1"], ["1", "-1"]],
+     [[-1.0, 1.0], [1.0, float("nan")]]),
+]
 
 
 class TestParseScenario:
@@ -94,7 +117,8 @@ class TestParseScenario:
     def test_certificate_length_checked(self):
         data = copy.deepcopy(BUILTIN_SCENARIOS["fig4-sym-pinned"])
         data["certificate"]["P"] = [1.0, 1.0]
-        with pytest.raises(ScenarioError, match="length-3"):
+        message = r"^certificate: p must have shape \(3,\), got \(2,\)$"
+        with pytest.raises(ScenarioError, match=message):
             parse_scenario(data)
 
     def test_bad_integration(self):
@@ -134,7 +158,8 @@ class TestParseScenario:
     def test_non_finite_certificate_names_its_field(self):
         data = copy.deepcopy(BUILTIN_SCENARIOS["fig4-sym-pinned"])
         data["certificate"]["Delta"] = [10.0, float("nan"), 10.0]
-        with pytest.raises(ScenarioError, match=r"certificate.Delta entry \(2\)"):
+        message = r"^certificate: delta entry \(2\) is not finite: nan$"
+        with pytest.raises(ScenarioError, match=message):
             parse_scenario(data)
 
     @pytest.mark.parametrize(
@@ -292,12 +317,31 @@ class TestParseScenario:
     def test_inline_coupling_holds_numbers_only(self, matrix):
         data = copy.deepcopy(BUILTIN_SCENARIOS["fig4-sym-pinned"])
         data["coupling"] = matrix
-        with pytest.raises(ScenarioError, match=r"^coupling: matrix must hold numbers only"):
+        message = r"^coupling: coupling matrix must hold numbers only"
+        with pytest.raises(ScenarioError, match=message):
             parse_scenario(data)
         data["coupling"] = [[-1, 1, 0], [1, -1, 0], [0, 0, 0]]
         np.testing.assert_array_equal(
             parse_scenario(data).coupling.entries, [[-1, 1, 0], [1, -1, 0], [0, 0, 0]]
         )
+
+    @pytest.mark.parametrize(
+        "field, argument, not_number, out_of_range",
+        _FIELD_RULES,
+        ids=[row[0] for row in _FIELD_RULES],
+    )
+    def test_one_wording_per_field(self, field, argument, not_number, out_of_range):
+        # the constructor that keeps the value checks it, under the object's name
+        *parents, key = field.split(".")
+        prefix = f"{parents[0] if parents else field}: "
+        for value in (not_number, out_of_range):
+            data = copy.deepcopy(BUILTIN_SCENARIOS["fig4-sym-pinned"])
+            target = data
+            for name in parents:
+                target = target[name]
+            target[key] = value
+            with pytest.raises(ScenarioError, match=f"^{re.escape(prefix + argument)} "):
+                parse_scenario(data)
 
     @pytest.mark.parametrize("field", ["dynamics", "coupling_function"])
     def test_kind_must_be_a_string(self, field):
@@ -334,6 +378,20 @@ class TestRoundTrip:
             for ident in containers(data):
                 assert ident not in seen, f"{name} shares a list or dict with {seen[ident]}"
                 seen[ident] = name
+
+    def test_integer_numbers_are_written_as_floats(self, tmp_path, capsys):
+        # the constructors store the floats their rules return
+        printed = []
+        for one in (1, 1.0):
+            data = copy.deepcopy(BUILTIN_SCENARIOS["fig4-sym-pinned"])
+            data["pin"].update(epsilon=5 * one, c=10 * one)
+            data["certificate"]["eta"] = one
+            data["integration"] = {"dt": one, "t_max": 20 * one}
+            path = tmp_path / "scenario.json"
+            path.write_text(json.dumps(data))
+            assert main(["run", str(path), "--dry-run"]) == 0
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1]
 
     def test_inline_matrix_roundtrip(self):
         data = copy.deepcopy(BUILTIN_SCENARIOS["fig4-sym-pinned"])
@@ -485,7 +543,8 @@ class TestCheckScenario:
         with pytest.raises(ScenarioError, match="coupling_function: alpha_lower 5 exceeds"):
             parse_scenario(data)
         data["coupling_function"]["alpha_lower"] = "5"
-        with pytest.raises(ScenarioError, match="coupling_function.alpha_lower"):
+        message = r"^coupling_function: alpha_lower must be a number, got '5'$"
+        with pytest.raises(ScenarioError, match=message):
             parse_scenario(data)
 
     def test_identity_alpha_lower_enters_the_margin(self):
@@ -757,6 +816,20 @@ class TestRunScenario:
         ]
         assert (tmp_path / "m.csv").read_text() == "\n".join(expected) + "\n"
 
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    def test_summary_fit_ends_before_the_first_zero_pin_ratio(self, k):
+        # the ratio starts at 1: a zero at sample 1 leaves a one-sample window,
+        # which gives no fit; a first zero at sample k >= 2 ends it at t_(k-1)
+        times = np.arange(8) * 0.5
+        ratio = np.exp(-0.5 * times)
+        ratio[k:] = 0.0
+        series = MetricSeries(times=times, sync_ratio=None, pin_ratio=ratio, lyapunov=ratio)
+        rate, window = _summary_fit(series, 3.5)
+        if k == 1:
+            assert (rate, window) == (None, None)
+        else:
+            assert window == (0.0, times[k - 1]) and rate == pytest.approx(-0.5)
+
     def test_require_conditions_blocks_uncontrolled(self, tmp_path):
         out = tmp_path / "blocked"
         result = run_scenario(
@@ -937,11 +1010,14 @@ class TestMainExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "field",
-        ["pin.epsilon", "pin.c", "integration.dt", "integration.t_max", "certificate.eta",
-         "dynamics.params.k"],
+        "field, named",
+        [("pin.epsilon", "pin: feedback gain epsilon"), ("pin.c", "pin: coupling strength c"),
+         ("integration.dt", "integration: dt"), ("integration.t_max", "integration: t_max"),
+         ("certificate.eta", "certificate: eta"), ("dynamics.params.k", "dynamics.params.k")],
+        ids=["pin.epsilon", "pin.c", "integration.dt", "integration.t_max", "certificate.eta",
+             "dynamics.params.k"],
     )
-    def test_huge_numbers_exit_with_a_named_field(self, tmp_path, capsys, field):
+    def test_huge_numbers_exit_with_a_named_field(self, tmp_path, capsys, field, named):
         data = copy.deepcopy(BUILTIN_SCENARIOS["fig4-sym-pinned"])
         *parents, key = field.split(".")
         target = data
@@ -951,7 +1027,7 @@ class TestMainExitCodes:
         path = tmp_path / "huge.json"
         path.write_text(json.dumps(data))
         assert main(["check", str(path)]) == 1
-        assert f"{field} is too large for a float" in capsys.readouterr().err
+        assert f"{named} is too large for a float" in capsys.readouterr().err
 
     def test_dry_run_prints_config(self, capsys):
         assert main(["run", "fig5-asym-pinned", "--dry-run"]) == 0

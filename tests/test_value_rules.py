@@ -23,12 +23,14 @@ from pinnet import (
     parse_scenario,
     pinned_matrix,
     proposition1_holds,
+    quad_check_sampled,
     random_coupling_matrix,
     reducible_pinnability,
     scc_condensation,
     theorem3_check,
     validate_coupling,
 )
+from pinnet.simulate import grid_steps
 
 INF, NAN = float("inf"), float("nan")
 CHUA = make_dynamics("chua")
@@ -155,3 +157,31 @@ def test_reducible_pinnability_takes_the_node_index_rule(node, message):
 def test_counts_and_seeds_are_whole_numbers(call, error, message):
     with pytest.raises(error, match=message):
         call()
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: grid_steps(True, 3), r"^dt must be a number, got True$"),
+        (lambda: grid_steps(0.1, "1"), r"^t_max must be a number, got '1'$"),
+        (lambda: integrate(_decay_pair(), [[1.0], [0.0]], [0.0], True, 3),
+         r"^dt must be a number, got True$"),
+        (lambda: quad_check_sampled(CHUA, CERT, ("-1", "1"), 10),
+         r"^box lo must hold numbers only"),
+        (lambda: quad_check_sampled(CHUA, CERT, (True, 2), 10),
+         r"^box lo must hold numbers only"),
+        (lambda: quad_check_sampled(CHUA, CERT, (-1.0, [1.0, INF, 1.0]), 10),
+         r"^box hi entry \(2\) is not finite: inf$"),
+    ],
+    ids=["grid-dt-boolean", "grid-t_max-string", "integrate-dt-boolean", "box-strings",
+         "box-boolean", "box-inf"],
+)
+def test_grid_and_box_take_the_number_rules(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_constructors_store_the_floats_their_rules_return():
+    pin = PinPlan(1, 5, 10)
+    cert = QuadCertificate(p=[1, 1, 1], delta=[10, 10, 10], eta=1)
+    assert [type(v) for v in (pin.epsilon, pin.c, cert.eta)] == [float, float, float]
