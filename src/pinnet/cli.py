@@ -23,6 +23,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import csvtext
 from .conditions import (
     QuadCertificate,
     SpectralReport,
@@ -489,24 +490,14 @@ class RunResult:
     summary_text: str = ""
 
 
-_TABLE_BLOCK = 2048
-
-
-def _row_blocks(table: np.ndarray):
-    """Consecutive row slices of ``table``, at most ``_TABLE_BLOCK`` rows each."""
-    return (table[i : i + _TABLE_BLOCK] for i in range(0, len(table), _TABLE_BLOCK))
-
-
-def _write_table(path, header: str, blocks, fmts) -> None:
-    """Write ``header`` and one comma-separated line per row of each 2-D
-    array in ``blocks``, column j formatted by the ``%`` spec ``fmts[j]``.
-    Each block is formatted by one ``%``, so the text held in memory is one
-    block's worth."""
-    line = ",".join(fmts) + "\n"
-    with open(path, "w") as f:
-        f.write(header + "\n")
+def _write_table(path, header: str, blocks) -> None:
+    """Write ``header`` and the lines of each ``(rows, cols, WIDTH)`` block of
+    :mod:`pinnet.csvtext` cells: every field is ``"%.17g" % value``, so 0.0
+    and 1.0 read ``0`` and ``1``, and every line ends in ``\\n``."""
+    with open(path, "wb") as f:
+        f.write(header.encode() + b"\n")
         for block in blocks:
-            f.write((line * len(block)) % tuple(block.ravel().tolist()))
+            f.write(csvtext.join(block))
 
 
 def write_metrics_csv(path, series: MetricSeries) -> None:
@@ -521,30 +512,34 @@ def write_metrics_csv(path, series: MetricSeries) -> None:
             series.lyapunov,
         ]
     )
-    header = "t,sync_ratio,pin_ratio,lyapunov"
-    _write_table(path, header, _row_blocks(table), ["%.17g"] * 4)
+    _write_table(path, "t,sync_ratio,pin_ratio,lyapunov", csvtext.blocks(table))
+
+
+def _trajectory_blocks(traj: Trajectory):
+    """Cells of the ``t, node, x1..xn`` rows, node 0 the reference, for runs
+    of samples whose times and states fill one formatting pass. Each time
+    and node number is formatted once and its cell copied to every row."""
+    samples, m, n = traj.states.shape
+    per_block = max(1, csvtext.CHUNK // ((m + 1) * n + 1))
+    nodes = csvtext.cells(np.arange(m + 1.0))
+    for start in range(0, samples, per_block):
+        rows = slice(start, start + per_block)
+        count = len(traj.times[rows])
+        values = [traj.times[rows], traj.reference[rows].ravel(), traj.states[rows].ravel()]
+        text = csvtext.cells(np.concatenate(values))
+        block = np.empty((count, m + 1, n + 2, csvtext.WIDTH), dtype=np.uint8)
+        block[:, :, 0] = text[:count, None]
+        block[:, :, 1] = nodes
+        block[:, 0, 2:] = text[count : count * (n + 1)].reshape(count, n, -1)
+        block[:, 1:, 2:] = text[count * (n + 1) :].reshape(count, m, n, -1)
+        yield block.reshape(count * (m + 1), n + 2, -1)
 
 
 def write_trajectory_csv(path, traj: Trajectory) -> None:
     """Long-form ``t,node,x1..xn`` rows; the reference is node 0."""
-    samples, m, n = traj.states.shape
-    per_block = max(1, _TABLE_BLOCK // (m + 1))
-    # ",node,%.17g,...,%.17g\n" per node: each sample's time is formatted once
-    # and joined in as text, so one % per block formats only the states
-    values = ",".join(["%.17g"] * n) + "\n"
-    node_rows = [f",{node}," + values for node in range(m + 1)]
+    n = traj.states.shape[2]
     header = "t,node," + ",".join(f"x{k + 1}" for k in range(n))
-    with open(path, "w") as f:
-        f.write(header + "\n")
-        # built per block of samples: a whole-run table would outgrow the run
-        for start in range(0, samples, per_block):
-            rows = slice(start, start + per_block)
-            stamps = ["%.17g" % t for t in traj.times[rows].tolist()]
-            table = np.empty((len(stamps), m + 1, n))
-            table[:, 0] = traj.reference[rows]
-            table[:, 1:] = traj.states[rows]
-            template = "".join([t + row for t in stamps for row in node_rows])
-            f.write(template % tuple(table.ravel().tolist()))
+    _write_table(path, header, _trajectory_blocks(traj))
 
 
 def _summary_fit(series: MetricSeries, t_max: float):
@@ -740,12 +735,7 @@ def run_sweep(cfg: ScenarioConfig, spec: str, out_dir) -> int:
             f"final_pin={rows[-1][3]:.6g} diverged={result.diverged}"
         )
     table = out / f"{cfg.name}_sweep.csv"
-    _write_table(
-        table,
-        "c,margin,holds,final_pin_ratio,diverged",
-        _row_blocks(np.array(rows, dtype=float)),
-        ["%.17g", "%.17g", "%d", "%.17g", "%d"],
-    )
+    _write_table(table, "c,margin,holds,final_pin_ratio,diverged", csvtext.blocks(rows))
     print(f"sweep table written to {table}")
     return 0
 
@@ -801,10 +791,6 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "check":
-            for flag, value in (("--quad-samples", args.quad_samples), ("--seed", args.seed)):
-                if value < 0:
-                    parser.error(f"argument {flag}: must be >= 0, got {value}")
     except SystemExit as err:
         if not err.code:  # --help
             raise

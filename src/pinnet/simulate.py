@@ -329,6 +329,8 @@ def integrate_batch(
             f"need one x0 and one s0 per system: {len(systems)} systems, "
             f"{len(x0s)} x0s, {len(s0s)} s0s"
         )
+    # times and steps from the float, so an int dt still gives float64 times
+    dt = positive_number(dt, "dt")
     steps = grid_steps(dt, t_max)
     # the batch's right-hand side also checks that the systems match
     step = _rk4_stepper(systems, dt)

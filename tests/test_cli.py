@@ -1075,13 +1075,13 @@ class TestMainExitCodes:
 
     def test_negative_quad_samples_rejected(self, capsys):
         assert main(["check", "fig4-sym-pinned", "--quad-samples", "-5"]) == 1
-        assert "argument --quad-samples: must be >= 0" in capsys.readouterr().err
+        assert "quad_samples must be a whole number >= 0, got -5" in capsys.readouterr().err
         assert main(["check", "fig4-sym-pinned", "--quad-samples", "0"]) == 0
         assert "QUAD" not in capsys.readouterr().out
 
     def test_negative_seed_rejected(self, capsys):
         assert main(["check", "fig4-sym-pinned", "--quad-samples", "10", "--seed", "-1"]) == 1
-        assert "argument --seed: must be >= 0" in capsys.readouterr().err
+        assert "seed must be a whole number >= 0, got -1" in capsys.readouterr().err
 
     def test_run_has_no_seed_flag(self, capsys):
         assert main(["run", "fig4-sym-pinned", "--seed", "1", "--dry-run"]) == 1

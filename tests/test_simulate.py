@@ -114,6 +114,17 @@ class TestIntegrate:
 
 
 class TestGrid:
+    @pytest.mark.parametrize("gfun", ["identity", "sine_blend"])
+    def test_integer_step_is_a_float_step(self, gfun):
+        # the affine path (identity) and the RK4 loop (sine_blend) both step
+        # on the float that dt is checked as
+        sys_ = _single_node(rate=0.1, gfun=gfun)
+        got = integrate(sys_, [[1.0]], [0.5], 1, 3)
+        want = integrate(sys_, [[1.0]], [0.5], 1.0, 3.0)
+        assert got.times.dtype == np.float64
+        np.testing.assert_array_equal(got.times, [0.0, 1.0, 2.0, 3.0])
+        _assert_same_runs([got], [want])
+
     def test_non_dividing_step_rejected(self):
         # 0.3 would stop at t = 0.9 instead of the requested 1.0
         with pytest.raises(ValueError, match=r"dt=0\.3 .*t_max=1\b"):
