@@ -39,7 +39,6 @@ from .conditions import (
 )
 from .linalg import (
     Condensation,
-    EigenDecomposition,
     ReducibilityError,
     SymmetryError,
     left_null_vector,

@@ -164,8 +164,8 @@ def parse_scenario(source) -> ScenarioConfig:
                     f"(built-ins: {known})"
                 )
             try:
-                data = json.loads(path.read_text())
-            except json.JSONDecodeError as err:
+                data = json.loads(path.read_text(encoding="utf-8"))
+            except (json.JSONDecodeError, UnicodeDecodeError) as err:
                 raise ScenarioError(f"{path}: invalid JSON: {err}") from err
     _object(
         data,
@@ -687,7 +687,10 @@ def parse_sweep(spec: str) -> np.ndarray:
         raise ScenarioError(f"bad sweep range {spec!r}: need finite 0 < a <= b and n >= 1")
     if count == 1 and hi != lo:
         raise ScenarioError(f"bad sweep range {spec!r}: one point cannot span {lo:g} to {hi:g}")
-    values = np.linspace(lo, hi, count)
+    try:
+        values = np.linspace(lo, hi, count)
+    except (MemoryError, ValueError) as err:
+        raise ScenarioError(f"sweep {spec!r}: {count} points cannot be allocated ({err})") from err
     # each point's outputs are named by its c at %g, so no two may share it
     named: dict[str, float] = {}
     for c in map(float, values):

@@ -21,7 +21,9 @@ route, that is the largest eigenvalue magnitude. That one verdict
 also decides whether a minimal coupling strength c* exists. The closed
 forms know no dynamics kind: they read the Jacobians of the pieces a field
 declares on ``Dynamics.affine``, and a field that declares none is left to
-sampling.
+sampling. Every condition reads eigenvalues only, never an eigenvector, so
+each symmetric spectrum is LAPACK's ``eigvalsh``: one matrix through
+:func:`pinnet.linalg.sym_eigen`, a stack of pieces directly.
 """
 
 from __future__ import annotations
@@ -85,13 +87,20 @@ class QuadCertificate:
 
 @dataclass(frozen=True)
 class SpectralReport:
-    """Spectrum backing a verdict: eigenvalues sorted descending, their top
-    value, and (asymmetric case) the left Perron vector with its maximum."""
+    """Spectrum backing a verdict: eigenvalues sorted descending and
+    (asymmetric case) the left Perron vector. Their top value and maximum
+    are read from them, so a report cannot disagree with itself."""
 
     eigenvalues: np.ndarray
-    lambda1: float
     xi: Optional[np.ndarray] = None
-    xi_max: Optional[float] = None
+
+    @property
+    def lambda1(self) -> float:
+        return float(self.eigenvalues[0])
+
+    @property
+    def xi_max(self) -> Optional[float]:
+        return None if self.xi is None else float(self.xi.max())
 
 
 @dataclass(frozen=True)
@@ -120,7 +129,7 @@ def spectral_negativity(report: SpectralReport) -> Verdict:
     """Every eigenvalue of the report is negative: the top one lies below the
     negativity tolerance relative to the largest eigenvalue magnitude."""
     scale = float(np.max(np.abs(report.eigenvalues)))
-    return _strict(report.lambda1, scale, {"eigenvalues": report.eigenvalues})
+    return _strict(report.lambda1, scale, {})
 
 
 def proposition1_holds(a_tilde) -> tuple[Verdict, SpectralReport]:
@@ -133,13 +142,12 @@ def proposition1_holds(a_tilde) -> tuple[Verdict, SpectralReport]:
     through :func:`theorem4_check`.
     """
     try:
-        dec = sym_eigen(a_tilde)
+        report = SpectralReport(sym_eigen(a_tilde))
     except SymmetryError:
         raise SymmetryError(
             "proposition1_holds needs symmetric coupling; "
             "use theorem4_check for asymmetric matrices"
         ) from None
-    report = SpectralReport(eigenvalues=dec.eigenvalues, lambda1=float(dec.eigenvalues[0]))
     return spectral_negativity(report), report
 
 
@@ -167,7 +175,7 @@ def quad_margin_affine(p, delta, jacobian) -> float:
     jac = np.asarray(jacobian, dtype=float)
     p, delta = _check_diagonals(p, delta, jac.shape[0])
     m = _sym_part(p[:, None] * (jac - np.diag(delta)))
-    return -float(sym_eigen(m).eigenvalues[0])
+    return -float(sym_eigen(m)[0])
 
 
 def certified_quad_margin(dynamics: Dynamics, p, delta) -> float:
@@ -191,9 +199,9 @@ def certified_quad_margin(dynamics: Dynamics, p, delta) -> float:
     if len(jacobians) == 1:
         return quad_margin_affine(p, delta, jacobians[0])
     p, delta = _check_diagonals(p, delta, dynamics.dim)
-    # one eigh over the stack; the symmetric parts are built exactly, so no
-    # symmetry check is needed
-    values, _ = np.linalg.eigh(_sym_part(p[:, None] * jacobians))
+    # one eigvalsh over the stack; the symmetric parts are built exactly, so
+    # no symmetry check is needed
+    values = np.linalg.eigvalsh(_sym_part(p[:, None] * jacobians))
     return float((p * delta).min() - np.abs(values).max())
 
 
@@ -387,8 +395,7 @@ def theorem1_margin(sys, lambda1: float) -> Verdict:
             f"theorem1_margin needs the field's affine pieces; dynamics kind "
             f"{sys.dynamics.kind!r} declares none"
         )
-    values, _ = np.linalg.eigh(_sym_part(affine.jacobians))
-    mus = tuple(values[:, -1].tolist())
+    mus = tuple(np.linalg.eigvalsh(_sym_part(affine.jacobians))[:, -1].tolist())
     mu = max(mus)
     c = sys.pin.c
     margin = mu + c * lambda1
@@ -439,13 +446,7 @@ def weighted_spectrum(a, pin: PinPlan) -> SpectralReport:
             cond,
         )
     xi = left_null_vector(coupling)
-    dec = sym_eigen(symmetrize_weighted(pinned_matrix(coupling, pin), xi))
-    return SpectralReport(
-        eigenvalues=dec.eigenvalues,
-        lambda1=float(dec.eigenvalues[0]),
-        xi=xi,
-        xi_max=float(xi.max()),
-    )
+    return SpectralReport(sym_eigen(symmetrize_weighted(pinned_matrix(coupling, pin), xi)), xi)
 
 
 def theorem4_check(

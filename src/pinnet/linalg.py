@@ -1,7 +1,7 @@
 """Small dense linear algebra and graph structure analysis.
 
-The symmetric eigensolver is LAPACK's ``eigh`` (through numpy), left null
-vectors come from a direct least-squares solve, and reducibility is decided
+Symmetric eigenvalues come from LAPACK's ``eigvalsh`` (through numpy), left
+null vectors from a direct least-squares solve, and reducibility is decided
 by Tarjan's strongly-connected-components algorithm. Each array rule is one
 function here, for every caller: :func:`finite_array`, :func:`positive_vector`,
 ``_as_square``, :func:`check_zero_row_sums` and :func:`is_symmetric`.
@@ -100,17 +100,9 @@ def check_zero_row_sums(a: np.ndarray) -> None:
         raise ValueError(f"row {i + 1} sums to {sums[i]:.6g}, expected 0 within {tol[i]:.3g}")
 
 
-@dataclass(frozen=True)
-class EigenDecomposition:
-    """Spectrum of a symmetric matrix: eigenvalues sorted descending, with the
-    matching orthonormal eigenvectors as columns."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-def sym_eigen(a) -> EigenDecomposition:
-    """Full symmetric eigendecomposition by LAPACK (``numpy.linalg.eigh``).
+def sym_eigen(a) -> np.ndarray:
+    """Eigenvalues of a symmetric matrix, sorted descending, by LAPACK
+    (``numpy.linalg.eigvalsh``).
 
     Raises :class:`SymmetryError` if the input is asymmetric beyond
     tolerance (:func:`is_symmetric`); roundoff-level asymmetry is averaged
@@ -122,8 +114,7 @@ def sym_eigen(a) -> EigenDecomposition:
             "matrix is not symmetric within tolerance; "
             "the weighted symmetrization path handles asymmetric coupling"
         )
-    values, vectors = np.linalg.eigh((arr + arr.T) / 2.0)  # ascending
-    return EigenDecomposition(eigenvalues=values[::-1], eigenvectors=vectors[:, ::-1])
+    return np.linalg.eigvalsh((arr + arr.T) / 2.0)[::-1]  # eigvalsh ascends
 
 
 def left_null_vector(a) -> np.ndarray:

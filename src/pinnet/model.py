@@ -257,23 +257,26 @@ class Dynamics:
         return self.field_fn(x, t)
 
 
-def _real_params(kind: str, params: Mapping, defaults: Mapping[str, float]) -> list[float]:
+def _real_params(kind: str, params: dict, defaults: Mapping[str, float]) -> list[float]:
     """``params`` over ``defaults``, in the order of ``defaults``; a
     ``ValueError`` names any key that is unknown or fails
-    :func:`finite_number`, with the known keys."""
+    :func:`finite_number`, with the known keys. The checked floats replace
+    the given values in ``params``."""
     known = ", ".join(defaults)
     for key in params:
         if key not in defaults:
             raise ValueError(f"dynamics.params.{key} is not a parameter of {kind} "
                              f"(known: {known})")
     try:
-        return [finite_number(params.get(key, default), f"dynamics.params.{key}")
-                for key, default in defaults.items()]
+        values = {key: finite_number(params.get(key, default), f"dynamics.params.{key}")
+                  for key, default in defaults.items()}
     except ValueError as err:
         raise ValueError(f"{err} (known: {known})") from None
+    params.update({key: values[key] for key in params})
+    return list(values.values())
 
 
-def _build_chua(dim: int, params: Mapping) -> tuple[FieldFn, PiecewiseAffine]:
+def _build_chua(dim: int, params: dict) -> tuple[FieldFn, PiecewiseAffine]:
     """Chua's circuit, ``dx1/dt = k (x2 - h(x1))``, ``dx2/dt = x1 - x2 + x3``,
     ``dx3/dt = -l x2``, with the diode ``h(x) = (2/7)x - (3/14)(|x+1| - |x-1|)``;
     at k = 9, l = 100/7 it carries the double-scroll attractor.
@@ -298,7 +301,7 @@ def _build_chua(dim: int, params: Mapping) -> tuple[FieldFn, PiecewiseAffine]:
     return fn, PiecewiseAffine(0, (-1.0, 1.0), jacobians, offsets)
 
 
-def _build_linear_decay(dim: int, params: Mapping) -> tuple[FieldFn, PiecewiseAffine]:
+def _build_linear_decay(dim: int, params: dict) -> tuple[FieldFn, PiecewiseAffine]:
     (rate,) = _real_params("linear_decay", params, {"rate": 1.0})
 
     def fn(x, t):
@@ -331,7 +334,9 @@ def _registered(registry: Mapping, kind, what: str):
 
 
 def make_dynamics(kind: str, dim: Optional[int] = None, params: Optional[Mapping] = None) -> Dynamics:
-    """Resolve a registered vector field into a ready-to-call :class:`Dynamics`."""
+    """Resolve a registered vector field into a ready-to-call :class:`Dynamics`.
+    A built-in kind keeps the floats its parameter rule returns in
+    ``params``; a registered kind keeps them as given."""
     build = _registered(_DYNAMICS_BUILDERS, kind, "dynamics")
     if dim is None:
         if kind != "chua":

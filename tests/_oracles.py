@@ -2,7 +2,7 @@
 
 These deliberately avoid the code paths they check: eigenvalues come from
 the characteristic polynomial (quadratic formula, or companion-matrix roots
-via numpy.roots for cubics) rather than the package's LAPACK eigensolver, and
+via numpy.roots for cubics) rather than the package's LAPACK ``eigvalsh``, and
 the minimal coupling strength is re-derived by bisection on the checker,
 and the sampled QUAD falsifier is checked against its earlier whole-chunk
 form. The RK4 loop, Chua's field and the network right-hand side are kept

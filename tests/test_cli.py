@@ -221,6 +221,27 @@ class TestParseScenario:
         with pytest.raises(ScenarioError, match="invalid JSON"):
             parse_scenario(str(path))
 
+    def test_non_utf8_file_names_its_path(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b"\xff{}")
+        with pytest.raises(ScenarioError, match=f"^{re.escape(str(path))}: invalid JSON: 'utf-8'"):
+            parse_scenario(str(path))
+
+    @pytest.mark.parametrize("reference", [[], [[0.0, 0.0, 0.0]]])
+    def test_reference_must_be_a_flat_list(self, reference):
+        data = copy.deepcopy(BUILTIN_SCENARIOS["fig4-sym-pinned"])
+        data["reference_initial"] = reference
+        message = "^reference_initial must be a nonempty flat list of numbers$"
+        with pytest.raises(ScenarioError, match=message):
+            parse_scenario(data)
+
+    def test_certificate_must_match_the_state_dimension(self):
+        data = copy.deepcopy(BUILTIN_SCENARIOS["fig4-sym-pinned"])
+        data["certificate"].update(P=[1.0, 1.0], Delta=[10.0, 10.0])
+        message = "^certificate.P and certificate.Delta must be length-3 lists$"
+        with pytest.raises(ScenarioError, match=message):
+            parse_scenario(data)
+
     def test_non_object_file(self, tmp_path):
         path = tmp_path / "list.json"
         path.write_text("[1, 2, 3]")
@@ -393,6 +414,19 @@ class TestRoundTrip:
             printed.append(capsys.readouterr().out)
         assert printed[0] == printed[1]
 
+    def test_dynamics_params_are_written_as_floats(self, tmp_path, capsys):
+        # make_dynamics stores the floats its rule returns, so a numpy float
+        # serializes and an integer prints back as a float
+        data = copy.deepcopy(BUILTIN_SCENARIOS["fig4-sym-pinned"])
+        data["dynamics"]["params"] = {"k": np.float32(9)}
+        written = json.loads(json.dumps(serialize_scenario(parse_scenario(data))))
+        assert written["dynamics"] == {"kind": "chua", "params": {"k": 9.0}}
+        data["dynamics"]["params"] = {"k": 9}
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(data))
+        assert main(["run", str(path), "--dry-run"]) == 0
+        assert '"k": 9.0' in capsys.readouterr().out
+
     def test_inline_matrix_roundtrip(self):
         data = copy.deepcopy(BUILTIN_SCENARIOS["fig4-sym-pinned"])
         data["coupling"] = [[-1.0, 1.0], [1.0, -1.0]]
@@ -401,6 +435,11 @@ class TestRoundTrip:
 
 
 class TestCheckScenario:
+    def test_quad_sampling_needs_a_certificate(self):
+        cfg = dataclasses.replace(parse_scenario("fig4-sym-pinned"), certificate=None)
+        with pytest.raises(ScenarioError, match="^QUAD sampling needs a certificate"):
+            check_scenario(cfg, quad_samples=10)
+
     def test_fig4_report(self):
         report = check_scenario(parse_scenario("fig4-sym-pinned"))
         assert report.route == "symmetric"
@@ -577,7 +616,7 @@ class TestCheckScenario:
             calls.clear()
             reports.append(check_scenario(cfg))
             # one coupling spectrum; the certified QUAD margin that verifies
-            # the certificate takes one batched eigh, not sym_eigen
+            # the certificate takes one batched eigvalsh, not sym_eigen
             assert len(calls) == 1
         certified, bare = reports
         assert (certified.theorem_name, bare.theorem_name) == ("theorem4", None)
@@ -670,6 +709,12 @@ class TestRenderReport:
         assert "  spectrum: [0.000000, -0.074165," in out
         assert "-0.000000" not in out
 
+    def test_pin_outside_the_root_block_is_named(self):
+        data = copy.deepcopy(BUILTIN_SCENARIOS["reducible-pinned"])
+        data["pin"]["node"] = 3
+        text = render_report(check_scenario(parse_scenario(data)))
+        assert "    problem: pinned node 3 sits in block 2, not a root" in text.splitlines()
+
 
 LINEAR_RING = Path(__file__).with_name("data") / "scenarios" / "linear-decay-ring.json"
 
@@ -706,6 +751,19 @@ def _short(name, t_max=2.0):
 
 
 class TestRunScenario:
+    def test_nodes_on_the_reference_leave_the_ratios_undefined(self, tmp_path):
+        # every node starts at the reference, so no ratio has a start to divide by
+        data = copy.deepcopy(BUILTIN_SCENARIOS["fig4-sym-pinned"])
+        data["initial_states"] = [[0.0, 0.0, 0.0]] * 3
+        data["integration"]["t_max"] = 0.1
+        result = run_scenario(parse_scenario(data), out_dir=tmp_path)
+        lines = result.summary_path.read_text().splitlines()
+        assert "final pin_ratio: undefined" in lines
+        assert "fitted pin decay rate: unavailable" in lines
+        rows = result.metrics_path.read_text().splitlines()[1:]
+        assert len(rows) == 101
+        assert all(row.split(",")[1:3] == ["nan", "nan"] for row in rows)
+
     def test_writes_only_under_out_dir(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         out = tmp_path / "results"
@@ -916,6 +974,15 @@ class TestSweep:
         err = capsys.readouterr().err
         assert "bad sweep range 'c=0:5:3': need finite 0 < a <= b" in err
         assert not out.exists()
+
+    def test_unallocatable_point_count_is_a_spec_error(self, monkeypatch):
+        def fail(lo, hi, count):
+            raise MemoryError(f"Unable to allocate {count * 8} bytes")
+
+        monkeypatch.setattr(np, "linspace", fail)
+        message = r"^sweep 'c=1:2:1000000000000': 1000000000000 points cannot be allocated \(Unable"
+        with pytest.raises(ScenarioError, match=message):
+            parse_sweep("c=1:2:1000000000000")
 
     def test_shared_labels_are_a_spec_error(self):
         with pytest.raises(ScenarioError, match="c=10.0 and c=10.0 would share"):

@@ -80,9 +80,9 @@ LAMBDA1_SYM = -1.0111445855819228
 MU1_ASYM = -0.07179271112089718
 
 
-def _spectrum(lambda1, xi_max=None):
+def _spectrum(lambda1, xi=None):
     """A report whose whole spectrum is its top eigenvalue ``lambda1``."""
-    return SpectralReport(eigenvalues=np.array([lambda1]), lambda1=lambda1, xi_max=xi_max)
+    return SpectralReport(eigenvalues=np.array([lambda1]), xi=xi)
 
 
 class TestQuadCertificateType:
@@ -184,7 +184,7 @@ class TestQuadCertificateChua:
             (lambda j: (j + j.T) / 2.0)(
                 np.array([[-18.0 / 7.0, 9.0, 0.0], [1.0, -1.0, 1.0], [0.0, -100.0 / 7.0, 0.0]])
             )
-        ).eigenvalues
+        )
         assert eta == pytest.approx(10.0 - max(abs(outer[0]), abs(outer[-1])), abs=1e-12)
 
     def test_linear_decay_exact_sanity_path(self):
@@ -217,6 +217,10 @@ class TestQuadCertificateChua:
         with pytest.raises(ValueError):
             quad_certificate_chua(np.array([1.0, -1.0, 1.0]), np.zeros(3))
 
+    def test_rejects_diagonals_of_another_dimension(self):
+        with pytest.raises(ValueError, match=r"^delta must have shape \(3,\), got \(2,\)$"):
+            certified_quad_margin(make_dynamics("chua"), [1.0, 1.0], [1.0, 1.0])
+
 
 def _regional_bound(p, delta, k, l):
     """min_k p_k Delta_k - max over the circuit's regions of
@@ -225,7 +229,7 @@ def _regional_bound(p, delta, k, l):
     norms = []
     for region in ("left", "middle", "right"):
         pj = p[:, None] * chua_region_jacobian(region, k, l)
-        ev = sym_eigen((pj + pj.T) / 2.0).eigenvalues
+        ev = sym_eigen((pj + pj.T) / 2.0)
         norms.append(float(max(abs(ev[0]), abs(ev[-1]))))
     return float(np.min(p * delta) - max(norms))
 
@@ -238,6 +242,11 @@ def _register_probe():
 
 
 class TestQuadCheckSampled:
+    def test_rejects_a_certificate_of_another_dimension(self):
+        cert = QuadCertificate(p=[1.0, 1.0], delta=[10.0, 10.0], eta=0.5)
+        with pytest.raises(ValueError, match="^certificate dimension 2 != dynamics dim 3$"):
+            quad_check_sampled(make_dynamics("chua"), cert, (-1.0, 1.0), 10)
+
     def test_reference_certificate_not_falsified(self):
         eta = quad_certificate_chua(np.ones(3), 10.0 * np.ones(3))
         cert = QuadCertificate(p=np.ones(3), delta=10.0 * np.ones(3), eta=eta - 1e-6)
@@ -439,7 +448,7 @@ class TestTheorem1:
         )
 
     def test_seeded_grid_matches_the_regional_jacobians(self):
-        # mu over the declared pieces, one batched eigh, is mu over the
+        # mu over the declared pieces, one batched eigvalsh, is mu over the
         # circuit's regions, one sym_eigen each, bit for bit
         rng = np.random.default_rng(19)
         for _ in range(300):
@@ -450,7 +459,7 @@ class TestTheorem1:
                 pin=pin,
             )
             mus = tuple(
-                float(sym_eigen((j + j.T) / 2.0).eigenvalues[0])
+                float(sym_eigen((j + j.T) / 2.0)[0])
                 for j in (chua_region_jacobian(r, k, l) for r in ("left", "middle", "right"))
             )
             verdict = theorem1_margin(sys_, LAMBDA1_SYM)
@@ -605,7 +614,8 @@ class TestTheorem3:
         verdict = theorem3_check(CERT_10, 4.0, -2.0, alpha=0.5, xi_max=0.5)
         assert verdict.margin == 1.0 and not verdict.holds
         assert verdict.detail["xi_max"] == 0.5
-        c_star = min_coupling_strength(CERT_10, _spectrum(-2.0, xi_max=0.5), alpha=0.5)
+        spectrum = _spectrum(-2.0, xi=np.array([0.5, 0.25, 0.25]))
+        c_star = min_coupling_strength(CERT_10, spectrum, alpha=0.5)
         assert theorem3_check(CERT_10, c_star, -2.0, 0.5, 0.5).margin == pytest.approx(
             0.0, abs=1e-12
         )
@@ -707,11 +717,11 @@ class TestMinCouplingStrength:
     def test_exists_exactly_when_the_negativity_verdict_holds(self):
         # -3e-11 is within roundoff of 0 next to eigenvalues of magnitude 15:
         # not negative, so no finite strength is claimed
-        report = SpectralReport(eigenvalues=np.array([-3e-11, -10.0, -15.0]), lambda1=-3e-11)
+        report = SpectralReport(eigenvalues=np.array([-3e-11, -10.0, -15.0]))
         assert not spectral_negativity(report).holds
         with pytest.raises(ValueError, match="not negative"):
             min_coupling_strength(CERT_10, report)
-        shifted = SpectralReport(eigenvalues=np.array([-1e-6, -10.0, -15.0]), lambda1=-1e-6)
+        shifted = SpectralReport(eigenvalues=np.array([-1e-6, -10.0, -15.0]))
         assert spectral_negativity(shifted).holds
         assert min_coupling_strength(CERT_10, shifted) == pytest.approx(1e7, rel=1e-12)
 

@@ -383,6 +383,22 @@ class TestDynamicsRegistry:
         assert make_dynamics("chua", params={"k": 9, "l": np.float64(14.0)}).params["k"] == 9
         make_dynamics("linear_decay", dim=1, params={"rate": np.int64(2)})
 
+    def test_builtin_params_keep_the_checked_floats(self):
+        given = {"k": np.float32(9), "l": 14}
+        dyn = make_dynamics("chua", params=given)
+        assert dyn.params == {"k": 9.0, "l": 14.0}
+        assert all(type(value) is float for value in dyn.params.values())
+        # the caller's dict is untouched, and a default is not written in
+        assert type(given["k"]) is np.float32 and type(given["l"]) is int
+        assert make_dynamics("linear_decay", dim=1, params={}).params == {}
+
+    def test_registered_params_are_kept_as_given(self):
+        register_dynamics("test_raw_params", lambda dim, params: lambda x, t: x * params["gain"])
+        params = {"gain": np.float32(2), "note": "as given"}
+        dyn = make_dynamics("test_raw_params", dim=1, params=params)
+        assert dyn.params == params
+        assert type(dyn.params["gain"]) is np.float32
+
     def test_user_registered_field(self):
         register_dynamics("test_shift", lambda dim, params: lambda x, t: x * 0.0 + 1.0)
         dyn = make_dynamics("test_shift", dim=2)

@@ -151,6 +151,10 @@ def _decay_net(c, rate=1.0, epsilon=1.0):
 
 
 class TestIntegrateBatch:
+    def test_empty_batch_rejected(self):
+        with pytest.raises(ValueError, match="^need at least one system$"):
+            integrate_batch([], [], [], 1e-3, 1.0)
+
     def test_members_match_solo_runs_bit_for_bit(self):
         cfg = parse_scenario("fig4-sym-pinned")
         systems = [

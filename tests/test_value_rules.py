@@ -118,7 +118,7 @@ def test_certified_margin_takes_the_certificate_diagonal_rule(p, delta, message)
         (lambda: theorem3_check(CERT, 10.0, NAN, alpha=1.0), r"^lambda1 must be finite"),
         (lambda: theorem3_check(CERT, 10.0, -1.0, alpha=1.0, xi_max=INF),
          r"^xi_max must be finite"),
-        (lambda: min_coupling_strength(CERT, SpectralReport(np.array([-1.0]), -1.0), alpha=NAN),
+        (lambda: min_coupling_strength(CERT, SpectralReport(np.array([-1.0])), alpha=NAN),
          r"^alpha must be finite"),
     ],
     ids=["theorem3-alpha", "theorem3-c", "theorem3-lambda1", "theorem3-xi_max",
