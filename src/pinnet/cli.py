@@ -4,7 +4,8 @@ A scenario is a JSON object (or one of the built-in ids in
 :mod:`pinnet.scenarios`) naming the coupling matrix, node dynamics, coupling
 function, pin plan, certificate, initial data, and integration grid.
 ``check`` runs the condition chain and prints a report; ``run`` integrates
-and writes trajectory/metrics CSVs plus a plain-text summary.
+and writes trajectory/metrics CSVs (by :mod:`pinnet.csvtext`) plus a UTF-8
+plain-text summary. A closed stdout changes no file and no exit status.
 
 Exit codes: 0 success, 1 usage or validation error, 2 condition-check
 failure under ``--require-conditions``, 3 divergence.
@@ -23,7 +24,6 @@ from typing import Optional
 
 import numpy as np
 
-from . import csvtext
 from .conditions import (
     QuadCertificate,
     SpectralReport,
@@ -38,6 +38,7 @@ from .conditions import (
     verify_certificate,
     weighted_spectrum,
 )
+from .csvtext import write_metrics_csv, write_table, write_trajectory_csv
 # not called here: perfbench/tracing.py patches left_null_vector and
 # scc_condensation on this module along with the other pipeline names.
 from .linalg import ReducibilityError, finite_array, left_null_vector, scc_condensation  # noqa: F401
@@ -59,7 +60,6 @@ from .simulate import (
     DivergenceError,
     MetricSeries,
     MonitorReport,
-    Trajectory,
     decay_rate_fit,
     grid_steps,
     integrate,
@@ -490,58 +490,6 @@ class RunResult:
     summary_text: str = ""
 
 
-def _write_table(path, header: str, blocks) -> None:
-    """Write ``header`` and the lines of each ``(rows, cols, WIDTH)`` block of
-    :mod:`pinnet.csvtext` cells: every field is ``"%.17g" % value``, so 0.0
-    and 1.0 read ``0`` and ``1``, and every line ends in ``\\n``."""
-    with open(path, "wb") as f:
-        f.write(header.encode() + b"\n")
-        for block in blocks:
-            f.write(csvtext.join(block))
-
-
-def write_metrics_csv(path, series: MetricSeries) -> None:
-    """``t,sync_ratio,pin_ratio,lyapunov`` rows at full double precision;
-    undefined ratios are written as nan."""
-    nan = np.full(len(series.times), np.nan)
-    table = np.column_stack(
-        [
-            series.times,
-            nan if series.sync_ratio is None else series.sync_ratio,
-            nan if series.pin_ratio is None else series.pin_ratio,
-            series.lyapunov,
-        ]
-    )
-    _write_table(path, "t,sync_ratio,pin_ratio,lyapunov", csvtext.blocks(table))
-
-
-def _trajectory_blocks(traj: Trajectory):
-    """Cells of the ``t, node, x1..xn`` rows, node 0 the reference, for runs
-    of samples whose times and states fill one formatting pass. Each time
-    and node number is formatted once and its cell copied to every row."""
-    samples, m, n = traj.states.shape
-    per_block = max(1, csvtext.CHUNK // ((m + 1) * n + 1))
-    nodes = csvtext.cells(np.arange(m + 1.0))
-    for start in range(0, samples, per_block):
-        rows = slice(start, start + per_block)
-        count = len(traj.times[rows])
-        values = [traj.times[rows], traj.reference[rows].ravel(), traj.states[rows].ravel()]
-        text = csvtext.cells(np.concatenate(values))
-        block = np.empty((count, m + 1, n + 2, csvtext.WIDTH), dtype=np.uint8)
-        block[:, :, 0] = text[:count, None]
-        block[:, :, 1] = nodes
-        block[:, 0, 2:] = text[count : count * (n + 1)].reshape(count, n, -1)
-        block[:, 1:, 2:] = text[count * (n + 1) :].reshape(count, m, n, -1)
-        yield block.reshape(count * (m + 1), n + 2, -1)
-
-
-def write_trajectory_csv(path, traj: Trajectory) -> None:
-    """Long-form ``t,node,x1..xn`` rows; the reference is node 0."""
-    n = traj.states.shape[2]
-    header = "t,node," + ",".join(f"x{k + 1}" for k in range(n))
-    _write_table(path, header, _trajectory_blocks(traj))
-
-
 def _summary_fit(series: MetricSeries, t_max: float):
     """Fit window [0, min(10, t_max)] clipped to the strictly positive prefix
     of the pin ratio; returns (rate, window) or (None, None)."""
@@ -649,7 +597,7 @@ def _finish_run(cfg: ScenarioConfig, report: ConditionReport, outcome, out: Path
             )
         )
     text = "\n".join(lines)
-    summary_path.write_text(text + "\n")
+    summary_path.write_bytes(text.encode() + b"\n")
 
     return RunResult(
         config=cfg,
@@ -733,18 +681,27 @@ def run_sweep(cfg: ScenarioConfig, spec: str, out_dir) -> int:
         gate = report.gate_verdict
         final_pin = result.final_pin if result.final_pin is not None else float("nan")
         rows.append((float(c), gate.margin, gate.holds, final_pin, result.diverged))
-        print(
+        _say(
             f"sweep c={c:g}: margin={rows[-1][1]:+.6g} holds={rows[-1][2]} "
             f"final_pin={rows[-1][3]:.6g} diverged={result.diverged}"
         )
     table = out / f"{cfg.name}_sweep.csv"
-    _write_table(table, "c,margin,holds,final_pin_ratio,diverged", csvtext.blocks(rows))
-    print(f"sweep table written to {table}")
+    write_table(table, "c,margin,holds,final_pin_ratio,diverged", rows)
+    _say(f"sweep table written to {table}")
     return 0
 
 
 # ---------------------------------------------------------------------------
 # entry point
+
+
+def _say(text: str) -> None:
+    """Print and flush ``text``; once stdout's reader has gone, point stdout at
+    the null device: a closed pipe changes no file a command writes, nor its exit."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -805,7 +762,7 @@ def main(argv=None) -> int:
             report = check_scenario(
                 cfg, quad_samples=args.quad_samples, seed=args.seed
             )
-            print(render_report(report))
+            _say(render_report(report))
             return 2 if args.require_conditions and not report.gate_verdict.holds else 0
 
         if args.sweep:
@@ -823,14 +780,14 @@ def main(argv=None) -> int:
             )
             _named("--dt/--tmax", grid_steps, cfg.dt, cfg.t_max)
         if args.dry_run:
-            print(json.dumps(serialize_scenario(cfg), indent=2))
+            _say(json.dumps(serialize_scenario(cfg), indent=2))
             return 0
         if args.sweep:
             return run_sweep(cfg, args.sweep, args.out)
         result = run_scenario(
             cfg, out_dir=args.out, require_conditions=args.require_conditions
         )
-        print(result.summary_text)
+        _say(result.summary_text)
         return result.exit_code
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -472,7 +472,7 @@ def min_coupling_strength(
 
     Closed form for the family max_k Delta_k xi_max + alpha c lambda1 < 0,
     with lambda1 and xi_max (1 if absent) read from ``spectral``:
-    c* = max_k Delta_k xi_max / (-alpha lambda1), re-verified just above c*.
+    c* = max_k Delta_k xi_max / (-alpha lambda1).
     It exists exactly when :func:`spectral_negativity` holds for the report,
     and ``ValueError`` says so otherwise; it is 0 when every Delta_k <= 0.
     """
@@ -486,11 +486,7 @@ def min_coupling_strength(
     top = float(np.max(cert.delta)) * xi_max
     if top <= 0.0:
         return 0.0
-    c_star = top / (-alpha * lambda1)
-    probe = cert.delta * xi_max + alpha * (c_star * (1.0 + 1e-6)) * lambda1
-    if not np.max(probe) < 0.0:
-        raise RuntimeError("minimal coupling strength failed re-verification")
-    return float(c_star)
+    return float(top / (-alpha * lambda1))
 
 
 def reducible_pinnability(cond: Condensation, pin_node: int) -> Verdict:

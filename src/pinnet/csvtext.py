@@ -1,11 +1,11 @@
-"""Exact ``"%.17g"`` text for blocks of float64 values, computed in numpy.
+"""Every CSV pinnet writes, as exact ``"%.17g"`` text computed in numpy.
 
-:func:`cells` turns an array of values into fixed-width byte cells, each
-holding ``"%.17g" % value`` (17 significant digits, which read back to the
-same double) padded with spaces; :func:`join` lays rows of cells out as
-comma-separated lines without the padding, and :func:`blocks` cuts a 2-D
-table into row blocks of cells. A writer that repeats a value in every row
-(a trajectory's time and node columns) formats it once and copies its cell.
+A file is a header line, then rows of ``"%.17g" % value`` fields (17 digits,
+which read back to the same double; nan for an undefined ratio) joined by
+commas, each line ended by ``\n``: :func:`write_trajectory_csv` (long form,
+node 0 the reference), :func:`write_metrics_csv` and :func:`write_table`.
+:func:`cells` formats at most ``CHUNK`` values a pass into space-padded byte
+cells; a value repeated in every row is formatted once and its cell copied.
 
 CPython formats each value with a correctly rounded dtoa; here a whole
 block is formatted by a fixed sequence of array operations:
@@ -48,6 +48,8 @@ import functools
 from typing import NamedTuple, Optional
 
 import numpy as np
+
+from .simulate import MetricSeries, Trajectory
 
 FAST_PATH = np.finfo(np.longdouble).nmant > np.finfo(np.float64).nmant
 
@@ -256,19 +258,64 @@ def cells(values) -> np.ndarray:
     return out.reshape(values.shape + (WIDTH,))
 
 
-def join(rows: np.ndarray) -> bytes:
-    """CSV lines of a ``(rows, cols, WIDTH)`` array of cells: each row's
-    fields separated by commas and ended by ``\\n``, without the padding.
-    The separators overwrite the last byte of each cell."""
-    rows[:, :, -1] = ord(",")
-    rows[:, -1, -1] = ord("\n")
-    return rows.tobytes().translate(None, b" ")
+def _write_blocks(path, header: str, blocks) -> None:
+    """Write ``header`` and the CSV lines of each ``(rows, cols, WIDTH)``
+    block of cells; the separators overwrite the last byte of each cell."""
+    with open(path, "wb") as f:
+        f.write(header.encode() + b"\n")
+        for rows in blocks:
+            rows[:, :, -1] = ord(",")
+            rows[:, -1, -1] = ord("\n")
+            f.write(rows.tobytes().translate(None, b" "))
 
 
-def blocks(table):
-    """The cells of a 2-D table, in blocks of consecutive rows that hold at
-    most ``CHUNK`` values (or one row)."""
+def write_table(path, header: str, table) -> None:
+    """Write ``header`` and the rows of a 2-D table of numbers (a bool reads
+    ``1`` or ``0``), formatted in blocks of whole rows, each at most ``CHUNK``
+    values or one row."""
     table = np.asarray(table, dtype=np.float64)
     step = max(1, CHUNK // table.shape[1])
-    for start in range(0, len(table), step):
-        yield cells(table[start : start + step])
+    starts = range(0, len(table), step)
+    _write_blocks(path, header, (cells(table[start : start + step]) for start in starts))
+
+
+def write_metrics_csv(path, series: MetricSeries) -> None:
+    """``t,sync_ratio,pin_ratio,lyapunov`` rows at full double precision;
+    undefined ratios are written as nan."""
+    nan = np.full(len(series.times), np.nan)
+    table = np.column_stack(
+        [
+            series.times,
+            nan if series.sync_ratio is None else series.sync_ratio,
+            nan if series.pin_ratio is None else series.pin_ratio,
+            series.lyapunov,
+        ]
+    )
+    write_table(path, "t,sync_ratio,pin_ratio,lyapunov", table)
+
+
+def _trajectory_blocks(traj: Trajectory):
+    """Cells of the ``t, node, x1..xn`` rows, node 0 the reference, for runs
+    of samples whose times and states fill one formatting pass. Each time
+    and node number is formatted once and its cell copied to every row."""
+    samples, m, n = traj.states.shape
+    per_block = max(1, CHUNK // ((m + 1) * n + 1))
+    nodes = cells(np.arange(m + 1.0))
+    for start in range(0, samples, per_block):
+        rows = slice(start, start + per_block)
+        count = len(traj.times[rows])
+        values = [traj.times[rows], traj.reference[rows].ravel(), traj.states[rows].ravel()]
+        text = cells(np.concatenate(values))
+        block = np.empty((count, m + 1, n + 2, WIDTH), dtype=np.uint8)
+        block[:, :, 0] = text[:count, None]
+        block[:, :, 1] = nodes
+        block[:, 0, 2:] = text[count : count * (n + 1)].reshape(count, n, -1)
+        block[:, 1:, 2:] = text[count * (n + 1) :].reshape(count, m, n, -1)
+        yield block.reshape(count * (m + 1), n + 2, -1)
+
+
+def write_trajectory_csv(path, traj: Trajectory) -> None:
+    """Long-form ``t,node,x1..xn`` rows; the reference is node 0."""
+    n = traj.states.shape[2]
+    header = "t,node," + ",".join(f"x{k + 1}" for k in range(n))
+    _write_blocks(path, header, _trajectory_blocks(traj))

@@ -3,7 +3,10 @@ import copy
 import dataclasses
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -1224,3 +1227,57 @@ class TestMainExitCodes:
         path = tmp_path / "blowup.json"
         path.write_text(json.dumps(data))
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
+
+
+def _pinnet(args, cwd, flags=(), **env):
+    """``python *flags -m pinnet *args`` in a child process, with this tree's
+    package first on its path and ``env`` added to its environment."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.Popen(
+        [sys.executable, *flags, "-m", "pinnet", *args],
+        cwd=cwd,
+        env={**os.environ, "PYTHONPATH": path, **env},
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+
+
+class TestCommandProcess:
+    def test_closed_stdout_is_a_normal_end(self, tmp_path):
+        # a 150-node ring prints 257 KB of --dry-run JSON, more than a pipe
+        # holds, so its print meets the closed pipe
+        m = 150
+        ring = copy.deepcopy(BUILTIN_SCENARIOS["fig2-sym-uncontrolled"])
+        ring["name"] = "ring150"
+        eye = np.eye(m)
+        ring["coupling"] = (np.roll(eye, 1, 1) + np.roll(eye, -1, 1) - 2 * eye).tolist()
+        ring["initial_states"] = [[0.01 * i, 0.0, 0.0] for i in range(m)]
+        (tmp_path / "ring.json").write_text(json.dumps(ring))
+        sweep = ["run", "fig4-sym-pinned", "--tmax", "1", "--sweep", "c=6:14:9", "--out", "sweep"]
+        for args in (["run", "ring.json", "--dry-run"], sweep):
+            proc = _pinnet(args, tmp_path)
+            assert proc.stdout.readline()
+            proc.stdout.close()
+            assert proc.stderr.read() == b""
+            assert proc.wait() == 0
+        # every point's three files and the table
+        assert len(list((tmp_path / "sweep").iterdir())) == 9 * 3 + 1
+        proc = _pinnet(["check", "fig2-sym-uncontrolled", "--require-conditions"], tmp_path)
+        proc.stdout.close()
+        assert proc.stderr.read() == b"" and proc.wait() == 2
+
+    def test_summary_is_utf8_under_an_ascii_locale(self, tmp_path):
+        data = copy.deepcopy(BUILTIN_SCENARIOS["fig4-sym-pinned"])
+        data["name"] = "r\u00e9seau"
+        data["integration"]["t_max"] = 0.1
+        data["outputs"] = {"trajectory": "t.csv", "metrics": "m.csv", "summary": "s.txt"}
+        (tmp_path / "reseau.json").write_text(json.dumps(data))
+        # stdout can carry the name; the locale's encoding, ASCII, cannot
+        args = ["run", "reseau.json", "--out", "out"]
+        proc = _pinnet(args, tmp_path, ["-X", "utf8=0"], LC_ALL="C", PYTHONIOENCODING="utf-8")
+        out, err = proc.communicate()
+        assert (proc.returncode, err) == (0, b"")
+        summary = (tmp_path / "out" / "s.txt").read_bytes()
+        assert b"\r" not in summary and summary == out
+        assert summary.decode().startswith("condition report: r\u00e9seau\n")

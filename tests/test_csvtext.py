@@ -1,7 +1,10 @@
-"""csvtext writes exactly the text of ``"%.17g" % v``, on both of its paths."""
+"""csvtext's writers write exactly the text of ``"%.17g" % v``, on both of its
+paths."""
 
 import math
+import tempfile
 from decimal import Decimal
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +15,12 @@ from pinnet import csvtext
 
 
 def _written(table) -> bytes:
-    return b"".join(csvtext.join(block) for block in csvtext.blocks(table))
+    """The lines :func:`csvtext.write_table` writes for ``table``, without the
+    header line."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "table.csv"
+        csvtext.write_table(path, "header", table)
+        return path.read_bytes().removeprefix(b"header\n")
 
 
 def _expected(table) -> bytes:
