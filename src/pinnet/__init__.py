@@ -24,7 +24,6 @@ from .conditions import (
     certified_quad_margin,
     min_coupling_strength,
     proposition1_holds,
-    quad_certificate_chua,
     quad_check_sampled,
     quad_margin_affine,
     random_coupling_matrix,

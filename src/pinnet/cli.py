@@ -105,10 +105,11 @@ def _field(rule, value, where: str, *args):
 
 def _check_file_name(value, where: str) -> None:
     """Reject anything but a plain file name, which stays inside the output
-    directory: nonempty, not absolute, no separator, not . or .."""
+    directory: nonempty, not absolute, no separator or NUL, not . or .."""
     if (
         not isinstance(value, str)
         or value in ("", ".", "..")
+        or "\0" in value
         or PurePath(value).name != value
         or (os.altsep is not None and os.altsep in value)
     ):
@@ -474,7 +475,6 @@ def render_report(report: ConditionReport) -> str:
 
 @dataclass
 class RunResult:
-    config: ScenarioConfig
     report: ConditionReport
     exit_code: int
     diverged: bool = False
@@ -521,7 +521,7 @@ def run_scenario(
     report = check_scenario(cfg)
     if require_conditions and not report.gate_verdict.holds:
         text = render_report(report) + "\nrun aborted: conditions not satisfied"
-        return RunResult(config=cfg, report=report, exit_code=2, summary_text=text)
+        return RunResult(report=report, exit_code=2, summary_text=text)
 
     try:
         outcome = integrate(
@@ -600,7 +600,6 @@ def _finish_run(cfg: ScenarioConfig, report: ConditionReport, outcome, out: Path
     summary_path.write_bytes(text.encode() + b"\n")
 
     return RunResult(
-        config=cfg,
         report=report,
         exit_code=3 if diverged else 0,
         diverged=diverged,
@@ -696,10 +695,14 @@ def run_sweep(cfg: ScenarioConfig, spec: str, out_dir) -> int:
 
 
 def _say(text: str) -> None:
-    """Print and flush ``text``; once stdout's reader has gone, point stdout at
-    the null device: a closed pipe changes no file a command writes, nor its exit."""
+    """Print and flush ``text``, each character stdout cannot encode as its
+    backslash escape; once stdout's reader has gone, point stdout at the null
+    device: a closed pipe changes no file a command writes, nor its exit."""
     try:
         print(text, flush=True)
+    except UnicodeEncodeError:
+        encoding = sys.stdout.encoding
+        _say(text.encode(encoding, "backslashreplace").decode(encoding))
     except BrokenPipeError:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
@@ -792,7 +795,3 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -45,13 +45,10 @@ from .linalg import (
     symmetrize_weighted,
 )
 from .model import (
-    CHUA_K,
-    CHUA_L,
     CouplingMatrix,
     Dynamics,
     PinPlan,
     finite_number,
-    make_dynamics,
     node_index,
     pinned_matrix,
     positive_number,
@@ -203,11 +200,6 @@ def certified_quad_margin(dynamics: Dynamics, p, delta) -> float:
     # no symmetry check is needed
     values = np.linalg.eigvalsh(_sym_part(p[:, None] * jacobians))
     return float((p * delta).min() - np.abs(values).max())
-
-
-def quad_certificate_chua(p, delta, k: float = CHUA_K, l: float = CHUA_L) -> float:
-    """:func:`certified_quad_margin` of Chua's circuit at parameters k, l."""
-    return certified_quad_margin(make_dynamics("chua", params={"k": k, "l": l}), p, delta)
 
 
 def verify_certificate(theorem: Verdict, dynamics: Dynamics, cert: QuadCertificate) -> Verdict:

@@ -33,7 +33,7 @@ rounded mantissa is below ``1e17``, so that ``e`` is the exponent of the
 rounded value. Every other value (about 2% of random bit patterns, every
 exact tie, a mantissa that rounds up to ``1e17``) is formatted by
 ``"%.17g" % v``, as are nan and +-inf. Where ``long double`` is no wider
-than a double (``FAST_PATH`` false) every value takes ``%``.
+than a double there are no tables, and every value takes ``%``.
 
 The tables are built on the first call. A fixed list of hard values (each
 power of ten and its two neighbours, the extreme doubles) then goes through
@@ -50,8 +50,6 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .simulate import MetricSeries, Trajectory
-
-FAST_PATH = np.finfo(np.longdouble).nmant > np.finfo(np.float64).nmant
 
 CHUNK = 1024  # values per formatting pass, which holds about 350 bytes per value
 WIDTH = 25  # bytes per cell: the longest text, "-2.2250738585072014e-308", and one more
@@ -163,8 +161,11 @@ def _hard_values() -> np.ndarray:
 
 @functools.cache
 def _tables() -> Optional[_Tables]:
-    """The fast path's tables, or None when they fail the self-check: a hard
-    value whose text differs from ``%``'s, or a floating-point error."""
+    """The fast path's tables, or None where ``long double`` is no wider than
+    a double or when they fail the self-check: a hard value whose text
+    differs from ``%``'s, or a floating-point error."""
+    if np.finfo(np.longdouble).nmant <= np.finfo(np.float64).nmant:
+        return None
     tables = _build_tables()
     values = _hard_values()
     # short passes: the first write, and so this check, comes while a run's
@@ -251,7 +252,7 @@ def cells(values) -> np.ndarray:
     padded with spaces."""
     values = np.asarray(values, dtype=np.float64)
     flat = values.ravel()
-    tables = _tables() if FAST_PATH else None
+    tables = _tables()
     out = np.empty((len(flat), WIDTH), dtype=np.uint8)
     for start in range(0, len(flat), CHUNK):
         out[start : start + CHUNK] = _cells(flat[start : start + CHUNK], tables)

@@ -59,7 +59,7 @@ def test_03_symmetric_spectral_value():
 
 
 def test_04_quad_certificate():
-    eta = pn.quad_certificate_chua(np.ones(3), 10.0 * np.ones(3))
+    eta = pn.certified_quad_margin(pn.make_dynamics("chua"), np.ones(3), 10.0 * np.ones(3))
     cert = pn.QuadCertificate(p=np.ones(3), delta=10.0 * np.ones(3), eta=eta - 1e-6)
     verdict = pn.quad_check_sampled(
         pn.make_dynamics("chua"), cert, (-30.0, 30.0), 1_000_000, seed=20240

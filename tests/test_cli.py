@@ -191,6 +191,7 @@ class TestParseScenario:
             ("metrics", "."),
             ("trajectory", ""),
             ("trajectory", 5),
+            ("summary", "a\0b"),
         ],
     )
     def test_outputs_must_be_plain_file_names(self, key, value):
@@ -200,7 +201,7 @@ class TestParseScenario:
         with pytest.raises(ScenarioError, match=f"outputs.{key} must be a plain file name"):
             parse_scenario(data)
 
-    @pytest.mark.parametrize("name", ["../up", "a/b", "/abs", ".", ".."])
+    @pytest.mark.parametrize("name", ["../up", "a/b", "/abs", ".", "..", "a\0b"])
     def test_name_must_be_a_plain_file_name(self, name):
         # the default and sweep file names derive from it
         data = copy.deepcopy(BUILTIN_SCENARIOS["fig4-sym-pinned"])
@@ -1079,6 +1080,17 @@ class TestMainExitCodes:
         assert "--sweep and --require-conditions cannot be combined" in err
         assert not out.exists()
 
+    def test_nul_in_a_name_fails_before_the_run(self, tmp_path, capsys):
+        data = copy.deepcopy(BUILTIN_SCENARIOS["fig4-sym-pinned"])
+        data["name"] = "a\0b"
+        del data["outputs"]  # the output names start with the name
+        path = tmp_path / "nul.json"
+        path.write_text(json.dumps(data))
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: name must be a plain file name")
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "field, named",
         [("pin.epsilon", "pin: feedback gain epsilon"), ("pin.c", "pin: coupling strength c"),
@@ -1280,4 +1292,19 @@ class TestCommandProcess:
         assert (proc.returncode, err) == (0, b"")
         summary = (tmp_path / "out" / "s.txt").read_bytes()
         assert b"\r" not in summary and summary == out
+        assert summary.decode().startswith("condition report: r\u00e9seau\n")
+
+    def test_ascii_stdout_escapes_what_it_cannot_encode(self, tmp_path):
+        data = copy.deepcopy(BUILTIN_SCENARIOS["fig4-sym-pinned"])
+        data["name"] = "r\u00e9seau"
+        data["integration"]["t_max"] = 0.1
+        data["outputs"] = {"trajectory": "t.csv", "metrics": "m.csv", "summary": "s.txt"}
+        (tmp_path / "reseau.json").write_text(json.dumps(data))
+        # an empty PYTHONIOENCODING is unset: stdout takes the locale's ASCII
+        for args in (["check", "reseau.json"], ["run", "reseau.json", "--out", "out"]):
+            proc = _pinnet(args, tmp_path, ["-X", "utf8=0"], LC_ALL="C", PYTHONIOENCODING="")
+            out, err = proc.communicate()
+            assert (proc.returncode, err) == (0, b"")
+            assert out.startswith(b"condition report: r\\xe9seau\n")
+        summary = (tmp_path / "out" / "s.txt").read_bytes()
         assert summary.decode().startswith("condition report: r\u00e9seau\n")

@@ -21,7 +21,6 @@ from pinnet import (
     min_coupling_strength,
     pinned_matrix,
     proposition1_holds,
-    quad_certificate_chua,
     quad_check_sampled,
     quad_margin_affine,
     random_coupling_matrix,
@@ -161,7 +160,7 @@ class TestProposition1:
 
 class TestQuadCertificateChua:
     def test_reference_margin(self):
-        eta = quad_certificate_chua(np.ones(3), 10.0 * np.ones(3))
+        eta = certified_quad_margin(make_dynamics("chua"), np.ones(3), 10.0 * np.ones(3))
         assert eta == pytest.approx(0.6218, abs=1e-3)
         assert eta == 0.621826504640163
 
@@ -175,11 +174,10 @@ class TestQuadCertificateChua:
             want = _regional_bound(p, delta, k, l)
             dyn = make_dynamics("chua", params={"k": k, "l": l})
             assert certified_quad_margin(dyn, p, delta) == want, (k, l, p, delta)
-            assert quad_certificate_chua(p, delta, k=k, l=l) == want
 
     def test_binding_region_value(self):
         # eta = 10 - || sym(J_outer) ||_2; the outer slope binds here
-        eta = quad_certificate_chua(np.ones(3), 10.0 * np.ones(3))
+        eta = certified_quad_margin(make_dynamics("chua"), np.ones(3), 10.0 * np.ones(3))
         outer = sym_eigen(
             (lambda j: (j + j.T) / 2.0)(
                 np.array([[-18.0 / 7.0, 9.0, 0.0], [1.0, -1.0, 1.0], [0.0, -100.0 / 7.0, 0.0]])
@@ -198,7 +196,7 @@ class TestQuadCertificateChua:
 
     def test_no_certificate_without_damping(self):
         # chaotic field is not globally stable: Delta = 0 yields no margin
-        eta = quad_certificate_chua(np.ones(3), np.zeros(3))
+        eta = certified_quad_margin(make_dynamics("chua"), np.ones(3), np.zeros(3))
         assert eta <= 0.0
         # sampling agrees: negative quotients exist in the middle region
         cert = QuadCertificate(p=np.ones(3), delta=np.zeros(3), eta=1e-9)
@@ -215,7 +213,7 @@ class TestQuadCertificateChua:
 
     def test_rejects_bad_p(self):
         with pytest.raises(ValueError):
-            quad_certificate_chua(np.array([1.0, -1.0, 1.0]), np.zeros(3))
+            certified_quad_margin(make_dynamics("chua"), np.array([1.0, -1.0, 1.0]), np.zeros(3))
 
     def test_rejects_diagonals_of_another_dimension(self):
         with pytest.raises(ValueError, match=r"^delta must have shape \(3,\), got \(2,\)$"):
@@ -248,7 +246,7 @@ class TestQuadCheckSampled:
             quad_check_sampled(make_dynamics("chua"), cert, (-1.0, 1.0), 10)
 
     def test_reference_certificate_not_falsified(self):
-        eta = quad_certificate_chua(np.ones(3), 10.0 * np.ones(3))
+        eta = certified_quad_margin(make_dynamics("chua"), np.ones(3), 10.0 * np.ones(3))
         cert = QuadCertificate(p=np.ones(3), delta=10.0 * np.ones(3), eta=eta - 1e-6)
         verdict = quad_check_sampled(make_dynamics("chua"), cert, (-30.0, 30.0), 100_000, seed=2024)
         assert verdict.holds
@@ -504,7 +502,7 @@ class TestVerifyCertificate:
         theorem = theorem2_check(cert, 10.0, LAMBDA1_SYM)
         assert theorem.holds
         verdict = verify_certificate(theorem, make_dynamics("chua"), cert)
-        certified = quad_certificate_chua(np.ones(3), delta * np.ones(3))
+        certified = certified_quad_margin(make_dynamics("chua"), np.ones(3), delta * np.ones(3))
         assert not verdict.holds and verdict.margin == theorem.margin
         assert verdict.detail["certified_margin"] == certified
         assert verdict.detail["certificate"] == (
@@ -512,7 +510,7 @@ class TestVerifyCertificate:
         )
 
     def test_eta_equal_to_the_certified_margin_is_verified(self):
-        certified = quad_certificate_chua(np.ones(3), 10.0 * np.ones(3))
+        certified = certified_quad_margin(make_dynamics("chua"), np.ones(3), 10.0 * np.ones(3))
         cert = QuadCertificate(p=np.ones(3), delta=10.0 * np.ones(3), eta=certified)
         assert verify_certificate(self.HOLDS, make_dynamics("chua"), cert).holds
 
