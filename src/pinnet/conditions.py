@@ -14,15 +14,15 @@ asymmetric coupling through the weighted symmetrization
 topologies (:func:`reducible_pinnability`).
 
 All conditions are strict inequalities: a margin of exactly zero fails. The
-negativity tolerance is relative, ``margin < -1e-9 * max(1, scale)`` with
-``scale`` the magnitude of the binding combination, recorded as the
-verdict's ``detail["tolerance"]``; for spectral negativity, on either
-route, that is the largest eigenvalue magnitude. That one verdict
-also decides whether a minimal coupling strength c* exists. The closed
-forms know no dynamics kind: they read the Jacobians of the pieces a field
-declares on ``Dynamics.affine``, and a field that declares none is left to
-sampling. Every condition reads eigenvalues only, never an eigenvector, so
-each symmetric spectrum is LAPACK's ``eigvalsh``: one matrix through
+negativity tolerance is ``margin < -1e-9 * scale``, with no absolute floor, so
+the chain is unit-free: ``scale`` is the magnitude of the binding combination
+(for spectral negativity, the largest eigenvalue magnitude), and the tolerance
+is recorded as the verdict's ``detail["tolerance"]``. That one verdict also
+decides whether a minimal coupling strength c* exists. The closed forms know
+no dynamics kind: they read the Jacobians of the pieces a field declares on
+``Dynamics.affine``, and a field that declares none is left to sampling. Every
+condition reads eigenvalues only, never an eigenvector, so each symmetric
+spectrum is LAPACK's ``eigvalsh``: one matrix through
 :func:`pinnet.linalg.sym_eigen`, a stack of pieces directly.
 """
 
@@ -112,8 +112,8 @@ class Verdict:
 
 
 def _strict(margin: float, scale: float, detail: dict) -> Verdict:
-    """``margin < -NEG_TOL max(1, |scale|)``; the detail records that tolerance."""
-    tolerance = NEG_TOL * max(1.0, abs(scale))
+    """``margin < -NEG_TOL |scale|``; the detail records that tolerance."""
+    tolerance = NEG_TOL * abs(scale)
     return Verdict(holds=bool(margin < -tolerance), margin=float(margin),
                    detail={**detail, "tolerance": tolerance})
 
@@ -528,9 +528,12 @@ def random_coupling_matrix(
     (mirrored when symmetric), the diagonal is set to minus the row sum, and
     draws are rejected until the graph is strongly connected when
     ``require_irreducible``, at most ``_MAX_TRIES`` times. Deterministic given
-    the generator state.
+    the generator state; ``edge_prob`` is a number in [0, 1].
     """
     m = whole_number(m, "m", 1)
+    edge_prob = finite_number(edge_prob, "edge_prob")
+    if not 0.0 <= edge_prob <= 1.0:
+        raise ValueError(f"edge_prob must lie in [0, 1], got {edge_prob:g}")
     for _ in range(_MAX_TRIES):
         a = np.zeros((m, m))
         if m > 1:

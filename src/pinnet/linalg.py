@@ -82,18 +82,18 @@ def _absmax(arr: np.ndarray) -> float:
 
 
 def is_symmetric(a: np.ndarray) -> bool:
-    """``max |a - a^T| <= SYMMETRY_TOL max(1, max |a|)``: symmetric up to the
-    roundoff its largest entry can carry."""
-    return _absmax(a - a.T) <= SYMMETRY_TOL * max(1.0, _absmax(a))
+    """``max |a - a^T| <= SYMMETRY_TOL max |a|``: symmetric up to the
+    roundoff its largest entry can carry, at any scale."""
+    return _absmax(a - a.T) <= SYMMETRY_TOL * _absmax(a)
 
 
 def check_zero_row_sums(a: np.ndarray) -> None:
     """Raise ``ValueError`` naming the first row (1-based) whose sum is not
     zero within ``ROW_SUM_TOL`` times the row's magnitude, the sum of its
-    absolute entries but at least 1: the roundoff a floating-point row sum
-    can carry."""
+    absolute entries: the roundoff a floating-point row sum can carry, at
+    any scale."""
     sums = a.sum(axis=1)
-    tol = ROW_SUM_TOL * np.maximum(1.0, np.abs(a).sum(axis=1))
+    tol = ROW_SUM_TOL * np.abs(a).sum(axis=1)
     bad = np.flatnonzero(np.abs(sums) > tol)
     if bad.size:
         i = int(bad[0])
@@ -120,8 +120,8 @@ def sym_eigen(a) -> np.ndarray:
 def left_null_vector(a) -> np.ndarray:
     """Left null vector xi of a zero-row-sum matrix, normalized to sum 1.
 
-    Solved directly as the least-squares system {xi^T A = 0, sum xi = 1},
-    which is deterministic and exact at these sizes. For an irreducible
+    Solved as the least-squares system {xi^T A = 0, sum xi = 1} on A / max |a|,
+    both blocks balanced at unit scale, so xi is unit-free. For an irreducible
     matrix this is the (strictly positive) left Perron vector. For a
     reducible one it is just some vector of the left null space, often
     with zero entries; callers that need the Perron vector check
@@ -131,8 +131,8 @@ def left_null_vector(a) -> np.ndarray:
     arr = _as_square(a)
     m = arr.shape[0]
     check_zero_row_sums(arr)
-    scale = max(1.0, _absmax(arr))
-    system = np.vstack([arr.T, np.ones((1, m))])
+    scale = _absmax(arr) or 1.0  # the all-zero matrix keeps unit scale
+    system = np.vstack([arr.T / scale, np.ones((1, m))])
     rhs = np.zeros(m + 1)
     rhs[m] = 1.0
     xi, *_ = np.linalg.lstsq(system, rhs, rcond=None)

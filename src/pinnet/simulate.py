@@ -569,11 +569,12 @@ def decay_rate_fit(series: MetricSeries, window: tuple[float, float]) -> float:
     """Exponential rate of the pinning error on a time window.
 
     Least-squares slope of log(pin_ratio) against time; negative means
-    decay. The ratio must exist and be strictly positive on the window.
+    decay. Both ends of ``window`` are finite numbers, and the ratio must
+    exist and be strictly positive on the window.
     """
     if series.pin_ratio is None:
         raise ValueError("pin ratio is undefined for this trajectory")
-    t_a, t_b = window
+    t_a, t_b = (finite_number(t, "window") for t in window)
     mask = (series.times >= t_a) & (series.times <= t_b)
     if int(mask.sum()) < 2:
         raise ValueError(f"window [{t_a}, {t_b}] contains fewer than two samples")

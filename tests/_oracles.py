@@ -3,6 +3,7 @@
 These deliberately avoid the code paths they check: eigenvalues come from
 the characteristic polynomial (quadratic formula, or companion-matrix roots
 via numpy.roots for cubics) rather than the package's LAPACK ``eigvalsh``, and
+left null vectors come from the SVD rather than a least-squares solve,
 the minimal coupling strength is re-derived by bisection on the checker,
 and the sampled QUAD falsifier is checked against its earlier whole-chunk
 form. The RK4 loop, Chua's field and the network right-hand side are kept
@@ -45,6 +46,13 @@ def charpoly_eigenvalues(a) -> np.ndarray:
         roots = np.roots([1.0, -tr, minors, -det])
         return np.sort(roots.real)[::-1]
     raise ValueError("oracle covers sizes 1..3 only")
+
+
+def svd_left_null_vector(a) -> np.ndarray:
+    """Left null vector of a square matrix A from the SVD, not a linear
+    solve: the last right-singular vector of A^T, normalized to sum 1."""
+    xi = np.linalg.svd(np.asarray(a, dtype=float).T)[2][-1]
+    return xi / xi.sum()
 
 
 def bisect_min_c(margin_at, lo: float, hi: float, tol: float = 1e-10) -> float:

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import pinnet
 from pinnet import (
     BUILTIN_SCENARIOS,
     UNCONTROLLED,
@@ -430,6 +431,19 @@ class TestRoundTrip:
         path.write_text(json.dumps(data))
         assert main(["run", str(path), "--dry-run"]) == 0
         assert '"k": 9.0' in capsys.readouterr().out
+
+    def test_dry_run_output_reads_back_unchanged(self, tmp_path, capsys):
+        # a built-in, a scenario file, and one whose integer parameter prints
+        # as a float: what --dry-run prints, --dry-run prints back byte for byte
+        int_k = copy.deepcopy(BUILTIN_SCENARIOS["fig4-sym-pinned"])
+        int_k["dynamics"]["params"] = {"k": 9}
+        (tmp_path / "int-k.json").write_text(json.dumps(int_k))
+        resolved = tmp_path / "resolved.json"
+        for source in ("fig4-sym-pinned", str(LINEAR_RING), str(tmp_path / "int-k.json")):
+            assert main(["run", source, "--dry-run"]) == 0
+            resolved.write_text(capsys.readouterr().out)
+            assert main(["run", str(resolved), "--dry-run"]) == 0
+            assert capsys.readouterr().out == resolved.read_text()
 
     def test_inline_matrix_roundtrip(self):
         data = copy.deepcopy(BUILTIN_SCENARIOS["fig4-sym-pinned"])
@@ -1242,9 +1256,9 @@ class TestMainExitCodes:
 
 
 def _pinnet(args, cwd, flags=(), **env):
-    """``python *flags -m pinnet *args`` in a child process, with this tree's
-    package first on its path and ``env`` added to its environment."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
+    """``python *flags -m pinnet *args`` in a child process, with the package
+    these tests imported first on its path and ``env`` added to its environment."""
+    src = str(Path(pinnet.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.Popen(
         [sys.executable, *flags, "-m", "pinnet", *args],

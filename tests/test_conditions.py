@@ -1,3 +1,4 @@
+import copy
 import tracemalloc
 import warnings
 
@@ -7,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pinnet import (
+    BUILTIN_SCENARIOS,
+    COUPLING_MATRICES,
     Dynamics,
     NetworkSystem,
     PinPlan,
@@ -15,10 +18,12 @@ from pinnet import (
     SpectralReport,
     SymmetryError,
     certified_quad_margin,
+    check_scenario,
     chua_region_jacobian,
     make_coupling_function,
     make_dynamics,
     min_coupling_strength,
+    parse_scenario,
     pinned_matrix,
     proposition1_holds,
     quad_check_sampled,
@@ -807,3 +812,49 @@ class TestRandomCouplingMatrix:
     def test_single_node(self):
         a = random_coupling_matrix(np.random.default_rng(0), 1)
         np.testing.assert_array_equal(a.entries, [[0.0]])
+
+    def test_no_strongly_connected_draw(self):
+        with pytest.raises(RuntimeError, match=r"^no strongly connected draw in 500 tries \(m=3"):
+            random_coupling_matrix(np.random.default_rng(0), 3, edge_prob=0.0)
+
+
+def _rescaled_report(name: str, s: float):
+    """check_scenario on a built-in with (A, epsilon, c) -> (sA, s epsilon, c/s)."""
+    data = copy.deepcopy(BUILTIN_SCENARIOS[name])
+    data["coupling"] = (s * np.array(COUPLING_MATRICES[data["coupling"]])).tolist()
+    data["pin"]["epsilon"] *= s
+    data["pin"]["c"] /= s
+    return check_scenario(parse_scenario(data))
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
+def test_conditions_are_unit_free(name):
+    """Every condition reads the spectrum of c (A - epsilon e_p e_p^T) only, so
+    rescaling the coupling by s = 2^k moves no route or verdict, leaves the
+    theorem margins and xi as they are, and scales the pinned spectrum by s
+    and c* by 1/s. A margin that is a roundoff zero at s = 1 (the unpinned
+    lambda1 of fig2) must stay within its tolerance."""
+    base = _rescaled_report(name, 1.0)
+    for k in range(-500, 501, 50):
+        s = 2.0**k
+        got = _rescaled_report(name, s)
+        assert got.route == base.route, k
+        for field, unit in (("proposition1", s), ("theorem", 1.0), ("reducibility", 1.0)):
+            b, g = getattr(base, field), getattr(got, field)
+            assert (b is None) == (g is None), (k, field)
+            if b is None:
+                continue
+            assert g.holds == b.holds, (k, field)
+            tolerance = b.detail.get("tolerance", 0.0)
+            if abs(b.margin) <= tolerance:
+                assert abs(g.margin / unit) <= tolerance, (k, field)
+            else:
+                assert g.margin / unit == pytest.approx(b.margin, rel=1e-12, abs=0), (k, field)
+        assert (base.min_c is None) == (got.min_c is None), k
+        if base.min_c is not None:
+            assert got.min_c * s == pytest.approx(base.min_c, rel=1e-12, abs=0), k
+        b_xi = None if base.spectral is None else base.spectral.xi
+        g_xi = None if got.spectral is None else got.spectral.xi
+        assert (b_xi is None) == (g_xi is None), k
+        if b_xi is not None:
+            np.testing.assert_allclose(g_xi, b_xi, rtol=1e-12, atol=0, err_msg=str(k))

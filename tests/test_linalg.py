@@ -12,7 +12,7 @@ from pinnet import (
 )
 from pinnet.conditions import random_coupling_matrix
 
-from _oracles import charpoly_eigenvalues, pairwise_quadratic_form
+from _oracles import charpoly_eigenvalues, pairwise_quadratic_form, svd_left_null_vector
 
 SYM_PINNED_3NODE = np.array([[-10.0, 5.0, 0.1], [5.0, -11.0, 6.0], [0.1, 6.0, -6.1]])
 ASYM_3NODE = np.array([[-2.0, 1.0, 1.0], [1.0, -2.0, 1.0], [0.0, 1.0, -1.0]])
@@ -127,6 +127,17 @@ class TestLeftNullVector:
             assert np.max(np.abs(xi @ a)) <= 1e-10 * np.max(np.abs(a))
             assert xi.sum() == pytest.approx(1.0, abs=1e-12)
             assert np.all(xi > 0)
+
+    @pytest.mark.parametrize("k", [-500, -50, 0, 50, 500])
+    @pytest.mark.parametrize("m", [3, 10, 30, 100])
+    def test_matches_svd_oracle_at_any_scale(self, m, k):
+        a = 2.0**k * random_coupling_matrix(np.random.default_rng(m), m, symmetric=False).entries
+        xi = left_null_vector(a)
+        np.testing.assert_allclose(xi, svd_left_null_vector(a), rtol=0, atol=1e-12)
+
+    def test_builtin_asymmetric_matrix_far_below_unit_scale(self):
+        xi = left_null_vector(1e-100 * ASYM_3NODE)
+        np.testing.assert_allclose(xi, [1 / 6, 2 / 6, 3 / 6], rtol=0, atol=1e-12)
 
     def test_nonzero_row_sums_rejected(self):
         with pytest.raises(ValueError):

@@ -16,6 +16,7 @@ from pinnet import (
     ScenarioError,
     certified_quad_margin,
     check_scenario,
+    decay_rate_fit,
     integrate,
     make_dynamics,
     metrics,
@@ -179,6 +180,38 @@ def test_counts_and_seeds_are_whole_numbers(call, error, message):
 def test_grid_and_box_take_the_number_rules(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: random_coupling_matrix(np.random.default_rng(0), 3, edge_prob=-1.0),
+         r"^edge_prob must lie in \[0, 1\], got -1$"),
+        (lambda: random_coupling_matrix(np.random.default_rng(0), 3, edge_prob=2.0),
+         r"^edge_prob must lie in \[0, 1\], got 2$"),
+        (lambda: random_coupling_matrix(np.random.default_rng(0), 3, edge_prob=NAN),
+         r"^edge_prob must be finite, got nan$"),
+        (lambda: random_coupling_matrix(np.random.default_rng(0), 3, edge_prob=True),
+         r"^edge_prob must be a number, got True$"),
+        (lambda: random_coupling_matrix(np.random.default_rng(0), 3, edge_prob="x"),
+         r"^edge_prob must be a number, got 'x'$"),
+        (lambda: decay_rate_fit(metrics(_short_run()), ("a", 1.0)),
+         r"^window must be a number, got 'a'$"),
+        (lambda: decay_rate_fit(metrics(_short_run()), (True, 0.05)),
+         r"^window must be a number, got True$"),
+    ],
+    ids=["edge_prob-negative", "edge_prob-above-one", "edge_prob-nan", "edge_prob-boolean",
+         "edge_prob-string", "window-string", "window-boolean"],
+)
+def test_edge_prob_and_fit_window_take_the_number_rule(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_row_sum_rule_is_relative_below_unit_scale():
+    # the first row sums to half its magnitude, 2e-13 of 4e-13
+    with pytest.raises(ValueError, match=r"^row 1 sums to 2e-13"):
+        validate_coupling([[-1e-13, 3e-13], [2e-13, -2e-13]])
 
 
 def test_constructors_store_the_floats_their_rules_return():
