@@ -30,7 +30,6 @@ from .conditions import (
     reducible_pinnability,
     spectral_negativity,
     theorem1_margin,
-    theorem2_check,
     theorem3_check,
     theorem4_check,
     verify_certificate,

@@ -620,18 +620,28 @@ def _finish_run(cfg: ScenarioConfig, report: ConditionReport, outcome, out: Path
 # sweep
 
 
+def _number(text: str):
+    """A count's command-line text as an int, else as a float, for
+    :func:`pinnet.model.whole_number` to judge (``1e3`` is 1000)."""
+    try:
+        return int(text)
+    except ValueError:
+        return float(text)
+
+
 def parse_sweep(spec: str) -> np.ndarray:
     """Parse ``c=<a>:<b>:<n>`` into the n sweep values."""
     try:
         key, rest = spec.split("=", 1)
         lo_s, hi_s, n_s = rest.split(":")
-        lo, hi, count = float(lo_s), float(hi_s), int(n_s)
+        lo, hi, count = float(lo_s), float(hi_s), _number(n_s)
     except ValueError as err:
         raise ScenarioError(f"bad sweep spec {spec!r}, expected c=<a>:<b>:<n>") from err
     if key != "c":
         raise ScenarioError(f"only coupling-strength sweeps are supported, got {key!r}")
-    if count < 1 or not 0 < lo <= hi < np.inf:
-        raise ScenarioError(f"bad sweep range {spec!r}: need finite 0 < a <= b and n >= 1")
+    count = _named(f"sweep {spec!r}", whole_number, count, "n", 1)
+    if not 0 < lo <= hi < np.inf:
+        raise ScenarioError(f"bad sweep range {spec!r}: need finite 0 < a <= b")
     if count == 1 and hi != lo:
         raise ScenarioError(f"bad sweep range {spec!r}: one point cannot span {lo:g} to {hi:g}")
     try:
@@ -735,10 +745,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     check_p = sub.add_parser("check", help="run the condition chain and report")
     check_p.add_argument("scenario", help="scenario file path or built-in id")
-    check_p.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
+    check_p.add_argument("--seed", type=_number, default=0, help="seed for sampled checks")
     check_p.add_argument(
         "--quad-samples",
-        type=int,
+        type=_number,
         default=0,
         help="also falsification-test the certificate with this many samples",
     )

@@ -5,9 +5,9 @@ coupling spectrum (:func:`proposition1_holds`), the QUAD one-sided-Lipschitz
 certificate for the node dynamics (:func:`certified_quad_margin`, with
 :func:`verify_certificate` for the verdicts that rely on it, and
 :func:`quad_check_sampled`), local and global margins for symmetric coupling
-(:func:`theorem1_margin`, :func:`theorem2_check`), nonlinear coupling
-(:func:`theorem3_check`, of which theorem 2 is the alpha = 1 case),
-asymmetric coupling through the weighted symmetrization
+(:func:`theorem1_margin`, and theorem 2 as :func:`theorem3_check` at
+alpha = 1), nonlinear coupling (:func:`theorem3_check`), asymmetric
+coupling through the weighted symmetrization
 (:func:`weighted_spectrum`, :func:`spectral_negativity`,
 :func:`theorem4_check`), the minimal coupling strength
 (:func:`min_coupling_strength`), and the structural criterion for reducible
@@ -42,6 +42,7 @@ from .linalg import (
     positive_vector,
     scc_condensation,
     sym_eigen,
+    sym_part,
     symmetrize_weighted,
 )
 from .model import (
@@ -152,10 +153,6 @@ def proposition1_holds(a_tilde) -> tuple[Verdict, SpectralReport]:
 # QUAD certificates
 
 
-def _sym_part(m: np.ndarray) -> np.ndarray:
-    return (m + np.swapaxes(m, -1, -2)) / 2.0
-
-
 def _check_diagonals(p, delta, n: Optional[int] = None) -> tuple[np.ndarray, np.ndarray]:
     """The (P, Delta) rule: ``delta`` a finite vector of ``n`` entries (any if
     None), ``p`` a positive vector as long; a number is a diagonal of one."""
@@ -171,7 +168,7 @@ def quad_margin_affine(p, delta, jacobian) -> float:
     -lambda_max(sym(P (J - Delta))). Positive means certified."""
     jac = np.asarray(jacobian, dtype=float)
     p, delta = _check_diagonals(p, delta, jac.shape[0])
-    m = _sym_part(p[:, None] * (jac - np.diag(delta)))
+    m = sym_part(p[:, None] * (jac - np.diag(delta)))
     return -float(sym_eigen(m)[0])
 
 
@@ -198,7 +195,7 @@ def certified_quad_margin(dynamics: Dynamics, p, delta) -> float:
     p, delta = _check_diagonals(p, delta, dynamics.dim)
     # one eigvalsh over the stack; the symmetric parts are built exactly, so
     # no symmetry check is needed
-    values = np.linalg.eigvalsh(_sym_part(p[:, None] * jacobians))
+    values = np.linalg.eigvalsh(sym_part(p[:, None] * jacobians))
     return float((p * delta).min() - np.abs(values).max())
 
 
@@ -379,26 +376,22 @@ def theorem1_margin(sys, lambda1: float) -> Verdict:
     symmetrized Jacobian on each piece of ``sys.dynamics.affine``, and the
     condition holds when max_piece mu < -c lambda1, i.e.
     margin = max mu + c lambda1 < 0. The detail lists ``mu_by_piece`` in
-    piece order. A field that declares no affine pieces raises ``ValueError``.
+    piece order. A field that declares no affine pieces, or a ``lambda1``
+    that is not a finite number, raises ``ValueError``.
     """
+    finite_number(lambda1, "lambda1")
     affine = sys.dynamics.affine
     if affine is None:
         raise ValueError(
             f"theorem1_margin needs the field's affine pieces; dynamics kind "
             f"{sys.dynamics.kind!r} declares none"
         )
-    mus = tuple(np.linalg.eigvalsh(_sym_part(affine.jacobians))[:, -1].tolist())
+    mus = tuple(np.linalg.eigvalsh(sym_part(affine.jacobians))[:, -1].tolist())
     mu = max(mus)
     c = sys.pin.c
     margin = mu + c * lambda1
     scale = abs(mu) + abs(c * lambda1)
     return _strict(margin, scale, {"mu_by_piece": mus, "c_lambda1": c * lambda1})
-
-
-def theorem2_check(cert: QuadCertificate, c: float, lambda1: float) -> Verdict:
-    """Global pinning margin for symmetric coupling:
-    max_k Delta_k + c lambda1 < 0, i.e. :func:`theorem3_check` at alpha = 1."""
-    return theorem3_check(cert, c, lambda1, 1.0)
 
 
 def theorem3_check(
@@ -407,8 +400,9 @@ def theorem3_check(
     """Global pinning margin under a monotone coupling map with difference
     quotients >= alpha > 0: max_k Delta_k xi_max + alpha c lambda1 < 0, the
     family :func:`min_coupling_strength` solves. At alpha = 1 and
-    xi_max = 1 this is :func:`theorem2_check` (the identity map); with the
-    weighted spectrum it is :func:`theorem4_check`."""
+    xi_max = 1 this is the paper's theorem 2 (the identity map,
+    max_k Delta_k + c lambda1 < 0); with the weighted spectrum it is
+    :func:`theorem4_check`."""
     # c = 0 is allowed: the margin is defined there, max_k Delta_k xi_max
     finite_number(c, "c")
     finite_number(lambda1, "lambda1")

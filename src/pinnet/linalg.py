@@ -100,6 +100,11 @@ def check_zero_row_sums(a: np.ndarray) -> None:
         raise ValueError(f"row {i + 1} sums to {sums[i]:.6g}, expected 0 within {tol[i]:.3g}")
 
 
+def sym_part(m: np.ndarray) -> np.ndarray:
+    """``(m + m^T) / 2`` over the last two axes, so also for a stack."""
+    return (m + np.swapaxes(m, -1, -2)) / 2.0
+
+
 def sym_eigen(a) -> np.ndarray:
     """Eigenvalues of a symmetric matrix, sorted descending, by LAPACK
     (``numpy.linalg.eigvalsh``).
@@ -114,7 +119,7 @@ def sym_eigen(a) -> np.ndarray:
             "matrix is not symmetric within tolerance; "
             "the weighted symmetrization path handles asymmetric coupling"
         )
-    return np.linalg.eigvalsh((arr + arr.T) / 2.0)[::-1]  # eigvalsh ascends
+    return np.linalg.eigvalsh(sym_part(arr))[::-1]  # eigvalsh ascends
 
 
 def left_null_vector(a) -> np.ndarray:
@@ -240,5 +245,5 @@ def symmetrize_weighted(a_tilde, xi) -> np.ndarray:
     """
     arr = _as_square(a_tilde)
     w = positive_vector(xi, "xi", arr.shape[0])
-    weighted = w[:, None] * arr  # diag(xi) @ A; A.T @ diag(xi) is its transpose
-    return (weighted + weighted.T) / 2.0
+    # diag(xi) @ A; A.T @ diag(xi) is its transpose
+    return sym_part(w[:, None] * arr)

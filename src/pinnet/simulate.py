@@ -6,13 +6,15 @@ start stays put only because the field maps it there. A norm guard converts
 silent blowup into a :class:`DivergenceError` carrying the partial trajectory
 and the time of the breach. Each step first takes one dot product, the
 total ``y . y`` over all N entries of the batch: every node's norm^2 is at
-most that total, so while it stays under ``DIVERGENCE_NORM^2`` shaved by
-``4 (N + n + 2) eps`` (which covers the roundoff of both sums) no node can
-breach and the per-node check is skipped. NaN and inf fail the comparison
-and take the full check, so errors, blow-up times and partial trajectories
-are exactly those of checking every node norm on every step. The filter is
+most that total, so while it stays under ``DIVERGENCE_NORM^2 (1 - 2^-10)``
+no node can breach and the per-node check is skipped. The shave covers the
+roundoff of both sums for any N < 2^40 (8 TiB of state): the computed total
+is within N u / (1 - N u) of the exact one, and a computed node norm^2
+within n u of its own, u = 2^-53. NaN and inf fail the comparison and take
+the full check, so errors, blow-up times and partial trajectories are
+exactly those of checking every node norm on every step. The filter is
 looser than a per-node test: it falls back to the full check whenever the
-total crosses the guard, which happens sooner for many nodes at large
+total crosses that bound, which happens sooner for many nodes at large
 amplitude, and then costs one extra reduction.
 
 The step's arrays hold a few dozen doubles at the paper's sizes, so numpy's
@@ -107,6 +109,9 @@ from .model import (
 
 DIVERGENCE_NORM = 1e9
 _GUARD2 = DIVERGENCE_NORM * DIVERGENCE_NORM
+# Largest computed total dot(y, y) that proves every computed node norm^2
+# within _GUARD2, for any state of fewer than 2^40 doubles (module docstring)
+_SAFE2 = _GUARD2 * (1.0 - 2.0**-10)
 GRID_RTOL = 1e-9
 _MONITOR_FLOOR = 1e-300
 _MONITOR_TOL_RATE = 1e-3
@@ -170,17 +175,6 @@ def _stacked_state(sys: NetworkSystem, x0, s0, label: str) -> np.ndarray:
     if s0.shape != (n,):
         raise ValueError(f"{label}s0 must have shape ({n},), got {s0.shape}")
     return np.vstack([x0, s0[None, :]])
-
-
-def _total_norm2_bound(size: int, n: int) -> float:
-    """Largest computed ``dot(y, y)`` over ``size`` doubles that proves no
-    computed node norm^2 (a sum of ``n`` squares) exceeds ``DIVERGENCE_NORM^2``.
-
-    A node's exact norm^2 is at most the exact total; the shave covers the
-    relative error of both computed sums (under ``(size + n) eps / 2``) and
-    the rounding of this product.
-    """
-    return _GUARD2 * (1.0 - 4.0 * (size + n + 2) * np.finfo(float).eps)
 
 
 def _affine_step_matrix(
@@ -400,11 +394,10 @@ def _run_loop(systems, step, y, samples, times, dt) -> list[tuple[int, int]]:
     # flat views of y: (B (m + 1), n) rows for the field, one row per member
     # for the sample store, and the whole batch for the guard's dot
     y2, y_rows, flat = y.reshape(-1, n), y.reshape(count, -1), y.reshape(-1)
-    safe2 = _total_norm2_bound(y.size, n)
     for i in range(steps):
         step(y2, times[i])
         samples[rows, i + 1] = y_rows
-        if np.dot(flat, flat) <= safe2:
+        if np.dot(flat, flat) <= _SAFE2:
             continue
         outcomes = _breaches(y)
         if not outcomes.any():
@@ -420,7 +413,6 @@ def _run_loop(systems, step, y, samples, times, dt) -> list[tuple[int, int]]:
         rows = live
         step = _rk4_stepper([systems[k] for k in live], dt)
         y2, y_rows, flat = y.reshape(-1, n), y.reshape(live.size, -1), y.reshape(-1)
-        safe2 = _total_norm2_bound(y.size, n)
     return ends
 
 
@@ -432,8 +424,6 @@ def _run_affine(sys, affine: PiecewiseAffine, traj, times, dt) -> tuple[int, int
     size = m1 * n
     steps = len(times) - 1
     coord, breaks = affine.coord, np.asarray(affine.breaks, dtype=float)
-    # no block adds more entries than this
-    safe2 = _total_norm2_bound(_BLOCK_ENTRIES, n)
 
     def pattern(i):
         """The piece of each row of sample i, as a list."""
@@ -474,7 +464,7 @@ def _run_affine(sys, affine: PiecewiseAffine, traj, times, dt) -> tuple[int, int
             new[0] = traj[i]
             step(new.reshape(m1, n), times[i])
         # the guard, on every new sample: one dot while all are far inside
-        if not np.vdot(new, new) <= safe2:
+        if not np.vdot(new, new) <= _SAFE2:
             outcomes = _breaches(new.reshape(-1, m1, n))
             if outcomes.any():
                 first = int(np.flatnonzero(outcomes)[0])

@@ -265,7 +265,7 @@ def test_11_nonlinear_coupling(tmp_path):
         )
         c = float(rng.uniform(0.01, 100.0))
         lam = float(rng.normal()) or -1.0
-        t2 = pn.theorem2_check(cert, c, lam)
+        t2 = pn.theorem3_check(cert, c, lam, 1.0)
         t3 = pn.theorem3_check(cert, c, lam, alpha=1.0)
         bitwise = bitwise and t3.margin == t2.margin and t3.holds == t2.holds
 

@@ -1179,6 +1179,24 @@ class TestMainExitCodes:
         assert main(["check", "fig4-sym-pinned", "--quad-samples", "10", "--seed", "-1"]) == 1
         assert "seed must be a whole number >= 0, got -1" in capsys.readouterr().err
 
+    def test_counts_take_the_whole_number_rule(self, tmp_path, capsys):
+        # a whole float is a count, on the command line as in check_scenario
+        assert main(["check", "fig4-sym-pinned", "--quad-samples", "1e3", "--seed", "1e0"]) == 0
+        assert "1000 samples, seed 1," in capsys.readouterr().out
+        argv = ["run", "fig4-sym-pinned", "--tmax", "1", "--sweep", "c=6:14:3.0"]
+        assert main(argv + ["--out", str(tmp_path)]) == 0
+        rows = (tmp_path / "fig4-sym-pinned_sweep.csv").read_text().splitlines()
+        assert [row.split(",")[0] for row in rows[1:]] == ["6", "10", "14"]
+        capsys.readouterr()
+        assert main(["check", "fig4-sym-pinned", "--quad-samples", "2.5"]) == 1
+        assert "quad_samples must be a whole number >= 0, got 2.5" in capsys.readouterr().err
+        assert main(["check", "fig4-sym-pinned", "--seed", "x"]) == 1
+        assert "argument --seed: invalid" in capsys.readouterr().err
+        argv = ["run", "fig4-sym-pinned", "--dry-run", "--sweep", "c=6:14:2.5"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "sweep 'c=6:14:2.5': n must be a whole number >= 1, got 2.5" in err
+
     def test_run_has_no_seed_flag(self, capsys):
         assert main(["run", "fig4-sym-pinned", "--seed", "1", "--dry-run"]) == 1
 

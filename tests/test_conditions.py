@@ -34,7 +34,6 @@ from pinnet import (
     spectral_negativity,
     sym_eigen,
     theorem1_margin,
-    theorem2_check,
     theorem3_check,
     theorem4_check,
     validate_coupling,
@@ -492,7 +491,7 @@ class TestTheorem1:
 
 
 class TestVerifyCertificate:
-    HOLDS = theorem2_check(CERT_10, 10.0, LAMBDA1_SYM)
+    HOLDS = theorem3_check(CERT_10, 10.0, LAMBDA1_SYM, 1.0)
 
     def test_shipped_certificate_is_verified(self):
         verdict = verify_certificate(self.HOLDS, make_dynamics("chua"), CERT_10)
@@ -504,7 +503,7 @@ class TestVerifyCertificate:
     @pytest.mark.parametrize("delta, eta", [(0.1, 5.0), (10.0, 0.7)])
     def test_overclaimed_eta_fails_with_its_margin_kept(self, delta, eta):
         cert = QuadCertificate(p=np.ones(3), delta=delta * np.ones(3), eta=eta)
-        theorem = theorem2_check(cert, 10.0, LAMBDA1_SYM)
+        theorem = theorem3_check(cert, 10.0, LAMBDA1_SYM, 1.0)
         assert theorem.holds
         verdict = verify_certificate(theorem, make_dynamics("chua"), cert)
         certified = certified_quad_margin(make_dynamics("chua"), np.ones(3), delta * np.ones(3))
@@ -520,12 +519,12 @@ class TestVerifyCertificate:
         assert verify_certificate(self.HOLDS, make_dynamics("chua"), cert).holds
 
     def test_failing_theorem_stays_failed(self):
-        theorem = theorem2_check(CERT_10, 1.0, LAMBDA1_SYM)
+        theorem = theorem3_check(CERT_10, 1.0, LAMBDA1_SYM, 1.0)
         assert not verify_certificate(theorem, make_dynamics("chua"), CERT_10).holds
 
     def test_registered_field_is_unverified(self):
         cert = QuadCertificate(p=np.ones(1), delta=np.ones(1), eta=0.5)
-        theorem = theorem2_check(cert, 10.0, LAMBDA1_SYM)
+        theorem = theorem3_check(cert, 10.0, LAMBDA1_SYM, 1.0)
         verdict = verify_certificate(theorem, _register_probe(), cert)
         assert not verdict.holds
         assert verdict.detail["certified_margin"] is None
@@ -536,22 +535,22 @@ class TestVerifyCertificate:
 
 class TestTheorem2:
     def test_reference_margin(self):
-        verdict = theorem2_check(CERT_10, 10.0, LAMBDA1_SYM)
+        verdict = theorem3_check(CERT_10, 10.0, LAMBDA1_SYM, 1.0)
         assert verdict.holds
         assert verdict.margin == pytest.approx(-0.111446, abs=1e-6)
 
     def test_weak_coupling_fails(self):
-        verdict = theorem2_check(CERT_10, 1.0, -1.011)
+        verdict = theorem3_check(CERT_10, 1.0, -1.011, 1.0)
         assert not verdict.holds
         assert verdict.margin == pytest.approx(8.989, abs=1e-12)
 
     def test_no_expansion_always_holds(self):
         cert = QuadCertificate(p=np.ones(3), delta=np.zeros(3), eta=1.0)
-        assert theorem2_check(cert, 0.5, -0.1).holds
+        assert theorem3_check(cert, 0.5, -0.1, 1.0).holds
 
     def test_zero_margin_fails(self):
         cert = QuadCertificate(p=np.ones(1), delta=np.ones(1), eta=1.0)
-        verdict = theorem2_check(cert, 1.0, -1.0)
+        verdict = theorem3_check(cert, 1.0, -1.0, 1.0)
         assert verdict.margin == 0.0
         assert not verdict.holds
 
@@ -565,18 +564,18 @@ class TestTheorem2:
         )
         lam = -float(rng.uniform(0.1, 5.0))
         c = float(rng.uniform(0.1, 50.0))
-        base = theorem2_check(cert, c, lam).margin
+        base = theorem3_check(cert, c, lam, 1.0).margin
         # strictly decreasing in c
-        assert theorem2_check(cert, c * 1.5, lam).margin < base
+        assert theorem3_check(cert, c * 1.5, lam, 1.0).margin < base
         # raising any component above the current max strictly increases
         bumped = cert.delta.copy()
         bumped[int(rng.integers(0, n))] = np.max(cert.delta) + 1.0
         cert2 = QuadCertificate(p=cert.p, delta=bumped, eta=1.0)
-        assert theorem2_check(cert2, c, lam).margin > base
+        assert theorem3_check(cert2, c, lam, 1.0).margin > base
 
     def test_binding_component_reported(self):
         cert = QuadCertificate(p=np.ones(3), delta=np.array([1.0, 5.0, 3.0]), eta=1.0)
-        verdict = theorem2_check(cert, 1.0, -1.0)
+        verdict = theorem3_check(cert, 1.0, -1.0, 1.0)
         assert verdict.detail["binding_k"] == 2
 
 
@@ -590,7 +589,7 @@ class TestTheorem3:
             )
             c = float(rng.uniform(0.01, 100.0))
             lam = float(rng.normal()) or -1.0
-            t2 = theorem2_check(cert, c, lam)
+            t2 = theorem3_check(cert, c, lam, 1.0)
             t3 = theorem3_check(cert, c, lam, alpha=1.0)
             assert t3.margin == t2.margin
             assert t3.holds == t2.holds
@@ -647,7 +646,7 @@ class TestTheorem4:
         # uniform xi = 1/m turns the weighted form into A~/m
         pin = PinPlan(1, 4.9, 10.0)
         verdict4, report = theorem4_check(SYM_3NODE, pin, CERT_10)
-        verdict2 = theorem2_check(CERT_10, pin.c, LAMBDA1_SYM)
+        verdict2 = theorem3_check(CERT_10, pin.c, LAMBDA1_SYM, 1.0)
         m = SYM_3NODE.m
         assert report.lambda1 == pytest.approx(LAMBDA1_SYM / m, rel=1e-9)
         assert verdict4.margin * m == pytest.approx(verdict2.margin, rel=1e-9)
@@ -696,7 +695,7 @@ class TestMinCouplingStrength:
         c_star = min_coupling_strength(CERT_10, _spectrum(LAMBDA1_SYM))
         assert c_star == pytest.approx(9.891, abs=1e-2)
         oracle = bisect_min_c(
-            lambda c: theorem2_check(CERT_10, c, LAMBDA1_SYM).margin, 0.0, 100.0
+            lambda c: theorem3_check(CERT_10, c, LAMBDA1_SYM, 1.0).margin, 0.0, 100.0
         )
         assert c_star == pytest.approx(oracle, rel=1e-8)
 

@@ -16,7 +16,8 @@ def test_library_example_runs_as_written():
     pn, cert, spectrum = scope["pn"], scope["cert"], scope["spectrum"]
     # the values in the block's comments
     assert round(scope["eta"], 4) == 0.6218
-    assert round(pn.theorem2_check(cert, c=10.0, lambda1=spectrum.lambda1).margin, 3) == -0.111
+    theorem2 = pn.theorem3_check(cert, c=10.0, lambda1=spectrum.lambda1, alpha=1.0)
+    assert round(theorem2.margin, 3) == -0.111
     assert round(pn.min_coupling_strength(cert, spectrum), 4) == 9.8898
     runs = scope["runs"]
     assert len(runs) == 3 and all(isinstance(run, pn.Trajectory) for run in runs)

@@ -454,6 +454,36 @@ class TestFrozenLoopParity:
         _assert_parity(got, want, _pieces(growing))
 
 
+@pytest.mark.parametrize("shape", ["dominant", "equal", "random"])
+@pytest.mark.parametrize("nodes, n", [(4, 3), (24, 3), (256, 4), (1 << 15, 4)])
+def test_safe_total_bounds_every_node_norm(shape, nodes, n):
+    # a state whose one-dot total sits at the filter's bound, 12 to 2^17
+    # entries: every node norm^2 that _breaches computes is within the guard
+    rng = np.random.default_rng(nodes + n)
+    base = {
+        "dominant": np.vstack([np.ones((1, n)), np.full((nodes - 1, n), 1e-6)]),
+        "equal": np.ones((nodes, n)),
+        "random": rng.standard_normal((nodes, n)),
+    }[shape]
+
+    def total(scale):
+        flat = (scale * base).ravel()
+        return np.dot(flat, flat)
+
+    # step the scale ulp by ulp to the last one whose total is <= _SAFE2; a
+    # long sum's rounding is not monotone in it, so that total is only
+    # within 1e-9 of _SAFE2
+    scale = np.sqrt(simulate._SAFE2 / total(1.0))
+    while total(scale) > simulate._SAFE2:
+        scale = np.nextafter(scale, 0.0)
+    while total(np.nextafter(scale, np.inf)) <= simulate._SAFE2:
+        scale = np.nextafter(scale, np.inf)
+    assert simulate._SAFE2 * (1.0 - 1e-9) <= total(scale) <= simulate._SAFE2
+    y = (scale * base)[None]
+    assert np.einsum("bij,bij->bi", y, y).max() <= simulate._GUARD2
+    assert not simulate._breaches(y).any()
+
+
 def _ring(m):
     a = np.zeros((m, m))
     i = np.arange(m)

@@ -28,6 +28,7 @@ from pinnet import (
     random_coupling_matrix,
     reducible_pinnability,
     scc_condensation,
+    theorem1_margin,
     theorem3_check,
     validate_coupling,
 )
@@ -121,9 +122,14 @@ def test_certified_margin_takes_the_certificate_diagonal_rule(p, delta, message)
          r"^xi_max must be finite"),
         (lambda: min_coupling_strength(CERT, SpectralReport(np.array([-1.0])), alpha=NAN),
          r"^alpha must be finite"),
+        (lambda: theorem1_margin(_decay_pair(), NAN), r"^lambda1 must be finite, got nan$"),
+        (lambda: theorem1_margin(_decay_pair(), INF), r"^lambda1 must be finite, got inf$"),
+        (lambda: theorem1_margin(_decay_pair(), True), r"^lambda1 must be a number, got True$"),
+        (lambda: theorem1_margin(_decay_pair(), "x"), r"^lambda1 must be a number, got 'x'$"),
     ],
     ids=["theorem3-alpha", "theorem3-c", "theorem3-lambda1", "theorem3-xi_max",
-         "min-c-alpha"],
+         "min-c-alpha", "theorem1-lambda1-nan", "theorem1-lambda1-inf",
+         "theorem1-lambda1-boolean", "theorem1-lambda1-string"],
 )
 def test_margin_numbers_are_checked(call, message):
     with pytest.raises(ValueError, match=message):
