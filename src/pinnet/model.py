@@ -367,26 +367,43 @@ class CouplingFunction:
     def __call__(self, u) -> np.ndarray:
         return self.map_fn(np.asarray(u, dtype=float))
 
+    @property
+    def linear_near(self) -> Optional[tuple[float, float]]:
+        """``(u0, slope)`` of the registered map: on ``|u| <= u0`` the
+        computed ``g(u)`` is ``slope * u`` rounded, so there the coupling is
+        linear (``u0`` is inf for the identity). None for a kind that is not
+        registered."""
+        entry = _COUPLING_FUNCTIONS.get(self.kind)
+        return None if entry is None else entry[2]
+
 
 def _g_identity(u):
     return u
 
 
 def _g_sine_blend(u):
-    # slope 1 + 0.5 cos(u) stays in [0.5, 1.5]
+    """``u + 0.5 sin(u)``, slope ``1 + 0.5 cos(u)`` in [0.5, 1.5].
+
+    Linear near 0: ``|0.5 (sin u - u)| <= |u|^3 / 12``, which for
+    ``|u| <= 1e-8`` is at most ``8.4e-18 |u|``, below half an ulp of
+    ``1.5 u``. There a correctly rounded ``sin(u)`` is ``u`` itself, so for
+    normal ``u`` the computed ``g(u)`` is ``1.5 u`` rounded (a subnormal's
+    ``0.5 sin(u)`` may round).
+    """
     return np.add(u, np.multiply(np.sin(u), _HALF))
 
 
-_COUPLING_FUNCTIONS: dict[str, tuple[Callable, float]] = {
-    "identity": (_g_identity, 1.0),
-    "sine_blend": (_g_sine_blend, 0.5),
+# kind: (map, certified slope bound, linear_near)
+_COUPLING_FUNCTIONS: dict[str, tuple[Callable, float, tuple[float, float]]] = {
+    "identity": (_g_identity, 1.0, (math.inf, 1.0)),
+    "sine_blend": (_g_sine_blend, 0.5, (1e-8, 1.5)),
 }
 
 
 def make_coupling_function(kind: str = "identity", alpha_lower: Optional[float] = None) -> CouplingFunction:
     """Registered map ``kind`` with slope bound ``alpha_lower``, which defaults
     to the registered certified bound and may lower it but never exceed it."""
-    fn, bound = _registered(_COUPLING_FUNCTIONS, kind, "coupling function")
+    fn, bound, _ = _registered(_COUPLING_FUNCTIONS, kind, "coupling function")
     alpha = bound if alpha_lower is None else positive_number(alpha_lower, "alpha_lower")
     if alpha > bound:
         raise ValueError(

@@ -39,9 +39,12 @@ in a batch of one, and a member that breaches the guard stops with its own
 
 Where the dynamics declare :class:`pinnet.model.PiecewiseAffine` pieces
 (Chua's three diode regions, split at ``x1 = -1, 1``; one piece for the
-linear decay), the coupling map is the identity and the flat state has at
-most ``_LINEAR_MAX_SIZE`` = 72 entries, the field is affine in each pattern
-of pieces (one per row of the state), ``y' = K y + c``, and an RK4 step is
+linear decay), the flat state has at most ``_LINEAR_MAX_SIZE`` = 72 entries
+and the coupling map is linear on the state (``g(u) = slope u`` on
+``|u| <= u0``, :attr:`pinnet.model.CouplingFunction.linear_near`: the
+identity everywhere, the sine blend with slope 1.5 within 1e-8), the
+field is affine in each pattern of pieces (one per row of the state),
+``y' = K y + c`` with the operator ``slope M``, and an RK4 step is
 exactly ``y + B [y; 1]`` for ``L = [[K, c], [0, 0]]``: with the stage
 maps ``S2 = I + hL/2``, ``S3 = I + hL S2/2``, ``S4 = I + hL S3`` and
 ``K_i = hL S_i``, ``B`` is the top rows of ``(hL + 2 (K2 + K3) + K4) / 6``.
@@ -73,13 +76,29 @@ one dot over a block's new samples while their total is under the bound,
 else the full check of each in order, so blow-up times and partial
 trajectories are those of checking every step.
 
+Under the identity map every member starts on the affine path. Under a map
+that is linear only within ``u0``, the RK4 loop runs until every coordinate
+of a member, the reference row included, is within ``u0``; the member then
+leaves the batch, as a breaching one does, and goes on by affine steps whose
+``W`` also tests every coordinate of the four stage states against
+``+-u0``. A step that fails there on an unchanged pattern is taken by the
+RK4 loop with the real map, as is every step of a member that has left the
+region. A lone member tests its coordinates only while its total dot is at
+most ``1.001 (m + 1) n u0^2``, which bounds it whenever they are within
+``u0``; a batch tests each member on every step. A pinned network whose
+reference rests at the origin thus ends on the affine path:
+``nonlinear-pinned`` from t = 0.798.
+
 Costs on a pinned 3-node ring (one BLAS thread, shared 2-vCPU Xeon): 0.45
 to 0.7 us a step in blocks of 32, against about 5 us for the one-matrix
 step and 32-34 us for the loop; a doubling costs 10-30 us, a rebuild 0.06
 to 0.21 ms up to 72 entries. On an uncontrolled chaotic ring the rebuilds
 cost more than the affine steps save at m = 30, hence the cap. On the
 built-ins at their shipped horizons the states move from the loop's by at
-most 5.7e-13 relative per sample; the tests allow 1e-11.
+most 5.7e-13 relative per sample where the sample's largest entry is a
+normal double; the tests allow 1e-11. Below that (``nonlinear-pinned``
+past t = 22.9) ``0.5 sin(u)`` of a subnormal rounds, and the loop's states
+stop at subnormals while the affine path's reach 0.
 
 The step must divide the horizon: the grid ends exactly at ``t_max`` or the
 call is rejected (:func:`grid_steps`).
@@ -123,6 +142,8 @@ _LINEAR_MAX_SIZE = 72
 _BLOCK_ENTRIES = 1 << 15
 # a member's outcome when it stops early: over the guard, or not finite
 _DIVERGED, _NON_FINITE = 1, 2
+# a member that leaves the RK4 loop for the affine path
+_SETTLED = 3
 
 
 class DivergenceError(RuntimeError):
@@ -182,15 +203,20 @@ def _affine_step_matrix(
 ) -> np.ndarray:
     """The matrix ``W`` of one member's pattern (module docstring), on its
     flat ``(m + 1) n`` state with a trailing 1. A bound at infinity gives a
-    zero test row; a field without breakpoints gets no test rows."""
+    zero test row; a field without breakpoints gets no piece test rows.
+    Under a coupling map that is ``slope u`` only on ``|u| <= u0``
+    (``CouplingFunction.linear_near``) the operator is ``slope M``, and
+    further rows put every coordinate of the four stage states within
+    ``+-u0``."""
+    u0, slope = sys.gfun.linear_near
     pattern = np.asarray(pattern)
     m, n = sys.coupling.m, sys.dynamics.dim
     size = (m + 1) * n
     rows = np.arange(m + 1)
     hl = np.zeros((size + 1, size + 1))
-    # K by (row, component) blocks: M kron I_n, plus J_k on the diagonal
+    # K by (row, component) blocks: slope M kron I_n, plus J_k on the diagonal
     blocks = hl[:size, :size].reshape(m + 1, n, m + 1, n)
-    blocks[:, range(n), :, range(n)] = network_operator(sys)
+    blocks[:, range(n), :, range(n)] = slope * network_operator(sys)
     blocks[rows, :, rows, :] += affine.jacobians[pattern]
     hl[:size, size] = affine.offsets[pattern].ravel()
     hl *= dt
@@ -203,18 +229,23 @@ def _affine_step_matrix(
     k3 = hl @ stage3
     stage4 = eye + k3
     inc = ((hl + 2.0 * (k2 + k3) + hl @ stage4) / 6.0)[:size]
-    if not affine.breaks:
-        return inc
-    sel = rows * n + affine.coord
-    ends = np.concatenate([[-np.inf], affine.breaks, [np.inf]])
-    # every stage row's coordinate minus its upper bound, then its lower bound
-    # minus the coordinate; a zero row where that bound is infinite
-    bounds = np.stack([ends[pattern + 1], -ends[pattern]])[:, None, :, None]
-    stages = np.stack([eye[sel], stage2[sel], stage3[sel], stage4[sel]])
-    signed = np.stack([stages, -stages])
-    signed[..., size:] -= bounds
-    signed = np.where(np.isinf(bounds), 0.0, signed)
-    return np.concatenate([inc, signed.reshape(-1, size + 1)])
+    stages = np.stack([eye, stage2, stage3, stage4])[:, :size]
+    tests = [inc]
+    if affine.breaks:
+        sel = rows * n + affine.coord
+        ends = np.concatenate([[-np.inf], affine.breaks, [np.inf]])
+        # every stage row's coordinate minus its upper bound, then its lower
+        # bound minus the coordinate; a zero row where that bound is infinite
+        bounds = np.stack([ends[pattern + 1], -ends[pattern]])[:, None, :, None]
+        signed = np.stack([stages[:, sel], -stages[:, sel]])
+        signed[..., size:] -= bounds
+        tests.append(np.where(np.isinf(bounds), 0.0, signed).reshape(-1, size + 1))
+    if u0 < np.inf:
+        # every stage coordinate minus u0, then -u0 minus the coordinate
+        region = np.stack([stages, -stages])
+        region[..., size] -= u0
+        tests.append(region.reshape(-1, size + 1))
+    return np.concatenate(tests)
 
 
 def _double_block(block: np.ndarray, span: int, size: int) -> Optional[np.ndarray]:
@@ -308,8 +339,9 @@ def integrate_batch(
     (m, n), ``s0s[k]`` is (n,)). Returns, in order, each member's
     :class:`Trajectory`, bit-identical to its run in a batch of one, or the
     :class:`DivergenceError` that run would raise. Small networks step on
-    their field's affine pieces, member by member; the others run the RK4
-    loop as one array program (see the module docstring). A member whose
+    their field's affine pieces, member by member, wherever the coupling
+    map is linear on their state; the RK4 loop runs the rest as one array
+    program (see the module docstring). A member whose
     node norm breaches the guard stops with its partial trajectory, and the
     others run on. The trajectories are views into one shared buffer, so
     keeping any of them keeps all of it. Raises ``ValueError`` (naming the
@@ -347,11 +379,15 @@ def integrate_batch(
     buf[:, 0] = y
     # one row of (m + 1) n doubles per member and sample
     samples = buf.reshape(count, steps + 1, -1)
-    affine = systems[0].dynamics.affine
-    if affine is None or systems[0].gfun.kind != "identity" or (m + 1) * n > _LINEAR_MAX_SIZE:
-        ends = _run_loop(systems, step, y, samples, times, dt)
+    # the bound on every coordinate within which a member takes affine steps:
+    # inf under the identity map, None where the affine path never runs
+    near = systems[0].gfun.linear_near
+    small = systems[0].dynamics.affine is not None and (m + 1) * n <= _LINEAR_MAX_SIZE
+    u0 = near[0] if small and near is not None else None
+    if u0 == np.inf:
+        ends = [_run_affine(sys, samples[k], times, dt, 0) for k, sys in enumerate(systems)]
     else:
-        ends = [_run_affine(sys, affine, samples[k], times, dt) for k, sys in enumerate(systems)]
+        ends = _run_loop(systems, step, y, samples, times, dt, u0)
 
     broken = [(end, k) for k, (end, outcome) in enumerate(ends) if outcome == _NON_FINITE]
     if broken:
@@ -382,11 +418,12 @@ def integrate_batch(
     return results
 
 
-def _run_loop(systems, step, y, samples, times, dt) -> list[tuple[int, int]]:
+def _run_loop(systems, step, y, samples, times, dt, u0) -> list[tuple[int, int]]:
     """The RK4 loop over the batch: ``step`` advances ``y`` ((B, m + 1, n)) in
     place and each step goes into ``samples`` ((B, steps + 1, (m + 1) n)).
-    Returns each member's last sample and outcome; a member leaves the
-    batch at its first breach."""
+    Returns each member's last sample and outcome. A member leaves the batch
+    at its first breach, or once every one of its coordinates is within
+    ``u0`` (None: never), to go on by :func:`_run_affine`."""
     count, _, n = y.shape
     steps = len(times) - 1
     ends = [(steps, 0)] * count
@@ -394,16 +431,26 @@ def _run_loop(systems, step, y, samples, times, dt) -> list[tuple[int, int]]:
     # flat views of y: (B (m + 1), n) rows for the field, one row per member
     # for the sample store, and the whole batch for the guard's dot
     y2, y_rows, flat = y.reshape(-1, n), y.reshape(count, -1), y.reshape(-1)
+    # members are tested for settling while the total is at most this: a
+    # lone member's is below it whenever every coordinate is within u0 (the
+    # factor covers the dot's roundoff), and a batch tests on every step
+    near2 = -1.0 if u0 is None else np.inf if count > 1 else y_rows.size * u0 * u0 * 1.001
     for i in range(steps):
         step(y2, times[i])
         samples[rows, i + 1] = y_rows
-        if np.dot(flat, flat) <= _SAFE2:
+        total = np.dot(flat, flat)
+        settling = total <= near2
+        if total <= _SAFE2 and not settling:
             continue
-        outcomes = _breaches(y)
+        outcomes = np.zeros(live.size, dtype=int) if total <= _SAFE2 else _breaches(y)
+        if settling:
+            outcomes[np.abs(y_rows).max(axis=1) <= u0] = _SETTLED
         if not outcomes.any():
             continue
         for k, outcome in zip(live, outcomes):
-            if outcome:
+            if outcome == _SETTLED:
+                ends[k] = _run_affine(systems[k], samples[k], times, dt, i + 1)
+            elif outcome:
                 ends[k] = (i + 1, outcome)
         keep = outcomes == 0
         live = live[keep]
@@ -416,13 +463,14 @@ def _run_loop(systems, step, y, samples, times, dt) -> list[tuple[int, int]]:
     return ends
 
 
-def _run_affine(sys, affine: PiecewiseAffine, traj, times, dt) -> tuple[int, int]:
+def _run_affine(sys, traj, times, dt, start) -> tuple[int, int]:
     """One member on its field's affine pieces (module docstring), from
-    ``traj[0]``, one sample per row of ``traj`` ((steps + 1, (m + 1) n)).
+    ``traj[start]``, one sample per row of ``traj`` ((steps + 1, (m + 1) n)).
     Returns its last sample and outcome."""
     m1, n = sys.coupling.m + 1, sys.dynamics.dim
     size = m1 * n
     steps = len(times) - 1
+    affine = sys.dynamics.affine
     coord, breaks = affine.coord, np.asarray(affine.breaks, dtype=float)
 
     def pattern(i):
@@ -435,13 +483,13 @@ def _run_affine(sys, affine: PiecewiseAffine, traj, times, dt) -> tuple[int, int
         by_step = z.reshape(span, -1)
         return z, by_step[:, :size], by_step[:, size:]
 
-    pat = pattern(0)
+    pat = pattern(start)
     block, span = _affine_step_matrix(sys, affine, pat, dt), 1
     z, incs, signed = views(block, span)
     tests = signed.shape[1]
     ya = np.ones(size + 1)
     step = _rk4_stepper([sys], dt)
-    i = 0
+    i = start
     while i < steps:
         # one product from the anchor gives the block's states and stage
         # tests; a test fails unless <= 0, so NaN fails

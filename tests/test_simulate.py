@@ -116,8 +116,9 @@ class TestIntegrate:
 class TestGrid:
     @pytest.mark.parametrize("gfun", ["identity", "sine_blend"])
     def test_integer_step_is_a_float_step(self, gfun):
-        # the affine path (identity) and the RK4 loop (sine_blend) both step
-        # on the float that dt is checked as
+        # the affine path (identity) and the RK4 loop (sine_blend, whose
+        # state stays far from its linear region) both step on the float that
+        # dt is checked as
         sys_ = _single_node(rate=0.1, gfun=gfun)
         got = integrate(sys_, [[1.0]], [0.5], 1, 3)
         want = integrate(sys_, [[1.0]], [0.5], 1.0, 3.0)
@@ -186,7 +187,10 @@ class TestIntegrateBatch:
             np.testing.assert_array_equal(_bits(got.states), _bits(solo.states))
             np.testing.assert_array_equal(_bits(got.reference), _bits(solo.reference))
 
-    def test_nonlinear_coupling_members_match_solo_runs(self):
+    def test_nonlinear_coupling_members_match_solo_runs(self, rhs_times):
+        # the members settle within the sine blend's linear region at
+        # different times (t = 0.986, 0.798, 0.669) and leave the batch for
+        # the affine path one by one
         cfg = parse_scenario("nonlinear-pinned")
         systems = [
             build_system(dataclasses.replace(cfg, pin=dataclasses.replace(cfg.pin, c=c)))
@@ -194,9 +198,14 @@ class TestIntegrateBatch:
         ]
         x0s = [cfg.initial_states] * 3
         s0s = [cfg.reference_initial] * 3
-        for sys_, got in zip(systems, integrate_batch(systems, x0s, s0s, cfg.dt, 0.2)):
-            solo = integrate(sys_, cfg.initial_states, cfg.reference_initial, cfg.dt, 0.2)
-            np.testing.assert_array_equal(got.states, solo.states)
+        loop_steps = []
+        for sys_, got in zip(systems, integrate_batch(systems, x0s, s0s, cfg.dt, 1.0)):
+            rhs_times.clear()
+            solo = integrate(sys_, cfg.initial_states, cfg.reference_initial, cfg.dt, 1.0)
+            loop_steps.append(len(rhs_times) // 4)
+            np.testing.assert_array_equal(_bits(got.states), _bits(solo.states))
+            np.testing.assert_array_equal(_bits(got.reference), _bits(solo.reference))
+        assert 1000 > loop_steps[0] > loop_steps[1] > loop_steps[2] > 0
 
     def test_diverging_member_leaves_the_others_untouched(self):
         # the growth field x' = +5x of test_divergence_carries_partial_trajectory
@@ -337,9 +346,9 @@ def _assert_parity(got, want, affine):
 
 
 def _pieces(sys_):
-    """The affine pieces the integrator may step on: the field's, under the
-    identity coupling map."""
-    return sys_.dynamics.affine if sys_.gfun.kind == "identity" else None
+    """The affine pieces the integrator may step on: the field's, under either
+    coupling map (the sine blend's once a member settles near 0)."""
+    return sys_.dynamics.affine
 
 
 class TestFrozenLoopParity:
@@ -388,11 +397,41 @@ class TestFrozenLoopParity:
             _pieces(systems[0]),
         )
 
+    def test_nonlinear_pinned_at_its_shipped_horizon(self):
+        # the loop until every coordinate is within the sine blend's 1e-8
+        # (t = 0.798), then the affine path; where a sample's largest entry is
+        # subnormal (t > 22.9) the loop's roundoff differs in kind, and both
+        # runs stay there
+        cfg = parse_scenario("nonlinear-pinned")
+        got, want = self._both(
+            [build_system(cfg)], [cfg.initial_states], [cfg.reference_initial], cfg.dt, cfg.t_max
+        )
+        a, b = _stacked(got[0]), _stacked(want[0])
+        np.testing.assert_array_equal(_bits(a[0]), _bits(b[0]))
+        scale = np.abs(b).max(axis=(1, 2))
+        normal = scale >= np.finfo(float).tiny
+        assert normal[: len(normal) // 2].all() and not normal[-1]
+        assert np.all(np.abs(a - b).max(axis=(1, 2))[normal] <= LINEAR_DRIFT * scale[normal])
+        assert np.abs(a[~normal]).max() < np.finfo(float).tiny
+
+    def test_a_member_that_leaves_the_linear_region_returns_to_the_loop(self, generic_steps):
+        # x' = 5x - g(x), 3.5x near 0: from 1e-10 the node settles after the
+        # first (loop) step, grows on the affine path and crosses 1e-8 at
+        # t = ln(100) / 3.5 = 1.32; the loop takes every step from there
+        sys_ = _single_node(rate=-5.0, pin=PinPlan(1, 1.0, 1.0), gfun="sine_blend")
+        got, want = self._both([sys_], [[[1e-10]]], [[0.0]], 0.01, 2.0)
+        crossing = int(np.argmax(np.abs(want[0].states[:, 0, 0]) > 1e-8))
+        loop = generic_steps(0.01)
+        assert 120 < crossing < 140 and want[0].states[-1, 0, 0] > 1e-7
+        assert loop == {0} | set(range(crossing - 1, 200))
+        _assert_parity(got, want, sys_.dynamics.affine)
+
     def test_diverging_member(self):
         self._diverging_member("identity")
 
     def test_diverging_member_sine_blend(self):
-        # the same guard case without affine pieces: bit for bit
+        # the same guard case under the sine blend: the two decaying members
+        # settle near 0 and end on the affine path
         self._diverging_member("sine_blend")
 
     def _diverging_member(self, gfun):
@@ -426,7 +465,8 @@ class TestFrozenLoopParity:
         self._total_norm_over_the_guard("identity")
 
     def test_total_norm_over_the_guard_sine_blend(self):
-        # the same guard case without affine pieces: bit for bit
+        # the same guard case under the sine blend, on the RK4 loop: these
+        # states stay far from its linear region
         self._total_norm_over_the_guard("sine_blend")
 
     def _total_norm_over_the_guard(self, gfun):
@@ -494,26 +534,33 @@ def _ring(m):
 
 
 @pytest.fixture
-def generic_steps(monkeypatch):
-    """The grid indices of the steps the integrator takes with the RK4 loop,
-    read off its right-hand-side calls (four per step, the first at the
-    step's start); every other step is an affine step."""
-    starts = []
+def rhs_times(monkeypatch):
+    """The time argument of every right-hand-side call the integrator makes,
+    in order."""
+    times = []
     real = simulate.make_network_rhs
 
     def counted(systems):
         rhs = real(systems)
 
         def call(y, t):
-            starts.append(t)
+            times.append(t)
             return rhs(y, t)
 
         return call
 
     monkeypatch.setattr(simulate, "make_network_rhs", counted)
+    return times
+
+
+@pytest.fixture
+def generic_steps(rhs_times):
+    """The grid indices of the steps the integrator takes with the RK4 loop,
+    read off its right-hand-side calls (four per step, the first at the
+    step's start); every other step is an affine step."""
 
     def read(dt):
-        return set(np.rint(np.array(starts[::4]) / dt).astype(int).tolist())
+        return set(np.rint(np.array(rhs_times[::4]) / dt).astype(int).tolist())
 
     return read
 
@@ -546,7 +593,14 @@ def _straddling_steps(sys_, traj, dt):
 class TestLinearRegime:
     """Which steps take the one-matrix affine step: every step of a small
     network whose field declares affine pieces, under the identity map,
-    except those whose stages leave the pieces the step starts on."""
+    except those whose stages leave the pieces the step starts on; under the
+    sine blend, only once every coordinate is within its linear region."""
+
+    def test_nonlinear_pinned_leaves_the_loop_once_settled(self, rhs_times):
+        # 4,000 calls on the loop alone; from t = 0.798 the steps are affine
+        cfg = parse_scenario("nonlinear-pinned")
+        integrate(build_system(cfg), cfg.initial_states, cfg.reference_initial, cfg.dt, 1.0)
+        assert 0 < len(rhs_times) <= 4 * 810
 
     @pytest.mark.parametrize(
         "name", sorted(set(BUILTIN_SCENARIOS) - {"nonlinear-pinned"})
@@ -596,6 +650,26 @@ class TestLinearRegime:
         else:
             assert built == [] and generic_steps(1e-3) == set(range(20))
             _assert_same_runs(got, want)
+
+    @pytest.mark.parametrize(
+        "m, linear",
+        [(simulate._LINEAR_MAX_SIZE // 3 - 1, True), (simulate._LINEAR_MAX_SIZE // 3, False)],
+        ids=["at-cap", "over-cap"],
+    )
+    def test_a_settled_sine_blend_member_switches_only_under_the_cap(self, generic_steps,
+                                                                      m, linear):
+        # every coordinate is within 1e-8 after the first step
+        sys_ = NetworkSystem(
+            coupling=_ring(m),
+            dynamics=make_dynamics("chua"),
+            gfun=make_coupling_function("sine_blend"),
+            pin=PinPlan(1, 5.0, 10.0),
+        )
+        x0 = np.full((m, 3), 1e-10)
+        got = integrate_batch([sys_], [x0], [np.zeros(3)], 1e-3, 0.02)
+        want = integrate_batch_reference([sys_], [x0], [np.zeros(3)], 1e-3, 0.02)
+        assert generic_steps(1e-3) == ({0} if linear else set(range(20)))
+        _assert_parity(got, want, sys_.dynamics.affine if linear else None)
 
     def test_members_enter_and_leave_on_their_own(self):
         # one batch: fig2 passes through the middle piece, the fig4 pin
