@@ -82,10 +82,12 @@ of a member, the reference row included, is within ``u0``; the member then
 leaves the batch, as a breaching one does, and goes on by affine steps whose
 ``W`` also tests every coordinate of the four stage states against
 ``+-u0``. A step that fails there on an unchanged pattern is taken by the
-RK4 loop with the real map, as is every step of a member that has left the
-region. A lone member tests its coordinates only while its total dot is at
-most ``1.001 (m + 1) n u0^2``, which bounds it whenever they are within
-``u0``; a batch tests each member on every step. A pinned network whose
+RK4 loop with the real map. If that step's sample has left the region,
+the loop takes every later step too, with no block product, until a
+sample is back within ``u0``. A lone member tests its coordinates only
+while its total dot is at most ``1.001 (m + 1) n u0^2``, which bounds it
+whenever they are within ``u0``; a batch tests each member on every
+step. A pinned network whose
 reference rests at the origin thus ends on the affine path:
 ``nonlinear-pinned`` from t = 0.798.
 
@@ -385,7 +387,7 @@ def integrate_batch(
     small = systems[0].dynamics.affine is not None and (m + 1) * n <= _LINEAR_MAX_SIZE
     u0 = near[0] if small and near is not None else None
     if u0 == np.inf:
-        ends = [_run_affine(sys, samples[k], times, dt, 0) for k, sys in enumerate(systems)]
+        ends = [_run_affine(sys, samples[k], times, dt, 0, u0) for k, sys in enumerate(systems)]
     else:
         ends = _run_loop(systems, step, y, samples, times, dt, u0)
 
@@ -401,8 +403,8 @@ def integrate_batch(
         if outcome == _DIVERGED:
             partial = Trajectory(
                 times=times[: end + 1],
-                states=buf[k, : end + 1, :m, :].copy(),
-                reference=buf[k, : end + 1, m, :].copy(),
+                states=buf[k, : end + 1, :m].copy(),
+                reference=buf[k, : end + 1, m].copy(),
             )
             results.append(
                 DivergenceError(
@@ -413,7 +415,7 @@ def integrate_batch(
             )
         else:
             results.append(
-                Trajectory(times=times, states=buf[k, :, :m, :], reference=buf[k, :, m, :])
+                Trajectory(times=times, states=buf[k, :, :m], reference=buf[k, :, m])
             )
     return results
 
@@ -442,14 +444,14 @@ def _run_loop(systems, step, y, samples, times, dt, u0) -> list[tuple[int, int]]
         settling = total <= near2
         if total <= _SAFE2 and not settling:
             continue
-        outcomes = np.zeros(live.size, dtype=int) if total <= _SAFE2 else _breaches(y)
+        outcomes = np.zeros_like(live) if total <= _SAFE2 else _breaches(y)
         if settling:
             outcomes[np.abs(y_rows).max(axis=1) <= u0] = _SETTLED
         if not outcomes.any():
             continue
         for k, outcome in zip(live, outcomes):
             if outcome == _SETTLED:
-                ends[k] = _run_affine(systems[k], samples[k], times, dt, i + 1)
+                ends[k] = _run_affine(systems[k], samples[k], times, dt, i + 1, u0)
             elif outcome:
                 ends[k] = (i + 1, outcome)
         keep = outcomes == 0
@@ -463,10 +465,11 @@ def _run_loop(systems, step, y, samples, times, dt, u0) -> list[tuple[int, int]]
     return ends
 
 
-def _run_affine(sys, traj, times, dt, start) -> tuple[int, int]:
+def _run_affine(sys, traj, times, dt, start, u0) -> tuple[int, int]:
     """One member on its field's affine pieces (module docstring), from
-    ``traj[start]``, one sample per row of ``traj`` ((steps + 1, (m + 1) n)).
-    Returns its last sample and outcome."""
+    ``traj[start]``, one sample per row of ``traj`` ((steps + 1, (m + 1) n)),
+    where the coupling map is linear on ``|u| <= u0``. Returns its last
+    sample and outcome."""
     m1, n = sys.coupling.m + 1, sys.dynamics.dim
     size = m1 * n
     steps = len(times) - 1
@@ -489,28 +492,32 @@ def _run_affine(sys, traj, times, dt, start) -> tuple[int, int]:
     tests = signed.shape[1]
     ya = np.ones(size + 1)
     step = _rk4_stepper([sys], dt)
-    i = start
+    i, out = start, False
     while i < steps:
         # one product from the anchor gives the block's states and stage
-        # tests; a test fails unless <= 0, so NaN fails
-        ya[:size] = traj[i]
-        np.dot(block, ya, out=z)
-        take = min(span, steps - i)
-        if tests and not np.maximum.reduce(signed, axis=None) <= 0.0:
-            take = min(take, int((signed <= 0.0).argmin()) // tests)
+        # tests; a test fails unless <= 0, so NaN fails. No product while the
+        # last sample is outside +-u0
+        take = 0 if out else min(span, steps - i)
+        if take:
+            ya[:size] = traj[i]
+            np.dot(block, ya, out=z)
+            if tests and not np.maximum.reduce(signed, axis=None) <= 0.0:
+                take = min(take, int((signed <= 0.0).argmin()) // tests)
         new = traj[i + 1 : i + 1 + max(take, 1)]
         if take:
             np.add(traj[i : i + 1], incs[:take], out=new)
+        elif not out and (now := pattern(i)) != pat:
+            # step i leaves its pieces for others: their matrix, and a block
+            # of one step tested once more
+            pat, block, span = now, _affine_step_matrix(sys, affine, now, dt), 1
+            z, incs, signed = views(block, span)
+            continue
         else:
-            # step i leaves its pieces: a moved pattern gets its matrix, a
-            # block of one step tested once more; else the RK4 loop takes it
-            now = pattern(i)
-            if now != pat:
-                pat, block, span = now, _affine_step_matrix(sys, affine, now, dt), 1
-                z, incs, signed = views(block, span)
-                continue
+            # the RK4 loop takes the step; if its sample is outside +-u0, it
+            # takes every later one too until a sample is back within
             new[0] = traj[i]
             step(new.reshape(m1, n), times[i])
+            out = not np.abs(new).max() <= u0
         # the guard, on every new sample: one dot while all are far inside
         if not np.vdot(new, new) <= _SAFE2:
             outcomes = _breaches(new.reshape(-1, m1, n))

@@ -857,22 +857,29 @@ class TestRunScenario:
     def test_csv_writers_match_per_value_formatting(self, tmp_path):
         # several formatting blocks (the last one partial), special values and
         # a None ratio, against one format(v, ".17g") per value; m = 3 is the
-        # built-ins' node count
+        # built-ins' node count. The reference moves, rests, or rests at 0
+        # but for one -0.0, which prints differently
         rng = np.random.default_rng(3)
         samples = 2500
+        signed_zero = np.zeros((samples, 3))
+        signed_zero[1700, 1] = -0.0
 
         def fmt(v):
             return format(float(v), ".17g")
 
-        for m, n in ((2, 2), (3, 3)):
+        for m, n, reference in (
+            (2, 2, rng.normal(size=(samples, 2))),
+            (3, 3, rng.normal(size=(samples, 3))),
+            (3, 3, np.tile([0.5, -2.0, 1e-300], (samples, 1))),
+            (3, 3, signed_zero),
+        ):
             states = rng.normal(size=(samples, m, n)) * 10.0 ** rng.integers(
                 -300, 300, (samples, m, n)
             )
             states[0, 0, :2] = [np.nan, -0.0]
             states[1, 1, :2] = [np.inf, -np.inf]
             traj = Trajectory(
-                times=np.arange(samples) * 1e-3, states=states,
-                reference=rng.normal(size=(samples, n)),
+                times=np.arange(samples) * 1e-3, states=states, reference=reference
             )
             write_trajectory_csv(tmp_path / "t.csv", traj)
             expected = ["t,node," + ",".join(f"x{k + 1}" for k in range(n))]

@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pinnet import csvtext
-from pinnet.simulate import Trajectory
 
 
 def _written(table) -> bytes:
@@ -181,53 +180,3 @@ def test_table_that_raises_turns_fast_path_off(monkeypatch, fresh_tables):
     assert csvtext._tables() is None
     values = np.linspace(1.0, 9.0, 8).reshape(-1, 4)
     assert _written(values) == _expected(values)
-
-
-def _trajectory(reference, m=3, seed=0):
-    """A run of ``len(reference)`` samples, nodes drawn at random."""
-    reference = np.array(reference, dtype=np.float64)
-    rng = np.random.default_rng(seed)
-    samples, n = reference.shape
-    shape = (samples, m, n)
-    states = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
-    return Trajectory(times=np.arange(samples) * 0.1, states=states, reference=reference)
-
-
-def _trajectory_expected(traj) -> bytes:
-    n = traj.states.shape[2]
-    lines = ["t,node," + ",".join(f"x{k + 1}" for k in range(n))]
-    for t, s, x in zip(traj.times.tolist(), traj.reference.tolist(), traj.states.tolist()):
-        for node, row in enumerate([s, *x]):
-            lines.append(",".join("%.17g" % v for v in [t, node, *row]))
-    return ("\n".join(lines) + "\n").encode()
-
-
-def _resting_with_one_negative_zero():
-    reference = np.zeros((40, 3))
-    reference[17, 1] = -0.0
-    return reference
-
-
-# the cases a writer that formats a resting reference once per file must
-# tell apart: only bits equal to the first sample's may share its text
-_REFERENCES = {
-    "constant": np.tile([0.5, -2.0, 1e-300], (40, 1)),
-    "zero-with-one-negative-zero": _resting_with_one_negative_zero(),
-    "moves-in-last-sample": np.vstack([np.ones((39, 3)), [[1.0, 1.0, np.nextafter(1.0, 2.0)]]]),
-    "moving": np.sin(np.arange(120.0)).reshape(40, 3),
-}
-
-
-@pytest.mark.parametrize("fast", [True, False], ids=["fast-path", "percent"])
-@pytest.mark.parametrize(
-    "traj",
-    [pytest.param(_trajectory(r), id=name) for name, r in _REFERENCES.items()]
-    # one sample's values alone pass CHUNK: m n + 1 = 1201
-    + [pytest.param(_trajectory(np.zeros((5, 3)), m=400), id="wider-than-chunk")],
-)
-def test_trajectory_text_is_percent_per_value(traj, fast, monkeypatch, tmp_path):
-    if not fast:
-        monkeypatch.setattr(csvtext, "_tables", lambda: None)
-    path = tmp_path / "trajectory.csv"
-    csvtext.write_trajectory_csv(path, traj)
-    assert path.read_bytes() == _trajectory_expected(traj)

@@ -345,6 +345,21 @@ def _assert_parity(got, want, affine):
         assert np.all(np.abs(a - b).max(axis=(1, 2)) <= LINEAR_DRIFT * scale)
 
 
+class _BlockProducts:
+    """numpy for :mod:`pinnet.simulate`, counting its ``np.dot`` calls with an
+    ``out`` buffer: the affine path's block products."""
+
+    def __init__(self):
+        self.count = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def dot(self, a, b, out=None):
+        self.count += out is not None
+        return np.dot(a, b, out=out)
+
+
 def _pieces(sys_):
     """The affine pieces the integrator may step on: the field's, under either
     coupling map (the sine blend's once a member settles near 0)."""
@@ -414,16 +429,43 @@ class TestFrozenLoopParity:
         assert np.all(np.abs(a - b).max(axis=(1, 2))[normal] <= LINEAR_DRIFT * scale[normal])
         assert np.abs(a[~normal]).max() < np.finfo(float).tiny
 
-    def test_a_member_that_leaves_the_linear_region_returns_to_the_loop(self, generic_steps):
+    def test_a_member_that_leaves_the_linear_region_returns_to_the_loop(
+        self, monkeypatch, generic_steps
+    ):
         # x' = 5x - g(x), 3.5x near 0: from 1e-10 the node settles after the
         # first (loop) step, grows on the affine path and crosses 1e-8 at
-        # t = ln(100) / 3.5 = 1.32; the loop takes every step from there
+        # t = ln(100) / 3.5 = 1.32; the loop takes every step from there,
+        # with no block product
+        products = _BlockProducts()
+        monkeypatch.setattr(simulate, "np", products)
         sys_ = _single_node(rate=-5.0, pin=PinPlan(1, 1.0, 1.0), gfun="sine_blend")
         got, want = self._both([sys_], [[[1e-10]]], [[0.0]], 0.01, 2.0)
         crossing = int(np.argmax(np.abs(want[0].states[:, 0, 0]) > 1e-8))
         loop = generic_steps(0.01)
         assert 120 < crossing < 140 and want[0].states[-1, 0, 0] > 1e-7
         assert loop == {0} | set(range(crossing - 1, 200))
+        # 9 products on the affine path (blocks doubling), none for the ~70
+        # loop steps after the crossing
+        assert products.count < 15
+        _assert_parity(got, want, sys_.dynamics.affine)
+
+    def test_a_member_back_in_the_linear_region_leaves_the_loop_again(self, generic_steps):
+        # a pinned Chua node started within 1e-8 of 0: its non-normal inner
+        # field carries it out of the sine blend's linear region (samples 13
+        # to 269) and back; the loop takes the steps out there, and affine
+        # steps resume once a sample is back within 1e-8
+        sys_ = NetworkSystem(
+            coupling=validate_coupling(np.zeros((1, 1))),
+            dynamics=make_dynamics("chua"),
+            gfun=make_coupling_function("sine_blend"),
+            pin=PinPlan(1, 1.0, 3.0),
+        )
+        x0 = [[0.0, 9e-9, -9e-9]]
+        got, want = self._both([sys_], [x0], [np.zeros(3)], 1e-3, 1.0)
+        out = np.flatnonzero(np.abs(want[0].states[:, 0]).max(axis=1) > 1e-8)
+        loop = generic_steps(1e-3)
+        assert 1 < out.min() and out.max() < 500
+        assert loop == {0} | set(range(out.min() - 1, out.max() + 1))
         _assert_parity(got, want, sys_.dynamics.affine)
 
     def test_diverging_member(self):
@@ -465,8 +507,8 @@ class TestFrozenLoopParity:
         self._total_norm_over_the_guard("identity")
 
     def test_total_norm_over_the_guard_sine_blend(self):
-        # the same guard case under the sine blend, on the RK4 loop: these
-        # states stay far from its linear region
+        # the same guard case under the sine blend: these states stay far
+        # from its linear region, so every step is a loop step, bit for bit
         self._total_norm_over_the_guard("sine_blend")
 
     def _total_norm_over_the_guard(self, gfun):
@@ -486,12 +528,13 @@ class TestFrozenLoopParity:
         x0 = np.full((4, 3), 0.9e9 / np.sqrt(3.0))
         assert (np.linalg.norm(x0, axis=1) < 1e9).all() and np.sum(x0 * x0) > 1e18
         s0 = np.zeros(3)
+        pieces = _pieces(constant) if gfun == "identity" else None
         got, want = self._both([constant] * 2, [x0, 0.99 * x0], [s0] * 2, 0.01, 1.0)
         assert all(isinstance(r, Trajectory) for r in got)
-        _assert_parity(got, want, _pieces(constant))
+        _assert_parity(got, want, pieces)
         got, want = self._both([growing], [x0], [s0], 0.01, 1.0)
         assert isinstance(want[0], DivergenceError) and want[0].blowup_time > 0.01
-        _assert_parity(got, want, _pieces(growing))
+        _assert_parity(got, want, pieces)
 
 
 @pytest.mark.parametrize("shape", ["dominant", "equal", "random"])
