@@ -55,7 +55,6 @@ from .model import (
     NetworkSystem,
     PinPlan,
     chua_region_jacobian,
-    make_coupling_function,
     make_dynamics,
     network_operator,
     pinned_matrix,

@@ -49,7 +49,6 @@ from .model import (
     Dynamics,
     NetworkSystem,
     PinPlan,
-    make_coupling_function,
     make_dynamics,
     pinned_matrix,
     validate_coupling,
@@ -216,9 +215,7 @@ def parse_scenario(source) -> ScenarioConfig:
         ("kind",),
         ("alpha_lower",),
     )
-    gfun = _named(
-        "coupling_function", make_coupling_function, gfun_spec["kind"], gfun_spec.get("alpha_lower")
-    )
+    gfun = _named("coupling_function", CouplingFunction, gfun_spec["kind"], gfun_spec.get("alpha_lower"))
 
     pin = UNCONTROLLED
     if data.get("pin") is not None:
@@ -490,12 +487,12 @@ class RunResult:
     summary_text: str = ""
 
 
-def _summary_fit(series: MetricSeries, t_max: float):
-    """Fit window [0, min(10, t_max)] clipped to the strictly positive prefix
-    of the pin ratio; returns (rate, window) or (None, None)."""
+def _summary_fit(series: MetricSeries):
+    """Fit window [0, min(10, last sample's time)] clipped to the strictly
+    positive prefix of the pin ratio; returns (rate, window) or (None, None)."""
     if series.pin_ratio is None:
         return None, None
-    end = min(_SUMMARY_FIT_HORIZON, t_max)
+    end = min(_SUMMARY_FIT_HORIZON, float(series.times[-1]))
     dead = np.nonzero((series.pin_ratio <= 0.0) & (series.times <= end))[0]
     if dead.size:
         # dead[0] >= 1, as the ratio starts at 1; at 1, decay_rate_fit rejects [0, 0]
@@ -550,7 +547,7 @@ def _finish_run(cfg: ScenarioConfig, report: ConditionReport, outcome, out: Path
     weights = report.spectral.xi if report.route == "asymmetric" else None
     p = cfg.certificate.p if cfg.certificate is not None else None
     series = metrics(traj, weights=weights, p=p)
-    rate, window = _summary_fit(series, cfg.t_max)
+    rate, window = _summary_fit(series)
     monitor = None
     if cfg.certificate is not None:
         monitor = lyapunov_monitor(series, cfg.certificate)

@@ -354,27 +354,40 @@ def make_dynamics(kind: str, dim: Optional[int] = None, params: Optional[Mapping
 
 @dataclass(frozen=True)
 class CouplingFunction:
-    """Componentwise monotone map applied to coupled states.
+    """Registered componentwise monotone map ``kind`` applied to coupled states.
 
     ``alpha_lower`` is a certified lower bound on the difference quotients
-    (g(u) - g(v)) / (u - v); the identity map has bound 1.
+    (g(u) - g(v)) / (u - v). It defaults to the kind's registered bound (1
+    for the identity) and may lower it but never exceed it. The map and
+    :attr:`linear_near` are the kind's registry entry.
     """
 
-    kind: str
-    alpha_lower: float
-    map_fn: Callable[[np.ndarray], np.ndarray] = field(repr=False, compare=False)
+    kind: str = "identity"
+    alpha_lower: Optional[float] = None
+
+    def __post_init__(self):
+        _, bound, _ = _registered(_COUPLING_FUNCTIONS, self.kind, "coupling function")
+        alpha = bound if self.alpha_lower is None else positive_number(self.alpha_lower, "alpha_lower")
+        if alpha > bound:
+            raise ValueError(
+                f"alpha_lower {alpha:g} exceeds the certified slope bound {bound:g} of {self.kind!r}"
+            )
+        object.__setattr__(self, "alpha_lower", alpha)
 
     def __call__(self, u) -> np.ndarray:
         return self.map_fn(np.asarray(u, dtype=float))
 
     @property
-    def linear_near(self) -> Optional[tuple[float, float]]:
+    def map_fn(self) -> Callable[[np.ndarray], np.ndarray]:
+        """The registered map, on float arrays."""
+        return _COUPLING_FUNCTIONS[self.kind][0]
+
+    @property
+    def linear_near(self) -> tuple[float, float]:
         """``(u0, slope)`` of the registered map: on ``|u| <= u0`` the
         computed ``g(u)`` is ``slope * u`` rounded, so there the coupling is
-        linear (``u0`` is inf for the identity). None for a kind that is not
-        registered."""
-        entry = _COUPLING_FUNCTIONS.get(self.kind)
-        return None if entry is None else entry[2]
+        linear (``u0`` is inf for the identity)."""
+        return _COUPLING_FUNCTIONS[self.kind][2]
 
 
 def _g_identity(u):
@@ -400,18 +413,6 @@ _COUPLING_FUNCTIONS: dict[str, tuple[Callable, float, tuple[float, float]]] = {
 }
 
 
-def make_coupling_function(kind: str = "identity", alpha_lower: Optional[float] = None) -> CouplingFunction:
-    """Registered map ``kind`` with slope bound ``alpha_lower``, which defaults
-    to the registered certified bound and may lower it but never exceed it."""
-    fn, bound, _ = _registered(_COUPLING_FUNCTIONS, kind, "coupling function")
-    alpha = bound if alpha_lower is None else positive_number(alpha_lower, "alpha_lower")
-    if alpha > bound:
-        raise ValueError(
-            f"alpha_lower {alpha:g} exceeds the certified slope bound {bound:g} of {kind!r}"
-        )
-    return CouplingFunction(kind=kind, alpha_lower=alpha, map_fn=fn)
-
-
 # ---------------------------------------------------------------------------
 # assembled system
 
@@ -427,7 +428,7 @@ class NetworkSystem:
 
     coupling: CouplingMatrix
     dynamics: Dynamics
-    gfun: CouplingFunction = field(default_factory=make_coupling_function)
+    gfun: CouplingFunction = field(default_factory=CouplingFunction)
     pin: PinPlan = UNCONTROLLED
 
     def __post_init__(self):

@@ -383,9 +383,8 @@ def integrate_batch(
     samples = buf.reshape(count, steps + 1, -1)
     # the bound on every coordinate within which a member takes affine steps:
     # inf under the identity map, None where the affine path never runs
-    near = systems[0].gfun.linear_near
     small = systems[0].dynamics.affine is not None and (m + 1) * n <= _LINEAR_MAX_SIZE
-    u0 = near[0] if small and near is not None else None
+    u0 = systems[0].gfun.linear_near[0] if small else None
     if u0 == np.inf:
         ends = [_run_affine(sys, samples[k], times, dt, 0, u0) for k, sys in enumerate(systems)]
     else:

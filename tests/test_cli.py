@@ -763,6 +763,24 @@ class TestLinearDecayRing:
         rate = np.polyfit(times[late], np.log(pin_ratio[late]), 1)[0]
         assert rate == pytest.approx(predicted, rel=1e-9)
 
+    def test_a_diverged_run_fits_up_to_its_last_sample(self, tmp_path):
+        # at dt = 1 the RK4 step amplifies the fast modes of c A~, and the
+        # run breaches the guard at t = 3 of its t_max = 10
+        cfg = dataclasses.replace(parse_scenario(str(LINEAR_RING)), dt=1.0)
+        result = run_scenario(cfg, out_dir=tmp_path)
+        assert (result.exit_code, result.blowup_time) == (3, 3.0)
+        assert result.fit_window == (0.0, 3.0)
+        assert "fitted pin decay rate over [0, 3]:" in result.summary_text
+
+    def test_the_fit_window_ends_at_a_last_sample_past_t_max(self, tmp_path):
+        # three steps of 0.1 end at 0.30000000000000004, which grid_steps
+        # accepts for t_max = 0.3; the fit keeps that last sample
+        cfg = dataclasses.replace(parse_scenario(str(LINEAR_RING)), dt=0.1, t_max=0.3)
+        result = run_scenario(cfg, out_dir=tmp_path)
+        assert result.fit_window == (0.0, 3 * 0.1) and 3 * 0.1 > 0.3
+        table = np.loadtxt(result.metrics_path, delimiter=",", skiprows=1)
+        assert result.fitted_rate == np.polyfit(table[:, 0], np.log(table[:, 2]), 1)[0]
+
 
 def _short(name, t_max=2.0):
     return dataclasses.replace(parse_scenario(name), t_max=t_max)
@@ -907,7 +925,7 @@ class TestRunScenario:
         ratio = np.exp(-0.5 * times)
         ratio[k:] = 0.0
         series = MetricSeries(times=times, sync_ratio=None, pin_ratio=ratio, lyapunov=ratio)
-        rate, window = _summary_fit(series, 3.5)
+        rate, window = _summary_fit(series)
         if k == 1:
             assert (rate, window) == (None, None)
         else:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from pinnet import (
     BUILTIN_SCENARIOS,
     COUPLING_MATRICES,
+    CouplingFunction,
     Dynamics,
     NetworkSystem,
     PinPlan,
@@ -20,7 +21,6 @@ from pinnet import (
     certified_quad_margin,
     check_scenario,
     chua_region_jacobian,
-    make_coupling_function,
     make_dynamics,
     min_coupling_strength,
     parse_scenario,
@@ -406,7 +406,7 @@ def _chua_system(pin):
     return NetworkSystem(
         coupling=SYM_3NODE,
         dynamics=make_dynamics("chua"),
-        gfun=make_coupling_function("identity"),
+        gfun=CouplingFunction("identity"),
         pin=pin,
     )
 

@@ -140,6 +140,15 @@ needs_fast_path = pytest.mark.skipif(
 )
 
 
+def test_narrow_long_double_turns_fast_path_off(monkeypatch, fresh_tables):
+    # where long double is a double (MSVC, arm64 macOS) no table is built
+    finfo = np.finfo
+    monkeypatch.setattr(np, "finfo", lambda t: finfo(np.float64 if t is np.longdouble else t))
+    monkeypatch.setattr(csvtext, "_build_tables", None)
+    assert csvtext._tables() is None
+    _assert_exact(_corpus())
+
+
 @needs_fast_path
 def test_tables_pass_their_check(fresh_tables):
     assert csvtext._tables() is not None

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,10 +8,10 @@ from hypothesis import strategies as st
 from pinnet import (
     UNCONTROLLED,
     CouplingError,
+    CouplingFunction,
     NetworkSystem,
     PinPlan,
     chua_region_jacobian,
-    make_coupling_function,
     make_dynamics,
     pinned_matrix,
     register_dynamics,
@@ -19,6 +21,7 @@ from pinnet.model import (
     CHUA_K,
     CHUA_L,
     PiecewiseAffine,
+    _COUPLING_FUNCTIONS,
     _chua_eval,
     make_network_rhs,
     network_operator,
@@ -293,13 +296,13 @@ class TestChuaRegionJacobian:
 
 class TestCouplingFunction:
     def test_identity(self):
-        g = make_coupling_function("identity")
+        g = CouplingFunction("identity")
         x = np.array([1.0, -2.0])
         np.testing.assert_array_equal(g(x), x)
         assert g.alpha_lower == 1.0
 
     def test_sine_blend_slope_bound(self):
-        g = make_coupling_function("sine_blend")
+        g = CouplingFunction("sine_blend")
         assert g.alpha_lower == 0.5
         rng = np.random.default_rng(42)
         u = rng.uniform(-50.0, 50.0, size=200_000)
@@ -314,18 +317,18 @@ class TestCouplingFunction:
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown coupling function"):
-            make_coupling_function("cubic")
+            CouplingFunction("cubic")
 
     def test_bad_alpha(self):
         with pytest.raises(ValueError):
-            make_coupling_function("identity", alpha_lower=0.0)
+            CouplingFunction("identity", alpha_lower=0.0)
         with pytest.raises(ValueError):
-            make_coupling_function("identity", alpha_lower=float("nan"))
+            CouplingFunction("identity", alpha_lower=float("nan"))
 
     @pytest.mark.parametrize("kind, alpha", [("identity", 3.0), ("sine_blend", 5.0)])
     def test_alpha_above_certified_bound_rejected(self, kind, alpha):
         with pytest.raises(ValueError, match="exceeds the certified slope bound"):
-            make_coupling_function(kind, alpha_lower=alpha)
+            CouplingFunction(kind, alpha_lower=alpha)
 
     @pytest.mark.parametrize("alpha, message", [
         ("0.5", r"^alpha_lower must be a number, got '0.5'"),
@@ -333,11 +336,22 @@ class TestCouplingFunction:
     ], ids=["string", "huge-int"])
     def test_alpha_is_a_finite_number(self, alpha, message):
         with pytest.raises(ValueError, match=message):
-            make_coupling_function("identity", alpha_lower=alpha)
+            CouplingFunction("identity", alpha_lower=alpha)
 
     def test_alpha_may_lower_the_bound(self):
-        assert make_coupling_function("identity", alpha_lower=0.5).alpha_lower == 0.5
-        assert make_coupling_function("sine_blend", alpha_lower=0.5).alpha_lower == 0.5
+        assert CouplingFunction("identity", alpha_lower=0.5).alpha_lower == 0.5
+        assert CouplingFunction("sine_blend", alpha_lower=0.5).alpha_lower == 0.5
+
+
+    @pytest.mark.parametrize("kind", ["identity", "sine_blend"])
+    def test_map_and_linear_region_are_those_of_the_kind(self, kind):
+        # the kind is the one source of the map: there is no field to set it
+        g = CouplingFunction(kind)
+        assert [f.name for f in dataclasses.fields(g)] == ["kind", "alpha_lower"]
+        map_fn, _, linear_near = _COUPLING_FUNCTIONS[kind]
+        assert g.map_fn is map_fn and g.linear_near == linear_near
+        with pytest.raises(AttributeError):
+            g.map_fn = np.tanh
 
 
 class TestDynamicsRegistry:
@@ -411,7 +425,7 @@ class TestDynamicsRegistry:
         with pytest.raises(ValueError, match=r"^kind must be a string, got "):
             make_dynamics(kind, dim=3)
         with pytest.raises(ValueError, match=r"^kind must be a string, got "):
-            make_coupling_function(kind)
+            CouplingFunction(kind)
 
     @pytest.mark.parametrize(
         "kind, dim, params",
@@ -459,7 +473,7 @@ def _system(a, pin=None, gkind="identity", dynamics=None):
     return NetworkSystem(
         coupling=validate_coupling(a),
         dynamics=dynamics or make_dynamics("chua"),
-        gfun=make_coupling_function(gkind),
+        gfun=CouplingFunction(gkind),
         pin=pin,
     )
 
@@ -502,7 +516,7 @@ class TestSystemRhs:
         sys_ = _system([[0.0]], pin=PinPlan(1, 1.0, 2.0), gkind="sine_blend", dynamics=dyn)
         x = np.array([[2.0]])
         s = np.array([0.5])
-        g = make_coupling_function("sine_blend")
+        g = CouplingFunction("sine_blend")
         out = _rhs(sys_, x, s)
         expected = -2.0 * (g(np.array(2.0)) - g(np.array(0.5)))
         assert out[0, 0] == pytest.approx(float(expected), abs=1e-15)
@@ -534,7 +548,7 @@ class TestSystemRhs:
     def test_operator_form_matches_explicit_terms(self, gkind):
         # f(y) + M g(y) equals f(x) + c A g(x) - c eps (g(x_p) - g(s)) per node
         sys_ = _system(SYM_3NODE, pin=PinPlan(3, 2.5, 7.0), gkind=gkind)
-        g = make_coupling_function(gkind)
+        g = CouplingFunction(gkind)
         rng = np.random.default_rng(4)
         x, s = rng.uniform(-3.0, 3.0, (3, 3)), rng.uniform(-3.0, 3.0, 3)
         expected = chua()(x) + 7.0 * (np.array(SYM_3NODE) @ g(x))

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from pinnet import (
+    CouplingFunction,
     DivergenceError,
     MetricSeries,
     NetworkSystem,
@@ -15,7 +16,6 @@ from pinnet import (
     integrate,
     left_null_vector,
     lyapunov_monitor,
-    make_coupling_function,
     make_dynamics,
     metrics,
     chua_region_jacobian,
@@ -42,7 +42,7 @@ def _single_node(rate=1.0, dim=1, pin=None, gfun="identity"):
     return NetworkSystem(
         coupling=validate_coupling(np.zeros((1, 1))),
         dynamics=make_dynamics("linear_decay", dim=dim, params={"rate": rate}),
-        gfun=make_coupling_function(gfun),
+        gfun=CouplingFunction(gfun),
         pin=pin,
     )
 
@@ -457,7 +457,7 @@ class TestFrozenLoopParity:
         sys_ = NetworkSystem(
             coupling=validate_coupling(np.zeros((1, 1))),
             dynamics=make_dynamics("chua"),
-            gfun=make_coupling_function("sine_blend"),
+            gfun=CouplingFunction("sine_blend"),
             pin=PinPlan(1, 1.0, 3.0),
         )
         x0 = [[0.0, 9e-9, -9e-9]]
@@ -521,7 +521,7 @@ class TestFrozenLoopParity:
             NetworkSystem(
                 coupling=coupling,
                 dynamics=make_dynamics("linear_decay", dim=3, params={"rate": rate}),
-                gfun=make_coupling_function(gfun),
+                gfun=CouplingFunction(gfun),
             )
             for rate in (0.0, -1.0)
         )
@@ -679,7 +679,7 @@ class TestLinearRegime:
         sys_ = NetworkSystem(
             coupling=_ring(m),
             dynamics=make_dynamics("chua"),
-            gfun=make_coupling_function(gfun),
+            gfun=CouplingFunction(gfun),
             pin=PinPlan(1, 5.0, 10.0),
         )
         # on the middle piece from the start, and it stays there
@@ -705,7 +705,7 @@ class TestLinearRegime:
         sys_ = NetworkSystem(
             coupling=_ring(m),
             dynamics=make_dynamics("chua"),
-            gfun=make_coupling_function("sine_blend"),
+            gfun=CouplingFunction("sine_blend"),
             pin=PinPlan(1, 5.0, 10.0),
         )
         x0 = np.full((m, 3), 1e-10)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from pinnet import (
+    CouplingFunction,
     NetworkSystem,
     PinPlan,
     QuadCertificate,
@@ -210,6 +211,24 @@ def test_grid_and_box_take_the_number_rules(call, message):
          "edge_prob-string", "window-string", "window-boolean"],
 )
 def test_edge_prob_and_fit_window_take_the_number_rule(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: CouplingFunction(3), r"^kind must be a string, got 3$"),
+        (lambda: CouplingFunction("cubic"),
+         r"^unknown coupling function kind 'cubic' \(known: identity, sine_blend\)$"),
+        (lambda: CouplingFunction("identity", NAN), r"^alpha_lower must be finite, got nan$"),
+        (lambda: CouplingFunction("identity", True), r"^alpha_lower must be a number, got True$"),
+        (lambda: CouplingFunction("sine_blend", 0.75),
+         r"^alpha_lower 0.75 exceeds the certified slope bound 0.5 of 'sine_blend'$"),
+    ],
+    ids=["kind-int", "kind-unknown", "alpha-nan", "alpha-boolean", "alpha-above-bound"],
+)
+def test_coupling_function_checks_its_own_fields(call, message):
     with pytest.raises(ValueError, match=message):
         call()
 
