@@ -5,7 +5,8 @@ which read back to the same double; nan for an undefined ratio) joined by
 commas, each line ended by ``\n``: :func:`write_trajectory_csv` (long form,
 node 0 the reference), :func:`write_metrics_csv` and :func:`write_table`.
 :func:`cells` formats at most ``CHUNK`` values a pass into space-padded byte
-cells; a value repeated in every row is formatted once and its cell copied.
+cells; a value repeated in every row is formatted once and its cell copied,
+as is a resting reference, whose every sample has the bits of the first.
 
 CPython formats each value with a correctly rounded dtoa; here a whole
 block is formatted by a fixed sequence of array operations:
@@ -241,8 +242,10 @@ def _fast_cells(v: np.ndarray, tables: _Tables):
     cls += zeros
     cls[~nonzero] = _ZERO_CLASS
     cls += (v.view(np.int64) < 0) * _SIGNED  # the sign bit, set for -0.0 too
-    index = np.take(tables.layouts, cls, axis=0).astype(np.intp)
-    index += np.arange(0, k * _SOURCE, _SOURCE)[:, None]
+    # 32-bit offsets, as a pass's source rows hold well under 2**31 bytes:
+    # the narrower index is quicker to build and to gather by
+    index = np.take(tables.layouts, cls, axis=0).astype(np.int32)
+    index += np.arange(0, k * _SOURCE, _SOURCE, dtype=np.int32)[:, None]
     out = np.take(src.ravel(), index)
     return out, np.flatnonzero(~fast & nonzero)
 
@@ -267,7 +270,8 @@ def _write_blocks(path, header: str, blocks) -> None:
         for rows in blocks:
             rows[:, :, -1] = ord(",")
             rows[:, -1, -1] = ord("\n")
-            f.write(rows.tobytes().translate(None, b" "))
+            text = rows.ravel()
+            f.write(text[text != ord(" ")])
 
 
 def write_table(path, header: str, table) -> None:
@@ -295,23 +299,40 @@ def write_metrics_csv(path, series: MetricSeries) -> None:
     write_table(path, "t,sync_ratio,pin_ratio,lyapunov", table)
 
 
+def _rests(reference: np.ndarray) -> bool:
+    """Whether every sample of ``reference`` has the bits of sample 0 (so
+    ``-0.0`` differs from ``0.0``), compared a pass at a time."""
+    bits = np.asarray(reference, dtype=np.float64).view(np.int64)
+    step = max(1, CHUNK // bits.shape[1])
+    return all((bits[start : start + step] == bits[0]).all() for start in range(0, len(bits), step))
+
+
 def _trajectory_blocks(traj: Trajectory):
     """Cells of the ``t, node, x1..xn`` rows, node 0 the reference, for runs
-    of samples whose times and states fill one formatting pass. Each time
-    and node number is formatted once and its cell copied to every row."""
+    of samples whose values fill one formatting pass. Each time and node
+    number is formatted once and its cell copied to every row, and so is a
+    resting reference (every sample the bits of the first)."""
     samples, m, n = traj.states.shape
-    per_block = max(1, CHUNK // ((m + 1) * n + 1))
+    resting = _rests(traj.reference)
+    per_sample = m * n + 1 if resting else (m + 1) * n + 1
+    per_block = max(1, CHUNK // per_sample)
     nodes = cells(np.arange(m + 1.0))
+    rest = cells(traj.reference[0]) if resting else None
     for start in range(0, samples, per_block):
         rows = slice(start, start + per_block)
         count = len(traj.times[rows])
-        values = [traj.times[rows], traj.reference[rows].ravel(), traj.states[rows].ravel()]
+        values = [traj.times[rows], traj.states[rows].ravel()]
+        if not resting:
+            values.insert(1, traj.reference[rows].ravel())
         text = cells(np.concatenate(values))
         block = np.empty((count, m + 1, n + 2, WIDTH), dtype=np.uint8)
         block[:, :, 0] = text[:count, None]
         block[:, :, 1] = nodes
-        block[:, 0, 2:] = text[count : count * (n + 1)].reshape(count, n, -1)
-        block[:, 1:, 2:] = text[count * (n + 1) :].reshape(count, m, n, -1)
+        if resting:
+            block[:, 0, 2:] = rest
+        else:
+            block[:, 0, 2:] = text[count : count * (n + 1)].reshape(count, n, -1)
+        block[:, 1:, 2:] = text[len(text) - count * m * n :].reshape(count, m, n, -1)
         yield block.reshape(count * (m + 1), n + 2, -1)
 
 

@@ -582,10 +582,12 @@ def metrics(traj: Trajectory, weights=None, p=None) -> MetricSeries:
     w = np.ones(m) if weights is None else positive_vector(weights, "weights", m)
     pd = np.ones(n) if p is None else positive_vector(p, "p", n)
 
-    xbar = x.mean(axis=1)
-    sync_dev = np.linalg.norm(x - xbar[:, None, :], axis=2).sum(axis=1)
-    dx = x - s[:, None, :]
-    pin_dev = np.linalg.norm(dx, axis=2).sum(axis=1)
+    d = x - x.mean(axis=1)[:, None]
+    d *= d
+    sync_dev = np.sqrt(d.sum(axis=2)).sum(axis=1)
+    np.subtract(x, s[:, None], out=d)
+    d *= d
+    pin_dev = np.sqrt(d.sum(axis=2)).sum(axis=1)
     sync_ratio = pin_ratio = sync_floor = pin_floor = None
     roundoff = m * np.finfo(float).eps
     x_top = float(np.linalg.norm(x[-1], axis=1).max())
@@ -597,7 +599,7 @@ def metrics(traj: Trajectory, weights=None, p=None) -> MetricSeries:
         pin_ratio = pin_dev / pin_dev[0]
         pin_floor = roundoff * (x_top + s_top) / float(pin_dev[0])
 
-    lyap = 0.5 * np.einsum("tik,k,i->t", dx * dx, pd, w)
+    lyap = 0.5 * np.einsum("tik,k,i->t", d, pd, w)
     return MetricSeries(
         times=traj.times,
         sync_ratio=sync_ratio,

@@ -9,7 +9,8 @@ and the sampled QUAD falsifier is checked against its earlier whole-chunk
 form. The RK4 loop, Chua's field and the network right-hand side are kept
 in their earlier plain-expression form (Python-float operands, fresh
 arrays each stage, a ``max|y|`` divergence prefilter), against which the
-allocation-free loop must agree bit for bit.
+allocation-free loop must agree bit for bit; so are the run metrics, in
+their ``np.linalg.norm`` form.
 """
 
 import numpy as np
@@ -18,6 +19,7 @@ from pinnet.model import CHUA_K, CHUA_L, chua_region_jacobian, network_operator
 from pinnet.simulate import (
     DIVERGENCE_NORM,
     DivergenceError,
+    MetricSeries,
     Trajectory,
     _stacked_state,
     grid_steps,
@@ -236,3 +238,37 @@ def integrate_batch_reference(systems, x0s, s0s, dt, t_max):
             times=times, states=buf[k, :, :m, :], reference=buf[k, :, m, :]
         )
     return results
+
+
+def metrics_reference(traj, weights=None, p=None) -> MetricSeries:
+    """:func:`pinnet.simulate.metrics` in its earlier form: node norms from
+    ``np.linalg.norm``, one fresh array per deviation."""
+    x = traj.states
+    s = traj.reference
+    m, n = x.shape[1], x.shape[2]
+    w = np.ones(m) if weights is None else np.asarray(weights, dtype=float)
+    pd = np.ones(n) if p is None else np.asarray(p, dtype=float)
+    xbar = x.mean(axis=1)
+    sync_dev = np.linalg.norm(x - xbar[:, None, :], axis=2).sum(axis=1)
+    dx = x - s[:, None, :]
+    pin_dev = np.linalg.norm(dx, axis=2).sum(axis=1)
+    sync_ratio = pin_ratio = sync_floor = pin_floor = None
+    roundoff = m * np.finfo(float).eps
+    x_top = float(np.linalg.norm(x[-1], axis=1).max())
+    s_top = float(np.linalg.norm(s[-1]))
+    if sync_dev[0] > 0.0:
+        sync_ratio = sync_dev / sync_dev[0]
+        sync_floor = roundoff * x_top / float(sync_dev[0])
+    if pin_dev[0] > 0.0:
+        pin_ratio = pin_dev / pin_dev[0]
+        pin_floor = roundoff * (x_top + s_top) / float(pin_dev[0])
+    lyap = 0.5 * np.einsum("tik,k,i->t", dx * dx, pd, w)
+    return MetricSeries(
+        times=traj.times,
+        sync_ratio=sync_ratio,
+        pin_ratio=pin_ratio,
+        lyapunov=lyap,
+        sync_floor=sync_floor,
+        pin_floor=pin_floor,
+        p=pd,
+    )

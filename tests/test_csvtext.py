@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pinnet import csvtext
+from pinnet.simulate import Trajectory
 
 
 def _written(table) -> bytes:
@@ -189,3 +190,80 @@ def test_table_that_raises_turns_fast_path_off(monkeypatch, fresh_tables):
     assert csvtext._tables() is None
     values = np.linspace(1.0, 9.0, 8).reshape(-1, 4)
     assert _written(values) == _expected(values)
+
+
+def _trajectory(samples, m, n, reference):
+    rng = np.random.default_rng(20261020)
+    states = rng.normal(size=(samples, m, n)) * 10.0 ** rng.integers(-6, 6, (samples, m, n))
+    return Trajectory(
+        times=np.arange(samples) * 0.001, states=states, reference=np.array(reference, dtype=float)
+    )
+
+
+def _trajectory_text(traj) -> bytes:
+    """The rows :func:`csvtext.write_trajectory_csv` writes, without the
+    header line."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trajectory.csv"
+        csvtext.write_trajectory_csv(path, traj)
+        return path.read_bytes().split(b"\n", 1)[1]
+
+
+def _trajectory_expected(traj) -> bytes:
+    lines = []
+    for t, s, x in zip(traj.times.tolist(), traj.reference.tolist(), traj.states.tolist()):
+        for node, values in enumerate([s, *x]):
+            lines.append(",".join("%.17g" % v for v in [t, node, *values]) + "\n")
+    return "".join(lines).encode()
+
+
+def _references(samples, n):
+    """Reference samples by case: resting, resting at zero but for one -0.0,
+    moving only in the last sample, and moving."""
+    constant = np.tile(np.linspace(-2.5, 1 / 3, n), (samples, 1))
+    signed_zero = np.zeros((samples, n))
+    signed_zero[samples // 2, n - 1] = -0.0
+    last_moves = constant.copy()
+    last_moves[-1, 0] = np.nextafter(last_moves[-1, 0], np.inf)
+    moving = np.sin(np.arange(samples * n, dtype=float)).reshape(samples, n)
+    return {
+        "constant": constant,
+        "signed-zero": signed_zero,
+        "last-moves": last_moves,
+        "moving": moving,
+    }
+
+
+@pytest.fixture(params=["fast", "percent"])
+def either_path(request, fresh_tables, monkeypatch):
+    """The fast path where it is built, and every value through ``%``."""
+    if request.param == "percent":
+        monkeypatch.setattr(csvtext, "_tables", lambda: None)
+
+
+@pytest.mark.parametrize("case", ["constant", "signed-zero", "last-moves", "moving"])
+# the first shape's reference is checked in three passes, the second's
+# samples each take more than CHUNK values
+@pytest.mark.parametrize("shape", [(1000, 3, 3), (3, 40, 30)])
+def test_trajectory_rows_match_percent(either_path, case, shape):
+    samples, m, n = shape
+    traj = _trajectory(samples, m, n, _references(samples, n)[case])
+    assert _trajectory_text(traj) == _trajectory_expected(traj)
+
+
+def test_resting_reference_is_formatted_once(monkeypatch):
+    samples, m, n = 250, 3, 3
+    traj = _trajectory(samples, m, n, _references(samples, n)["constant"])
+    csvtext._tables()  # its self-check formats values too
+    counted = []
+    cells = csvtext._cells
+
+    def counting(v, tables):
+        counted.append(len(v))
+        return cells(v, tables)
+
+    monkeypatch.setattr(csvtext, "_cells", counting)
+    assert _trajectory_text(traj) == _trajectory_expected(traj)
+    # each time and state once, then the reference's n values and the m + 1
+    # node numbers
+    assert sum(counted) == samples * (m * n + 1) + n + (m + 1)

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +31,7 @@ from pinnet.model import make_network_rhs, network_operator
 from pinnet.scenarios import BUILTIN_SCENARIOS
 from pinnet.simulate import Trajectory, grid_steps, integrate_batch
 
-from _oracles import integrate_batch_reference
+from _oracles import integrate_batch_reference, metrics_reference
 
 SCENARIOS = Path(__file__).with_name("data") / "scenarios"
 SYM_3NODE = validate_coupling([[-5.1, 5.0, 0.1], [5.0, -11.0, 6.0], [0.1, 6.0, -6.1]])
@@ -1166,6 +1167,41 @@ class TestMetrics:
             metrics(traj, weights=np.ones(3))
         with pytest.raises(ValueError):
             metrics(traj, p=np.ones(3))
+
+    @staticmethod
+    def _seeded_trajectory(samples=400, m=4, n=3):
+        """Seeded states and a moving reference, with subnormals and -0.0."""
+        rng = np.random.default_rng(20261020)
+        states = rng.normal(size=(samples, m, n)) * 10.0 ** rng.integers(-5, 5, (samples, m, n))
+        states[::7, 1] = rng.integers(1, 2**40, (len(states[::7]), n)) * 5e-324
+        states[::5, 2, 0] = -0.0
+        reference = rng.normal(size=(samples, n))
+        reference[::3] = [-0.0, 0.0, 5e-324]
+        return Trajectory(times=np.arange(samples) * 0.01, states=states, reference=reference)
+
+    @pytest.mark.parametrize(
+        "w, p", [(None, None), (np.array([0.1, 0.2, 0.3, 0.4]), np.array([1.0, 2.5, 0.75]))]
+    )
+    def test_bits_match_the_norm_form(self, w, p):
+        traj = self._seeded_trajectory()
+        before = traj.states.copy()
+        got, want = metrics(traj, weights=w, p=p), metrics_reference(traj, weights=w, p=p)
+        for name in ("sync_ratio", "pin_ratio", "lyapunov", "sync_floor", "pin_floor"):
+            a, b = np.float64(getattr(got, name)), np.float64(getattr(want, name))
+            assert np.array_equal(a.view(np.int64), b.view(np.int64)), name
+        assert np.array_equal(traj.states.view(np.int64), before.view(np.int64))
+
+    def test_memory_is_one_trajectory_buffer(self):
+        # the norm form peaks at about 3 times the size of the states
+        traj = self._seeded_trajectory(samples=20_000, m=3, n=3)
+        metrics(traj)  # numpy's lazy state, allocated on first use
+        tracemalloc.start()
+        try:
+            metrics(traj)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * traj.states.nbytes
 
 
 class TestDecayRateFit:
