@@ -38,7 +38,7 @@ from .conditions import (
     verify_certificate,
     weighted_spectrum,
 )
-from .csvtext import write_metrics_csv, write_table, write_trajectory_csv
+from .csvtext import cells, write_metrics_csv, write_table, write_trajectory_csv
 # not called here: perfbench/tracing.py patches left_null_vector and
 # scc_condensation on this module along with the other pipeline names.
 from .linalg import ReducibilityError, finite_array, left_null_vector, scc_condensation  # noqa: F401
@@ -533,12 +533,17 @@ def run_scenario(
     return _finish_run(cfg, report, outcome, Path(out_dir))
 
 
-def _finish_run(cfg: ScenarioConfig, report: ConditionReport, outcome, out: Path) -> RunResult:
+def _finish_run(
+    cfg: ScenarioConfig, report: ConditionReport, outcome, out: Path, time_cells=None
+) -> RunResult:
     """Metrics, fit, monitor, CSVs and summary of one integrated scenario.
 
     ``outcome`` is the :class:`Trajectory` or the :class:`DivergenceError`
     (carrying the partial trajectory) that integration produced. ``out`` is
     made just before the first write: a run that fails earlier leaves none.
+    ``time_cells`` are the :func:`pinnet.csvtext.cells` of a grid whose
+    prefix is the trajectory's times; without them the times are formatted
+    here. Both CSVs copy them.
     """
     diverged = isinstance(outcome, DivergenceError)
     traj = outcome.trajectory if diverged else outcome
@@ -555,9 +560,10 @@ def _finish_run(cfg: ScenarioConfig, report: ConditionReport, outcome, out: Path
     traj_path = out / cfg.outputs["trajectory"]
     metrics_path = out / cfg.outputs["metrics"]
     summary_path = out / cfg.outputs["summary"]
+    time_cells = cells(traj.times) if time_cells is None else time_cells[: len(traj.times)]
     out.mkdir(parents=True, exist_ok=True)
-    write_trajectory_csv(traj_path, traj)
-    write_metrics_csv(metrics_path, series)
+    write_trajectory_csv(traj_path, traj, time_cells)
+    write_metrics_csv(metrics_path, series, time_cells)
 
     lines = [render_report(report), ""]
     lines.append(
@@ -681,9 +687,13 @@ def run_sweep(cfg: ScenarioConfig, spec: str, out_dir) -> int:
         cfg.dt,
         cfg.t_max,
     )
+    # every member runs on the batch's grid and a diverged one stops on a
+    # prefix of it, so the longest member's times are formatted for all
+    trajectories = [o.trajectory if isinstance(o, DivergenceError) else o for o in outcomes]
+    time_cells = cells(max((traj.times for traj in trajectories), key=len))
     rows = []
     for c, point, report, outcome in zip(values, points, reports, outcomes):
-        result = _finish_run(point, report, outcome, out)
+        result = _finish_run(point, report, outcome, out, time_cells)
         gate = report.gate_verdict
         final_pin = result.final_pin if result.final_pin is not None else float("nan")
         rows.append((float(c), gate.margin, gate.holds, final_pin, result.diverged))

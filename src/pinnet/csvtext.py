@@ -7,6 +7,10 @@ node 0 the reference), :func:`write_metrics_csv` and :func:`write_table`.
 :func:`cells` formats at most ``CHUNK`` values a pass into space-padded byte
 cells; a value repeated in every row is formatted once and its cell copied,
 as is a resting reference, whose every sample has the bits of the first.
+A run's time cells are formatted once, by :func:`pinnet.cli.run_scenario`
+for its two CSVs and by :func:`pinnet.cli.run_sweep` for every point of
+its grid, and the writers copy them; they hold ``WIDTH`` = 25 bytes per
+sample while the run writes.
 
 CPython formats each value with a correctly rounded dtoa; here a whole
 block is formatted by a fixed sequence of array operations:
@@ -274,29 +278,42 @@ def _write_blocks(path, header: str, blocks) -> None:
             f.write(text[text != ord(" ")])
 
 
-def write_table(path, header: str, table) -> None:
-    """Write ``header`` and the rows of a 2-D table of numbers (a bool reads
-    ``1`` or ``0``), formatted in blocks of whole rows, each at most ``CHUNK``
-    values or one row."""
+def _row_blocks(table, lead=None):
+    """Cells of the rows of a 2-D table of numbers (a bool reads ``1`` or
+    ``0``), in blocks of whole rows, each at most ``CHUNK`` values or one
+    row. ``lead`` holds the cells of a first column, copied in front of the
+    rows rather than formatted."""
     table = np.asarray(table, dtype=np.float64)
     step = max(1, CHUNK // table.shape[1])
-    starts = range(0, len(table), step)
-    _write_blocks(path, header, (cells(table[start : start + step]) for start in starts))
+    for start in range(0, len(table), step):
+        text = cells(table[start : start + step])
+        if lead is not None:
+            text = np.concatenate([lead[start : start + step, None], text], axis=1)
+        yield text
 
 
-def write_metrics_csv(path, series: MetricSeries) -> None:
+def write_table(path, header: str, table) -> None:
+    """Write ``header`` and the rows of a 2-D table of numbers (a bool reads
+    ``1`` or ``0``)."""
+    _write_blocks(path, header, _row_blocks(table))
+
+
+def write_metrics_csv(path, series: MetricSeries, time_cells=None) -> None:
     """``t,sync_ratio,pin_ratio,lyapunov`` rows at full double precision;
-    undefined ratios are written as nan."""
+    undefined ratios are written as nan. ``time_cells``, the :func:`cells`
+    of ``series.times``, are copied into the ``t`` column; without them the
+    times are formatted here."""
     nan = np.full(len(series.times), np.nan)
     table = np.column_stack(
         [
-            series.times,
             nan if series.sync_ratio is None else series.sync_ratio,
             nan if series.pin_ratio is None else series.pin_ratio,
             series.lyapunov,
         ]
     )
-    write_table(path, "t,sync_ratio,pin_ratio,lyapunov", table)
+    if time_cells is None:
+        time_cells = cells(series.times)
+    _write_blocks(path, "t,sync_ratio,pin_ratio,lyapunov", _row_blocks(table, time_cells))
 
 
 def _rests(reference: np.ndarray) -> bool:
@@ -307,37 +324,42 @@ def _rests(reference: np.ndarray) -> bool:
     return all((bits[start : start + step] == bits[0]).all() for start in range(0, len(bits), step))
 
 
-def _trajectory_blocks(traj: Trajectory):
+def _trajectory_blocks(traj: Trajectory, time_cells: np.ndarray):
     """Cells of the ``t, node, x1..xn`` rows, node 0 the reference, for runs
-    of samples whose values fill one formatting pass. Each time and node
-    number is formatted once and its cell copied to every row, and so is a
-    resting reference (every sample the bits of the first)."""
+    of samples whose values fill one formatting pass. The time cells are
+    given, each copied to the rows of its sample; each node number is
+    formatted once and its cell copied to every row, and so is a resting
+    reference (every sample the bits of the first)."""
     samples, m, n = traj.states.shape
     resting = _rests(traj.reference)
-    per_sample = m * n + 1 if resting else (m + 1) * n + 1
-    per_block = max(1, CHUNK // per_sample)
+    per_block = max(1, CHUNK // (m * n if resting else (m + 1) * n))
     nodes = cells(np.arange(m + 1.0))
     rest = cells(traj.reference[0]) if resting else None
     for start in range(0, samples, per_block):
         rows = slice(start, start + per_block)
-        count = len(traj.times[rows])
-        values = [traj.times[rows], traj.states[rows].ravel()]
-        if not resting:
-            values.insert(1, traj.reference[rows].ravel())
-        text = cells(np.concatenate(values))
+        states = traj.states[rows]
+        count = len(states)
+        if resting:
+            text = cells(states.ravel())
+        else:
+            text = cells(np.concatenate([traj.reference[rows].ravel(), states.ravel()]))
         block = np.empty((count, m + 1, n + 2, WIDTH), dtype=np.uint8)
-        block[:, :, 0] = text[:count, None]
+        block[:, :, 0] = time_cells[rows, None]
         block[:, :, 1] = nodes
         if resting:
             block[:, 0, 2:] = rest
         else:
-            block[:, 0, 2:] = text[count : count * (n + 1)].reshape(count, n, -1)
+            block[:, 0, 2:] = text[: count * n].reshape(count, n, -1)
         block[:, 1:, 2:] = text[len(text) - count * m * n :].reshape(count, m, n, -1)
         yield block.reshape(count * (m + 1), n + 2, -1)
 
 
-def write_trajectory_csv(path, traj: Trajectory) -> None:
-    """Long-form ``t,node,x1..xn`` rows; the reference is node 0."""
+def write_trajectory_csv(path, traj: Trajectory, time_cells=None) -> None:
+    """Long-form ``t,node,x1..xn`` rows; the reference is node 0.
+    ``time_cells``, the :func:`cells` of ``traj.times``, are copied into the
+    ``t`` column; without them the times are formatted here."""
     n = traj.states.shape[2]
     header = "t,node," + ",".join(f"x{k + 1}" for k in range(n))
-    _write_blocks(path, header, _trajectory_blocks(traj))
+    if time_cells is None:
+        time_cells = cells(traj.times)
+    _write_blocks(path, header, _trajectory_blocks(traj, time_cells))

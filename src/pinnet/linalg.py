@@ -5,6 +5,8 @@ null vectors from a direct least-squares solve, and reducibility is decided
 by Tarjan's strongly-connected-components algorithm. Each array rule is one
 function here, for every caller: :func:`finite_array`, :func:`positive_vector`,
 ``_as_square``, :func:`check_zero_row_sums` and :func:`is_symmetric`.
+:func:`ordered_sum` and :func:`norm_sum` take numpy's summation order slice
+by slice, so a sum along a short axis keeps its bits and runs along a long one.
 
 Functions accept plain arrays or anything with an ``entries`` attribute
 (e.g. :class:`pinnet.model.CouplingMatrix`).
@@ -66,6 +68,47 @@ def positive_vector(value, where: str, n: int) -> np.ndarray:
         i = int(np.argmin(arr > 0.0))
         raise ValueError(f"{where} entry ({i + 1}) must be > 0, got {arr[i]:g}")
     return arr
+
+
+def ordered_sum(terms: np.ndarray, innermost: bool = True) -> np.ndarray:
+    """``terms.sum(axis=0)`` in the order numpy's ``add.reduce`` takes the
+    ``len(terms)`` values of an axis, which depends on whether that axis is
+    innermost in the array numpy reduces. Along an innermost axis it adds
+    them in turn below 8; else as 8 interleaved partial sums, combined
+    pairwise, then the rest in turn; and above 128 each half, cut at a
+    multiple of 8, on its own. Each term is added here as a whole array,
+    whatever its layout, so every operation runs along the terms' long axes.
+    Along any other axis numpy adds them in turn: with ``innermost`` false
+    this is ``add.reduce`` along axis 0, for ``terms`` whose innermost axis
+    is another."""
+    k = len(terms)
+    if not innermost:
+        return np.add.reduce(terms, axis=0)
+    if k > 128:
+        half = k // 2 - k // 2 % 8
+        return ordered_sum(terms[:half]) + ordered_sum(terms[half:])
+    if k < 8:
+        # numpy starts from 0.0, so a sum of -0.0 terms reads 0.0
+        total, rest = terms[0] + 0.0, terms[1:]
+    else:
+        tail = k - k % 8
+        # a reduction along an outer axis adds in turn
+        r = np.add.reduce(terms[:tail].reshape(-1, 8, *terms.shape[1:]), axis=0)
+        while len(r) > 1:
+            r = r[0::2] + r[1::2]
+        total, rest = r[0], terms[tail:]
+    for term in rest:
+        total += term
+    return total
+
+
+def norm_sum(squares: np.ndarray) -> np.ndarray:
+    """``np.sqrt(a.sum(axis=-1)).sum(axis=-1)`` bit for bit, for squares
+    ``a`` of shape ``(..., m, n)``, from ``squares``, the same values indexed
+    ``(n, m, ...)`` in any layout: the sum of m Euclidean norms of n
+    components, each sum in numpy's order (:func:`ordered_sum`)."""
+    norms = ordered_sum(squares)
+    return ordered_sum(np.sqrt(norms, out=norms))
 
 
 def _as_square(a, name: str = "matrix") -> np.ndarray:

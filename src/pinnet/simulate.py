@@ -118,7 +118,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .conditions import QuadCertificate
-from .linalg import finite_array, positive_vector
+from .linalg import finite_array, norm_sum, ordered_sum, positive_vector
 from .model import (
     NetworkSystem,
     PiecewiseAffine,
@@ -575,19 +575,34 @@ def metrics(traj: Trajectory, weights=None, p=None) -> MetricSeries:
     asymmetric coupling); ``p`` is the diagonal of P, default identity.
     Both are positive vectors (:func:`pinnet.linalg.positive_vector`), so V
     is positive definite in the errors. Node norms are Euclidean.
+
+    The bits are those of the plain expressions,
+    ``np.linalg.norm(x - x.mean(axis=1)[:, None], axis=2).sum(axis=1)``,
+    its pin twin and the ``einsum`` of ``(x - s)**2``, but the work runs in
+    one trajectory-sized buffer and along long axes. numpy reduces the short
+    node and component axes with an inner loop of m or n values per sample;
+    here each sum adds whole slices instead, in the order numpy takes their
+    values (:func:`pinnet.linalg.ordered_sum`): in turn, and pairwise along an
+    innermost axis of 8 or more. So the sync deviations lie node-major,
+    ``(m, n, samples)``, and the pin deviations lie as the states do, since
+    the order of ``einsum``'s sums follows its operand's layout.
     """
     x = traj.states
     s = traj.reference
-    m, n = x.shape[1], x.shape[2]
+    samples, m, n = x.shape
     w = np.ones(m) if weights is None else positive_vector(weights, "weights", m)
     pd = np.ones(n) if p is None else positive_vector(p, "p", n)
 
-    d = x - x.mean(axis=1)[:, None]
+    d = x.transpose(1, 2, 0).copy()
+    # x.mean(axis=1): the nodes are numpy's innermost axis only when n = 1
+    d -= ordered_sum(d, n == 1) / m
     d *= d
-    sync_dev = np.sqrt(d.sum(axis=2)).sum(axis=1)
-    np.subtract(x, s[:, None], out=d)
+    sync_dev = norm_sum(d.transpose(1, 0, 2))
+    d = d.reshape(samples, m, n)
+    d[...] = x
+    d -= s[:, None]
     d *= d
-    pin_dev = np.sqrt(d.sum(axis=2)).sum(axis=1)
+    pin_dev = norm_sum(d.T)
     sync_ratio = pin_ratio = sync_floor = pin_floor = None
     roundoff = m * np.finfo(float).eps
     x_top = float(np.linalg.norm(x[-1], axis=1).max())

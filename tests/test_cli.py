@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import pinnet
+from pinnet import csvtext
 from pinnet import (
     BUILTIN_SCENARIOS,
     UNCONTROLLED,
@@ -1088,6 +1089,78 @@ class TestSweep:
         assert [row.split(",")[-1] for row in rows] == ["1", "0", "0"]
         assert "DIVERGED" in (tmp_path / "growth_sweep_c1_summary.txt").read_text()
         assert "steps=600" in (tmp_path / "growth_sweep_c9_summary.txt").read_text()
+
+    def test_a_diverged_point_matches_its_solo_run_byte_for_byte(self, tmp_path):
+        # the growth sweep above: c = 1 stops early on a prefix of the grid
+        # whose time cells the sweep formats once for all three points
+        data = {
+            "name": "growth",
+            "coupling": [[0.0]],
+            "dynamics": {"kind": "linear_decay", "params": {"rate": -5.0}},
+            "pin": {"node": 1, "epsilon": 1.0, "c": 1.0},
+            "initial_states": [[1.0]],
+            "reference_initial": [0.0],
+            "integration": {"dt": 0.01, "t_max": 6.0},
+        }
+        cfg = parse_scenario(data)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run_sweep(cfg, "c=1:9:3", tmp_path / "sweep") == 0
+        for c, code in ((1.0, 3), (5.0, 0), (9.0, 0)):
+            stem = f"growth_sweep_c{c:g}"
+            point = dataclasses.replace(
+                cfg,
+                pin=dataclasses.replace(cfg.pin, c=c),
+                outputs={
+                    "trajectory": f"{stem}_trajectory.csv",
+                    "metrics": f"{stem}_metrics.csv",
+                    "summary": f"{stem}_summary.txt",
+                },
+            )
+            assert run_scenario(point, out_dir=tmp_path / "solo").exit_code == code
+            for name in point.outputs.values():
+                solo = (tmp_path / "solo" / name).read_bytes()
+                assert (tmp_path / "sweep" / name).read_bytes() == solo
+        times = {}
+        for c in (1, 9):
+            lines = (tmp_path / "sweep" / f"growth_sweep_c{c}_metrics.csv").read_text().splitlines()
+            times[c] = [line.split(",")[0] for line in lines[1:]]
+        assert 1 < len(times[1]) < len(times[9]) == 601
+        assert times[1] == times[9][: len(times[1])]
+
+    @staticmethod
+    def _counted_cells(monkeypatch):
+        """The number of values each call of ``csvtext._cells`` formats."""
+        csvtext._tables()  # its self-check formats values too
+        counted = []
+        cells = csvtext._cells
+
+        def counting(v, tables):
+            counted.append(len(v))
+            return cells(v, tables)
+
+        monkeypatch.setattr(csvtext, "_cells", counting)
+        return counted
+
+    def test_a_run_formats_its_times_once(self, tmp_path, monkeypatch):
+        # fig4's reference rests at the origin: per sample the m n states,
+        # once the time; then the reference, the node numbers and, in the
+        # metrics CSV, three values a sample
+        cfg = _short("fig4-sym-pinned", t_max=0.25)
+        counted = self._counted_cells(monkeypatch)
+        assert run_scenario(cfg, out_dir=tmp_path).exit_code == 0
+        samples, m, n = 251, 3, 3
+        assert sum(counted) == samples * (m * n + 4) + n + m + 1
+
+    def test_a_sweep_formats_its_grid_once(self, tmp_path, monkeypatch):
+        # the grid once; each point's states, reference, node numbers and
+        # metrics; then five values a row of the sweep table
+        cfg = _short("fig4-sym-pinned", t_max=0.25)
+        counted = self._counted_cells(monkeypatch)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run_sweep(cfg, "c=6:14:3", tmp_path) == 0
+        samples, m, n, points = 251, 3, 3, 3
+        per_point = samples * (m * n + 3) + n + m + 1
+        assert sum(counted) == samples + points * per_point + 5 * points
 
 
 class TestMainExitCodes:

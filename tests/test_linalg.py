@@ -11,6 +11,7 @@ from pinnet import (
     symmetrize_weighted,
 )
 from pinnet.conditions import random_coupling_matrix
+from pinnet.linalg import norm_sum, ordered_sum
 
 from _oracles import charpoly_eigenvalues, pairwise_quadratic_form, svd_left_null_vector
 
@@ -284,3 +285,35 @@ class TestQuadraticFormIdentity:
         u = v = np.array([1.0, 0.0])
         assert float(u @ a @ v) == -1.0
         assert pairwise_quadratic_form(a, u, v) == -1.0
+
+
+class TestOrderedSum:
+    # the terms span 20 decades, so a change of order shows in the bits
+    @staticmethod
+    def _values(rows, k):
+        rng = np.random.default_rng([20261020, k])
+        return rng.normal(size=(rows, k)) * 10.0 ** rng.integers(-10, 10, (rows, k))
+
+    def test_innermost_axis_is_numpys_pairwise_order(self):
+        # past the 8-term blocks and the halving above 128 terms too
+        for k in [*range(1, 40), 127, 128, 129, 136, 300, 1000]:
+            a = self._values(5, k)
+            got = ordered_sum(np.ascontiguousarray(a.T))
+            assert np.array_equal(got.view(np.int64), np.add.reduce(a, axis=1).view(np.int64)), k
+
+    def test_outer_axis_adds_in_turn(self):
+        for k in (3, 8, 30, 100):
+            a = self._values(k, 4)
+            in_turn = a[0] + 0.0
+            for row in a[1:]:
+                in_turn += row
+            got = ordered_sum(a, innermost=False)
+            assert np.array_equal(got.view(np.int64), in_turn.view(np.int64)), k
+            assert np.array_equal(got.view(np.int64), np.add.reduce(a, axis=0).view(np.int64)), k
+
+    def test_norm_sum_is_the_sum_of_node_norms(self):
+        for m, n in ((1, 1), (3, 3), (8, 2), (30, 9), (100, 3)):
+            a = self._values(20, m * n).reshape(20, m, n) ** 2
+            want = np.sqrt(a.sum(axis=-1)).sum(axis=-1)
+            got = norm_sum(a.T)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), (m, n)

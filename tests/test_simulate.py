@@ -1191,6 +1191,42 @@ class TestMetrics:
             assert np.array_equal(a.view(np.int64), b.view(np.int64)), name
         assert np.array_equal(traj.states.view(np.int64), before.view(np.int64))
 
+    @staticmethod
+    def _ring_trajectory(m, n, samples=40):
+        """A pinned ring of m linear_decay nodes of n components from seeded
+        starts, then a copy with subnormal and -0.0 entries."""
+        rng = np.random.default_rng([20261020, m, n])
+        ring = np.roll(np.eye(m), 1, axis=1) + np.roll(np.eye(m), -1, axis=1)
+        np.fill_diagonal(ring, 0.0)
+        np.fill_diagonal(ring, -ring.sum(axis=1))
+        sys_ = NetworkSystem(
+            coupling=validate_coupling(ring),
+            dynamics=make_dynamics("linear_decay", dim=n, params={"rate": 0.5}),
+            pin=PinPlan(1, 2.0, 1.0),
+        )
+        x0 = rng.normal(size=(m, n)) * 10.0 ** rng.integers(-5, 5, (m, n))
+        traj = integrate(sys_, x0, rng.normal(size=n), 0.01, (samples - 1) * 0.01)
+        states, reference = traj.states.copy(), traj.reference.copy()
+        states[1::7, -1] = rng.integers(1, 2**40, (len(states[1::7]), n)) * 5e-324
+        states[1::5, 0, 0] = -0.0
+        states[3::11] = -0.0  # a sample with every node at -0.0
+        reference[1::3, 0] = -0.0
+        reference[2::4, -1] = 5e-324
+        return Trajectory(times=traj.times, states=states, reference=reference)
+
+    # numpy sums the nodes pairwise from 8 on, and the components of a node
+    # from 8 on; a single component leaves the nodes innermost in the mean
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 9])
+    @pytest.mark.parametrize("m", [1, 3, 8, 30, 100])
+    def test_bits_match_the_norm_form_at_every_size(self, m, n):
+        traj = self._ring_trajectory(m, n)
+        rng = np.random.default_rng([m, n])
+        for w, p in ((None, None), (rng.uniform(0.1, 1.0, m), rng.uniform(0.5, 3.0, n))):
+            got, want = metrics(traj, weights=w, p=p), metrics_reference(traj, weights=w, p=p)
+            for name in ("sync_ratio", "pin_ratio", "lyapunov", "sync_floor", "pin_floor"):
+                a, b = np.float64(getattr(got, name)), np.float64(getattr(want, name))
+                assert np.array_equal(a.view(np.int64), b.view(np.int64)), name
+
     def test_memory_is_one_trajectory_buffer(self):
         # the norm form peaks at about 3 times the size of the states
         traj = self._seeded_trajectory(samples=20_000, m=3, n=3)
