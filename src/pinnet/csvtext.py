@@ -298,11 +298,10 @@ def write_table(path, header: str, table) -> None:
     _write_blocks(path, header, _row_blocks(table))
 
 
-def write_metrics_csv(path, series: MetricSeries, time_cells=None) -> None:
+def write_metrics_csv(path, series: MetricSeries, time_cells: np.ndarray) -> None:
     """``t,sync_ratio,pin_ratio,lyapunov`` rows at full double precision;
     undefined ratios are written as nan. ``time_cells``, the :func:`cells`
-    of ``series.times``, are copied into the ``t`` column; without them the
-    times are formatted here."""
+    of ``series.times``, are copied into the ``t`` column."""
     nan = np.full(len(series.times), np.nan)
     table = np.column_stack(
         [
@@ -311,8 +310,6 @@ def write_metrics_csv(path, series: MetricSeries, time_cells=None) -> None:
             series.lyapunov,
         ]
     )
-    if time_cells is None:
-        time_cells = cells(series.times)
     _write_blocks(path, "t,sync_ratio,pin_ratio,lyapunov", _row_blocks(table, time_cells))
 
 
@@ -354,12 +351,10 @@ def _trajectory_blocks(traj: Trajectory, time_cells: np.ndarray):
         yield block.reshape(count * (m + 1), n + 2, -1)
 
 
-def write_trajectory_csv(path, traj: Trajectory, time_cells=None) -> None:
+def write_trajectory_csv(path, traj: Trajectory, time_cells: np.ndarray) -> None:
     """Long-form ``t,node,x1..xn`` rows; the reference is node 0.
     ``time_cells``, the :func:`cells` of ``traj.times``, are copied into the
-    ``t`` column; without them the times are formatted here."""
+    ``t`` column."""
     n = traj.states.shape[2]
     header = "t,node," + ",".join(f"x{k + 1}" for k in range(n))
-    if time_cells is None:
-        time_cells = cells(traj.times)
     _write_blocks(path, header, _trajectory_blocks(traj, time_cells))

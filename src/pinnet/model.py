@@ -5,17 +5,21 @@ the all-ones vector is always a right null vector and a fully synchronized
 state feels no coupling. A :class:`PinPlan` describes the one controlled node:
 feedback gain ``epsilon`` and overall coupling strength ``c``; folding the gain
 into the pinned node's diagonal entry gives the "pinned" matrix whose spectrum
-drives every stability check in :mod:`pinnet.conditions`.
+drives every stability check in :mod:`pinnet.conditions`. Every model object
+checks itself: its constructor takes only the values a caller chooses,
+checks them and derives the rest (:func:`make_dynamics` and
+:func:`validate_coupling` are other names for two of the classes).
 
 Node dynamics are looked up in a small registry (built-ins: Chua's circuit and
 a linear decay field, whose builders reject unknown or non-numeric
-parameters); coupling may pass through a componentwise monotone map. A
-built-in field declares its linear pieces on ``Dynamics.affine``, the one
-place the simulator and the closed-form conditions read its Jacobians.
-State layout is an ``(m, n)`` array, one row per node. Node indices are
-1-based in all public interfaces. Each value rule is one function here, for
-every caller: :func:`finite_number`, :func:`positive_number`,
-:func:`whole_number`, :func:`node_index` and ``_registered`` (a kind).
+parameters) that takes each kind once; coupling may pass through a
+componentwise monotone map. A built-in field declares its linear pieces on
+``Dynamics.affine``, the one place the simulator and the closed-form
+conditions read its Jacobians. State layout is an ``(m, n)`` array, one row
+per node. Node indices are 1-based in all public interfaces. Each value rule
+is one function here, for every caller: :func:`finite_number`,
+:func:`positive_number`, :func:`whole_number`, :func:`node_index` and
+``_registered`` (a kind).
 
 The simulated state stacks the m node rows over the reference row,
 ``y = [x; s]`` of shape ``(m + 1, n)``. Coupling and controller are both
@@ -49,38 +53,34 @@ class CouplingError(ValueError):
 
 @dataclass(frozen=True)
 class CouplingMatrix:
-    """Validated m-by-m coupling matrix (build via :func:`validate_coupling`).
-
-    ``symmetric`` is derived at validation time; the entries array is marked
-    read-only so instances are safe to share.
-    """
+    """m-by-m coupling matrix with zero row sums and nonnegative off-diagonals,
+    held as a read-only float copy from which ``symmetric`` is derived. A
+    :class:`CouplingError` names the offending row or entry (1-based) of the
+    first violation found, judged by the rules of :mod:`pinnet.linalg`."""
 
     entries: np.ndarray
-    symmetric: bool
+    symmetric: bool = field(init=False)
+
+    def __post_init__(self):
+        try:
+            a = _as_square(self.entries, "coupling matrix")
+            neg = np.argwhere((a < 0.0) & ~np.eye(len(a), dtype=bool))
+            if neg.size:
+                i, j = map(int, neg[0])
+                raise ValueError(f"off-diagonal entry ({i + 1},{j + 1}) is negative: {a[i, j]!r}")
+            check_zero_row_sums(a)
+        except ValueError as err:
+            raise CouplingError(str(err)) from None
+        a.setflags(write=False)
+        object.__setattr__(self, "entries", a)
+        object.__setattr__(self, "symmetric", is_symmetric(a))
 
     @property
     def m(self) -> int:
         return self.entries.shape[0]
 
 
-def validate_coupling(entries) -> CouplingMatrix:
-    """Check zero row sums and nonnegative off-diagonals; wrap the array.
-
-    Raises :class:`CouplingError` naming the offending row or entry (1-based)
-    on the first violation found. Entries, shape, row sums and symmetry are
-    judged by the rules of :mod:`pinnet.linalg`.
-    """
-    try:
-        a = _as_square(entries, "coupling matrix")
-        neg = np.argwhere((a < 0.0) & ~np.eye(len(a), dtype=bool))
-        if neg.size:
-            i, j = map(int, neg[0])
-            raise ValueError(f"off-diagonal entry ({i + 1},{j + 1}) is negative: {a[i, j]!r}")
-        check_zero_row_sums(a)
-    except ValueError as err:
-        raise CouplingError(str(err)) from None
-    a.setflags(write=False)
-    return CouplingMatrix(entries=a, symmetric=is_symmetric(a))
+validate_coupling = CouplingMatrix
 
 
 def finite_number(value, where: str) -> float:
@@ -233,21 +233,33 @@ class PiecewiseAffine:
 
 @dataclass(frozen=True)
 class Dynamics:
-    """A named node vector field with its state dimension and parameters.
-
-    ``field_fn(x, t)`` must be vectorized over leading axes, map ``(..., dim)``
-    to ``(..., dim)``, return a fresh array, and produce finite derivatives at
-    finite states; calling the instance checks that last dimension.
+    """The node field registered as ``kind`` on ``dim`` coordinates (only
+    ``chua`` has a default, 3), with a copy of ``params`` (a built-in kind
+    keeps the floats its parameter rule returns), from which the kind's
+    builder derives ``field_fn`` and ``affine``: equal instances hold one field.
+    ``field_fn(x, t)`` is vectorized over leading axes, maps ``(..., dim)`` to
+    ``(..., dim)``, returns a fresh array, and must produce finite derivatives
+    at finite states; calling the instance checks that last dimension.
     ``affine`` is the :class:`PiecewiseAffine` form of a built-in field (the
     circuit's three diode regions, or one piece for the linear decay) and
-    None for registered fields. Build instances through :func:`make_dynamics`.
+    None for registered fields.
     """
 
     kind: str
-    dim: int
-    params: dict
-    field_fn: FieldFn = field(repr=False, compare=False)
-    affine: Optional[PiecewiseAffine] = field(default=None, repr=False, compare=False)
+    dim: Optional[int] = None
+    params: Optional[Mapping] = None
+    field_fn: FieldFn = field(init=False, repr=False, compare=False)
+    affine: Optional[PiecewiseAffine] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        build = _registered(_DYNAMICS_BUILDERS, self.kind, "dynamics")
+        if self.dim is None and self.kind != "chua":
+            raise ValueError(f"dynamics kind {self.kind!r} needs an explicit dim")
+        dim = whole_number(3 if self.dim is None else self.dim, "dim", 1)
+        params = dict(self.params or {})
+        fn, affine = build(dim, params)
+        for name, value in zip(("dim", "params", "field_fn", "affine"), (dim, params, fn, affine)):
+            object.__setattr__(self, name, value)
 
     def __call__(self, x, t: float = 0.0) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -255,6 +267,9 @@ class Dynamics:
             raise ValueError(f"{self.kind} states must have last dimension {self.dim}, "
                              f"got shape {x.shape}")
         return self.field_fn(x, t)
+
+
+make_dynamics = Dynamics
 
 
 def _real_params(kind: str, params: dict, defaults: Mapping[str, float]) -> list[float]:
@@ -317,8 +332,13 @@ _DYNAMICS_BUILDERS: dict[str, Callable[[int, Mapping], tuple[FieldFn, Optional[P
 
 
 def register_dynamics(kind: str, builder: Callable[[int, Mapping], FieldFn]) -> None:
-    """Register a vector-field builder under ``kind`` (import-time setup only).
-    A registered field declares no affine pieces."""
+    """Register a vector-field builder under ``kind``, a string not yet
+    registered (built-ins included): a kind names one field for the life of
+    the process. A registered field declares no affine pieces."""
+    if not isinstance(kind, str):
+        raise ValueError(f"kind must be a string, got {kind!r}")
+    if kind in _DYNAMICS_BUILDERS:
+        raise ValueError(f"dynamics kind {kind!r} is already registered")
     _DYNAMICS_BUILDERS[kind] = lambda dim, params: (builder(dim, params), None)
 
 
@@ -331,21 +351,6 @@ def _registered(registry: Mapping, kind, what: str):
         known = ", ".join(sorted(registry))
         raise ValueError(f"unknown {what} kind {kind!r} (known: {known})")
     return registry[kind]
-
-
-def make_dynamics(kind: str, dim: Optional[int] = None, params: Optional[Mapping] = None) -> Dynamics:
-    """Resolve a registered vector field into a ready-to-call :class:`Dynamics`.
-    A built-in kind keeps the floats its parameter rule returns in
-    ``params``; a registered kind keeps them as given."""
-    build = _registered(_DYNAMICS_BUILDERS, kind, "dynamics")
-    if dim is None:
-        if kind != "chua":
-            raise ValueError(f"dynamics kind {kind!r} needs an explicit dim")
-        dim = 3
-    dim = whole_number(dim, "dim", 1)
-    params = dict(params or {})
-    fn, affine = build(dim, params)
-    return Dynamics(kind=kind, dim=dim, params=params, field_fn=fn, affine=affine)
 
 
 # ---------------------------------------------------------------------------

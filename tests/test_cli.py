@@ -900,7 +900,7 @@ class TestRunScenario:
             traj = Trajectory(
                 times=np.arange(samples) * 1e-3, states=states, reference=reference
             )
-            write_trajectory_csv(tmp_path / "t.csv", traj)
+            write_trajectory_csv(tmp_path / "t.csv", traj, csvtext.cells(traj.times))
             expected = ["t,node," + ",".join(f"x{k + 1}" for k in range(n))]
             for i, t in enumerate(traj.times):
                 for node, row in enumerate([traj.reference[i], *traj.states[i]]):
@@ -911,7 +911,7 @@ class TestRunScenario:
             times=traj.times, sync_ratio=None, pin_ratio=rng.random(samples),
             lyapunov=rng.random(samples) * 1e-200,
         )
-        write_metrics_csv(tmp_path / "m.csv", series)
+        write_metrics_csv(tmp_path / "m.csv", series, csvtext.cells(series.times))
         expected = ["t,sync_ratio,pin_ratio,lyapunov"] + [
             f"{fmt(t)},nan,{fmt(q)},{fmt(v)}"
             for t, q, v in zip(series.times, series.pin_ratio, series.lyapunov)
@@ -1398,16 +1398,16 @@ class TestCommandProcess:
         (tmp_path / "ring.json").write_text(json.dumps(ring))
         sweep = ["run", "fig4-sym-pinned", "--tmax", "1", "--sweep", "c=6:14:9", "--out", "sweep"]
         for args in (["run", "ring.json", "--dry-run"], sweep):
-            proc = _pinnet(args, tmp_path)
-            assert proc.stdout.readline()
-            proc.stdout.close()
-            assert proc.stderr.read() == b""
-            assert proc.wait() == 0
+            with _pinnet(args, tmp_path) as proc:
+                assert proc.stdout.readline()
+                proc.stdout.close()
+                assert proc.stderr.read() == b""
+                assert proc.wait() == 0
         # every point's three files and the table
         assert len(list((tmp_path / "sweep").iterdir())) == 9 * 3 + 1
-        proc = _pinnet(["check", "fig2-sym-uncontrolled", "--require-conditions"], tmp_path)
-        proc.stdout.close()
-        assert proc.stderr.read() == b"" and proc.wait() == 2
+        with _pinnet(["check", "fig2-sym-uncontrolled", "--require-conditions"], tmp_path) as proc:
+            proc.stdout.close()
+            assert proc.stderr.read() == b"" and proc.wait() == 2
 
     def test_summary_is_utf8_under_an_ascii_locale(self, tmp_path):
         data = copy.deepcopy(BUILTIN_SCENARIOS["fig4-sym-pinned"])

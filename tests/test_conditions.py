@@ -30,6 +30,7 @@ from pinnet import (
     quad_margin_affine,
     random_coupling_matrix,
     reducible_pinnability,
+    register_dynamics,
     scc_condensation,
     spectral_negativity,
     sym_eigen,
@@ -51,6 +52,11 @@ TWO_BLOCK = validate_coupling([[-1.0, 1.0, 0.0], [1.0, -1.0, 0.0], [1.0, 1.0, -2
 TWO_ROOTS = validate_coupling(
     [[-1.0, 1.0, 0.0, 0.0], [1.0, -1.0, 0.0, 0.0], [0.0, 0.0, -1.0, 1.0], [0.0, 0.0, 2.0, -2.0]]
 )
+
+# registered fields, which declare no affine pieces; nan_probe breaks the
+# field contract on part of space
+register_dynamics("test_probe", lambda dim, params: lambda x, t: 0.0 * x)
+register_dynamics("nan_probe", lambda dim, params: lambda x, t: np.where(x > 0.5, np.nan, -x))
 
 CERT_10 = QuadCertificate(p=np.ones(3), delta=10.0 * np.ones(3), eta=0.6218)
 CERT_SKEWED = QuadCertificate(
@@ -211,7 +217,7 @@ class TestQuadCertificateChua:
         assert verdict.detail["min_quotient"] < 0.0
 
     def test_unknown_dynamics_rejected(self):
-        dyn = _register_probe()
+        dyn = make_dynamics("test_probe", dim=1)
         with pytest.raises(ValueError, match="quad_check_sampled"):
             certified_quad_margin(dyn, np.ones(1), np.zeros(1))
 
@@ -234,13 +240,6 @@ def _regional_bound(p, delta, k, l):
         ev = sym_eigen((pj + pj.T) / 2.0)
         norms.append(float(max(abs(ev[0]), abs(ev[-1]))))
     return float(np.min(p * delta) - max(norms))
-
-
-def _register_probe():
-    from pinnet import register_dynamics
-
-    register_dynamics("test_probe", lambda dim, params: lambda x, t: 0.0 * x)
-    return make_dynamics("test_probe", dim=1)
 
 
 class TestQuadCheckSampled:
@@ -391,10 +390,7 @@ class TestQuadCheckSampled:
     def test_single_nan_names_its_pair(self):
         # a field that breaks the contract on part of the box: the first NaN
         # is reported instead of hiding the block's real minimum
-        dyn = Dynamics(
-            kind="nan_probe", dim=1, params={},
-            field_fn=lambda x, t: np.where(x > 0.5, np.nan, -x),
-        )
+        dyn = Dynamics("nan_probe", dim=1)
         cert = QuadCertificate(p=np.ones(1), delta=np.zeros(1), eta=0.5)
         x = np.random.default_rng(4).uniform(-1.0, 1.0, size=(2, 100, 1))
         first = int(np.flatnonzero((x[0] > 0.5) | (x[1] > 0.5))[0])
@@ -483,7 +479,7 @@ class TestTheorem1:
     def test_other_dynamics_unsupported(self):
         # a registered field declares no affine pieces, so theorem 1 cannot read mu
         sys_ = NetworkSystem(
-            coupling=validate_coupling([[0.0]]), dynamics=_register_probe(),
+            coupling=validate_coupling([[0.0]]), dynamics=make_dynamics("test_probe", dim=1),
             pin=PinPlan(1, 1.0, 1.0),
         )
         with pytest.raises(ValueError, match="'test_probe' declares none"):
@@ -525,7 +521,7 @@ class TestVerifyCertificate:
     def test_registered_field_is_unverified(self):
         cert = QuadCertificate(p=np.ones(1), delta=np.ones(1), eta=0.5)
         theorem = theorem3_check(cert, 10.0, LAMBDA1_SYM, 1.0)
-        verdict = verify_certificate(theorem, _register_probe(), cert)
+        verdict = verify_certificate(theorem, make_dynamics("test_probe", dim=1), cert)
         assert not verdict.holds
         assert verdict.detail["certified_margin"] is None
         assert verdict.detail["certificate"] == (

@@ -205,7 +205,7 @@ def _trajectory_text(traj) -> bytes:
     header line."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "trajectory.csv"
-        csvtext.write_trajectory_csv(path, traj)
+        csvtext.write_trajectory_csv(path, traj, csvtext.cells(traj.times))
         return path.read_bytes().split(b"\n", 1)[1]
 
 

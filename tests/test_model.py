@@ -9,6 +9,8 @@ from pinnet import (
     UNCONTROLLED,
     CouplingError,
     CouplingFunction,
+    CouplingMatrix,
+    Dynamics,
     NetworkSystem,
     PinPlan,
     chua_region_jacobian,
@@ -62,6 +64,27 @@ class TestValidateCoupling:
     def test_nonfinite_rejected(self):
         with pytest.raises(CouplingError, match="finite"):
             validate_coupling([[np.inf, 0.0], [0.0, 0.0]])
+
+    def test_the_class_checks_its_entries(self):
+        assert validate_coupling is CouplingMatrix
+        with pytest.raises(CouplingError, match=r"entry \(1,2\) is negative"):
+            CouplingMatrix([[1.0, -1.0], [0.0, 0.0]])
+
+    def test_symmetry_is_derived_not_given(self):
+        with pytest.raises(TypeError, match="symmetric"):
+            CouplingMatrix(np.array(SYM_3NODE), symmetric=False)
+        cm = CouplingMatrix(SYM_3NODE)
+        assert cm.symmetric
+        assert not dataclasses.replace(cm, entries=ASYM_3NODE).symmetric
+        assert dataclasses.replace(cm, entries=ASYM_3NODE).entries.tolist() == ASYM_3NODE
+
+    def test_entries_are_a_read_only_copy(self):
+        given = np.array(ASYM_3NODE)
+        cm = CouplingMatrix(given)
+        given[0] = [5.0, -5.0, 0.0]
+        assert cm.entries.tolist() == ASYM_3NODE and not cm.symmetric
+        with pytest.raises(ValueError, match="read-only"):
+            cm.entries[0, 0] = 0.0
 
     @given(
         st.integers(0, 2**32 - 1),
@@ -426,6 +449,33 @@ class TestDynamicsRegistry:
             make_dynamics(kind, dim=3)
         with pytest.raises(ValueError, match=r"^kind must be a string, got "):
             CouplingFunction(kind)
+
+    @pytest.mark.parametrize("kind", [["chua"], 3, None])
+    def test_a_registered_kind_is_a_string(self, kind):
+        with pytest.raises(ValueError, match=r"^kind must be a string, got "):
+            register_dynamics(kind, lambda dim, params: lambda x, t: -x)
+
+    def test_a_kind_is_registered_once(self):
+        register_dynamics("test_once", lambda dim, params: lambda x, t: -x)
+        for kind in ("chua", "linear_decay", "test_once"):
+            with pytest.raises(ValueError, match=f"^dynamics kind '{kind}' is already registered$"):
+                register_dynamics(kind, lambda dim, params: lambda x, t: -2.0 * x)
+        np.testing.assert_array_equal(make_dynamics("test_once", dim=1)([3.0]), [-3.0])
+        assert make_dynamics("chua").affine.jacobians.shape == (3, 3, 3)
+
+    def test_the_field_is_derived_from_the_kind(self):
+        assert make_dynamics is Dynamics
+        dyn = Dynamics("linear_decay", dim=2, params={"rate": 1.0})
+        for name in ("field_fn", "affine"):
+            with pytest.raises(TypeError, match=name):
+                Dynamics("linear_decay", dim=2, **{name: None})
+            with pytest.raises(ValueError, match=name):
+                dataclasses.replace(dyn, **{name: None})
+        faster = dataclasses.replace(dyn, params={"rate": 2.0})
+        assert faster.params == {"rate": 2.0} and faster != dyn
+        np.testing.assert_array_equal(faster.affine.jacobians, [-2.0 * np.eye(2)])
+        np.testing.assert_array_equal(faster([1.0, -3.0]), [-2.0, 6.0])
+        assert Dynamics("chua") == make_dynamics("chua", dim=3, params={})
 
     @pytest.mark.parametrize(
         "kind, dim, params",
