@@ -76,12 +76,13 @@ class ScenarioError(ValueError):
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Fully validated scenario, ready to check or run; without a pin plan it
-    runs :data:`pinnet.model.UNCONTROLLED`."""
+    """A scenario, ready to check or run (without a pin plan it runs :data:`UNCONTROLLED`).
+    Its parts check themselves; each construction, ``replace`` included, checks the rest
+    (file names, initial data against (m, n) with n = ``dynamics.dim``, certificate
+    length, pin node range, grid) and keeps the initial data as read-only copies."""
 
     name: str
     coupling: CouplingMatrix
-    coupling_id: Optional[str]
     dynamics: Dynamics
     gfun: CouplingFunction
     certificate: Optional[QuadCertificate]
@@ -91,6 +92,46 @@ class ScenarioConfig:
     t_max: float
     outputs: dict
     pin: PinPlan = UNCONTROLLED
+
+    def __post_init__(self):
+        # the default and sweep output names derive from it
+        _check_file_name(self.name, "name")
+        reference = _reference(self.reference_initial)
+        n, m, dim = reference.size, self.coupling.m, self.dynamics.dim
+        if dim != n:
+            raise ScenarioError(f"dynamics.dim must be {n}, the length of reference_initial, got {dim}")
+        states = _field(finite_array, self.initial_states, "initial_states")
+        if states.shape != (m, n):
+            raise ScenarioError(f"initial_states must have shape ({m}, {n}) to match the "
+                                f"coupling matrix and dynamics, got {states.shape}")
+        # PinPlan owns the node's type and 1-based rule, NetworkSystem its range
+        _named("pin", NetworkSystem, self.coupling, self.dynamics, self.gfun, self.pin)
+        if self.certificate is not None and self.certificate.p.shape != (n,):
+            raise ScenarioError(f"certificate.P and certificate.Delta must be length-{n} lists")
+        _named("integration", grid_steps, self.dt, self.t_max)
+        outputs = dict(_object(self.outputs, "outputs", ("trajectory", "metrics", "summary")))
+        for key, value in outputs.items():
+            _check_file_name(value, f"outputs.{key}")
+        if len(set(outputs.values())) < len(outputs):
+            raise ScenarioError(f"outputs must name three different files, got {outputs!r}")
+        states.setflags(write=False)
+        for name, value in zip(("reference_initial", "initial_states", "outputs", "dt", "t_max"),
+                               (reference, states, outputs, float(self.dt), float(self.t_max))):
+            object.__setattr__(self, name, value)
+
+    @property
+    def coupling_id(self) -> Optional[str]:
+        """The built-in id whose matrix equals ``coupling``, else None."""
+        return next((k for k, a in COUPLING_MATRICES.items() if self.coupling == CouplingMatrix(a)), None)
+
+
+def _reference(value) -> np.ndarray:
+    """``reference_initial`` as a read-only, finite, nonempty flat float array."""
+    reference = _field(finite_array, value, "reference_initial")
+    if reference.ndim != 1 or reference.size == 0:
+        raise ScenarioError("reference_initial must be a nonempty flat list of numbers")
+    reference.setflags(write=False)
+    return reference
 
 
 def _field(rule, value, where: str, *args):
@@ -144,10 +185,12 @@ def _named(where: str, build, *args, **kwargs):
 
 
 def parse_scenario(source) -> ScenarioConfig:
-    """Load and validate a scenario from a dict, a built-in id, or a file path.
+    """Load a scenario from a dict, a built-in id, or a file path.
 
-    Each value is checked once; an error names its field, or the object that
-    keeps it and its argument. Node indices are 1-based throughout.
+    Reads the JSON objects and builds the parts, which check themselves;
+    :class:`ScenarioConfig` checks the rest. An error names its field, or
+    the object that keeps it and its argument. Node indices are 1-based
+    throughout.
     """
     if isinstance(source, dict):
         data = source
@@ -174,40 +217,23 @@ def parse_scenario(source) -> ScenarioConfig:
         ("coupling_function", "pin", "certificate", "outputs"),
     )
 
-    name = data["name"]
-    # the default and sweep output names derive from it
-    _check_file_name(name, "name")
-
-    reference_initial = _field(finite_array, data["reference_initial"], "reference_initial")
-    if reference_initial.ndim != 1 or reference_initial.size == 0:
-        raise ScenarioError("reference_initial must be a nonempty flat list of numbers")
-    n = reference_initial.size
-
     dyn_spec = _object(data["dynamics"], "dynamics", ("kind",), ("params",))
     params = dyn_spec.get("params", {})
     if not isinstance(params, dict):
         raise ScenarioError(f"dynamics.params must be an object, got {params!r}")
-    dynamics = _named("dynamics", make_dynamics, dyn_spec["kind"], dim=n, params=params)
+    # a malformed reference is named before a dynamics of its length fails
+    reference = _reference(data["reference_initial"])
+    dynamics = _named("dynamics", make_dynamics, dyn_spec["kind"], dim=reference.size, params=params)
 
     coupling_spec = data["coupling"]
-    coupling_id = None
     if isinstance(coupling_spec, str):
         if coupling_spec not in COUPLING_MATRICES:
             known = ", ".join(sorted(COUPLING_MATRICES))
             raise ScenarioError(
                 f"unknown built-in coupling id {coupling_spec!r} (known: {known})"
             )
-        coupling_id = coupling_spec
         coupling_spec = COUPLING_MATRICES[coupling_spec]
     coupling = _named("coupling", validate_coupling, coupling_spec)
-    m = coupling.m
-
-    initial_states = _field(finite_array, data["initial_states"], "initial_states")
-    if initial_states.shape != (m, n):
-        raise ScenarioError(
-            f"initial_states must have shape ({m}, {n}) to match the coupling "
-            f"matrix and dynamics, got {initial_states.shape}"
-        )
 
     gfun_spec = _object(
         data.get("coupling_function", {"kind": "identity"}),
@@ -220,9 +246,7 @@ def parse_scenario(source) -> ScenarioConfig:
     pin = UNCONTROLLED
     if data.get("pin") is not None:
         pin_spec = _object(data["pin"], "pin", ("node", "epsilon", "c"))
-        # PinPlan owns the node's type and 1-based rule, NetworkSystem its range
         pin = _named("pin", PinPlan, pin_spec["node"], pin_spec["epsilon"], pin_spec["c"])
-        _named("pin", NetworkSystem, coupling, dynamics, gfun, pin)
 
     certificate = None
     if data.get("certificate") is not None:
@@ -230,35 +254,21 @@ def parse_scenario(source) -> ScenarioConfig:
         certificate = _named(
             "certificate", QuadCertificate, cert_spec["P"], cert_spec["Delta"], cert_spec["eta"]
         )
-        if certificate.p.shape != (n,):
-            raise ScenarioError(f"certificate.P and certificate.Delta must be length-{n} lists")
 
     integration = _object(data["integration"], "integration", ("dt", "t_max"))
-    dt, t_max = integration["dt"], integration["t_max"]
-    _named("integration", grid_steps, dt, t_max)
-
     outputs = data.get("outputs")
-    if outputs is None:
-        outputs = _outputs(name)
-    _object(outputs, "outputs", ("trajectory", "metrics", "summary"))
-    for key, value in outputs.items():
-        _check_file_name(value, f"outputs.{key}")
-    if len(set(outputs.values())) < len(outputs):
-        raise ScenarioError(f"outputs must name three different files, got {outputs!r}")
-
     return ScenarioConfig(
-        name=name,
+        name=data["name"],
         coupling=coupling,
-        coupling_id=coupling_id,
         dynamics=dynamics,
         gfun=gfun,
         pin=pin,
         certificate=certificate,
-        initial_states=initial_states,
-        reference_initial=reference_initial,
-        dt=float(dt),
-        t_max=float(t_max),
-        outputs=dict(outputs),
+        initial_states=data["initial_states"],
+        reference_initial=reference,
+        dt=integration["dt"],
+        t_max=integration["t_max"],
+        outputs=_outputs(data["name"]) if outputs is None else outputs,
     )
 
 
@@ -793,12 +803,11 @@ def main(argv=None) -> int:
                 )
             parse_sweep(args.sweep)
         if args.dt is not None or args.tmax is not None:
-            cfg = dataclasses.replace(
-                cfg,
-                dt=cfg.dt if args.dt is None else args.dt,
-                t_max=cfg.t_max if args.tmax is None else args.tmax,
-            )
-            _named("--dt/--tmax", grid_steps, cfg.dt, cfg.t_max)
+            try:  # only the grid rule reads dt and t_max; _named keeps its message as the cause
+                cfg = dataclasses.replace(cfg, dt=cfg.dt if args.dt is None else args.dt,
+                                          t_max=cfg.t_max if args.tmax is None else args.tmax)
+            except ScenarioError as err:
+                raise ScenarioError(f"--dt/--tmax: {err.__cause__}") from None
         if args.dry_run:
             _say(json.dumps(serialize_scenario(cfg), indent=2))
             return 0

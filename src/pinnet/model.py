@@ -53,9 +53,9 @@ class CouplingError(ValueError):
 
 @dataclass(frozen=True)
 class CouplingMatrix:
-    """m-by-m coupling matrix with zero row sums and nonnegative off-diagonals,
-    held as a read-only float copy from which ``symmetric`` is derived. A
-    :class:`CouplingError` names the offending row or entry (1-based) of the
+    """m-by-m coupling matrix with zero row sums and nonnegative off-diagonals, held
+    as a read-only float copy that derives ``symmetric`` and is compared and hashed.
+    A :class:`CouplingError` names the offending row or entry (1-based) of the
     first violation found, judged by the rules of :mod:`pinnet.linalg`."""
 
     entries: np.ndarray
@@ -74,6 +74,12 @@ class CouplingMatrix:
         a.setflags(write=False)
         object.__setattr__(self, "entries", a)
         object.__setattr__(self, "symmetric", is_symmetric(a))
+
+    def __eq__(self, other):
+        return isinstance(other, CouplingMatrix) and np.array_equal(self.entries, other.entries)
+
+    def __hash__(self):
+        return hash((self.entries + 0.0).tobytes())  # + 0.0: -0.0 equals 0.0, so hashes alike
 
     @property
     def m(self) -> int:

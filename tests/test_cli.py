@@ -17,6 +17,9 @@ from pinnet import csvtext
 from pinnet import (
     BUILTIN_SCENARIOS,
     UNCONTROLLED,
+    CouplingMatrix,
+    PinPlan,
+    QuadCertificate,
     ScenarioError,
     build_system,
     check_scenario,
@@ -38,6 +41,7 @@ from pinnet.cli import (
     write_metrics_csv,
     write_trajectory_csv,
 )
+from pinnet.scenarios import COUPLING_MATRICES
 from pinnet.simulate import MetricSeries, Trajectory
 
 
@@ -451,6 +455,102 @@ class TestRoundTrip:
         data["coupling"] = [[-1.0, 1.0], [1.0, -1.0]]
         data["initial_states"] = [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]
         assert serialize_scenario(parse_scenario(data)) == data
+
+
+_OUTPUTS = {"trajectory": "t.csv", "metrics": "m.csv", "summary": "s.txt"}
+
+# each ScenarioConfig rule: the top-level scenario fields and the config
+# fields that break it, and the message it raises for both
+_CONFIG_RULES = [
+    ({"name": "../up"}, {"name": "../up"}, r"^name must be a plain file name, got '\.\./up'$"),
+    ({"outputs": {**_OUTPUTS, "metrics": "../m.csv"}},
+     {"outputs": {**_OUTPUTS, "metrics": "../m.csv"}}, r"^outputs\.metrics must be a plain file name"),
+    ({"outputs": {**_OUTPUTS, "summary": "t.csv"}}, {"outputs": {**_OUTPUTS, "summary": "t.csv"}},
+     "^outputs must name three different files"),
+    ({"outputs": {"trajectory": "t.csv"}}, {"outputs": {"trajectory": "t.csv"}},
+     r"^scenario field 'outputs\.metrics' is required$"),
+    ({"reference_initial": [[0.0, 0.0, 0.0]]}, {"reference_initial": [[0.0, 0.0, 0.0]]},
+     "^reference_initial must be a nonempty flat list of numbers$"),
+    ({"reference_initial": [0.0, float("nan"), 0.0]},
+     {"reference_initial": [0.0, float("nan"), 0.0]},
+     r"^reference_initial entry \(2\) is not finite: nan$"),
+    ({"initial_states": [[1.0, 2.0, 3.0]]}, {"initial_states": [[1.0, 2.0, 3.0]]},
+     r"^initial_states must have shape \(3, 3\) to match the coupling matrix and dynamics, "
+     r"got \(1, 3\)$"),
+    ({"initial_states": [[1.0, 2.0, 3.0]] * 2 + [[0.0, float("inf"), 0.0]]},
+     {"initial_states": [[1.0, 2.0, 3.0]] * 2 + [[0.0, float("inf"), 0.0]]},
+     r"^initial_states entry \(3,2\) is not finite: inf$"),
+    ({"pin": {"node": 5, "epsilon": 4.9, "c": 10.0}}, {"pin": PinPlan(5, 4.9, 10.0)},
+     r"^pin: pin_node 5 exceeds node count 3$"),
+    ({"certificate": {"P": [1.0, 1.0], "Delta": [10.0, 10.0], "eta": 0.6218}},
+     {"certificate": QuadCertificate([1.0, 1.0], [10.0, 10.0], 0.6218)},
+     "^certificate.P and certificate.Delta must be length-3 lists$"),
+    ({"integration": {"dt": 0.3, "t_max": 1.0}}, {"dt": 0.3, "t_max": 1.0},
+     r"^integration: dt=0\.3 does not divide t_max=1: 3 steps end at t=0\.9$"),
+]
+
+
+class TestScenarioConfig:
+    @pytest.mark.parametrize(
+        "scenario, fields, message",
+        _CONFIG_RULES,
+        ids=["name", "output-name", "output-twice", "output-missing", "reference-shape",
+             "reference-finite", "initial-shape", "initial-finite", "pin-node",
+             "certificate-length", "grid"],
+    )
+    def test_a_replaced_config_is_checked_like_a_parsed_one(self, scenario, fields, message):
+        data = copy.deepcopy(BUILTIN_SCENARIOS["fig4-sym-pinned"])
+        data.update(copy.deepcopy(scenario))
+        with pytest.raises(ScenarioError, match=message):
+            parse_scenario(data)
+        with pytest.raises(ScenarioError, match=message):
+            dataclasses.replace(parse_scenario("fig4-sym-pinned"), **fields)
+
+    def test_the_dynamics_must_match_the_reference(self):
+        # a parsed scenario builds its dynamics at the reference's length
+        cfg = parse_scenario("fig4-sym-pinned")
+        message = "^dynamics.dim must be 3, the length of reference_initial, got 2$"
+        with pytest.raises(ScenarioError, match=message):
+            dataclasses.replace(cfg, dynamics=pinnet.make_dynamics("linear_decay", dim=2))
+
+    @pytest.mark.parametrize(
+        "fields",
+        [{"name": "../up"}, {"outputs": {**_OUTPUTS, "trajectory": "../e.csv"}}],
+        ids=["name", "output"],
+    )
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_nothing_is_written_outside_out_dir(self, tmp_path, fields, command):
+        cfg = _short("fig4-sym-pinned", t_max=0.01)
+        out = tmp_path / "out"
+        with pytest.raises(ScenarioError, match="must be a plain file name"):
+            point = dataclasses.replace(cfg, **fields)
+            if command == "run":
+                run_scenario(point, out_dir=out)
+            else:
+                run_sweep(point, "c=6:14:2", out)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_replaced_coupling_serializes_as_its_own_matrix(self):
+        cfg = parse_scenario("fig4-sym-pinned")
+        asym = dataclasses.replace(cfg, coupling=CouplingMatrix(COUPLING_MATRICES["asym-3node"]))
+        assert asym.coupling_id == "asym-3node"
+        assert serialize_scenario(asym)["coupling"] == "asym-3node"
+        ring = [[-2.0, 1.0, 1.0], [1.0, -2.0, 1.0], [1.0, 1.0, -2.0]]
+        inline = dataclasses.replace(cfg, coupling=CouplingMatrix(ring))
+        assert inline.coupling_id is None and serialize_scenario(inline)["coupling"] == ring
+        # an inline copy of a built-in matrix is written as its id
+        data = copy.deepcopy(BUILTIN_SCENARIOS["fig4-sym-pinned"])
+        data["coupling"] = copy.deepcopy(COUPLING_MATRICES["sym-3node"])
+        assert serialize_scenario(parse_scenario(data)) == BUILTIN_SCENARIOS["fig4-sym-pinned"]
+
+    def test_initial_data_are_read_only_copies(self):
+        states = np.array(BUILTIN_SCENARIOS["fig4-sym-pinned"]["initial_states"])
+        cfg = dataclasses.replace(parse_scenario("fig4-sym-pinned"), initial_states=states)
+        states[0, 0] = 1e3
+        assert cfg.initial_states[0, 0] == 40.1
+        for array in (cfg.initial_states, cfg.reference_initial):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = np.nan
 
 
 class TestCheckScenario:

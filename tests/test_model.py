@@ -86,6 +86,17 @@ class TestValidateCoupling:
         with pytest.raises(ValueError, match="read-only"):
             cm.entries[0, 0] = 0.0
 
+    def test_equal_entries_compare_and_hash_equal(self):
+        a, b = CouplingMatrix(SYM_3NODE), CouplingMatrix(np.array(SYM_3NODE))
+        assert a == b and hash(a) == hash(b)
+        assert a != CouplingMatrix(ASYM_3NODE) and a != SYM_3NODE
+        assert CouplingMatrix([[0.0]]) != CouplingMatrix(np.zeros((2, 2)))
+        zero, minus_zero = CouplingMatrix([[0.0]]), CouplingMatrix([[-0.0]])
+        assert zero == minus_zero and hash(zero) == hash(minus_zero)
+        chua = make_dynamics("chua")
+        assert NetworkSystem(a, chua) == NetworkSystem(b, chua)
+        assert NetworkSystem(a, chua) != NetworkSystem(CouplingMatrix(ASYM_3NODE), chua)
+
     @given(
         st.integers(0, 2**32 - 1),
         st.integers(2, 40),
