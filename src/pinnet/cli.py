@@ -20,7 +20,8 @@ import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path, PurePath
-from typing import Optional
+from types import MappingProxyType
+from typing import Mapping, Optional
 
 import numpy as np
 
@@ -76,10 +77,11 @@ class ScenarioError(ValueError):
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """A scenario, ready to check or run (without a pin plan it runs :data:`UNCONTROLLED`).
-    Its parts check themselves; each construction, ``replace`` included, checks the rest
-    (file names, initial data against (m, n) with n = ``dynamics.dim``, certificate
-    length, pin node range, grid) and keeps the initial data as read-only copies."""
+    """A scenario, ready to check or run (without a pin plan, or with ``pin=None``, it runs
+    :data:`UNCONTROLLED`). Its parts check themselves; each construction, ``replace``
+    included, checks their types and the rest (file names, initial data against (m, n)
+    with n = ``dynamics.dim``, certificate length, pin node range, grid) and keeps the
+    initial data and ``outputs`` as read-only copies."""
 
     name: str
     coupling: CouplingMatrix
@@ -90,12 +92,20 @@ class ScenarioConfig:
     reference_initial: np.ndarray
     dt: float
     t_max: float
-    outputs: dict
+    outputs: Mapping[str, str]
     pin: PinPlan = UNCONTROLLED
 
     def __post_init__(self):
         # the default and sweep output names derive from it
         _check_file_name(self.name, "name")
+        pin = UNCONTROLLED if self.pin is None else self.pin
+        parts = [("coupling", self.coupling, CouplingMatrix), ("dynamics", self.dynamics, Dynamics),
+                 ("coupling_function", self.gfun, CouplingFunction), ("pin", pin, PinPlan)]
+        if self.certificate is not None:
+            parts.append(("certificate", self.certificate, QuadCertificate))
+        for where, value, kind in parts:
+            if not isinstance(value, kind):
+                raise ScenarioError(f"{where} must be a {kind.__name__}, got {type(value).__name__}")
         reference = _reference(self.reference_initial)
         n, m, dim = reference.size, self.coupling.m, self.dynamics.dim
         if dim != n:
@@ -105,7 +115,7 @@ class ScenarioConfig:
             raise ScenarioError(f"initial_states must have shape ({m}, {n}) to match the "
                                 f"coupling matrix and dynamics, got {states.shape}")
         # PinPlan owns the node's type and 1-based rule, NetworkSystem its range
-        _named("pin", NetworkSystem, self.coupling, self.dynamics, self.gfun, self.pin)
+        _named("pin", NetworkSystem, self.coupling, self.dynamics, self.gfun, pin)
         if self.certificate is not None and self.certificate.p.shape != (n,):
             raise ScenarioError(f"certificate.P and certificate.Delta must be length-{n} lists")
         _named("integration", grid_steps, self.dt, self.t_max)
@@ -115,9 +125,13 @@ class ScenarioConfig:
         if len(set(outputs.values())) < len(outputs):
             raise ScenarioError(f"outputs must name three different files, got {outputs!r}")
         states.setflags(write=False)
-        for name, value in zip(("reference_initial", "initial_states", "outputs", "dt", "t_max"),
-                               (reference, states, outputs, float(self.dt), float(self.t_max))):
+        outputs = MappingProxyType(outputs)
+        for name, value in zip(("pin", "reference_initial", "initial_states", "outputs", "dt", "t_max"),
+                               (pin, reference, states, outputs, float(self.dt), float(self.t_max))):
             object.__setattr__(self, name, value)
+
+    def __deepcopy__(self, memo):
+        return self  # every part is read-only
 
     @property
     def coupling_id(self) -> Optional[str]:
@@ -161,7 +175,7 @@ def _object(value, where: str, required, optional=()) -> dict:
     outside ``required`` and ``optional``; a ``ScenarioError`` names the
     dotted path. ``where`` is the object's own path, "" at the top level."""
     label, prefix = (where, where + ".") if where else ("scenario", "")
-    if not isinstance(value, dict):
+    if not isinstance(value, Mapping):
         raise ScenarioError(f"{label} must be a JSON object, got {type(value).__name__}")
     fields = (*required, *optional)
     unknown = sorted(prefix + str(key) for key in value if key not in fields)
@@ -276,9 +290,7 @@ def serialize_scenario(cfg: ScenarioConfig) -> dict:
     """Canonical dict form of a config; parse/serialize round-trips exactly."""
     out = {
         "name": cfg.name,
-        "coupling": cfg.coupling_id
-        if cfg.coupling_id is not None
-        else cfg.coupling.entries.tolist(),
+        "coupling": cfg.coupling_id or cfg.coupling.entries.tolist(),
         "dynamics": {"kind": cfg.dynamics.kind, "params": dict(cfg.dynamics.params)},
         "coupling_function": {
             "kind": cfg.gfun.kind,
@@ -309,29 +321,36 @@ def build_system(cfg: ScenarioConfig) -> NetworkSystem:
 # condition chain
 
 
+NEGATIVITY, REDUCIBLE = "pinned-spectrum negativity", "reducible pinnability"
+
+
 @dataclass(frozen=True)
 class ConditionReport:
-    """Everything the condition chain learned about one scenario."""
+    """Everything the condition chain learned about one scenario.
+
+    ``verdicts`` is the chain in report order, keyed by the name the report
+    prints: :data:`NEGATIVITY`, then ``theorem2``/``theorem3``/``theorem4``
+    when there is a certificate, or :data:`REDUCIBLE` alone on the reducible
+    route. The last verdict gates ``--require-conditions``.
+    """
 
     scenario: str
     route: str  # "symmetric" | "asymmetric" | "reducible"
     pin: PinPlan
     spectral: Optional[SpectralReport]
-    proposition1: Optional[Verdict]
-    theorem_name: Optional[str]
-    theorem: Optional[Verdict]
+    verdicts: dict[str, Verdict]
     min_c: Optional[float]
-    reducibility: Optional[Verdict]
     quad_sampled: Optional[Verdict] = None
 
     @property
     def gate_verdict(self) -> Verdict:
-        """The verdict that decides --require-conditions for this route."""
-        if self.theorem is not None:
-            return self.theorem
-        if self.reducibility is not None:
-            return self.reducibility
-        return self.proposition1
+        """The last verdict of the chain, which decides --require-conditions."""
+        return next(reversed(self.verdicts.values()))
+
+    @property
+    def theorem(self) -> Optional[Verdict]:
+        """The theorem 2, 3 or 4 verdict, or None when the route has none."""
+        return next((v for name, v in self.verdicts.items() if name.startswith("theorem")), None)
 
 
 def _quad_sample_box(cfg: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -353,8 +372,9 @@ def check_scenario(cfg: ScenarioConfig, quad_samples: int = 0, seed: int = 0) ->
     judged on the condensation that the weighted spectrum's
     :class:`ReducibilityError` carries, so irreducibility is decided once.
     A theorem verdict also requires the certificate it relies on to be
-    verified (:func:`pinnet.conditions.verify_certificate`). ``min_c`` (c*)
-    is set only when the route's negativity verdict holds and the
+    verified (:func:`pinnet.conditions.verify_certificate`). The report's
+    ``verdicts`` hold these in that order, and the last one is the gate.
+    ``min_c`` (c*) is set only when the negativity verdict holds and the
     certificate is verified.
     Pass ``quad_samples > 0`` to also falsification-test the certificate by
     sampling on the hull of [-30, 30] and the scenario's initial data; 0
@@ -362,33 +382,32 @@ def check_scenario(cfg: ScenarioConfig, quad_samples: int = 0, seed: int = 0) ->
     """
     quad_samples = _field(whole_number, quad_samples, "quad_samples", 0)
     seed = _field(whole_number, seed, "seed", 0)
-    pin = cfg.pin
-    spectral = prop = theorem_name = theorem = min_c = reducibility = None
-    alpha = cfg.gfun.alpha_lower
+    pin, alpha = cfg.pin, cfg.gfun.alpha_lower
+    verdicts, spectral, theorem, min_c = {}, None, None, None
 
     if cfg.coupling.symmetric:
         route = "symmetric"
-        prop, spectral = proposition1_holds(pinned_matrix(cfg.coupling, pin))
+        theorem_name = "theorem2" if cfg.gfun.kind == "identity" else "theorem3"
+        verdicts[NEGATIVITY], spectral = proposition1_holds(pinned_matrix(cfg.coupling, pin))
         if cfg.certificate is not None:
-            theorem_name = "theorem2" if cfg.gfun.kind == "identity" else "theorem3"
             theorem = theorem3_check(cfg.certificate, pin.c, spectral.lambda1, alpha)
     else:
+        theorem_name = "theorem4"
         try:
             if cfg.certificate is None:
                 spectral = weighted_spectrum(cfg.coupling, pin)
             else:
                 theorem, spectral = theorem4_check(cfg.coupling, pin, cfg.certificate, alpha)
-                theorem_name = "theorem4"
         except ReducibilityError as err:
             route = "reducible"
-            reducibility = reducible_pinnability(err.condensation, pin.pin_node)
+            verdicts[REDUCIBLE] = reducible_pinnability(err.condensation, pin.pin_node)
         else:
             route = "asymmetric"
-            prop = spectral_negativity(spectral)
+            verdicts[NEGATIVITY] = spectral_negativity(spectral)
 
     if theorem is not None:
-        theorem = verify_certificate(theorem, cfg.dynamics, cfg.certificate)
-        if prop.holds and theorem.detail["certificate"] is None:
+        verdicts[theorem_name] = theorem = verify_certificate(theorem, cfg.dynamics, cfg.certificate)
+        if verdicts[NEGATIVITY].holds and theorem.detail["certificate"] is None:
             min_c = min_coupling_strength(cfg.certificate, spectral, alpha=alpha)
 
     quad_sampled = None
@@ -398,19 +417,7 @@ def check_scenario(cfg: ScenarioConfig, quad_samples: int = 0, seed: int = 0) ->
         quad_sampled = quad_check_sampled(
             cfg.dynamics, cfg.certificate, _quad_sample_box(cfg), quad_samples, seed=seed
         )
-
-    return ConditionReport(
-        scenario=cfg.name,
-        route=route,
-        pin=pin,
-        spectral=spectral,
-        proposition1=prop,
-        theorem_name=theorem_name,
-        theorem=theorem,
-        min_c=min_c,
-        reducibility=reducibility,
-        quad_sampled=quad_sampled,
-    )
+    return ConditionReport(cfg.name, route, pin, spectral, verdicts, min_c, quad_sampled)
 
 
 def _fixed(v: float) -> str:
@@ -426,45 +433,32 @@ def _fmt_verdict(v: Verdict) -> str:
 
 
 def render_report(report: ConditionReport) -> str:
-    lines = [f"condition report: {report.scenario}"]
-    lines.append(f"  route: {report.route} coupling")
-    pin = report.pin
-    lines.append(
-        f"  pin: node {pin.pin_node}, epsilon {pin.epsilon:g}, c {pin.c:g}"
-    )
-    if report.spectral is not None:
-        sp = report.spectral
+    """The report's text: scenario, route, pin and spectrum, then one line per
+    verdict in chain order, each with its own detail lines, then QUAD sampling."""
+    pin, sp = report.pin, report.spectral
+    lines = [f"condition report: {report.scenario}", f"  route: {report.route} coupling",
+             f"  pin: node {pin.pin_node}, epsilon {pin.epsilon:g}, c {pin.c:g}"]
+    if sp is not None:
         label = "mu1" if report.route == "asymmetric" else "lambda1"
-        lines.append(
-            f"  {label} = {_fixed(sp.lambda1)}   (c*{label} = {_fixed(pin.c * sp.lambda1)})"
-        )
-        lines.append(
-            "  spectrum: [" + ", ".join(map(_fixed, sp.eigenvalues)) + "]"
-        )
+        lines.append(f"  {label} = {_fixed(sp.lambda1)}   (c*{label} = {_fixed(pin.c * sp.lambda1)})")
+        lines.append("  spectrum: [" + ", ".join(map(_fixed, sp.eigenvalues)) + "]")
         if sp.xi is not None:
-            lines.append(
-                "  left Perron vector xi: ["
-                + ", ".join(map(_fixed, sp.xi))
-                + f"]   max xi = {_fixed(sp.xi_max)}"
-            )
-    if report.proposition1 is not None:
-        lines.append(
-            f"  pinned-spectrum negativity: {_fmt_verdict(report.proposition1)}"
-        )
-    if report.theorem is not None:
-        lines.append(f"  {report.theorem_name}: {_fmt_verdict(report.theorem)}")
-        if report.theorem.detail["certificate"] is not None:
-            lines.append(f"  certificate: {report.theorem.detail['certificate']}")
-    if report.min_c is not None:
-        lines.append(f"  minimal coupling strength c* = {_fixed(report.min_c)}")
-    elif report.theorem is not None and not report.proposition1.holds:
-        lines.append("  minimal coupling strength: none (top eigenvalue not negative)")
-    if report.reducibility is not None:
-        v = report.reducibility
-        lines.append(f"  reducible pinnability: {'holds' if v.holds else 'FAILS'}")
-        lines.append(f"    blocks: {[list(b) for b in v.detail['blocks']]}")
-        for problem in v.detail["problems"]:
-            lines.append(f"    problem: {problem}")
+            xi = ", ".join(map(_fixed, sp.xi))
+            lines.append(f"  left Perron vector xi: [{xi}]   max xi = {_fixed(sp.xi_max)}")
+    for name, v in report.verdicts.items():
+        if name == REDUCIBLE:
+            lines.append(f"  {name}: {'holds' if v.holds else 'FAILS'}")
+            lines.append(f"    blocks: {[list(b) for b in v.detail['blocks']]}")
+            lines += [f"    problem: {problem}" for problem in v.detail["problems"]]
+            continue
+        lines.append(f"  {name}: {_fmt_verdict(v)}")
+        if name.startswith("theorem"):
+            if v.detail["certificate"] is not None:
+                lines.append(f"  certificate: {v.detail['certificate']}")
+            if report.min_c is not None:
+                lines.append(f"  minimal coupling strength c* = {_fixed(report.min_c)}")
+            elif not report.verdicts[NEGATIVITY].holds:
+                lines.append("  minimal coupling strength: none (top eigenvalue not negative)")
     if report.quad_sampled is not None:
         v = report.quad_sampled
         box = " x ".join(f"[{a:g}, {b:g}]" for a, b in zip(*v.detail["box"]))

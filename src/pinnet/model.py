@@ -35,6 +35,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Callable, Mapping, Optional
 
 import numpy as np
@@ -240,9 +241,10 @@ class PiecewiseAffine:
 @dataclass(frozen=True)
 class Dynamics:
     """The node field registered as ``kind`` on ``dim`` coordinates (only
-    ``chua`` has a default, 3), with a copy of ``params`` (a built-in kind
-    keeps the floats its parameter rule returns), from which the kind's
-    builder derives ``field_fn`` and ``affine``: equal instances hold one field.
+    ``chua`` has a default, 3), with a read-only copy of ``params`` (a built-in
+    kind keeps its full parameter set, defaults included, as the floats its
+    parameter rule returns), from which the kind's builder derives
+    ``field_fn`` and ``affine``: equal instances hold one field.
     ``field_fn(x, t)`` is vectorized over leading axes, maps ``(..., dim)`` to
     ``(..., dim)``, returns a fresh array, and must produce finite derivatives
     at finite states; calling the instance checks that last dimension.
@@ -264,8 +266,12 @@ class Dynamics:
         dim = whole_number(3 if self.dim is None else self.dim, "dim", 1)
         params = dict(self.params or {})
         fn, affine = build(dim, params)
+        params = MappingProxyType(params)
         for name, value in zip(("dim", "params", "field_fn", "affine"), (dim, params, fn, affine)):
             object.__setattr__(self, name, value)
+
+    def __deepcopy__(self, memo):
+        return self  # read-only params, and the field derived from them
 
     def __call__(self, x, t: float = 0.0) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -281,8 +287,8 @@ make_dynamics = Dynamics
 def _real_params(kind: str, params: dict, defaults: Mapping[str, float]) -> list[float]:
     """``params`` over ``defaults``, in the order of ``defaults``; a
     ``ValueError`` names any key that is unknown or fails
-    :func:`finite_number`, with the known keys. The checked floats replace
-    the given values in ``params``."""
+    :func:`finite_number`, with the known keys. ``params`` then holds the
+    checked floats of every key, defaults included."""
     known = ", ".join(defaults)
     for key in params:
         if key not in defaults:
@@ -293,7 +299,7 @@ def _real_params(kind: str, params: dict, defaults: Mapping[str, float]) -> list
                   for key, default in defaults.items()}
     except ValueError as err:
         raise ValueError(f"{err} (known: {known})") from None
-    params.update({key: values[key] for key in params})
+    params.update(values)
     return list(values.values())
 
 

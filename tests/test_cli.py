@@ -3,6 +3,7 @@ import copy
 import dataclasses
 import io
 import json
+import operator
 import os
 import re
 import subprocess
@@ -425,12 +426,12 @@ class TestRoundTrip:
         assert printed[0] == printed[1]
 
     def test_dynamics_params_are_written_as_floats(self, tmp_path, capsys):
-        # make_dynamics stores the floats its rule returns, so a numpy float
-        # serializes and an integer prints back as a float
+        # make_dynamics stores the floats its rule returns, defaults included,
+        # so a numpy float serializes and an integer prints back as a float
         data = copy.deepcopy(BUILTIN_SCENARIOS["fig4-sym-pinned"])
         data["dynamics"]["params"] = {"k": np.float32(9)}
         written = json.loads(json.dumps(serialize_scenario(parse_scenario(data))))
-        assert written["dynamics"] == {"kind": "chua", "params": {"k": 9.0}}
+        assert written["dynamics"] == {"kind": "chua", "params": {"k": 9.0, "l": 100.0 / 7.0}}
         data["dynamics"]["params"] = {"k": 9}
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(data))
@@ -514,21 +515,55 @@ class TestScenarioConfig:
             dataclasses.replace(cfg, dynamics=pinnet.make_dynamics("linear_decay", dim=2))
 
     @pytest.mark.parametrize(
-        "fields",
-        [{"name": "../up"}, {"outputs": {**_OUTPUTS, "trajectory": "../e.csv"}}],
-        ids=["name", "output"],
+        "change, error, message",
+        [
+            (lambda cfg: dataclasses.replace(cfg, name="../up"),
+             ScenarioError, "must be a plain file name"),
+            (lambda cfg: dataclasses.replace(cfg, outputs={**_OUTPUTS, "trajectory": "../e.csv"}),
+             ScenarioError, "must be a plain file name"),
+            # a checked config's outputs cannot change after its checks ran
+            (lambda cfg: operator.setitem(cfg.outputs, "trajectory", "../escaped.csv") or cfg,
+             TypeError, "'mappingproxy' object does not support item assignment"),
+        ],
+        ids=["name", "output", "changed-output"],
     )
     @pytest.mark.parametrize("command", ["run", "sweep"])
-    def test_nothing_is_written_outside_out_dir(self, tmp_path, fields, command):
+    def test_nothing_is_written_outside_out_dir(self, tmp_path, change, error, message, command):
         cfg = _short("fig4-sym-pinned", t_max=0.01)
         out = tmp_path / "out"
-        with pytest.raises(ScenarioError, match="must be a plain file name"):
-            point = dataclasses.replace(cfg, **fields)
+        with pytest.raises(error, match=message):
+            point = change(cfg)
             if command == "run":
                 run_scenario(point, out_dir=out)
             else:
                 run_sweep(point, "c=6:14:2", out)
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"gfun": None}, "^coupling_function must be a CouplingFunction, got NoneType$"),
+            ({"certificate": "x"}, "^certificate must be a QuadCertificate, got str$"),
+            ({"dynamics": "chua"}, "^dynamics must be a Dynamics, got str$"),
+            ({"coupling": [[-1.0, 1.0], [1.0, -1.0]]}, "^coupling must be a CouplingMatrix, got list$"),
+            ({"pin": (1, 4.9, 10.0)}, "^pin must be a PinPlan, got tuple$"),
+        ],
+        ids=["coupling_function", "certificate", "dynamics", "coupling", "pin"],
+    )
+    def test_a_replaced_part_must_have_its_type(self, fields, message):
+        # only replace can pass a part that parse_scenario would not build
+        with pytest.raises(ScenarioError, match=message):
+            dataclasses.replace(parse_scenario("fig4-sym-pinned"), **fields)
+
+    def test_a_replaced_none_pin_runs_uncontrolled(self):
+        cfg = dataclasses.replace(parse_scenario("fig4-sym-pinned"), pin=None)
+        assert cfg.pin is UNCONTROLLED
+        assert check_scenario(cfg).pin is UNCONTROLLED
+
+    def test_a_checked_config_is_its_own_deep_copy(self):
+        cfg = parse_scenario("fig4-sym-pinned")
+        assert copy.deepcopy(cfg) is cfg
+        assert copy.deepcopy({"cfg": cfg})["cfg"] is cfg
 
     def test_a_replaced_coupling_serializes_as_its_own_matrix(self):
         cfg = parse_scenario("fig4-sym-pinned")
@@ -562,9 +597,9 @@ class TestCheckScenario:
     def test_fig4_report(self):
         report = check_scenario(parse_scenario("fig4-sym-pinned"))
         assert report.route == "symmetric"
-        assert report.proposition1.holds
-        assert report.theorem_name == "theorem2"
-        assert report.theorem.holds
+        assert list(report.verdicts) == ["pinned-spectrum negativity", "theorem2"]
+        assert report.verdicts["pinned-spectrum negativity"].holds
+        assert report.theorem.holds and report.gate_verdict is report.verdicts["theorem2"]
         assert report.theorem.margin == pytest.approx(-0.11, abs=0.02)
         assert report.min_c == pytest.approx(9.891, abs=0.01)
 
@@ -580,7 +615,7 @@ class TestCheckScenario:
         assert report.route == "asymmetric"
         np.testing.assert_allclose(report.spectral.xi, [1 / 6, 2 / 6, 3 / 6], atol=1e-10)
         assert report.spectral.lambda1 == pytest.approx(-0.0718, abs=1e-3)
-        assert report.theorem_name == "theorem4"
+        assert list(report.verdicts) == ["pinned-spectrum negativity", "theorem4"]
         assert report.theorem.holds
         assert report.min_c == pytest.approx(69.64, abs=0.01)
 
@@ -591,7 +626,7 @@ class TestCheckScenario:
         data["coupling_function"] = {"kind": "sine_blend", "alpha_lower": 0.5}
         report = check_scenario(parse_scenario(data))
         identity = check_scenario(parse_scenario("fig5-asym-pinned"))
-        assert report.theorem_name == "theorem4"
+        assert list(report.verdicts) == ["pinned-spectrum negativity", "theorem4"]
         assert not report.theorem.holds
         assert report.theorem.margin == pytest.approx(2.42, abs=5e-3)
         assert report.min_c == pytest.approx(139.3, abs=0.05)
@@ -599,7 +634,7 @@ class TestCheckScenario:
 
     def test_fig2_uncontrolled_fails(self):
         report = check_scenario(parse_scenario("fig2-sym-uncontrolled"))
-        assert not report.proposition1.holds
+        assert not report.verdicts["pinned-spectrum negativity"].holds
         assert not report.theorem.holds
         assert report.min_c is None
 
@@ -610,7 +645,7 @@ class TestCheckScenario:
         data["pin"]["epsilon"] = 1e-10
         cfg = parse_scenario(data)
         report = check_scenario(cfg)
-        assert not report.proposition1.holds
+        assert not report.verdicts["pinned-spectrum negativity"].holds
         assert report.min_c is None
         assert "minimal coupling strength: none" in render_report(report)
         with pytest.raises(ValueError, match="not negative"):
@@ -624,19 +659,21 @@ class TestCheckScenario:
         data["coupling"] = [[-2 * w, w, w + 3e-6], [w, -2 * w, w], [0.0, w, -w]]
         report = check_scenario(parse_scenario(data))
         assert report.route == "asymmetric"
-        assert report.theorem_name == "theorem4"
+        assert list(report.verdicts) == ["pinned-spectrum negativity", "theorem4"]
 
     def test_nonlinear_routes_to_theorem3(self):
         report = check_scenario(parse_scenario("nonlinear-pinned"))
-        assert report.theorem_name == "theorem3"
+        assert list(report.verdicts) == ["pinned-spectrum negativity", "theorem3"]
         assert report.theorem.holds
         assert report.min_c == pytest.approx(19.78, abs=0.01)
 
     def test_reducible_route(self):
         report = check_scenario(parse_scenario("reducible-pinned"))
         assert report.route == "reducible"
-        assert report.reducibility.holds
-        assert report.gate_verdict is report.reducibility
+        assert list(report.verdicts) == ["reducible pinnability"]
+        assert report.verdicts["reducible pinnability"].holds
+        assert report.gate_verdict is report.verdicts["reducible pinnability"]
+        assert report.theorem is None
 
     @pytest.mark.parametrize(
         "name, certified, route, calls",
@@ -711,7 +748,7 @@ class TestCheckScenario:
         cfg = parse_scenario(data)
         report = check_scenario(cfg)
         lam = report.spectral.lambda1
-        assert report.theorem_name == "theorem2"
+        assert list(report.verdicts) == ["pinned-spectrum negativity", "theorem2"]
         expected = theorem3_check(cfg.certificate, cfg.pin.c, lam, alpha=0.5)
         assert report.theorem.margin == expected.margin
         assert not report.theorem.holds  # 10 + 0.5 * 10 * (-1.011) > 0
@@ -738,10 +775,15 @@ class TestCheckScenario:
             # the certificate takes one batched eigvalsh, not sym_eigen
             assert len(calls) == 1
         certified, bare = reports
-        assert (certified.theorem_name, bare.theorem_name) == ("theorem4", None)
+        assert list(certified.verdicts) == ["pinned-spectrum negativity", "theorem4"]
+        assert list(bare.verdicts) == ["pinned-spectrum negativity"]
         assert bare.theorem is None and bare.min_c is None
-        assert certified.proposition1.holds and bare.proposition1.holds
-        assert certified.proposition1.margin == bare.proposition1.margin
+        certified_negativity, bare_negativity = (
+            r.verdicts["pinned-spectrum negativity"] for r in (certified, bare)
+        )
+        assert certified_negativity.holds and bare_negativity.holds
+        assert certified_negativity.margin == bare_negativity.margin
+        assert bare.gate_verdict is bare_negativity
         np.testing.assert_array_equal(certified.spectral.xi, bare.spectral.xi)
         np.testing.assert_array_equal(
             certified.spectral.eigenvalues, bare.spectral.eigenvalues
@@ -758,7 +800,7 @@ class TestCertificateGate:
     # -10.0114, but the certified QUAD margin at that Delta is -9.27817
     def test_unverified_certificate_fails_the_theorem(self):
         report = check_scenario(parse_scenario(str(UNVERIFIED)))
-        assert report.proposition1.holds
+        assert report.verdicts["pinned-spectrum negativity"].holds
         assert not report.theorem.holds and not report.gate_verdict.holds
         assert report.theorem.margin == pytest.approx(-10.0114, abs=1e-4)
         assert report.theorem.detail["certified_margin"] == pytest.approx(-9.27817, abs=1e-5)
@@ -1082,6 +1124,28 @@ class TestShippedSummaries:
                          cfg.dt, cfg.t_max)
         series = metrics(traj)
         assert series.sync_ratio[-1] < series.sync_floor
+
+
+REPORTS = Path(__file__).with_name("data") / "reports"
+SCENARIO_FILES = Path(__file__).with_name("data") / "scenarios"
+
+
+class TestGoldenReports:
+    # `pinnet check` output for every built-in and scenario file, with
+    # --quad-samples 20000 where there is a certificate: together they print
+    # every line of the verdict loop on all three routes (negativity,
+    # theorem 2/3/4, certificate:, c*, c*: none, reducible blocks, QUAD)
+    @pytest.mark.parametrize("report", sorted(path.stem for path in REPORTS.glob("*.txt")))
+    def test_check_output_is_unchanged(self, capsys, report):
+        path = SCENARIO_FILES / f"{report}.json"
+        source = str(path) if path.is_file() else report
+        quad = [] if parse_scenario(source).certificate is None else ["--quad-samples", "20000"]
+        assert main(["check", source, *quad]) == 0
+        assert capsys.readouterr().out == (REPORTS / f"{report}.txt").read_text()
+
+    def test_every_scenario_has_a_report(self):
+        scenarios = {*BUILTIN_SCENARIOS, *(path.stem for path in SCENARIO_FILES.glob("*.json"))}
+        assert {path.stem for path in REPORTS.glob("*.txt")} == scenarios
 
 
 class TestSweep:

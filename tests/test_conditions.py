@@ -834,11 +834,10 @@ def test_conditions_are_unit_free(name):
         s = 2.0**k
         got = _rescaled_report(name, s)
         assert got.route == base.route, k
-        for field, unit in (("proposition1", s), ("theorem", 1.0), ("reducibility", 1.0)):
-            b, g = getattr(base, field), getattr(got, field)
-            assert (b is None) == (g is None), (k, field)
-            if b is None:
-                continue
+        assert list(got.verdicts) == list(base.verdicts), k
+        for field, b in base.verdicts.items():
+            unit = s if field == "pinned-spectrum negativity" else 1.0
+            g = got.verdicts[field]
             assert g.holds == b.holds, (k, field)
             tolerance = b.detail.get("tolerance", 0.0)
             if abs(b.margin) <= tolerance:

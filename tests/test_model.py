@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 
 import numpy as np
@@ -13,7 +14,9 @@ from pinnet import (
     Dynamics,
     NetworkSystem,
     PinPlan,
+    Trajectory,
     chua_region_jacobian,
+    integrate_batch,
     make_dynamics,
     pinned_matrix,
     register_dynamics,
@@ -436,9 +439,30 @@ class TestDynamicsRegistry:
         dyn = make_dynamics("chua", params=given)
         assert dyn.params == {"k": 9.0, "l": 14.0}
         assert all(type(value) is float for value in dyn.params.values())
-        # the caller's dict is untouched, and a default is not written in
+        # the caller's dict is untouched, and a default is written in
         assert type(given["k"]) is np.float32 and type(given["l"]) is int
-        assert make_dynamics("linear_decay", dim=1, params={}).params == {}
+        assert make_dynamics("linear_decay", dim=1, params={}).params == {"rate": 1.0}
+
+    def test_builtin_params_are_the_full_set(self):
+        # one field, however it is spelled: a batch of them integrates
+        spelled = [Dynamics("chua"), Dynamics("chua", params={"k": 9.0}),
+                   Dynamics("chua", params={"l": 100.0 / 7.0, "k": 9})]
+        assert all(dyn == spelled[0] for dyn in spelled)
+        assert spelled[0].params == {"k": CHUA_K, "l": CHUA_L}
+        a = validate_coupling([[-1.0, 1.0], [1.0, -1.0]])
+        systems = [NetworkSystem(coupling=a, dynamics=dyn) for dyn in spelled]
+        runs = integrate_batch(systems, [np.ones((2, 3))] * 3, [np.zeros(3)] * 3, dt=0.1, t_max=0.2)
+        assert all(isinstance(run, Trajectory) for run in runs)
+
+    @pytest.mark.parametrize("kind, dim, key", [("chua", 3, "k"), ("linear_decay", 2, "rate")])
+    def test_params_are_read_only(self, kind, dim, key):
+        dyn = make_dynamics(kind, dim=dim)
+        before = dyn(np.ones(dim))
+        with pytest.raises(TypeError, match="does not support item assignment"):
+            dyn.params[key] = 5.0
+        np.testing.assert_array_equal(dyn(np.ones(dim)), before)
+        # nothing in it can change, so a deep copy is the instance itself
+        assert copy.deepcopy(dyn) is dyn
 
     def test_registered_params_are_kept_as_given(self):
         register_dynamics("test_raw_params", lambda dim, params: lambda x, t: x * params["gain"])

@@ -19,5 +19,7 @@ def test_library_example_runs_as_written():
     theorem2 = pn.theorem3_check(cert, c=10.0, lambda1=spectrum.lambda1, alpha=1.0)
     assert round(theorem2.margin, 3) == -0.111
     assert round(pn.min_coupling_strength(cert, spectrum), 4) == 9.8898
+    assert scope["ladder"] == {"pinned-spectrum negativity": True, "theorem2": True}
+    assert round(scope["report"].min_c, 4) == 9.8898
     runs = scope["runs"]
     assert len(runs) == 3 and all(isinstance(run, pn.Trajectory) for run in runs)
